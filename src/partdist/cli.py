@@ -5,6 +5,16 @@ Every run is deterministic given (config, seed, chunk): artifacts carry the
 config hash, and wall-clock timing goes to stderr so reruns with the same
 hash stay byte-identical.  Exit codes: 0 success, 2 bad config/usage,
 3 size guard, 4 numerical failure.
+
+Determinism under BLAS threading: rates come from BLAS matrix products
+(R v, T v, T (w * mono_r)), and a BLAS library may split a product's sums
+differently for another thread count.  Reruns are byte-identical on the same
+NumPy and BLAS build with the same thread count (OPENBLAS_NUM_THREADS,
+OMP_NUM_THREADS); across builds or thread counts the strings, their order
+and the config hash stay the same, and rates agree to rounding.
+
+On stderr the block engines report, next to ``wall_time_s``, the largest
+Parseval residual |‖T v‖² - ‖v‖²| of the run (``parseval_residual``).
 """
 
 from __future__ import annotations
@@ -34,7 +44,7 @@ from .interferometer import (
 from .rates import (
     attach_vector,
     build_transform,
-    decompose_rate_matrix,
+    fourier_blocks,
     gamas_vanishes,
     rate_blocked,
     rate_direct,
@@ -226,10 +236,14 @@ def _emit_json(obj, out: str | None) -> None:
 class _Timer:
     def __enter__(self):
         self.t0 = time.perf_counter()
+        self.parseval_residual = None
         return self
 
     def __exit__(self, *exc):
-        print(f"wall_time_s={time.perf_counter() - self.t0:.3f}", file=sys.stderr)
+        line = f"wall_time_s={time.perf_counter() - self.t0:.3f}"
+        if self.parseval_residual is not None:
+            line += f" parseval_residual={self.parseval_residual:.3e}"
+        print(line, file=sys.stderr)
         return False
 
 
@@ -249,7 +263,7 @@ def _check_truncation_allowed(cfg: Config) -> None:
 def cmd_rate(args) -> None:
     cfg = load_config(args.config, args)
     _check_truncation_allowed(cfg)
-    with _Timer():
+    with _Timer() as timer:
         ordering = all_permutations(cfg.n)
         s = OutputString.from_detectors(cfg.m, cfg.detectors)
         A = submatrix(cfg.interferometer, s, cfg.input_ports)
@@ -263,9 +277,8 @@ def cmd_rate(args) -> None:
                 rate = rate_direct(v, rate_matrix(r, cfg.species, ordering))
         else:
             T = build_transform(ordering)
-            R = rate_matrix(r, cfg.species, ordering)
-            blocks, offblock = decompose_rate_matrix(R, T)
-            decomp = attach_vector(v, blocks, T, cfg.species, offblock)
+            decomp = attach_vector(v, fourier_blocks(r, cfg.species, T), T, cfg.species)
+            timer.parseval_residual = decomp.parseval_residual
             # against the all-singletons partition every label dominates, so
             # the blocked report shows everything as kept
             mu = cfg.mu if cfg.engine == "truncated" else (1,) * cfg.n
@@ -310,8 +323,9 @@ def _build_dist(cfg: Config):
 
 def cmd_distribution(args) -> None:
     cfg = load_config(args.config, args)
-    with _Timer():
+    with _Timer() as timer:
         dist = _build_dist(cfg)
+        timer.parseval_residual = dist.parseval_residual
         ref_i = reference_indistinguishable(cfg.interferometer, cfg.n, cfg.species, cfg.input_ports)
         ref_d = reference_distinguishable(cfg.interferometer, cfg.n, cfg.species, cfg.input_ports)
         best = max(dist.entries, key=lambda e: e[2])
@@ -341,8 +355,9 @@ def cmd_distribution(args) -> None:
 
 def cmd_sample(args) -> None:
     cfg = load_config(args.config, args)
-    with _Timer():
+    with _Timer() as timer:
         dist = _build_dist(cfg)
+        timer.parseval_residual = dist.parseval_residual
         draws = sample(dist, args.count, cfg.seed)
         text = "".join(str(s) + "\n" for s in draws)
     _emit(text, args.out)
@@ -382,6 +397,7 @@ def cmd_landscape(args) -> None:
     A = submatrix(cfg.interferometer, s, cfg.input_ports)
     v = monomial_vector(A, ordering)
     T = build_transform(ordering) if cfg.engine == "blocked" else None
+    residuals = []
 
     def rate_at(dtaus: dict[int, float]) -> float:
         taus = np.full(cfg.n, args.shift, dtype=float)
@@ -392,11 +408,11 @@ def cmd_landscape(args) -> None:
             if cfg.chunk > 0:
                 return rate_direct_streaming(v, r, cfg.species, ordering, cfg.chunk)
             return rate_direct(v, rate_matrix(r, cfg.species, ordering))
-        R = rate_matrix(r, cfg.species, ordering)
-        blocks, off = decompose_rate_matrix(R, T)
-        return rate_blocked(attach_vector(v, blocks, T, cfg.species, off))
+        decomp = attach_vector(v, fourier_blocks(r, cfg.species, T), T, cfg.species)
+        residuals.append(decomp.parseval_residual)
+        return rate_blocked(decomp)
 
-    with _Timer():
+    with _Timer() as timer:
         header = [f"dtau_{a}" for a in axes] + ["rate"]
         rows = [header]
         if len(axes) == 1:
@@ -414,6 +430,8 @@ def cmd_landscape(args) -> None:
         buf.write(f"# config_hash={cfg.config_hash}\n")
         writer = csv.writer(buf)
         writer.writerows(rows)
+        if residuals:
+            timer.parseval_residual = max(residuals)
     _emit(buf.getvalue(), args.out)
 
 

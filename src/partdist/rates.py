@@ -7,13 +7,21 @@ The direct route builds the rate matrix R over a group ordering,
 
 and evaluates rate = v^dag R v with v the scattering monomial vector.
 
-The blocked route conjugates R by the orthogonal group-Fourier transform T
-whose rows are sqrt(s_lam / n!) D_lam(gamma)[a, b]; this collapses R into
-s_lam repeated copies of the symmetric block K_lam built from the same delay
-matrix.  For bosons the block sitting at label lam is K_lam itself; for
-fermions it is orthogonally equivalent to the conjugate block K_lam'.  Blocks
-whose label fails to dominate the bin-occupancy partition vanish identically,
-which is what the truncated engine exploits.
+The blocked route works in the basis of the orthogonal group-Fourier
+transform T, whose rows are sqrt(s_lam / n!) D_lam(gamma)[a, b].  There R
+becomes s_lam repeated copies of one symmetric s_lam x s_lam block per
+partition lam, and by Fourier inversion on S_n that block is
+
+    K_lam = sum_g w(g) mono_r(g) D_lam(g),    w = 1 (bosons), sgn(g) (fermions),
+
+with mono_r(g) = prod_k r[g(k), k].  :func:`fourier_blocks` reads every K_lam
+off one product T (w * mono_r), so the blocks cost O((n!)^2) on top of the
+irreps and T, with no dense R and no O((n!)^3) T R T^t;
+:func:`decompose_rate_matrix` keeps that dense conjugation as the reference.
+For fermions the sign weighting makes K_lam orthogonally equivalent to the
+boson block of the conjugate label lam'.  Blocks whose label fails to
+dominate the bin-occupancy partition vanish identically, which is what the
+truncated engine exploits.
 """
 
 from __future__ import annotations
@@ -32,6 +40,7 @@ from .matfun import permanent
 from .symgroup import (
     GroupOrdering,
     IrrepMatrixSet,
+    Permutation,
     all_permutations,
     conjugate,
     dominates,
@@ -50,6 +59,7 @@ __all__ = [
     "BlockDecomposition",
     "block_decompose",
     "decompose_rate_matrix",
+    "fourier_blocks",
     "attach_vector",
     "rate_blocked",
     "rate_truncated",
@@ -82,17 +92,41 @@ def _check_delay_matrix(r, n: int) -> np.ndarray:
 
 @cache
 def _composition_tables(ordering: GroupOrdering):
-    """Index tables: comp[i, j] = ordering.index(gj^-1 * gi)."""
+    """Index tables: comp[i, j] = ordering.index(gj^-1 * gi).
+
+    Row i is filled from a row already known: for gi = gp * s_k, gj^-1 gi is
+    (gj^-1 gp) * s_k, so comp[i] is comp[p] sent through the
+    right-multiplication-by-s_k index map.  The rows are visited breadth
+    first from the identity, whose row is the inverse indices.
+    """
     n = ordering.n
     N = len(ordering)
     P = ordering.images_array
     powers = n ** np.arange(n, dtype=np.int64)
     lut = np.full(n**n, -1, dtype=np.intp)
     lut[P @ powers] = np.arange(N)
-    inv_images = P[ordering.inverse_indices]
+    right = []  # right[k][x] = index of g_x * s_k: images at k, k+1 swapped
+    for k in range(n - 1):
+        cols = np.arange(n)
+        cols[[k, k + 1]] = k + 1, k
+        right.append(lut[P[:, cols] @ powers])
     comp = np.empty((N, N), dtype=np.intp)
-    for j in range(N):
-        comp[:, j] = lut[inv_images[j][P] @ powers]
+    identity = ordering.index(Permutation.identity(n))
+    comp[identity] = ordering.inverse_indices
+    seen = np.zeros(N, dtype=bool)
+    seen[identity] = True
+    frontier = np.array([identity])
+    while frontier.size:
+        reached = []
+        for step in right:
+            child = step[frontier]
+            new = ~seen[child]  # step is a bijection: no child appears twice
+            child, parent = child[new], frontier[new]
+            seen[child] = True
+            for c, p in zip(child.tolist(), parent.tolist()):
+                np.take(step, comp[p], out=comp[c])  # no temporary row
+            reached.append(child)
+        frontier = np.concatenate([frontier[:0], *reached])
     comp.setflags(write=False)
     return comp
 
@@ -280,10 +314,12 @@ def _assemble_transform(ordering, irreps) -> BlockTransform:
 class BlockDecomposition:
     """Per-partition blocks and projected vectors of one rate computation.
 
-    For bosons the block stored at label lam is K_lam; for fermions it is the
-    conjugate block K_lam' expressed in this basis (same spectrum).  The
-    vectors are the s_lam copies of the projected monomial vector; the rate
-    is the sum of v^dag K v over all copies of all labels.
+    For bosons the block stored at label lam is K_lam; for fermions it is
+    the sign-weighted block, orthogonally equivalent to the conjugate boson
+    block K_lam' (same spectrum).  The vectors are the s_lam copies of the
+    projected monomial vector; the rate is the sum of v^dag K v over all
+    copies of all labels.  ``parseval_residual`` is |‖T v‖² - ‖v‖²| of the
+    projection (see :func:`attach_vector`).
     """
 
     species: str
@@ -291,6 +327,7 @@ class BlockDecomposition:
     blocks: dict[tuple[int, ...], np.ndarray]
     vectors: dict[tuple[int, ...], np.ndarray]  # (s_lam copies, s_lam)
     offblock_max: float
+    parseval_residual: float
 
     @property
     def n(self) -> int:
@@ -306,11 +343,12 @@ class BlockDecomposition:
 def decompose_rate_matrix(
     R: RateMatrix, T: BlockTransform
 ) -> tuple[dict[tuple[int, ...], np.ndarray], float]:
-    """Extract the per-partition blocks of T R T^t.
+    """Dense reference: extract the per-partition blocks of T R T^t.
 
-    Returns the copy-averaged blocks plus the largest entry found outside the
-    predicted block-diagonal positions (a structural health check: it should
-    sit at rounding level).
+    Costs O((n!)^3) and a dense R; the engines use :func:`fourier_blocks`,
+    and tests and demos compare against this.  Returns the copy-averaged
+    blocks plus the largest entry found outside the predicted block-diagonal
+    positions (a structural health check: it should sit at rounding level).
     """
     if R.ordering is not T.ordering and R.ordering != T.ordering:
         raise DomainError("rate matrix and transform use different orderings")
@@ -336,6 +374,47 @@ def decompose_rate_matrix(
     return blocks, offblock
 
 
+def fourier_blocks(r, species: str, T: BlockTransform) -> dict[tuple[int, ...], np.ndarray]:
+    """Every block K_lam = sum_g w(g) mono_r(g) D_lam(g) from one product.
+
+    Row (lam, a, b) of T holds sqrt(s_lam/n!) D_lam(g)[a, b], so
+    T (w * mono_r) restricted to the rows of lam, reshaped to s_lam x s_lam
+    and scaled by sqrt(n!/s_lam), is K_lam.  w = 1 for bosons and sgn(g) for
+    fermions; each block equals the one :func:`decompose_rate_matrix` finds
+    at the same label, at O((n!)^2) cost instead of O((n!)^3).
+    """
+    _check_species(species)
+    ordering = T.ordering
+    r = _check_delay_matrix(r, ordering.n)
+    weighted = _monomials_of(r, ordering)
+    if species == "fermion":
+        weighted = weighted * ordering.signs
+    y = T.matrix @ weighted
+    N = len(ordering)
+    blocks = {}
+    for lam, offset, s in T.layout:
+        block = math.sqrt(N / s) * y[offset : offset + s * s].reshape(s, s)
+        block.setflags(write=False)
+        blocks[lam] = block
+    return blocks
+
+
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2
+
+
+def _gamma(k: int) -> float:
+    return k * _UNIT_ROUNDOFF / (1 - k * _UNIT_ROUNDOFF)
+
+
+def _parseval_tolerance(T: BlockTransform) -> float:
+    N = len(T.ordering)
+    n = T.n
+    longest = n * (n - 1) // 2
+    s_max = max(s for _, _, s in T.layout)
+    delta = math.sqrt(N) * (2 * longest * _gamma(s_max + 3) + _gamma(N))
+    return 2 * delta + delta**2 + 2 * _gamma(N) * (1 + delta) ** 2
+
+
 def attach_vector(
     v: MonomialVector | np.ndarray,
     blocks: dict[tuple[int, ...], np.ndarray],
@@ -343,17 +422,46 @@ def attach_vector(
     species: str,
     offblock_max: float = 0.0,
 ) -> BlockDecomposition:
-    """Project a monomial vector onto the block layout of a pre-decomposed
-    rate matrix (the cheap per-output-string step)."""
+    """Project a monomial vector onto the block layout (the cheap
+    per-output-string step): one product T v, taken as
+    T v.real + 1j T v.imag so that no complex copy of T is made.
+
+    Raises :class:`DomainError` when v was built over another ordering than
+    T, and :class:`NumericalError` when the Parseval residual
+    |‖T v‖² - ‖v‖²| exceeds (2δ + δ² + 2γ_N (1 + δ)²) ‖v‖², with
+    δ = √N (2 L γ_{s+3} + γ_N), γ_k = k u / (1 - k u), u = 2^-53,
+    N = n!, L = n(n-1)/2 and s the largest irrep dimension.  The bound is
+    the rounding of an orthogonal T: each D_lam(g) is a product of at most L
+    of Young's generator matrices, each factor adding at most
+    √(2s) γ_{s+3} in Frobenius norm, so the stored T lies within
+    √(2N) L γ_{s+3} of an orthogonal matrix; the product T v adds
+    γ_N ‖T‖_F ‖v‖ = γ_N √N ‖v‖, and each squared norm γ_N.
+    """
     _check_species(species)
-    values = v.values if isinstance(v, MonomialVector) else np.asarray(v)
-    w = T.matrix @ values
+    if isinstance(v, MonomialVector):
+        if v.ordering is not T.ordering and v.ordering != T.ordering:
+            raise DomainError("monomial vector and transform use different orderings")
+        values = v.values
+    else:
+        values = np.asarray(v)
+    if values.shape != (len(T.ordering),):
+        raise DomainError("monomial vector length does not match transform")
+    w = T.matrix @ values.real
+    if np.iscomplexobj(values):
+        w = w + 1j * (T.matrix @ values.imag)
+    norm2 = float(np.vdot(values, values).real)
+    residual = abs(float(np.vdot(w, w).real) - norm2)
+    if residual > _parseval_tolerance(T) * norm2:
+        raise NumericalError(
+            f"transform is not orthogonal on this vector: Parseval residual "
+            f"{residual:.3e} against ‖v‖² = {norm2:.3e}"
+        )
     vectors = {}
     for lam, offset, s in T.layout:
         vecs = w[offset : offset + s * s].reshape(s, s)
         vecs.setflags(write=False)
         vectors[lam] = vecs
-    return BlockDecomposition(species, T, blocks, vectors, offblock_max)
+    return BlockDecomposition(species, T, blocks, vectors, offblock_max, residual)
 
 
 def block_decompose(
@@ -362,8 +470,9 @@ def block_decompose(
     T: BlockTransform,
     species: str | None = None,
 ) -> BlockDecomposition:
-    """Full decomposition of one rate computation: blocks of T R T^t plus the
-    projected vector copies."""
+    """Dense reference decomposition of one rate computation: blocks of
+    T R T^t (:func:`decompose_rate_matrix`) plus the projected vector
+    copies.  The engines use :func:`fourier_blocks` instead."""
     species = R.species if species is None else species
     if species != R.species:
         raise DomainError(f"decomposition species {species!r} != rate matrix {R.species!r}")

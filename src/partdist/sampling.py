@@ -32,7 +32,7 @@ from .matfun import determinant, permanent
 from .rates import (
     attach_vector,
     build_transform,
-    decompose_rate_matrix,
+    fourier_blocks,
     rate_blocked,
     rate_direct,
     rate_matrix,
@@ -71,6 +71,8 @@ class OutputDistribution:
 
     ``entries`` holds (string, raw rate, probability) triples, one
     per string, in the fixed enumeration order of the output strings.
+    ``parseval_residual`` is the largest |‖T v‖² - ‖v‖²| over the strings on
+    the blocked and truncated engines, and None on the others.
     """
 
     m: int
@@ -82,6 +84,7 @@ class OutputDistribution:
     total_rate: float
     interferometer: Interferometer | None = None
     input_ports: tuple[int, ...] | None = None
+    parseval_residual: float | None = None
 
     def __post_init__(self):
         probs = self.probabilities
@@ -104,7 +107,8 @@ class OutputDistribution:
 
 
 def _normalize(strings, rates, m, n, species, engine, arrival_hash,
-               interferometer=None, input_ports=None) -> OutputDistribution:
+               interferometer=None, input_ports=None,
+               parseval_residual=None) -> OutputDistribution:
     rates = np.asarray(rates, dtype=float)
     total = float(rates.sum())
     if not total > 0.0:
@@ -115,7 +119,7 @@ def _normalize(strings, rates, m, n, species, engine, arrival_hash,
     )
     return OutputDistribution(
         m, n, species, engine, arrival_hash, entries, total,
-        interferometer, input_ports,
+        interferometer, input_ports, parseval_residual,
     )
 
 
@@ -132,13 +136,14 @@ def build_distribution(
 ) -> OutputDistribution:
     """Exact output distribution for one interferometer + arrival profile.
 
-    The expensive group-level objects (rate matrix, block transform, blocks)
-    are built once and shared across every output string; only the monomial
-    vector changes per string.  ``snapped`` replaces each arrival time by its
-    bin center first, which is what makes the truncated engine exact; on raw
-    continuous times the truncated engine refuses to run unless the caller
-    opts into the approximation by passing the bin partition to drop against
-    as ``approximate_mu``.
+    The expensive group-level objects (the rate matrix for ``direct``; the
+    block transform and the Fourier blocks for ``blocked`` and
+    ``truncated``) are built once and shared across every output string;
+    only the monomial vector changes per string.  ``snapped`` replaces each
+    arrival time by its bin center first, which is what makes the truncated
+    engine exact; on raw continuous times the truncated engine refuses to
+    run unless the caller opts into the approximation by passing the bin
+    partition to drop against as ``approximate_mu``.
     """
     m = interferometer.m
     n = spec.n
@@ -171,29 +176,29 @@ def build_distribution(
 
     ordering = all_permutations(n, convention)
     strings = enumerate_outputs(m, n, MAX_DISTRIBUTION_STRINGS)
-    R = rate_matrix(r, species, ordering)
+    residuals = []
     if engine == "direct":
+        R = rate_matrix(r, species, ordering)
         def one_rate(v):
             return rate_direct(v, R)
     else:
         T = build_transform(ordering)
-        blocks, offblock = decompose_rate_matrix(R, T)
-        if engine == "blocked":
-            def one_rate(v):
-                return rate_blocked(attach_vector(v, blocks, T, species, offblock))
-        else:
-            mu = part.partition if approximate_mu is None else tuple(approximate_mu)
-            def one_rate(v):
-                return rate_truncated(
-                    attach_vector(v, blocks, T, species, offblock), mu
-                )
+        blocks = fourier_blocks(r, species, T)
+        mu = part.partition if approximate_mu is None else tuple(approximate_mu)
+        def one_rate(v):
+            decomp = attach_vector(v, blocks, T, species)
+            residuals.append(decomp.parseval_residual)
+            if engine == "blocked":
+                return rate_blocked(decomp)
+            return rate_truncated(decomp, mu)
 
     rates = []
     for s in strings:
         A = submatrix(interferometer, s, input_ports)
         rates.append(one_rate(monomial_vector(A, ordering)))
     return _normalize(strings, rates, m, n, species, engine, arrival_hash,
-                      interferometer, input_ports)
+                      interferometer, input_ports,
+                      max(residuals) if residuals else None)
 
 
 def sample(dist: OutputDistribution, count: int, seed: int | None = None):

@@ -394,9 +394,6 @@ class IrrepMatrixSet:
     def matrix(self, p: Permutation) -> np.ndarray:
         return self._by_images[p.images]
 
-    def traces(self) -> np.ndarray:
-        return np.array([m.trace() for m in self.matrices])
-
 
 def _adjacent_transposition_matrices(lam: tuple[int, ...]) -> list[np.ndarray]:
     """Young's orthogonal matrices for s_k = (k, k+1), k = 1..n-1.

@@ -7,10 +7,15 @@ lines go to stderr by design, so stdout comparisons can be byte-exact.
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import partdist.rates
 from partdist import analysis
 from partdist.cli import main
 from partdist.rates import gamas_vanishes
@@ -220,6 +225,61 @@ def test_size_guards_exit_3(tmp_path, capsys):
     cfg = write_config(tmp_path)
     code, _, _ = run_cli(capsys, "landscape", "--config", cfg, "--steps", "160")
     assert code == 3
+
+
+def test_block_engines_refuse_n8_before_building_irreps(tmp_path, capsys, monkeypatch):
+    def no_irreps(*args, **kwargs):
+        pytest.fail("irrep matrices were built for n = 8")
+
+    monkeypatch.setattr(partdist.rates, "irrep_matrices", no_irreps)
+    ports = list(range(1, 9))
+    configs = [
+        write_config(
+            tmp_path, "blocked.json", m=8, n=8, engine="blocked",
+            detectors=ports, input_ports=ports,
+            arrival={**BASE["arrival"], "taus": [0.1 * k for k in range(8)]},
+        ),
+        write_config(
+            tmp_path, "truncated.json", m=8, n=8, engine="truncated",
+            detectors=ports, input_ports=ports,
+            arrival={**BINNED, "bin_indices": [1, 1, 2, 3, 4, 5, 6, 7]},
+        ),
+    ]
+    for cfg in configs:
+        code, out, err = run_cli(capsys, "rate", "--config", cfg)
+        assert code == 3
+        assert "size limit" in err
+        assert out == ""
+
+
+def run_process(*argv):
+    """One CLI run in a fresh interpreter, which inherits this process's
+    BLAS thread settings."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    return subprocess.run(
+        [sys.executable, "-m", "partdist.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+def test_block_engine_reruns_are_byte_identical_across_processes(tmp_path):
+    # the determinism contract of the cli module: same build, same BLAS
+    # thread count, cold caches in each process
+    landscape = write_config(tmp_path, "landscape.json", engine="blocked")
+    truncated = write_config(tmp_path, "truncated.json", engine="truncated", arrival=BINNED)
+    for argv in (
+        ("landscape", "--config", landscape, "--steps", "9"),
+        ("distribution", "--config", truncated),
+    ):
+        first, second = run_process(*argv), run_process(*argv)
+        assert first.returncode == 0 and second.returncode == 0, first.stderr
+        assert first.stdout and first.stdout == second.stdout
+        timing = first.stderr.splitlines()[0].split()
+        assert timing[0].startswith("wall_time_s=")
+        assert timing[1].startswith("parseval_residual=")
+        assert float(timing[1].removeprefix("parseval_residual=")) >= 0.0
 
 
 # ---------------------------------------------------------------------------

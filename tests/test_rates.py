@@ -2,16 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from partdist.delays import ArrivalSpec, delay_matrix_from_times, discretize, snapped_delay_matrix
 from partdist.errors import DomainError, NumericalError, SizeLimitError
 from partdist.interferometer import OutputString, haar_unitary, monomial_vector, submatrix
 from partdist.matfun import determinant, dfunction_direct, immanant, permanent
 from partdist.rates import (
+    _composition_tables,
     attach_vector,
+    BlockTransform,
     block_decompose,
     build_transform,
     decompose_rate_matrix,
+    fourier_blocks,
     gamas_vanishes,
     rate_blocked,
     rate_direct,
@@ -31,6 +36,41 @@ from partdist.symgroup import (
     partitions_of,
     standard_tableau_count,
 )
+
+
+UNIT_ROUNDOFF = np.finfo(float).eps / 2
+
+
+def gamma(k):
+    return k * UNIT_ROUNDOFF / (1 - k * UNIT_ROUNDOFF)
+
+
+def transform_rounding(n):
+    """delta with ||fl(T v) - T_exact v|| <= delta ||v||: the stored T lies
+    within sqrt(2N) L gamma_{s+3} of an orthogonal matrix (L = n(n-1)/2
+    generator products per irrep matrix, s the largest irrep dimension) and
+    the product rounds by gamma_N sqrt(N); see rates.attach_vector."""
+    N = math.factorial(n)
+    s_max = max(standard_tableau_count(lam) for lam in partitions_of(n))
+    return math.sqrt(N) * (2 * (n * (n - 1) // 2) * gamma(s_max + 3) + gamma(N))
+
+
+def block_rounding(n):
+    """Entrywise bound on |Fourier block - dense T R T^t block|.  |R_ij| <= 1
+    and the rows of T are unit vectors, so |T||R||T|^t <= N entrywise and the
+    dense product rounds by gamma_2N N; the transform's distance from
+    orthogonal enters once per side, against ||R||_2 <= N."""
+    N = math.factorial(n)
+    return 2 * N * (gamma(2 * N) + 2 * transform_rounding(n))
+
+
+def rate_rounding(n, norm2):
+    """Bound on |blocked or truncated - direct| for a vector with
+    ||v||^2 = norm2: the direct form rounds by 2 gamma_2N ||v||_1^2 <=
+    2 gamma_2N N ||v||^2, and the block form by at most four transform
+    roundings against ||R||_2 <= N."""
+    N = math.factorial(n)
+    return N * (2 * gamma(2 * N) + 4 * transform_rounding(n)) * norm2
 
 
 def _random_case(n, seed):
@@ -73,6 +113,30 @@ def test_fermion_rate_matrix_is_sign_twisted_boson():
     Rf = rate_matrix(r, "fermion", ordering).matrix
     signs = ordering.signs
     assert np.allclose(Rf, Rb * np.outer(signs, signs), atol=1e-14)
+
+
+def _composition_tables_by_columns(ordering):
+    # the column-by-column construction the breadth-first table replaced
+    n = ordering.n
+    N = len(ordering)
+    P = ordering.images_array
+    powers = n ** np.arange(n, dtype=np.int64)
+    lut = np.full(n**n, -1, dtype=np.intp)
+    lut[P @ powers] = np.arange(N)
+    inv_images = P[ordering.inverse_indices]
+    comp = np.empty((N, N), dtype=np.intp)
+    for j in range(N):
+        comp[:, j] = lut[inv_images[j][P] @ powers]
+    return comp
+
+
+@pytest.mark.parametrize("convention", ["lex", "cycle"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_composition_table_matches_column_loop(n, convention):
+    ordering = all_permutations(n, convention)
+    table = _composition_tables(ordering)
+    assert np.array_equal(table, _composition_tables_by_columns(ordering))
+    assert not table.flags.writeable
 
 
 def test_rate_matrix_input_validation():
@@ -194,6 +258,86 @@ def test_block_traces_sum_to_group_order():
         standard_tableau_count(lam) * np.trace(blocks[lam]) for lam in partitions_of(4)
     )
     assert total == pytest.approx(math.factorial(4), rel=1e-12)
+
+
+@pytest.mark.parametrize("snapped", [False, True])
+@pytest.mark.parametrize("convention", ["lex", "cycle"])
+@pytest.mark.parametrize("species", ["boson", "fermion"])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_fourier_blocks_match_dense_reference(n, species, convention, snapped):
+    rng = np.random.default_rng(100 + n)
+    spec = ArrivalSpec(tuple(rng.uniform(0, 1, size=n)), 2.0, 1.0, 3)
+    if snapped:
+        r = snapped_delay_matrix(discretize(spec)[0], spec)
+    else:
+        r = delay_matrix_from_times(spec.taus, spec.delta_omega)
+    ordering = all_permutations(n, convention)
+    T = build_transform(ordering)
+    itf = haar_unitary(2 * n, seed=n)
+    A = submatrix(itf, OutputString.from_detectors(2 * n, tuple(range(1, n + 1))))
+    v = monomial_vector(A, ordering)
+    reference = block_decompose(v, rate_matrix(r, species, ordering), T)
+    decomp = attach_vector(v, fourier_blocks(r, species, T), T, species)
+    tol = block_rounding(n)
+    norm2 = float(np.vdot(v.values, v.values).real)
+    assert decomp.blocks.keys() == reference.blocks.keys()
+    for lam, block in decomp.blocks.items():
+        assert not block.flags.writeable
+        assert np.max(np.abs(block - reference.blocks[lam])) <= tol
+        s = standard_tableau_count(lam)
+        assert abs(decomp.term(lam) - reference.term(lam)) <= s * tol * norm2
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(2, 5),
+    seed=st.integers(0, 2**32 - 1),
+    species=st.sampled_from(["boson", "fermion"]),
+    convention=st.sampled_from(["lex", "cycle"]),
+)
+def test_block_engines_equal_direct_property(n, seed, species, convention):
+    rng = np.random.default_rng(seed)
+    bins = int(rng.integers(2, n + 3))
+    spec = ArrivalSpec(tuple(rng.uniform(0, 1, size=n)), float(rng.uniform(0.5, 4.0)), 1.0, bins)
+    idx, part = discretize(spec)
+    m = n + int(rng.integers(0, 3))
+    itf = haar_unitary(m, seed=seed)
+    s = OutputString.from_detectors(m, tuple(sorted(rng.choice(m, n, replace=False) + 1)))
+    ordering = all_permutations(n, convention)
+    T = build_transform(ordering)
+    v = monomial_vector(submatrix(itf, s), ordering)
+    tol = rate_rounding(n, float(np.vdot(v.values, v.values).real))
+    # blocked on continuous times, truncated on the snapped ones
+    for r, engine in (
+        (delay_matrix_from_times(spec.taus, spec.delta_omega), "blocked"),
+        (snapped_delay_matrix(idx, spec), "truncated"),
+    ):
+        direct = rate_direct(v, rate_matrix(r, species, ordering))
+        decomp = attach_vector(v, fourier_blocks(r, species, T), T, species)
+        got = rate_blocked(decomp) if engine == "blocked" else rate_truncated(decomp, part)
+        assert abs(got - direct) <= tol, (engine, got, direct, tol)
+
+
+def test_attach_vector_rejects_perturbed_transform():
+    ordering = all_permutations(4)
+    T = build_transform(ordering)
+    A, r = _random_case(4, 8)
+    v = monomial_vector(A, ordering)
+    blocks = fourier_blocks(r, "boson", T)
+    attach_vector(v, blocks, T, "boson")  # the true transform passes
+    matrix = T.matrix.copy()
+    matrix[0] *= 1 + 1e-6  # row of the trivial irrep: (T v)[0] = per(A) / sqrt(N)
+    broken = BlockTransform(ordering, matrix, T.layout)
+    with pytest.raises(NumericalError, match="Parseval"):
+        attach_vector(v, blocks, broken, "boson")
+
+
+def test_attach_vector_rejects_mismatched_ordering():
+    A, r = _random_case(3, 9)
+    T = build_transform(all_permutations(3, "lex"))
+    v = monomial_vector(A, all_permutations(3, "cycle"))
+    with pytest.raises(DomainError):
+        attach_vector(v, fourier_blocks(r, "boson", T), T, "boson")
 
 
 def test_decompose_rejects_mismatched_orderings():
