@@ -6,12 +6,15 @@ config hash, and wall-clock timing goes to stderr so reruns with the same
 hash stay byte-identical.  Exit codes: 0 success, 2 bad config/usage,
 3 size guard, 4 numerical failure.
 
-Determinism under BLAS threading: rates come from BLAS matrix products
-(R v, T v, T (w * mono_r)), and a BLAS library may split a product's sums
-differently for another thread count.  Reruns are byte-identical on the same
-NumPy and BLAS build with the same thread count (OPENBLAS_NUM_THREADS,
-OMP_NUM_THREADS); across builds or thread counts the strings, their order
-and the config hash stay the same, and rates agree to rounding.
+Determinism under BLAS threading: rates come from BLAS matrix products, R v
+on the direct engine and, on the block engines, the per-label products of
+each level of the fast Fourier transform on S_n that yields T v and the
+blocks.  A BLAS library may split a product's sums differently for another
+thread count or another number of columns; the block engines' batch width
+depends on n alone.  Reruns are byte-identical on the same NumPy and BLAS
+build with the same thread count (OPENBLAS_NUM_THREADS, OMP_NUM_THREADS);
+across builds or thread counts the strings, their order and the config hash
+stay the same, and rates agree to rounding.
 
 On stderr the block engines report, next to ``wall_time_s``, the largest
 Parseval residual |‖T v‖² - ‖v‖²| of the run (``parseval_residual``).
@@ -26,7 +29,7 @@ import io
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -396,8 +399,10 @@ def cmd_landscape(args) -> None:
     s = OutputString.from_detectors(cfg.m, cfg.detectors)
     A = submatrix(cfg.interferometer, s, cfg.input_ports)
     v = monomial_vector(A, ordering)
-    T = build_transform(ordering) if cfg.engine == "blocked" else None
-    residuals = []
+    if cfg.engine == "blocked":
+        # the string, and so its projection, is the same at every grid point
+        T = build_transform(ordering)
+        projected = attach_vector(v, {}, T, cfg.species)
 
     def rate_at(dtaus: dict[int, float]) -> float:
         taus = np.full(cfg.n, args.shift, dtype=float)
@@ -408,9 +413,7 @@ def cmd_landscape(args) -> None:
             if cfg.chunk > 0:
                 return rate_direct_streaming(v, r, cfg.species, ordering, cfg.chunk)
             return rate_direct(v, rate_matrix(r, cfg.species, ordering))
-        decomp = attach_vector(v, fourier_blocks(r, cfg.species, T), T, cfg.species)
-        residuals.append(decomp.parseval_residual)
-        return rate_blocked(decomp)
+        return rate_blocked(replace(projected, blocks=fourier_blocks(r, cfg.species, T)))
 
     with _Timer() as timer:
         header = [f"dtau_{a}" for a in axes] + ["rate"]
@@ -430,8 +433,8 @@ def cmd_landscape(args) -> None:
         buf.write(f"# config_hash={cfg.config_hash}\n")
         writer = csv.writer(buf)
         writer.writerows(rows)
-        if residuals:
-            timer.parseval_residual = max(residuals)
+        if cfg.engine == "blocked":
+            timer.parseval_residual = projected.parseval_residual
     _emit(buf.getvalue(), args.out)
 
 

@@ -14,10 +14,14 @@ partition lam, and by Fourier inversion on S_n that block is
 
     K_lam = sum_g w(g) mono_r(g) D_lam(g),    w = 1 (bosons), sgn(g) (fermions),
 
-with mono_r(g) = prod_k r[g(k), k].  :func:`fourier_blocks` reads every K_lam
-off one product T (w * mono_r), so the blocks cost O((n!)^2) on top of the
-irreps and T, with no dense R and no O((n!)^3) T R T^t;
-:func:`decompose_rate_matrix` keeps that dense conjugation as the reference.
+with mono_r(g) = prod_k r[g(k), k].  Both K_lam and the projected vector
+T v come from the fast Fourier transform on S_n
+(:func:`~partdist.symgroup.fourier_transform`), at O(n! n^2 s) cost for
+s the largest irrep dimension: :func:`fourier_blocks` transforms w * mono_r
+once per delay matrix and :func:`attach_vectors` a batch of monomial
+vectors at a time.  No n! x n! object and no irrep table is built on this
+route.  The dense T and the O((n!)^3) conjugation T R T^t stay in
+:func:`decompose_rate_matrix` as the reference.
 For fermions the sign weighting makes K_lam orthogonally equivalent to the
 boson block of the conjugate label lam'.  Blocks whose label fails to
 dominate the bin-occupancy partition vanish identically, which is what the
@@ -28,8 +32,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
-from functools import cache
+from dataclasses import dataclass, replace
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -39,11 +43,11 @@ from .interferometer import MonomialVector, monomial_vector
 from .matfun import permanent
 from .symgroup import (
     GroupOrdering,
-    IrrepMatrixSet,
     Permutation,
     all_permutations,
     conjugate,
     dominates,
+    fourier_transform,
     irrep_matrices,
     partitions_of,
     standard_tableau_count,
@@ -61,6 +65,7 @@ __all__ = [
     "decompose_rate_matrix",
     "fourier_blocks",
     "attach_vector",
+    "attach_vectors",
     "rate_blocked",
     "rate_truncated",
     "truncation_report",
@@ -81,11 +86,20 @@ DISTINGUISHABLE_THRESHOLD = 1e-12
 RATE_CLAMP_TOL = 1e-10
 
 
+def _allclose(a, b) -> bool:
+    """np.allclose(a, b, atol=1e-12) with its default rtol of 1e-5, from
+    plain ufuncs: |a - b| <= 1e-12 + 1e-5 |b| where b is finite, equality
+    elsewhere, and no NaN ever close."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        near = (np.abs(a - b) <= 1e-12 + 1e-5 * np.abs(b)) & np.isfinite(b)
+    return bool((near | (a == b)).all())
+
+
 def _check_delay_matrix(r, n: int) -> np.ndarray:
     r = np.asarray(r, dtype=float)
     if r.shape != (n, n):
         raise DomainError(f"delay matrix shape {r.shape} does not match degree {n}")
-    if not np.allclose(r, r.T, atol=1e-12) or not np.allclose(np.diag(r), 1.0, atol=1e-12):
+    if not _allclose(r, r.T) or not _allclose(np.diag(r), 1.0):
         raise DomainError("delay matrix must be symmetric with unit diagonal")
     return r
 
@@ -257,57 +271,48 @@ class BlockTransform:
 
     Rows are grouped per partition lam (reverse-lexicographic), and within
     lam in row-major (copy a, component b) order; row (lam, a, b) holds
-    sqrt(s_lam/n!) D_lam(gamma)[a, b] as gamma runs along the ordering.
+    sqrt(s_lam/n!) D_lam(gamma)[a, b] as gamma runs along the ordering.  The
+    engines apply it with :func:`~partdist.symgroup.fourier_transform`;
+    ``matrix`` is the dense n! x n! form, stacked from
+    :func:`~partdist.symgroup.irrep_matrices` on first use, for the dense
+    reference only.
     """
 
     ordering: GroupOrdering
-    matrix: np.ndarray
     layout: tuple[tuple[tuple[int, ...], int, int], ...]  # (lam, offset, dim)
 
     @property
     def n(self) -> int:
         return self.ordering.n
 
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        N = len(self.ordering)
+        T = np.empty((N, N))
+        for lam, offset, s in self.layout:
+            stack = np.stack(irrep_matrices(lam, self.ordering).matrices)  # (N, s, s)
+            T[offset : offset + s * s] = (
+                math.sqrt(s / N) * stack.transpose(1, 2, 0).reshape(s * s, N)
+            )
+        T.setflags(write=False)
+        return T
 
-def build_transform(
-    ordering: GroupOrdering,
-    irreps: dict[tuple[int, ...], IrrepMatrixSet] | None = None,
-) -> BlockTransform:
-    """Assemble the group-Fourier transform T.  T is orthogonal: conjugating
-    a boson rate matrix gives s_lam identical copies of the symmetric block
-    K_lam for every partition lam."""
+
+def build_transform(ordering: GroupOrdering) -> BlockTransform:
+    """The group-Fourier transform T over ``ordering``: its ordering and
+    block layout.  T is orthogonal: conjugating a boson rate matrix gives
+    s_lam identical copies of the symmetric block K_lam for every partition
+    lam."""
     n = ordering.n
     if n > MAX_DENSE_DEGREE:
-        raise SizeLimitError(f"dense transform limited to n <= {MAX_DENSE_DEGREE}")
-    if irreps is None:
-        return _cached_transform(ordering)
-    return _assemble_transform(ordering, irreps)
-
-
-@cache
-def _cached_transform(ordering: GroupOrdering) -> BlockTransform:
-    irreps = {lam: irrep_matrices(lam, ordering) for lam in partitions_of(ordering.n)}
-    return _assemble_transform(ordering, irreps)
-
-
-def _assemble_transform(ordering, irreps) -> BlockTransform:
-    n = ordering.n
-    N = len(ordering)
-    T = np.empty((N, N))
+        raise SizeLimitError(f"block transform limited to n <= {MAX_DENSE_DEGREE}")
     layout = []
     offset = 0
     for lam in partitions_of(n):
-        rep = irreps[lam]
-        s = rep.dim
-        stack = np.stack(rep.matrices)  # (N, s, s)
-        T[offset : offset + s * s] = (
-            math.sqrt(s / N) * stack.transpose(1, 2, 0).reshape(s * s, N)
-        )
+        s = standard_tableau_count(lam)
         layout.append((lam, offset, s))
         offset += s * s
-    assert offset == N
-    T.setflags(write=False)
-    return BlockTransform(ordering, T, tuple(layout))
+    return BlockTransform(ordering, tuple(layout))
 
 
 @dataclass(frozen=True)
@@ -375,13 +380,12 @@ def decompose_rate_matrix(
 
 
 def fourier_blocks(r, species: str, T: BlockTransform) -> dict[tuple[int, ...], np.ndarray]:
-    """Every block K_lam = sum_g w(g) mono_r(g) D_lam(g) from one product.
+    """Every block K_lam = sum_g w(g) mono_r(g) D_lam(g) from one fast
+    Fourier transform of w * mono_r.
 
-    Row (lam, a, b) of T holds sqrt(s_lam/n!) D_lam(g)[a, b], so
-    T (w * mono_r) restricted to the rows of lam, reshaped to s_lam x s_lam
-    and scaled by sqrt(n!/s_lam), is K_lam.  w = 1 for bosons and sgn(g) for
-    fermions; each block equals the one :func:`decompose_rate_matrix` finds
-    at the same label, at O((n!)^2) cost instead of O((n!)^3).
+    w = 1 for bosons and sgn(g) for fermions; each block equals the one
+    :func:`decompose_rate_matrix` finds at the same label, with no n! x n!
+    object built.
     """
     _check_species(species)
     ordering = T.ordering
@@ -389,14 +393,9 @@ def fourier_blocks(r, species: str, T: BlockTransform) -> dict[tuple[int, ...], 
     weighted = _monomials_of(r, ordering)
     if species == "fermion":
         weighted = weighted * ordering.signs
-    y = T.matrix @ weighted
-    N = len(ordering)
-    blocks = {}
-    for lam, offset, s in T.layout:
-        block = math.sqrt(N / s) * y[offset : offset + s * s].reshape(s, s)
-        block.setflags(write=False)
-        blocks[lam] = block
-    return blocks
+    y = fourier_transform(weighted, ordering)
+    y.setflags(write=False)
+    return {lam: y[offset : offset + s * s].reshape(s, s) for lam, offset, s in T.layout}
 
 
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2
@@ -406,13 +405,61 @@ def _gamma(k: int) -> float:
     return k * _UNIT_ROUNDOFF / (1 - k * _UNIT_ROUNDOFF)
 
 
-def _parseval_tolerance(T: BlockTransform) -> float:
+@cache
+def _fft_rounding(n: int) -> float:
+    """δ with ‖fl(T v) - T v‖ <= δ ‖v‖ for T v from the fast Fourier
+    transform; derived in :func:`attach_vector`."""
+    growth = 1 + _gamma(3)
+    for k in range(2, n + 1):
+        s = max(standard_tableau_count(lam) for lam in partitions_of(k))
+        growth *= 1 + math.sqrt(k) * (k - 1) * math.sqrt(2 * s) * _gamma(s + 3)
+        growth *= 1 + math.sqrt(k * s) * _gamma(k * s)
+    return growth - 1
+
+
+@cache
+def _parseval_tolerance(n: int) -> float:
+    delta = _fft_rounding(n)
+    return 2 * delta + delta**2 + 2 * _gamma(2 * math.factorial(n)) * (1 + delta) ** 2
+
+
+def attach_vectors(
+    vs,
+    blocks: dict[tuple[int, ...], np.ndarray],
+    T: BlockTransform,
+    species: str,
+) -> tuple[BlockDecomposition, ...]:
+    """:func:`attach_vector` for a batch of monomial vectors, projected by
+    one fast Fourier transform of all of them as columns."""
+    _check_species(species)
+    columns = []
+    for v in vs:
+        if isinstance(v, MonomialVector):
+            if v.ordering is not T.ordering and v.ordering != T.ordering:
+                raise DomainError("monomial vector and transform use different orderings")
+            v = v.values
+        values = np.asarray(v)
+        if values.shape != (len(T.ordering),):
+            raise DomainError("monomial vector length does not match transform")
+        columns.append(values)
+    V = np.stack(columns, axis=1)
     N = len(T.ordering)
-    n = T.n
-    longest = n * (n - 1) // 2
-    s_max = max(s for _, _, s in T.layout)
-    delta = math.sqrt(N) * (2 * longest * _gamma(s_max + 3) + _gamma(N))
-    return 2 * delta + delta**2 + 2 * _gamma(N) * (1 + delta) ** 2
+    scale = np.concatenate([np.full(s * s, math.sqrt(s / N)) for _, _, s in T.layout])
+    W = np.ascontiguousarray((fourier_transform(V, T.ordering) * scale[:, None]).T)
+    W.setflags(write=False)
+    norm2 = np.einsum("ij,ij->j", V.conj(), V).real
+    residuals = np.abs(np.einsum("ij,ij->i", W.conj(), W).real - norm2)
+    tolerance = _parseval_tolerance(T.n)
+    decomps = []
+    for w, residual, size in zip(W, residuals, norm2):
+        if residual > tolerance * size:
+            raise NumericalError(
+                f"transform is not orthogonal on this vector: Parseval residual "
+                f"{residual:.3e} against ‖v‖² = {size:.3e}"
+            )
+        vectors = {lam: w[offset : offset + s * s].reshape(s, s) for lam, offset, s in T.layout}
+        decomps.append(BlockDecomposition(species, T, blocks, vectors, 0.0, float(residual)))
+    return tuple(decomps)
 
 
 def attach_vector(
@@ -423,45 +470,26 @@ def attach_vector(
     offblock_max: float = 0.0,
 ) -> BlockDecomposition:
     """Project a monomial vector onto the block layout (the cheap
-    per-output-string step): one product T v, taken as
-    T v.real + 1j T v.imag so that no complex copy of T is made.
+    per-output-string step): T v, taken from one fast Fourier transform of
+    v and scaled by sqrt(s_lam/n!) per label.
 
     Raises :class:`DomainError` when v was built over another ordering than
     T, and :class:`NumericalError` when the Parseval residual
-    |‖T v‖² - ‖v‖²| exceeds (2δ + δ² + 2γ_N (1 + δ)²) ‖v‖², with
-    δ = √N (2 L γ_{s+3} + γ_N), γ_k = k u / (1 - k u), u = 2^-53,
-    N = n!, L = n(n-1)/2 and s the largest irrep dimension.  The bound is
-    the rounding of an orthogonal T: each D_lam(g) is a product of at most L
-    of Young's generator matrices, each factor adding at most
-    √(2s) γ_{s+3} in Frobenius norm, so the stored T lies within
-    √(2N) L γ_{s+3} of an orthogonal matrix; the product T v adds
-    γ_N ‖T‖_F ‖v‖ = γ_N √N ‖v‖, and each squared norm γ_N.
+    |‖T v‖² - ‖v‖²| exceeds (2δ + δ² + 2γ_2N (1 + δ)²) ‖v‖², with
+    1 + δ = (1 + γ_3) prod_k (1 + √k (k-1) √(2s) γ_{s+3}) (1 + √(ks) γ_ks),
+    k = 2..n, γ_k = k u / (1 - k u), u = 2^-53, N = n! and s the largest
+    irrep dimension of S_k.  The bound is the rounding of the transform.  In
+    coordinates scaled by sqrt(s_lam/k!), level k of the FFT is an
+    orthogonal map, computed as products [D(c_0) | ... | D(c_(k-1))] E.
+    Each coset matrix D(c_j) is a product of at most k-1 of Young's generator
+    matrices, each factor adding at most √(2s) γ_{s+3} in Frobenius norm, so
+    the stored row is within √k (k-1) √(2s) γ_{s+3} of the exact one in
+    2-norm; the product rounds by γ_ks ‖W‖_F ≤ γ_ks √(ks) against the level's
+    input norm, since the branching rule sum_(lam ⊃ mu) s_lam = k s_mu makes
+    the scaled norms of the E add up to it.  The final scaling by
+    sqrt(s_lam/n!) adds γ_3, and each squared norm γ_2N (N complex terms).
     """
-    _check_species(species)
-    if isinstance(v, MonomialVector):
-        if v.ordering is not T.ordering and v.ordering != T.ordering:
-            raise DomainError("monomial vector and transform use different orderings")
-        values = v.values
-    else:
-        values = np.asarray(v)
-    if values.shape != (len(T.ordering),):
-        raise DomainError("monomial vector length does not match transform")
-    w = T.matrix @ values.real
-    if np.iscomplexobj(values):
-        w = w + 1j * (T.matrix @ values.imag)
-    norm2 = float(np.vdot(values, values).real)
-    residual = abs(float(np.vdot(w, w).real) - norm2)
-    if residual > _parseval_tolerance(T) * norm2:
-        raise NumericalError(
-            f"transform is not orthogonal on this vector: Parseval residual "
-            f"{residual:.3e} against ‖v‖² = {norm2:.3e}"
-        )
-    vectors = {}
-    for lam, offset, s in T.layout:
-        vecs = w[offset : offset + s * s].reshape(s, s)
-        vecs.setflags(write=False)
-        vectors[lam] = vecs
-    return BlockDecomposition(species, T, blocks, vectors, offblock_max, residual)
+    return replace(attach_vectors([v], blocks, T, species)[0], offblock_max=offblock_max)
 
 
 def block_decompose(

@@ -30,7 +30,7 @@ from .interferometer import (
 )
 from .matfun import determinant, permanent
 from .rates import (
-    attach_vector,
+    attach_vectors,
     build_transform,
     fourier_blocks,
     rate_blocked,
@@ -137,13 +137,15 @@ def build_distribution(
     """Exact output distribution for one interferometer + arrival profile.
 
     The expensive group-level objects (the rate matrix for ``direct``; the
-    block transform and the Fourier blocks for ``blocked`` and
-    ``truncated``) are built once and shared across every output string;
-    only the monomial vector changes per string.  ``snapped`` replaces each
-    arrival time by its bin center first, which is what makes the truncated
-    engine exact; on raw continuous times the truncated engine refuses to
-    run unless the caller opts into the approximation by passing the bin
-    partition to drop against as ``approximate_mu``.
+    Fourier blocks for ``blocked`` and ``truncated``) are built once and
+    shared across every output string; only the monomial vector changes per
+    string.  The block engines project the vectors in batches of
+    floor(2^16 / n!) strings, one fast Fourier transform per batch.
+    ``snapped`` replaces each arrival time by its bin center first, which is
+    what makes the truncated engine exact; on raw continuous times the
+    truncated engine refuses to run unless the caller opts into the
+    approximation by passing the bin partition to drop against as
+    ``approximate_mu``.
     """
     m = interferometer.m
     n = spec.n
@@ -176,29 +178,32 @@ def build_distribution(
 
     ordering = all_permutations(n, convention)
     strings = enumerate_outputs(m, n, MAX_DISTRIBUTION_STRINGS)
-    residuals = []
+    rates = []
+    residual = None
     if engine == "direct":
         R = rate_matrix(r, species, ordering)
-        def one_rate(v):
-            return rate_direct(v, R)
+        for s in strings:
+            A = submatrix(interferometer, s, input_ports)
+            rates.append(rate_direct(monomial_vector(A, ordering), R))
     else:
         T = build_transform(ordering)
         blocks = fourier_blocks(r, species, T)
         mu = part.partition if approximate_mu is None else tuple(approximate_mu)
-        def one_rate(v):
-            decomp = attach_vector(v, blocks, T, species)
-            residuals.append(decomp.parseval_residual)
-            if engine == "blocked":
-                return rate_blocked(decomp)
-            return rate_truncated(decomp, mu)
-
-    rates = []
-    for s in strings:
-        A = submatrix(interferometer, s, input_ports)
-        rates.append(one_rate(monomial_vector(A, ordering)))
+        batch = max(1, 2**16 // len(ordering))  # about 1 MB of coefficients
+        residual = 0.0
+        for start in range(0, len(strings), batch):
+            vs = [
+                monomial_vector(submatrix(interferometer, s, input_ports), ordering)
+                for s in strings[start : start + batch]
+            ]
+            for decomp in attach_vectors(vs, blocks, T, species):
+                residual = max(residual, decomp.parseval_residual)
+                if engine == "blocked":
+                    rates.append(rate_blocked(decomp))
+                else:
+                    rates.append(rate_truncated(decomp, mu))
     return _normalize(strings, rates, m, n, species, engine, arrival_hash,
-                      interferometer, input_ports,
-                      max(residuals) if residuals else None)
+                      interferometer, input_ports, residual)
 
 
 def sample(dist: OutputDistribution, count: int, seed: int | None = None):

@@ -7,6 +7,8 @@ match the usual (12), (123) shorthand.
 
 Irreducible representations are realised in Young's orthogonal form, so every
 representation matrix is real orthogonal and traces give the characters.
+That basis is adapted to the chain S_1 < S_2 < ... < S_n, which is what
+:func:`fourier_transform` (Clausen's fast Fourier transform) runs on.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ __all__ = [
     "standard_tableaux",
     "irrep_matrices",
     "IrrepMatrixSet",
+    "fourier_transform",
     "distinct_block_functions",
 ]
 
@@ -177,6 +180,32 @@ class GroupOrdering:
         )
         arr.setflags(write=False)
         return arr
+
+    @cached_property
+    def coset_gather(self) -> np.ndarray:
+        """Indices that put a function on this ordering into the coset-digit
+        order of :func:`fourier_transform`.
+
+        Every g factors uniquely as c_{j_n} c_{j_(n-1)} ... c_{j_2}, where the
+        level-k coset representative c_j = s_j s_(j+1) ... s_(k-2) of S_(k-1)
+        in S_k maps k-1 to j (0-based, s_i swapping i and i+1).  So j_n is
+        the last one-line image, and the S_(n-1) part has the other images,
+        those above j_n decremented.  Position sum_k j_k n!/k! of the digit
+        order holds g.
+        """
+        n = self.n
+        P = self.images_array
+        position = np.zeros(len(self), dtype=np.intp)
+        stride = 1
+        for k in range(n, 1, -1):
+            j = P[:, k - 1]
+            position += stride * j
+            P = P[:, : k - 1] - (P[:, : k - 1] > j[:, None])
+            stride *= k
+        gather = np.empty_like(position)
+        gather[position] = np.arange(len(self))
+        gather.setflags(write=False)
+        return gather
 
 
 @cache
@@ -467,3 +496,98 @@ def irrep_matrices(lam: tuple[int, ...], ordering: GroupOrdering) -> IrrepMatrix
         m.setflags(write=False)
     matrices = tuple(by_images[p.images] for p in ordering)
     return IrrepMatrixSet(lam, ordering, matrices, by_images)
+
+
+# ---------------------------------------------------------------------------
+# Fast Fourier transform on S_n (Clausen)
+
+
+@cache
+def _level_plan(k: int):
+    """Level k >= 2 of :func:`fourier_transform`, the same for every n.
+
+    One entry (lam, s_lam, branches) per lam |- k in :func:`partitions_of`
+    order, with one branch (mu, W, idx) per mu = lam minus a corner cell:
+    idx lists the tableaux of lam whose cell holding k is that corner,
+    ordered so that removing k gives :func:`standard_tableaux` (mu), and W is
+    [D_lam(c_0)[:, idx] | ... | D_lam(c_(k-1))[:, idx]].  In Young's
+    orthogonal form D_lam restricted to S_(k-1) is D_mu on the rows and
+    columns idx, and zero between different branches.  idx is None when the
+    branch holds every tableau of lam.
+    """
+    plan = []
+    for lam in partitions_of(k):
+        tableaux = standard_tableaux(lam)
+        s = len(tableaux)
+        reps = [np.eye(s)]  # D(c_(k-1)) = 1, then D(c_j) = D(s_j) D(c_(j+1))
+        for gen in reversed(_adjacent_transposition_matrices(lam)):
+            reps.append(gen @ reps[-1])
+        reps.reverse()
+        where: dict[tuple[int, ...], dict] = {}
+        for t, tab in enumerate(tableaux):
+            rest = tuple(
+                kept for kept in (row[:-1] if row[-1] == k else row for row in tab) if kept
+            )
+            where.setdefault(tuple(map(len, rest)), {})[rest] = t
+        branches = []
+        for mu, index in where.items():
+            idx = np.array([index[tab] for tab in standard_tableaux(mu)], dtype=np.intp)
+            W = np.hstack([rep[:, idx] for rep in reps])
+            W.setflags(write=False)
+            idx.setflags(write=False)
+            branches.append((mu, W, None if len(where) == 1 else idx))
+        plan.append((lam, s, tuple(branches)))
+    return tuple(plan)
+
+
+def fourier_transform(f, ordering: GroupOrdering) -> np.ndarray:
+    """F(lam) = sum_g f(g) D_lam(g) for every partition lam of n at once.
+
+    ``f`` holds one value per element of ``ordering``, shape (n!,), or a batch
+    of columns, shape (n!, B); real or complex.  The result has the same
+    shape, and per column it holds, for lam in :func:`partitions_of` order,
+    F(lam) flattened row-major in the basis of :func:`standard_tableaux`:
+    the row layout of the orthogonal transform in :mod:`partdist.rates`.
+
+    Clausen's algorithm: g = c_{j_n} h with h in S_(n-1) (see
+    :attr:`GroupOrdering.coset_gather`), so F(lam) = sum_j D_lam(c_j) (+)_mu
+    F_j(mu) over the branches mu of lam, with F_j the transform on S_(n-1)
+    of f(c_j .).  Applied level by level from S_1 up, each level k is one
+    matrix product per (lam, mu) branch with the coset and batch columns
+    trailing: 2 k (n!/k!) sum_(lam, mu) s_lam s_mu^2 <= 2 k s n! flops per
+    column, s the largest irrep dimension, so O(n^2 s n!) in all, and no
+    level holds more than the input.  Complex input runs as interleaved
+    real and imaginary columns.
+    """
+    values = np.asarray(f)
+    N = len(ordering)
+    if values.ndim not in (1, 2) or values.shape[0] != N:
+        raise DomainError(f"function shape {values.shape} does not match {N} group elements")
+    columns = values.reshape(N, -1)
+    if np.iscomplexobj(columns):
+        columns = np.ascontiguousarray(columns, dtype=complex).view(float)
+    width = columns.shape[1]
+    # level[mu] is (s_mu, s_mu, cosets * width): F_c(mu) over the cosets c of
+    # S_(k-1), whose leading digit j_k varies slowest
+    level = {(1,): np.asarray(columns, dtype=float)[ordering.coset_gather].reshape(1, 1, -1)}
+    for k in range(2, ordering.n + 1):
+        trailing = N // math.factorial(k) * width
+        stacked = {}  # rows (j_k, a), columns (b, remaining cosets, batch)
+        for mu, x in level.items():
+            s = x.shape[0]
+            stacked[mu] = x.reshape(s, s, k, -1).transpose(2, 0, 1, 3).reshape(k * s, -1)
+        level = {}
+        for lam, s, branches in _level_plan(k):
+            if len(branches) == 1:
+                mu, W, _ = branches[0]
+                level[lam] = (W @ stacked[mu]).reshape(s, s, trailing)
+                continue
+            out = np.empty((s, s, trailing))
+            for mu, W, idx in branches:
+                out[:, idx] = (W @ stacked[mu]).reshape(s, len(idx), trailing)
+            level[lam] = out
+    # the last level holds the labels in partitions_of order
+    out = np.concatenate([x.reshape(-1, width) for x in level.values()])
+    if np.iscomplexobj(values):
+        out = out.view(complex)
+    return out.reshape(values.shape)

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import partdist.rates
+import partdist.symgroup
 from partdist import analysis
 from partdist.cli import main
 from partdist.rates import gamas_vanishes
@@ -229,9 +230,23 @@ def test_size_guards_exit_3(tmp_path, capsys):
 
 def test_block_engines_refuse_n8_before_building_irreps(tmp_path, capsys, monkeypatch):
     def no_irreps(*args, **kwargs):
-        pytest.fail("irrep matrices were built for n = 8")
+        pytest.fail("irrep matrices were built on a block route")
+
+    plan = partdist.symgroup._level_plan
+    levels = set()
+
+    def level_plan(k):
+        if k >= 8:
+            pytest.fail("a fast Fourier transform plan was built for n = 8")
+        levels.add(k)
+        return plan(k)
 
     monkeypatch.setattr(partdist.rates, "irrep_matrices", no_irreps)
+    monkeypatch.setattr(partdist.symgroup, "_level_plan", level_plan)
+    # the block routes run on the FFT plans and build no irreps at all
+    code, _, _ = run_cli(capsys, "rate", "--config", write_config(tmp_path), "--engine", "blocked")
+    assert code == 0
+    assert levels == {2, 3}
     ports = list(range(1, 9))
     configs = [
         write_config(

@@ -1,18 +1,22 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from partdist import rates, symgroup
 from partdist.delays import ArrivalSpec, delay_matrix_from_times, discretize, snapped_delay_matrix
 from partdist.errors import DomainError, NumericalError, SizeLimitError
 from partdist.interferometer import OutputString, haar_unitary, monomial_vector, submatrix
 from partdist.matfun import determinant, dfunction_direct, immanant, permanent
 from partdist.rates import (
+    _check_delay_matrix,
     _composition_tables,
+    _fft_rounding,
     attach_vector,
-    BlockTransform,
     block_decompose,
     build_transform,
     decompose_rate_matrix,
@@ -32,6 +36,7 @@ from partdist.symgroup import (
     all_permutations,
     conjugate,
     dominates,
+    fourier_transform,
     irrep_matrices,
     partitions_of,
     standard_tableau_count,
@@ -139,6 +144,45 @@ def test_composition_table_matches_column_loop(n, convention):
     assert not table.flags.writeable
 
 
+def test_delay_matrix_check_agrees_with_allclose():
+    # the check is np.allclose(r, r.T, atol=1e-12) and
+    # np.allclose(diag r, 1, atol=1e-12), rtol 1e-5 included, from plain
+    # ufuncs; it must give the same verdict on every input, NaN and
+    # infinities included, and without a floating-point warning
+    rng = np.random.default_rng(2024)
+    specials = [np.nan, np.inf, -np.inf, 1e308, -1e308, 0.0, 1.0]
+    steps = [1e-5, -1e-5, 9.99e-6, -9.99e-6, 1.001e-5, 1e-12, 2e-12, 1e-6, 0.0]
+    verdicts = set()
+    for trial in range(3000):
+        n = int(rng.integers(1, 6))
+        r = rng.uniform(-2.0, 2.0, (n, n))
+        kind = trial % 5
+        if kind != 4:
+            r = (r + r.T) / 2
+        if kind in (0, 1, 2):
+            np.fill_diagonal(r, 1.0)
+        i, j = rng.integers(0, n, 2)
+        if kind == 0:  # asymmetry at the rtol boundary
+            r[i, j] *= 1 + rng.choice(steps)
+        elif kind == 1:  # a special value, mirrored or not
+            r[i, j] = rng.choice(specials)
+            if rng.random() < 0.5:
+                r[j, i] = r[i, j]
+        elif kind == 2:  # diagonal near 1
+            r[np.diag_indices(n)] += rng.choice(steps, size=n)
+        want = np.allclose(r, r.T, atol=1e-12) and np.allclose(np.diag(r), 1.0, atol=1e-12)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                _check_delay_matrix(r, n)
+                got = True
+            except DomainError:
+                got = False
+        assert got == want, r
+        verdicts.add(got)
+    assert verdicts == {True, False}
+
+
 def test_rate_matrix_input_validation():
     ordering = all_permutations(3)
     with pytest.raises(DomainError):
@@ -219,6 +263,44 @@ def test_transform_is_orthogonal():
         assert T.matrix.shape == (N, N)
         assert np.allclose(T.matrix @ T.matrix.T, np.eye(N), atol=1e-12)
         assert sum(dim * dim for _, _, dim in T.layout) == N
+
+
+@pytest.mark.parametrize("convention", ["lex", "cycle"])
+def test_fourier_transform_matches_irreps_built_transform(convention, monkeypatch):
+    # the reference T is stacked from irrep_matrices, independently of the
+    # FFT; at n = 7 the irreps and T take about 400 MB, so they are built
+    # uncached here and freed with the test
+    monkeypatch.setattr(rates, "irrep_matrices", irrep_matrices.__wrapped__)
+    rng = np.random.default_rng(500)
+    for n in range(1, 8):
+        ordering = all_permutations(n, convention)
+        T = build_transform(ordering)
+        N = len(ordering)
+        scale = np.concatenate([np.full(s * s, math.sqrt(s / N)) for _, _, s in T.layout])
+        one = rng.normal(size=N) + 1j * rng.normal(size=N)
+        batch = rng.normal(size=(N, 3)) + 1j * rng.normal(size=(N, 3))
+        for f in (one, batch, batch.real):
+            got = fourier_transform(f, ordering)
+            assert got.shape == f.shape and got.dtype == f.dtype
+            got = got * (scale if f.ndim == 1 else scale[:, None])
+            want = T.matrix @ f.real + 1j * (T.matrix @ f.imag)
+            err = np.linalg.norm(got - want, axis=0)
+            bound = (_fft_rounding(n) + transform_rounding(n)) * np.linalg.norm(f, axis=0)
+            assert np.all(err <= bound), (n, err, bound)
+
+
+def test_block_route_at_n7_allocates_no_dense_array():
+    ordering = all_permutations(7)
+    A, r = _random_case(7, 12)
+    v = monomial_vector(A, ordering)
+    tracemalloc.start()
+    try:
+        T = build_transform(ordering)
+        rate_blocked(attach_vector(v, fourier_blocks(r, "boson", T), T, "boson"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20  # one 5040 x 5040 float64 array is 194 MiB
 
 
 def test_boson_blocks_equal_transformed_gram_functions():
@@ -318,18 +400,33 @@ def test_block_engines_equal_direct_property(n, seed, species, convention):
         assert abs(got - direct) <= tol, (engine, got, direct, tol)
 
 
-def test_attach_vector_rejects_perturbed_transform():
-    ordering = all_permutations(4)
-    T = build_transform(ordering)
-    A, r = _random_case(4, 8)
-    v = monomial_vector(A, ordering)
-    blocks = fourier_blocks(r, "boson", T)
-    attach_vector(v, blocks, T, "boson")  # the true transform passes
-    matrix = T.matrix.copy()
-    matrix[0] *= 1 + 1e-6  # row of the trivial irrep: (T v)[0] = per(A) / sqrt(N)
-    broken = BlockTransform(ordering, matrix, T.layout)
-    with pytest.raises(NumericalError, match="Parseval"):
-        attach_vector(v, blocks, broken, "boson")
+def test_attach_vector_rejects_perturbed_transform(monkeypatch):
+    plan = symgroup._level_plan
+    for n in (4, 7):
+        ordering = all_permutations(n)
+        T = build_transform(ordering)
+        A, r = _random_case(n, 8)
+        v = monomial_vector(A, ordering)
+        blocks = fourier_blocks(r, "boson", T)
+        attach_vector(v, blocks, T, "boson")  # the true transform passes
+
+        def perturbed(k):
+            levels = plan(k)
+            if k != 2:
+                return levels
+            # level 2 sets F_c((2)) = f(c s_0) + f(c) for every coset c of
+            # S_2; scaling the first coefficient by 1 + 1e-6 moves the
+            # transform's squared norm by about 1e-6 ‖v‖² / 2, and every later
+            # level is orthogonal
+            (lam, s, ((mu, W, idx),)), *rest = levels
+            W = W.copy()
+            W[0, 0] *= 1 + 1e-6
+            return ((lam, s, ((mu, W, idx),)), *rest)
+
+        monkeypatch.setattr(symgroup, "_level_plan", perturbed)
+        with pytest.raises(NumericalError, match="Parseval"):
+            attach_vector(v, blocks, T, "boson")
+        monkeypatch.setattr(symgroup, "_level_plan", plan)
 
 
 def test_attach_vector_rejects_mismatched_ordering():

@@ -6,9 +6,19 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from partdist.delays import ArrivalSpec
+import partdist.sampling
+from partdist.delays import ArrivalSpec, discretize, snapped_delay_matrix
 from partdist.errors import DomainError, SizeLimitError
-from partdist.interferometer import haar_unitary
+from partdist.interferometer import haar_unitary, monomial_vector, submatrix
+from partdist.rates import (
+    _fft_rounding,
+    _parseval_tolerance,
+    attach_vector,
+    build_transform,
+    fourier_blocks,
+    rate_blocked,
+    rate_truncated,
+)
 from partdist.sampling import (
     build_distribution,
     entropy_bits,
@@ -20,6 +30,7 @@ from partdist.sampling import (
     to_jsonl,
     total_variation,
 )
+from partdist.symgroup import all_permutations
 
 SPEC = ArrivalSpec((0.1, 0.42, 0.77), 1.5, 1.0, 8)
 EQUAL = ArrivalSpec((0.3, 0.3, 0.3), 1.5, 1.0, 8)
@@ -200,3 +211,41 @@ def test_entropy_and_tv_basics(itf):
     small = reference_distinguishable(haar_unitary(5, seed=1), 3)
     with pytest.raises(DomainError):
         total_variation(dist, small)
+
+
+@pytest.mark.parametrize("species", ["boson", "fermion"])
+def test_batched_block_engines_match_per_string_projection(species, monkeypatch):
+    # n = 6 projects floor(2^16 / 720) = 91 strings per batch, and m = 10 has
+    # 210 strings: two full batches and one of 28
+    spec = ArrivalSpec((0.05, 0.1, 0.33, 0.5, 0.52, 0.9), 3.0, 1.0, 4)
+    itf10 = haar_unitary(10, seed=17)
+    widths = []
+    batched = partdist.sampling.attach_vectors
+
+    def attach_vectors(vs, *args):
+        widths.append(len(vs))
+        return batched(vs, *args)
+
+    monkeypatch.setattr(partdist.sampling, "attach_vectors", attach_vectors)
+    ordering = all_permutations(6)
+    T = build_transform(ordering)
+    idx, part = discretize(spec)
+    blocks = fourier_blocks(snapped_delay_matrix(idx, spec), species, T)
+    N = len(ordering)
+    # both routes round T v within δ‖v‖ (rates.attach_vector), and the rate
+    # moves by at most ‖K‖ (2 + 2δ) 2δ ‖v‖² with ‖K‖ <= ‖R‖ <= N
+    delta = _fft_rounding(6)
+    for engine in ("blocked", "truncated"):
+        widths.clear()
+        dist = build_distribution(itf10, spec, species, engine, snapped=True)
+        assert widths == [91, 91, 28]
+        assert len(dist.strings) == 210
+        norms = []
+        for s, got in zip(dist.strings, dist.rates):
+            v = monomial_vector(submatrix(itf10, s), ordering)
+            decomp = attach_vector(v, blocks, T, species)
+            want = rate_blocked(decomp) if engine == "blocked" else rate_truncated(decomp, part)
+            norm2 = float(np.vdot(v.values, v.values).real)
+            norms.append(norm2)
+            assert abs(got - want) <= 4 * N * delta * (1 + delta) * norm2, (s, got, want)
+        assert 0.0 <= dist.parseval_residual <= _parseval_tolerance(6) * max(norms)
