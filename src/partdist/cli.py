@@ -1,23 +1,30 @@
 """Command-line surface: rate, distribution, sample, landscape, analyze,
 gamas-table.
 
-Every run is deterministic given (config, seed, chunk): artifacts carry the
-config hash, and wall-clock timing goes to stderr so reruns with the same
-hash stay byte-identical.  Exit codes: 0 success, 2 bad config/usage,
-3 size guard, 4 numerical failure.
+Every run is deterministic given (config, seed): artifacts carry the config
+hash, and wall-clock timing goes to stderr so reruns with the same hash stay
+byte-identical.  A chunk above 0 selects the streaming engine for
+``direct``; the chunk width itself changes memory, not bits.  Exit codes:
+0 success, 2 bad config/usage, 3 size guard, 4 numerical failure.
 
 Determinism under BLAS threading: rates come from BLAS matrix products, R v
-on the direct engine and, on the block engines, the per-label products of
-each level of the fast Fourier transform on S_n that yields T v and the
-blocks.  A BLAS library may split a product's sums differently for another
-thread count or another number of columns; the block engines' batch width
-depends on n alone.  Reruns are byte-identical on the same NumPy and BLAS
-build with the same thread count (OPENBLAS_NUM_THREADS, OMP_NUM_THREADS);
-across builds or thread counts the strings, their order and the config hash
-stay the same, and rates agree to rounding.
+on the dense direct engine and, on the block engines, the per-label
+products of each level of the fast Fourier transform on S_n that yields T v
+and the blocks.  A BLAS library may split a product's sums differently for
+another thread count or another number of columns; the block engines' batch
+width depends on n alone.  The streaming engine evaluates each subset
+matrix by element-wise operations or its own LAPACK determinant call and
+sums all 2^n values of a rate at once, so neither the chunk nor the batch
+of strings or grid points changes its bits.  Reruns are byte-identical on
+the same NumPy and BLAS build with the same thread count
+(OPENBLAS_NUM_THREADS, OMP_NUM_THREADS); across builds or thread counts the
+strings, their order and the config hash stay the same, and rates agree to
+rounding.
 
 On stderr the block engines report, next to ``wall_time_s``, the largest
-Parseval residual |‖T v‖² - ‖v‖²| of the run (``parseval_residual``).
+Parseval residual |‖T v‖² - ‖v‖²| of the run (``parseval_residual``), and
+the streaming engine the largest cancellation sum_S |f(P_S)| / rate
+(``cancellation``).
 """
 
 from __future__ import annotations
@@ -240,12 +247,15 @@ class _Timer:
     def __enter__(self):
         self.t0 = time.perf_counter()
         self.parseval_residual = None
+        self.cancellation = None
         return self
 
     def __exit__(self, *exc):
         line = f"wall_time_s={time.perf_counter() - self.t0:.3f}"
         if self.parseval_residual is not None:
             line += f" parseval_residual={self.parseval_residual:.3e}"
+        if self.cancellation is not None:
+            line += f" cancellation={self.cancellation:.3e}"
         print(line, file=sys.stderr)
         return False
 
@@ -267,18 +277,20 @@ def cmd_rate(args) -> None:
     cfg = load_config(args.config, args)
     _check_truncation_allowed(cfg)
     with _Timer() as timer:
-        ordering = all_permutations(cfg.n)
         s = OutputString.from_detectors(cfg.m, cfg.detectors)
         A = submatrix(cfg.interferometer, s, cfg.input_ports)
-        v = monomial_vector(A, ordering)
         r = delay_matrix(cfg.spec)
         blocks_out = None
-        if cfg.engine == "direct":
-            if cfg.chunk > 0:
-                rate = rate_direct_streaming(v, r, cfg.species, ordering, cfg.chunk)
-            else:
-                rate = rate_direct(v, rate_matrix(r, cfg.species, ordering))
+        if cfg.engine == "direct" and cfg.chunk > 0:
+            streamed = rate_direct_streaming(A, r, cfg.species, cfg.chunk)
+            timer.cancellation = streamed.cancellation
+            rate = float(streamed.rates)
+        elif cfg.engine == "direct":
+            ordering = all_permutations(cfg.n)
+            rate = rate_direct(monomial_vector(A, ordering), rate_matrix(r, cfg.species, ordering))
         else:
+            ordering = all_permutations(cfg.n)
+            v = monomial_vector(A, ordering)
             T = build_transform(ordering)
             decomp = attach_vector(v, fourier_blocks(r, cfg.species, T), T, cfg.species)
             timer.parseval_residual = decomp.parseval_residual
@@ -321,6 +333,7 @@ def _build_dist(cfg: Config):
         input_ports=cfg.input_ports,
         snapped=cfg.binned,
         approximate_mu=cfg.mu if approximate else None,
+        chunk=cfg.chunk,
     )
 
 
@@ -329,6 +342,7 @@ def cmd_distribution(args) -> None:
     with _Timer() as timer:
         dist = _build_dist(cfg)
         timer.parseval_residual = dist.parseval_residual
+        timer.cancellation = dist.cancellation
         ref_i = reference_indistinguishable(cfg.interferometer, cfg.n, cfg.species, cfg.input_ports)
         ref_d = reference_distinguishable(cfg.interferometer, cfg.n, cfg.species, cfg.input_ports)
         best = max(dist.entries, key=lambda e: e[2])
@@ -361,6 +375,7 @@ def cmd_sample(args) -> None:
     with _Timer() as timer:
         dist = _build_dist(cfg)
         timer.parseval_residual = dist.parseval_residual
+        timer.cancellation = dist.cancellation
         draws = sample(dist, args.count, cfg.seed)
         text = "".join(str(s) + "\n" for s in draws)
     _emit(text, args.out)
@@ -395,46 +410,46 @@ def cmd_landscape(args) -> None:
         raise SizeLimitError(f"grid of {steps ** len(axes)} points exceeds {MAX_GRID_POINTS}")
 
     grid = np.linspace(lo, hi, steps)
-    ordering = all_permutations(cfg.n)
+    if len(axes) == 1:
+        points = [{axes[0]: float(d)} for d in grid]
+    else:
+        points = [{2: float(d2), 3: float(d3)} for d2 in grid for d3 in grid]
     s = OutputString.from_detectors(cfg.m, cfg.detectors)
     A = submatrix(cfg.interferometer, s, cfg.input_ports)
-    v = monomial_vector(A, ordering)
-    if cfg.engine == "blocked":
-        # the string, and so its projection, is the same at every grid point
-        T = build_transform(ordering)
-        projected = attach_vector(v, {}, T, cfg.species)
 
-    def rate_at(dtaus: dict[int, float]) -> float:
+    def delays_at(dtaus: dict[int, float]) -> np.ndarray:
         taus = np.full(cfg.n, args.shift, dtype=float)
         for axis, d in dtaus.items():
             taus[axis - 1] += d
-        r = delay_matrix_from_times(taus, cfg.spec.delta_omega)
-        if cfg.engine == "direct":
-            if cfg.chunk > 0:
-                return rate_direct_streaming(v, r, cfg.species, ordering, cfg.chunk)
-            return rate_direct(v, rate_matrix(r, cfg.species, ordering))
-        return rate_blocked(replace(projected, blocks=fourier_blocks(r, cfg.species, T)))
+        return delay_matrix_from_times(taus, cfg.spec.delta_omega)
 
     with _Timer() as timer:
-        header = [f"dtau_{a}" for a in axes] + ["rate"]
-        rows = [header]
-        if len(axes) == 1:
-            for d in grid:
-                rows.append([repr(float(d)), repr(rate_at({axes[0]: float(d)}))])
+        if cfg.engine == "direct" and cfg.chunk > 0:
+            rs = np.stack([delays_at(p) for p in points])
+            streamed = rate_direct_streaming(A, rs, cfg.species, cfg.chunk)
+            timer.cancellation = streamed.cancellation
+            rates = streamed.rates.tolist()
+        elif cfg.engine == "direct":
+            ordering = all_permutations(cfg.n)
+            v = monomial_vector(A, ordering)
+            rates = [rate_direct(v, rate_matrix(delays_at(p), cfg.species, ordering)) for p in points]
         else:
-            for d2 in grid:
-                for d3 in grid:
-                    rows.append([
-                        repr(float(d2)),
-                        repr(float(d3)),
-                        repr(rate_at({2: float(d2), 3: float(d3)})),
-                    ])
+            # the string, and so its projection, is the same at every grid point
+            ordering = all_permutations(cfg.n)
+            T = build_transform(ordering)
+            projected = attach_vector(monomial_vector(A, ordering), {}, T, cfg.species)
+            timer.parseval_residual = projected.parseval_residual
+            rates = [
+                rate_blocked(replace(projected, blocks=fourier_blocks(delays_at(p), cfg.species, T)))
+                for p in points
+            ]
+        rows = [[f"dtau_{a}" for a in axes] + ["rate"]]
+        for p, rate in zip(points, rates):
+            rows.append([repr(d) for d in p.values()] + [repr(rate)])
         buf = io.StringIO()
         buf.write(f"# config_hash={cfg.config_hash}\n")
         writer = csv.writer(buf)
         writer.writerows(rows)
-        if cfg.engine == "blocked":
-            timer.parseval_residual = projected.parseval_residual
     _emit(buf.getvalue(), args.out)
 
 
@@ -486,7 +501,8 @@ def _add_common(p: argparse.ArgumentParser, config_required=True) -> None:
     p.add_argument("--out", default=None, help="write the artifact here instead of stdout")
     p.add_argument(
         "--threads-chunk", type=int, default=None,
-        help="row-chunk size for the streaming direct engine (0 = dense)",
+        help="subset matrices per step of the streaming direct engine "
+        "(0 = dense rate matrix); changes memory, not results",
     )
 
 

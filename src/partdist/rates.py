@@ -1,11 +1,22 @@
-"""Coincidence rates: direct n! x n! form and block-diagonalized form.
+"""Coincidence rates: direct n! x n! form, streaming inclusion-exclusion
+form and block-diagonalized form.
 
 The direct route builds the rate matrix R over a group ordering,
 
     R[i, j]  = prod_k r[(gj^-1 gi)(k), k]          (bosons)
     R[i, j] *= sgn(gi) sgn(gj)                     (fermions)
 
-and evaluates rate = v^dag R v with v the scattering monomial vector.
+and evaluates rate = v^dag R v with v the scattering monomial vector; it
+is the literal reference.
+
+The streaming route (:func:`rate_direct_streaming`) needs no group at all:
+with P_k = diag(conj A[k, :]) r diag(A[k, :]) for detector k,
+
+    rate = sum_(S ⊆ [n]) (-1)^(n - |S|) f(sum_(k in S) P_k),
+
+f = per for bosons and det for fermions, at O(4^n n) or O(2^n n^3) cost
+per rate, batched over strings or delay matrices, with a derived rounding
+bound on every rate.
 
 The blocked route works in the basis of the orthogonal group-Fourier
 transform T, whose rows are sqrt(s_lam / n!) D_lam(gamma)[a, b].  There R
@@ -75,31 +86,37 @@ __all__ = [
     "reduce_distinguishable_particle",
     "ReducedDelayProblem",
     "rate_via_reduction",
+    "StreamingRates",
     "MAX_DENSE_DEGREE",
-    "MAX_STREAMING_DEGREE",
     "DISTINGUISHABLE_THRESHOLD",
 ]
 
 MAX_DENSE_DEGREE = 7  # 7!^2 doubles is ~200 MB; 8! would need 13 GB
-MAX_STREAMING_DEGREE = 8
+MAX_STREAMING_FLOPS = 2**34  # about half a minute per rate on a 2-core machine
+MAX_STREAMING_BYTES = 2**29
 DISTINGUISHABLE_THRESHOLD = 1e-12
 RATE_CLAMP_TOL = 1e-10
 
 
 def _allclose(a, b) -> bool:
-    """np.allclose(a, b, atol=1e-12) with its default rtol of 1e-5, from
-    plain ufuncs: |a - b| <= 1e-12 + 1e-5 |b| where b is finite, equality
-    elsewhere, and no NaN ever close."""
-    with np.errstate(invalid="ignore", over="ignore"):
-        near = (np.abs(a - b) <= 1e-12 + 1e-5 * np.abs(b)) & np.isfinite(b)
-    return bool((near | (a == b)).all())
+    """np.allclose(a, b, atol=1e-12) with its default rtol of 1e-5, for
+    finite a and b, from plain ufuncs: |a - b| <= 1e-12 + 1e-5 |b|."""
+    return bool((np.abs(a - b) <= 1e-12 + 1e-5 * np.abs(b)).all())
 
 
-def _check_delay_matrix(r, n: int) -> np.ndarray:
+def _check_delay_matrix(r, n: int, batch: bool = False) -> np.ndarray:
+    """r as floats, after checking that it is an n x n symmetric matrix with
+    unit diagonal whose entries are finite overlaps in [-1, 1]; with
+    ``batch`` a stack (..., n, n) of them.  Entries may pass 1 in modulus by
+    the tolerance of the unit diagonal, 1e-12 + 1e-5, as a normalised Gram
+    matrix does by rounding."""
     r = np.asarray(r, dtype=float)
-    if r.shape != (n, n):
+    if r.shape[-2:] != (n, n) or (r.ndim != 2 and not batch):
         raise DomainError(f"delay matrix shape {r.shape} does not match degree {n}")
-    if not _allclose(r, r.T) or not _allclose(np.diag(r), 1.0):
+    if not (np.abs(r) <= 1.0 + 1e-12 + 1e-5).all():  # False for NaN and infinities too
+        raise DomainError("delay matrix entries must be finite overlaps in [-1, 1]")
+    diagonal = np.diagonal(r, axis1=-2, axis2=-1)
+    if not _allclose(r, np.swapaxes(r, -1, -2)) or not _allclose(diagonal, 1.0):
         raise DomainError("delay matrix must be symmetric with unit diagonal")
     return r
 
@@ -179,7 +196,7 @@ def rate_matrix(r, species: str, ordering: GroupOrdering) -> RateMatrix:
     if n > MAX_DENSE_DEGREE:
         raise SizeLimitError(
             f"dense rate matrix limited to n <= {MAX_DENSE_DEGREE}; "
-            f"use rate_direct_streaming for n = 8"
+            f"use rate_direct_streaming (a chunk > 0) for larger n"
         )
     r = _check_delay_matrix(r, n)
     mono = _monomials_of(r, ordering)
@@ -219,45 +236,245 @@ def rate_direct(v: MonomialVector | np.ndarray, R: RateMatrix) -> float:
     return _finalize_rate(complex(values.conj() @ R.matrix @ values))
 
 
-def rate_direct_streaming(
-    v: MonomialVector | np.ndarray,
-    r,
-    species: str,
-    ordering: GroupOrdering,
-    chunk: int = 512,
-) -> float:
-    """Direct rate without materializing R: row chunks are generated on the
-    fly and accumulated in a fixed order, so results are reproducible
-    bit-for-bit for a fixed chunk size."""
+@dataclass(frozen=True)
+class StreamingRates:
+    """Rates from :func:`rate_direct_streaming`, one per batch element.
+
+    ``rates`` are the clamped, non-negative rates; ``bounds`` the rounding
+    bound of each raw alternating sum; ``magnitudes`` the sums
+    sum_S |f(P_S)| that the alternating sum cancels down to the rate.
+    """
+
+    rates: np.ndarray
+    bounds: np.ndarray
+    magnitudes: np.ndarray
+
+    @property
+    def cancellation(self) -> float:
+        """Largest sum_S |f(P_S)| / max(rate, tiny) of the batch."""
+        if not self.rates.size:
+            return 0.0
+        tiny = np.finfo(float).tiny
+        return float(np.max(self.magnitudes / np.maximum(self.rates, tiny)))
+
+
+def _streaming_cost(n: int, species: str) -> int:
+    """Flops of one rate: 2^n determinants of n x n complex matrices, or
+    2^n Glynn permanents of 2^(n-1) products of n row sums."""
+    if species == "fermion":
+        return 2**n * 8 * n**3 // 3
+    return 2**n * 2 ** (n - 1) * 8 * n
+
+
+def _streaming_bytes(n: int, species: str, width: int, batch: int) -> int:
+    """Peak working set: the gathered P_k and the matrices of ``width``
+    subsets per step (and, for Glynn, the half row sums and the 2^(n-1)
+    products), plus the P_k, values, row norms, row sums and bounds of
+    every subset of the batch."""
+    step = n**3 + 2 * n * n
+    if species == "boson":
+        lo, hi = 2 ** ((n + 1) // 2 - 1), 2 ** (n - (n + 1) // 2)
+        step += n * (lo + hi) + 3 * lo * hi
+    return 16 * width * step + batch * (16 * n**3 + 2**n * (48 + 40 * n))
+
+
+@cache
+def _sign_vectors(m: int) -> np.ndarray:
+    """All 2^m vectors of +-1 as rows, the first all +1."""
+    bits = (np.arange(2**m)[:, None] >> np.arange(m)) & 1
+    return (1 - 2 * bits).astype(float)
+
+
+def _glynn(M: np.ndarray) -> np.ndarray:
+    """Permanents of a stack (w, n, n) by Glynn's formula
+
+        per M = 2^-(n-1) sum_d (prod_j d_j) prod_i sum_j d_j M[i, j],  d_0 = 1,
+
+    the row sums met in the middle: columns 0..h-1 (d_0 = 1) give the lo
+    half sums, columns h..n-1 the hi ones, and every row sum is lo + hi.
+    Only element-wise operations touch a matrix, so its permanent does not
+    depend on the other matrices of the stack."""
+    w, n, _ = M.shape
+    h = (n + 1) // 2
+    lo_d, hi_d = _sign_vectors(h - 1), _sign_vectors(n - h)
+    lo = np.repeat(M[:, :, :1], len(lo_d), axis=2)  # (w, n, 2^(h-1))
+    for j in range(1, h):
+        lo = lo + M[:, :, j, None] * lo_d[:, j - 1]
+    hi = np.zeros((w, n, len(hi_d)), dtype=M.dtype)  # (w, n, 2^(n-h))
+    for j in range(h, n):
+        hi = hi + M[:, :, j, None] * hi_d[:, j - h]
+    prod = lo[:, 0, :, None] + hi[:, 0, None, :]
+    for i in range(1, n):
+        prod *= lo[:, i, :, None] + hi[:, i, None, :]
+    total = ((prod * np.prod(hi_d, axis=1)).sum(axis=-1) * np.prod(lo_d, axis=1)).sum(axis=-1)
+    return total / 2 ** (n - 1)
+
+
+def _subset_errors(species: str, values, norms, ell) -> np.ndarray:
+    """Bound on |f̂_S - f(P_S)| for every subset, from the computed values,
+    the row norms of the computed P_S (1-norms for bosons, 2-norms for
+    fermions) and the row sums ell of |P|_S; derived in
+    :func:`rate_direct_streaming`."""
+    n = norms.shape[-1]
+    g = _gamma(n + 4)
+    if species == "boson":
+        upper = np.prod(norms + 2 * g * ell, axis=-1)
+        return (
+            upper
+            - np.prod(norms + g * ell, axis=-1)
+            + _gamma(2 ** (n - 1) + 5 * n) * np.prod(norms, axis=-1)
+            + _gamma(2 * n + 2) * upper
+        )
+    top = norms.max(axis=-1)
+    eta = 4 * _gamma(n) * (1 + 2 * (n * n - n) * 2 ** (n - 1)) * (1 + g) * math.sqrt(n)
+    upper = np.prod(norms + 2 * g * ell + eta * top[..., None], axis=-1)
+    size = np.abs(values)
+    with np.errstate(divide="ignore"):  # log 0 = -inf: an empty S or a zero det
+        logs = np.where(size > 0, np.abs(np.log(size)), 0.0)
+        pivots = 2 * n * np.maximum(0.0, (n - 1) * math.log(2) + np.log(top))
+    return (
+        upper
+        - np.prod(norms + g * ell, axis=-1)
+        + _gamma(2 * n + 2) * upper
+        + (_gamma(3 * n + 2) + _gamma(2 * n) * (logs + pivots)) * size
+    )
+
+
+def rate_direct_streaming(A, r, species: str, chunk: int = 512) -> StreamingRates:
+    """Rates with no n! object, by inclusion-exclusion over detector subsets.
+
+    With P_k = diag(conj A[k, :]) r diag(A[k, :]) and P_S = sum_(k in S) P_k,
+
+        rate = sum_(S ⊆ [n]) (-1)^(n - |S|) f(P_S),   f = per (bosons), det (fermions):
+
+    v^dag R v is the coefficient of t_1...t_n in f(sum_k t_k P_k), since
+    both expand to sum_(a,b) w(a) w(b) prod_k conj(A[k, a_k]) A[k, b_k]
+    r[a_k, b_k], and inclusion-exclusion extracts that coefficient (the
+    mixed discriminant for det; Tichy 2015, Shchesnovich 2015).  The
+    identity is polynomial in r and needs no rank or positivity.  Costs
+    O(2^n n^3) (fermions, batched LAPACK determinants) or O(4^n n) (bosons,
+    batched Glynn permanents) per rate.
+
+    ``A`` (..., n, n) and ``r`` (..., n, n) broadcast over leading batch
+    axes.  ``chunk`` is the number of (batch element, subset) matrices
+    evaluated per step, so a step holds O(chunk n^3) for the gathered P_k,
+    and for bosons O(chunk 2^(n-1)) for Glynn's products, besides the 2^n
+    values of every batch element.  Every
+    value of f is computed element-wise or by its own LAPACK call and all
+    2^n are summed at once in a fixed order, so the rates are bit-identical
+    for every chunk.  Raises :class:`SizeLimitError`, before allocating,
+    when one rate costs more than ``MAX_STREAMING_FLOPS`` or the working
+    set exceeds ``MAX_STREAMING_BYTES``.
+
+    Rounding bound, with γ_k = k u / (1 - k u), u = 2^-53 and K = 2^(n-1).
+    Let M = fl(P_S), a_i the norm of its row i (1-norm for bosons, 2-norm
+    for fermions) and ℓ_i = sum_(k in S) |A[k, i]| sum_j |r[i, j]| |A[k, j]|
+    the row sums of |P|_S = sum_(k in S) |P_k|:
+
+    - M = P_S + E with |E| <= γ_(n+4) |P|_S (two products, n - 1 sums), so
+      row i of E has norm at most γ ℓ_i and row i of P_S at most
+      a_i + γ ℓ_i.  per and det are multilinear in the rows, and a term of
+      the expansion with rows x_i is at most prod_i ‖x_i‖ (1-norms for per,
+      2-norms for det by Hadamard), so |f(X + D) - f(X)| <= prod_i (‖X_i‖ +
+      ‖D_i‖) - prod_i ‖X_i‖, which grows with ‖X_i‖.
+    - Bosons: |per M - per P_S| <= prod_i (a_i + 2γ ℓ_i) - prod_i (a_i +
+      γ ℓ_i).  Glynn rounds each row sum by γ_n a_i, each product of n by a
+      further γ_4n and the sum of K products, each at most prod_i a_i, by
+      γ_K; the division by K is exact: γ_(K+5n) prod_i a_i in all.
+    - Fermions: LAPACK LU with partial pivoting gives the exact determinant
+      of M + F with ‖F‖_∞ <= 4γ_n (1 + 2(n^2 - n) 2^(n-1)) ‖M‖_∞ (Higham,
+      Thm 9.3 and Lemma 9.6 with Wilkinson's growth bound, 4 for complex
+      arithmetic) and ‖M‖_∞ <= √n max_i a_i, so |det(M + F) - det P_S| <=
+      prod_i (a_i + 2γ ℓ_i + η max a) - prod_i (a_i + γ ℓ_i), η =
+      4γ_n (1 + 2(n^2 - n) 2^(n-1)) (1 + γ_(n+4)) √n.  NumPy forms det =
+      sign exp(sum_i log |U_ii|), a further relative γ_(3n+2) + γ_2n sum_i
+      |log |U_ii||, and sum_i |log |U_ii|| <= |log |det|| + 2n log+(2^(n-1)
+      max a) since no pivot exceeds 2^(n-1) max |M_ij|.  The worst-case
+      growth makes this term dominate; it passes the rate near n = 14.
+    - Evaluating these products adds γ_(2n+2) of the largest, and the
+      alternating sum of the 2^n computed values f̂_S adds γ_(2^n) sum_S
+      |f̂_S|.
+
+    The bound is the sum of these terms over S.  A raw rate (or imaginary
+    part) beyond it raises :class:`NumericalError`; a raw rate within it
+    below 0 clamps to 0 with a warning.  Exact zeros are physical (the
+    Hong-Ou-Mandel dip), so a bound above the rate is no error.
+    """
     _check_species(species)
-    n = ordering.n
-    if n > MAX_STREAMING_DEGREE:
-        raise SizeLimitError(f"streaming rate limited to n <= {MAX_STREAMING_DEGREE}")
+    A = np.asarray(A, dtype=complex)
+    if A.ndim < 2 or A.shape[-1] != A.shape[-2] or A.shape[-1] == 0:
+        raise DomainError(f"scattering submatrices must be square and nonempty, got shape {A.shape}")
+    n = A.shape[-1]
     if chunk < 1:
         raise DomainError("chunk must be >= 1")
-    r = _check_delay_matrix(r, n)
-    values = v.values if isinstance(v, MonomialVector) else np.asarray(v)
-    N = len(ordering)
-    P = ordering.images_array
-    powers = n ** np.arange(n, dtype=np.int64)
-    lut = np.full(n**n, -1, dtype=np.intp)
-    lut[P @ powers] = np.arange(N)
-    inv_images = P[ordering.inverse_indices]
-    mono = _monomials_of(r, ordering)
-    signs = ordering.signs if species == "fermion" else None
-    total = 0.0 + 0.0j
-    for start in range(0, N, chunk):
-        rows = np.arange(start, min(start + chunk, N))
-        # codes[i, j] = base-n encoding of gj^-1 gi for i in rows; built one
-        # letter at a time to keep the intermediates at (chunk, N)
-        codes = np.zeros((len(rows), N), dtype=np.int64)
+    cost = _streaming_cost(n, species)
+    if cost > MAX_STREAMING_FLOPS:
+        raise SizeLimitError(
+            f"streaming {species} rate at n = {n} costs {cost:.2e} flops, "
+            f"above {MAX_STREAMING_FLOPS:.2e}"
+        )
+    r = _check_delay_matrix(r, n, batch=True)
+    shape = np.broadcast_shapes(A.shape[:-2], r.shape[:-2])
+    A = np.broadcast_to(A, shape + (n, n)).reshape(-1, n, n)
+    r = np.broadcast_to(r, shape + (n, n)).reshape(-1, n, n)
+    batch, subsets = len(A), 2**n
+    total = batch * subsets
+    width = max(1, min(chunk, total))
+    need = _streaming_bytes(n, species, width, batch)
+    if need > MAX_STREAMING_BYTES:
+        raise SizeLimitError(
+            f"streaming rates need about {need / 2**20:.0f} MiB for {batch} rates at "
+            f"n = {n}, chunk {width}; the limit is {MAX_STREAMING_BYTES / 2**20:.0f} MiB"
+        )
+
+    # P[b, k] = diag(conj A[b, k, :]) r[b] diag(A[b, k, :])
+    P = A.conj()[:, :, :, None] * r[:, None, :, :] * A[:, :, None, :]
+    absA = np.abs(A)
+    rows = absA * (absA @ np.abs(r))  # rows[b, k, i] = row i sum of |P_k|
+    ell = np.zeros((batch, subsets, n))  # row sums of |P|_S, by doubling
+    for k in range(n):
+        ell[:, 2**k : 2 ** (k + 1)] = ell[:, : 2**k] + rows[:, k, None, :]
+
+    values = np.empty(total, dtype=complex)
+    norms = np.empty((total, n))
+    evaluate, order = (np.linalg.det, 2) if species == "fermion" else (_glynn, 1)
+    for start in range(0, total, width):
+        flat = np.arange(start, min(start + width, total))
+        Pk, bits = P[flat >> n], (flat[:, None] >> np.arange(n)) & 1 == 1
+        M = np.zeros((len(flat), n, n), dtype=complex)
         for k in range(n):
-            codes += powers[k] * inv_images[:, P[rows, k]].T
-        Rchunk = mono[lut[codes]]
-        if signs is not None:
-            Rchunk = Rchunk * np.outer(signs[rows], signs)
-        total += values[rows].conj() @ (Rchunk @ values)
-    return _finalize_rate(complex(total))
+            np.add(M, Pk[:, k], out=M, where=bits[:, k, None, None])
+        values[flat] = evaluate(M)
+        norms[flat] = np.linalg.norm(M, ord=order, axis=-1)
+    values, norms = values.reshape(batch, subsets), norms.reshape(batch, subsets, n)
+    errors = _subset_errors(species, values, norms, ell)
+
+    popcount = ((np.arange(subsets)[:, None] >> np.arange(n)) & 1).sum(axis=1)
+    raw = (values * np.where((n - popcount) % 2, -1.0, 1.0)).sum(axis=-1)
+    magnitudes = np.abs(values).sum(axis=-1)
+    bounds = errors.sum(axis=-1) + _gamma(subsets) * magnitudes
+    if np.any(np.abs(raw.imag) > bounds):
+        worst = int(np.argmax(np.abs(raw.imag) - bounds))
+        raise NumericalError(
+            f"rate has a non-negligible imaginary part: {raw[worst]} (bound {bounds[worst]:.3e})"
+        )
+    rates = raw.real
+    if np.any(rates < -bounds):
+        worst = int(np.argmax(-rates - bounds))
+        raise NumericalError(
+            f"rate {rates[worst]} is negative beyond its rounding bound {bounds[worst]:.3e}"
+        )
+    negative = rates < 0.0
+    if negative.any():
+        warnings.warn(
+            f"clamping {int(negative.sum())} slightly negative rate(s), down to "
+            f"{rates.min()}, to 0",
+            stacklevel=2,
+        )
+        rates = np.where(negative, 0.0, rates)
+    return StreamingRates(
+        rates.reshape(shape), bounds.reshape(shape), magnitudes.reshape(shape)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ from .rates import (
     fourier_blocks,
     rate_blocked,
     rate_direct,
+    rate_direct_streaming,
     rate_matrix,
     rate_truncated,
 )
@@ -72,7 +73,10 @@ class OutputDistribution:
     ``entries`` holds (string, raw rate, probability) triples, one
     per string, in the fixed enumeration order of the output strings.
     ``parseval_residual`` is the largest |‖T v‖² - ‖v‖²| over the strings on
-    the blocked and truncated engines, and None on the others.
+    the blocked and truncated engines, and None on the others;
+    ``cancellation`` is the largest sum_S |f(P_S)| / rate of the streaming
+    engine (:func:`~partdist.rates.rate_direct_streaming`), and None on the
+    others.
     """
 
     m: int
@@ -85,6 +89,7 @@ class OutputDistribution:
     interferometer: Interferometer | None = None
     input_ports: tuple[int, ...] | None = None
     parseval_residual: float | None = None
+    cancellation: float | None = None
 
     def __post_init__(self):
         probs = self.probabilities
@@ -108,7 +113,7 @@ class OutputDistribution:
 
 def _normalize(strings, rates, m, n, species, engine, arrival_hash,
                interferometer=None, input_ports=None,
-               parseval_residual=None) -> OutputDistribution:
+               parseval_residual=None, cancellation=None) -> OutputDistribution:
     rates = np.asarray(rates, dtype=float)
     total = float(rates.sum())
     if not total > 0.0:
@@ -119,7 +124,7 @@ def _normalize(strings, rates, m, n, species, engine, arrival_hash,
     )
     return OutputDistribution(
         m, n, species, engine, arrival_hash, entries, total,
-        interferometer, input_ports, parseval_residual,
+        interferometer, input_ports, parseval_residual, cancellation,
     )
 
 
@@ -133,6 +138,7 @@ def build_distribution(
     snapped: bool = False,
     approximate_mu: tuple[int, ...] | None = None,
     convention: str = "lex",
+    chunk: int = 0,
 ) -> OutputDistribution:
     """Exact output distribution for one interferometer + arrival profile.
 
@@ -146,6 +152,12 @@ def build_distribution(
     truncated engine refuses to run unless the caller opts into the
     approximation by passing the bin partition to drop against as
     ``approximate_mu``.
+
+    ``engine="direct"`` with ``chunk > 0`` takes the streaming engine
+    (:func:`~partdist.rates.rate_direct_streaming`) instead of the dense
+    rate matrix, one call per batch of floor(2^16 / 2^n) strings with
+    ``chunk`` subset matrices per step; it builds no group ordering, and its
+    own size guard replaces the n <= 7 cap of the other engines.
     """
     m = interferometer.m
     n = spec.n
@@ -153,8 +165,12 @@ def build_distribution(
         input_ports = tuple(range(1, n + 1))
     if len(input_ports) != n:
         raise DomainError(f"need {n} input ports, got {len(input_ports)}")
-    if n > MAX_DISTRIBUTION_DEGREE:
-        raise SizeLimitError(f"distributions limited to n <= {MAX_DISTRIBUTION_DEGREE}")
+    streaming = engine == "direct" and chunk > 0
+    if n > MAX_DISTRIBUTION_DEGREE and not streaming:
+        raise SizeLimitError(
+            f"distributions limited to n <= {MAX_DISTRIBUTION_DEGREE}; "
+            f"the streaming engine (chunk > 0) goes further"
+        )
     if math.comb(m, n) > MAX_DISTRIBUTION_STRINGS:
         raise SizeLimitError(
             f"binom({m},{n}) = {math.comb(m, n)} output strings exceeds "
@@ -176,16 +192,26 @@ def build_distribution(
          "window": spec.window, "bins": spec.bins, "snapped": snapped}
     )
 
-    ordering = all_permutations(n, convention)
     strings = enumerate_outputs(m, n, MAX_DISTRIBUTION_STRINGS)
     rates = []
-    residual = None
-    if engine == "direct":
+    residual = cancellation = None
+    if streaming:
+        batch = max(1, 2**16 >> n)  # 2^16 stored subset values per call
+        cancellation = 0.0
+        for start in range(0, len(strings), batch):
+            As = np.stack([submatrix(interferometer, s, input_ports)
+                           for s in strings[start : start + batch]])
+            streamed = rate_direct_streaming(As, r, species, chunk)
+            rates.extend(streamed.rates.tolist())
+            cancellation = max(cancellation, streamed.cancellation)
+    elif engine == "direct":
+        ordering = all_permutations(n, convention)
         R = rate_matrix(r, species, ordering)
         for s in strings:
             A = submatrix(interferometer, s, input_ports)
             rates.append(rate_direct(monomial_vector(A, ordering), R))
     else:
+        ordering = all_permutations(n, convention)
         T = build_transform(ordering)
         blocks = fourier_blocks(r, species, T)
         mu = part.partition if approximate_mu is None else tuple(approximate_mu)
@@ -203,7 +229,7 @@ def build_distribution(
                 else:
                     rates.append(rate_truncated(decomp, mu))
     return _normalize(strings, rates, m, n, species, engine, arrival_hash,
-                      interferometer, input_ports, residual)
+                      interferometer, input_ports, residual, cancellation)
 
 
 def sample(dist: OutputDistribution, count: int, seed: int | None = None):

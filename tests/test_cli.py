@@ -10,16 +10,20 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import partdist.cli
 import partdist.rates
+import partdist.sampling
 import partdist.symgroup
 from partdist import analysis
 from partdist.cli import main
-from partdist.rates import gamas_vanishes
+from partdist.interferometer import OutputString, haar_unitary, submatrix
+from partdist.rates import gamas_vanishes, rate_direct_streaming
 from partdist.symgroup import partitions_of
 
 BASE = {
@@ -295,6 +299,78 @@ def test_block_engine_reruns_are_byte_identical_across_processes(tmp_path):
         assert timing[0].startswith("wall_time_s=")
         assert timing[1].startswith("parseval_residual=")
         assert float(timing[1].removeprefix("parseval_residual=")) >= 0.0
+
+
+def test_streaming_reruns_are_byte_identical_across_processes(tmp_path):
+    # chunk > 0 takes the streaming engine: each subset value is computed on
+    # its own, so the chunk width changes memory and never bits
+    cfg = write_config(tmp_path, "streaming.json", species="fermion")
+    rows = []
+    for argv in (
+        ("landscape", "--steps", "9", "--threads-chunk", "2"),
+        ("landscape", "--steps", "9", "--threads-chunk", "1000"),
+        ("distribution", "--threads-chunk", "5"),
+    ):
+        first, second = run_process(*argv, "--config", cfg), run_process(*argv, "--config", cfg)
+        assert first.returncode == 0 and second.returncode == 0, first.stderr
+        assert first.stdout and first.stdout == second.stdout
+        timing = first.stderr.splitlines()[0].split()
+        assert timing[0].startswith("wall_time_s=")
+        assert timing[1].startswith("cancellation=")
+        assert float(timing[1].removeprefix("cancellation=")) >= 1.0
+        if argv[0] == "landscape":  # the config hash differs with the chunk
+            rows.append(read_landscape(first.stdout)[1])
+    assert np.array_equal(rows[0], rows[1])
+
+
+def test_streaming_routes_build_no_group(tmp_path, capsys, monkeypatch):
+    def no_group(*args, **kwargs):
+        pytest.fail("the streaming route enumerated the group")
+
+    for module in (partdist.cli, partdist.sampling):
+        monkeypatch.setattr(module, "all_permutations", no_group)
+        monkeypatch.setattr(module, "monomial_vector", no_group)
+    cfg = write_config(tmp_path, chunk=4)
+    for argv in (("rate",), ("distribution",), ("sample", "--count", "5"),
+                 ("landscape", "--steps", "5")):
+        code, out, err = run_cli(capsys, *argv, "--config", cfg)
+        assert code == 0, err
+        assert "cancellation=" in err
+
+
+def big_config(tmp_path, n, species, m=None):
+    m = n + 2 if m is None else m
+    ports = list(range(1, n + 1))
+    return write_config(
+        tmp_path, f"n{n}.json", m=m, n=n, species=species, chunk=64,
+        detectors=ports, input_ports=ports,
+        arrival={**BINNED, "bin_indices": [1] * n},
+    )
+
+
+def test_streaming_size_guard_exits_3_before_evaluating(tmp_path, capsys, monkeypatch):
+    # under the test suite's 4 GiB address-space cap
+    def no_evaluation(*args, **kwargs):
+        pytest.fail("a subset matrix was evaluated past the size guard")
+
+    monkeypatch.setattr(partdist.rates, "_glynn", no_evaluation)
+    monkeypatch.setattr(partdist.rates.np.linalg, "det", no_evaluation)
+    for n, species in ((15, "boson"), (20, "fermion")):
+        code, out, err = run_cli(capsys, "rate", "--config", big_config(tmp_path, n, species))
+        assert code == 3, err
+        assert "size limit" in err and out == ""
+
+
+def test_streaming_fermion_rate_at_n12(tmp_path, capsys):
+    cfg = big_config(tmp_path, 12, "fermion")
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "rate", "--config", cfg)
+    assert code == 0, err
+    assert time.perf_counter() - start < 30
+    rate = json.loads(out)["rate"]
+    A = submatrix(haar_unitary(14, seed=5), OutputString.from_detectors(14, tuple(range(1, 13))))
+    own = rate_direct_streaming(A, np.ones((12, 12)), "fermion", 4096)
+    assert rate == float(own.rates) > 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -78,6 +79,13 @@ def rate_rounding(n, norm2):
     return N * (2 * gamma(2 * N) + 4 * transform_rounding(n)) * norm2
 
 
+def direct_rounding(v):
+    """Bound on |rate_direct - v^dag R v|: |R_ij| <= 1, so the form rounds by
+    at most 2 gamma_2N ||v||_1^2 (see rate_rounding)."""
+    values = v.values
+    return 2 * gamma(2 * len(values)) * float(np.abs(values).sum()) ** 2
+
+
 def _random_case(n, seed):
     rng = np.random.default_rng(seed)
     itf = haar_unitary(2 * n, seed=seed)
@@ -145,17 +153,19 @@ def test_composition_table_matches_column_loop(n, convention):
 
 
 def test_delay_matrix_check_agrees_with_allclose():
-    # the check is np.allclose(r, r.T, atol=1e-12) and
-    # np.allclose(diag r, 1, atol=1e-12), rtol 1e-5 included, from plain
-    # ufuncs; it must give the same verdict on every input, NaN and
-    # infinities included, and without a floating-point warning
+    # on finite overlaps in [-1, 1] the check is np.allclose(r, r.T,
+    # atol=1e-12) and np.allclose(diag r, 1, atol=1e-12), rtol 1e-5
+    # included, from plain ufuncs; entries that are not finite or that pass
+    # 1 in modulus by more than that tolerance are refused whatever their
+    # symmetry, and no input raises a floating-point warning
     rng = np.random.default_rng(2024)
-    specials = [np.nan, np.inf, -np.inf, 1e308, -1e308, 0.0, 1.0]
+    specials = [np.nan, np.inf, -np.inf, 1e308, -1e308, 3.0, -1.5, 1 + 2e-5, 0.0, 1.0, -1.0]
     steps = [1e-5, -1e-5, 9.99e-6, -9.99e-6, 1.001e-5, 1e-12, 2e-12, 1e-6, 0.0]
     verdicts = set()
+    out_of_range = 0
     for trial in range(3000):
         n = int(rng.integers(1, 6))
-        r = rng.uniform(-2.0, 2.0, (n, n))
+        r = rng.uniform(-1.0, 1.0, (n, n))
         kind = trial % 5
         if kind != 4:
             r = (r + r.T) / 2
@@ -170,7 +180,10 @@ def test_delay_matrix_check_agrees_with_allclose():
                 r[j, i] = r[i, j]
         elif kind == 2:  # diagonal near 1
             r[np.diag_indices(n)] += rng.choice(steps, size=n)
-        want = np.allclose(r, r.T, atol=1e-12) and np.allclose(np.diag(r), 1.0, atol=1e-12)
+        with np.errstate(invalid="ignore"):
+            in_range = bool((np.abs(r) <= 1 + 1e-12 + 1e-5).all())
+            close = np.allclose(r, r.T, atol=1e-12) and np.allclose(np.diag(r), 1.0, atol=1e-12)
+        out_of_range += close and not in_range
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             try:
@@ -178,9 +191,15 @@ def test_delay_matrix_check_agrees_with_allclose():
                 got = True
             except DomainError:
                 got = False
-        assert got == want, r
+        assert got == (in_range and close), r
         verdicts.add(got)
     assert verdicts == {True, False}
+    assert out_of_range > 50  # symmetric, unit diagonal, yet refused
+    for r in ([[1.0, 3.0], [3.0, 1.0]], [[1.0, np.inf], [np.inf, 1.0]], [[1.0, np.nan], [np.nan, 1.0]]):
+        with pytest.raises(DomainError, match="finite overlaps"):
+            _check_delay_matrix(r, 2)
+    # a normalised Gram matrix may pass 1 by rounding
+    _check_delay_matrix([[1.0 + 2.3e-16, 1.0], [1.0, 1.0]], 2)
 
 
 def test_rate_matrix_input_validation():
@@ -193,6 +212,8 @@ def test_rate_matrix_input_validation():
         rate_matrix(np.eye(3), "photon", ordering)
     with pytest.raises(SizeLimitError):
         rate_matrix(np.eye(8), "boson", all_permutations(8))
+    with pytest.raises(DomainError):  # an overlap of 3 is refused up front
+        rate_matrix([[1.0, 3.0], [3.0, 1.0]], "boson", all_permutations(2))
 
 
 # ---------------------------------------------------------------------------
@@ -223,22 +244,147 @@ def test_direct_streaming_blocked_agree(n, species):
     v = monomial_vector(A, ordering)
     R = rate_matrix(r, species, ordering)
     direct = rate_direct(v, R)
-    stream = rate_direct_streaming(v, r, species, ordering, chunk=5)
+    stream = rate_direct_streaming(A, r, species, chunk=5)
     T = build_transform(ordering)
     blocked = rate_blocked(block_decompose(v, R, T))
     scale = max(1.0, direct)
-    assert abs(direct - stream) < 1e-12 * scale
+    assert abs(direct - float(stream.rates)) <= float(stream.bounds) + direct_rounding(v)
     assert abs(direct - blocked) < 1e-10 * scale
 
 
 def test_streaming_chunk_size_does_not_change_result_materially():
-    A, r = _random_case(4, 3)
-    ordering = all_permutations(4)
+    # every subset value is computed on its own and all 2^n are summed at
+    # once, so the chunk width changes memory, never bits; a batch of
+    # strings or of delay matrices gives each element's single-call bits
+    for n in (1, 3, 4, 6):
+        A = np.stack([_random_case(n, 60 + n + j)[0] for j in range(3)])
+        rs = np.stack([_random_case(n, 70 + n + j)[1] for j in range(3)])
+        for species in ("boson", "fermion"):
+            for As, r in ((A, rs[0]), (A[0], rs)):
+                runs = [rate_direct_streaming(As, r, species, c) for c in (1, 3, 2**n, 10**6)]
+                for run in runs[1:]:
+                    assert np.array_equal(run.rates, runs[0].rates)
+                    assert np.array_equal(run.bounds, runs[0].bounds)
+                single = [float(rate_direct_streaming(a, q, species, 7).rates)
+                          for a, q in zip(np.broadcast_to(As, (3, n, n)),
+                                          np.broadcast_to(r, (3, n, n)))]
+                assert np.array_equal(runs[0].rates, single)
+
+
+@pytest.mark.parametrize("snapped", [False, True])
+@pytest.mark.parametrize("species", ["boson", "fermion"])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+def test_streaming_matches_direct_within_derived_bound(n, species, snapped):
+    rng = np.random.default_rng(200 + n)
+    spec = ArrivalSpec(tuple(rng.uniform(0, 1, size=n)), 2.0, 1.0, 3)
+    if snapped:
+        r = snapped_delay_matrix(discretize(spec)[0], spec)
+    else:
+        r = delay_matrix_from_times(spec.taus, spec.delta_omega)
+    itf = haar_unitary(n + 3, seed=n)
+    A = submatrix(itf, OutputString.from_detectors(n + 3, tuple(range(2, n + 2))))
+    ordering = all_permutations(n)
     v = monomial_vector(A, ordering)
-    values = [rate_direct_streaming(v, r, "boson", ordering, chunk=c) for c in (1, 7, 24, 1000)]
-    assert max(values) - min(values) < 1e-12
-    # identical chunk size is bit-for-bit reproducible
-    assert rate_direct_streaming(v, r, "boson", ordering, chunk=7) == values[1]
+    direct = rate_direct(v, rate_matrix(r, species, ordering))
+    stream = rate_direct_streaming(A, r, species, 64)
+    assert abs(float(stream.rates) - direct) <= float(stream.bounds) + direct_rounding(v)
+    assert float(stream.magnitudes) >= float(stream.rates) > 0.0
+
+
+def glynn_reference(M):
+    """Permanents of a stack by Glynn's formula with every sign vector as one
+    matrix product, and the bound 4 gamma_(2n + 2^(n-1)) prod_i sum_j |M_ij|
+    on their rounding."""
+    n = M.shape[-1]
+    deltas = np.array([(1,) + d for d in itertools.product((1.0, -1.0), repeat=n - 1)])
+    value = np.prod(M @ deltas.T, axis=-2) @ np.prod(deltas, axis=1) / len(deltas)
+    bound = 4 * gamma(2 * n + len(deltas)) * np.prod(np.abs(M).sum(axis=-1), axis=-1)
+    return value, bound
+
+
+def det_reference(M):
+    """LAPACK determinants of a stack and a bound on their rounding: the
+    exact determinant of M + E, ||E||_2 <= e = 4 gamma_3n n^2 2^(n-1) max|M|
+    (partial pivoting with Wilkinson's growth bound), so the relative error
+    is at most (1 + e / sigma_min)^n - 1, plus gamma_4n for the product."""
+    n = M.shape[-1]
+    value = np.linalg.det(M)
+    smin = np.linalg.svd(M, compute_uv=False)[..., -1]
+    e = 4 * gamma(3 * n) * n * n * 2 ** (n - 1) * np.abs(M).max(axis=(-2, -1))
+    return value, ((1 + e / smin) ** n - 1 + gamma(4 * n)) * np.abs(value)
+
+
+def squared_sum(f, M):
+    """sum_j |f(M_j)|^2 over a stack and its rounding bound."""
+    value, err = f(M)
+    size = np.abs(value)
+    return float(np.sum(size**2)), float(np.sum((2 * size + err) * err) + gamma(2 * len(M) + 2) * np.sum(size**2))
+
+
+@pytest.mark.parametrize("species", ["boson", "fermion"])
+@pytest.mark.parametrize("n", [8, 9, 10])
+def test_streaming_matches_internal_mode_sum(n, species):
+    # r = Phi^T Phi with two internal modes: the rate is the sum over mode
+    # assignments j of |f(M_j)|^2, M_j[k, i] = A[k, i] Phi[j_k, i], a route
+    # that shares no code with the engine
+    rng = np.random.default_rng(300 + n)
+    angles = rng.uniform(0, math.pi, n)
+    Phi = np.stack([np.cos(angles), np.sin(angles)])
+    r = Phi.T @ Phi
+    itf = haar_unitary(n + 2, seed=300 + n)
+    A = submatrix(itf, OutputString.from_detectors(n + 2, tuple(range(1, n + 1))))
+    modes = np.array(list(itertools.product(range(2), repeat=n)))  # (2^n, n)
+    M = A[None, :, :] * Phi[modes, :]  # M[j, k, i] = A[k, i] Phi[j_k, i]
+    want, err = squared_sum(glynn_reference if species == "boson" else det_reference, M)
+    got = rate_direct_streaming(A, r, species, 256)
+    assert abs(float(got.rates) - want) <= float(got.bounds) + err
+
+
+@pytest.mark.parametrize("n", [2, 5, 8, 10])
+def test_streaming_limits_up_to_n10(n):
+    A, _ = _random_case(n, 400 + n)
+    per, per_err = glynn_reference(A)
+    det, det_err = det_reference(A)
+    classical, classical_err = glynn_reference(np.abs(A) ** 2)
+    limits = {
+        # equal times: |per A|^2 and |det A|^2, no n! factor
+        ("boson", "equal"): (abs(per) ** 2, (2 * abs(per) + per_err) * per_err),
+        ("fermion", "equal"): (abs(det) ** 2, (2 * abs(det) + det_err) * det_err),
+        # fully distinguishable: per(|A|^2) for either species
+        ("boson", "apart"): (classical.real, classical_err),
+        ("fermion", "apart"): (classical.real, classical_err),
+    }
+    for (species, times), (want, err) in limits.items():
+        r = np.ones((n, n)) if times == "equal" else np.eye(n)
+        got = rate_direct_streaming(A, r, species, 512)
+        assert abs(float(got.rates) - want) <= float(got.bounds) + err, (species, times)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+    species=st.sampled_from(["boson", "fermion"]),
+)
+def test_streaming_shift_invariant_and_relabelling_covariant(n, seed, species):
+    rng = np.random.default_rng(seed)
+    m = n + int(rng.integers(0, 3))
+    s = OutputString.from_detectors(m, tuple(sorted(rng.choice(m, n, replace=False) + 1)))
+    A = submatrix(haar_unitary(m, seed=seed), s)
+    taus = rng.uniform(0, 2, size=n)
+    width = float(rng.uniform(0.5, 3.0))
+    base = rate_direct_streaming(A, delay_matrix_from_times(taus, width), species, 5)
+    # a global time shift changes no overlap; relabelling the particles
+    # (columns of A with the rows and columns of r) or the detectors (rows
+    # of A) permutes the terms of the rate
+    particles, detectors = rng.permutation(n), rng.permutation(n)
+    variants = [
+        (A, delay_matrix_from_times(taus + float(rng.uniform(-50, 50)), width)),
+        (A[detectors][:, particles], delay_matrix_from_times(taus[particles], width)),
+    ]
+    for A2, r2 in variants:
+        other = rate_direct_streaming(A2, r2, species, 5)
+        assert abs(float(other.rates) - float(base.rates)) <= float(other.bounds + base.bounds)
 
 
 def test_rate_is_ordering_convention_independent():
@@ -570,7 +716,20 @@ def test_rate_via_reduction_fully_separated_is_classical():
         )
 
 
-def test_streaming_size_guard():
-    ordering = all_permutations(3)
+def test_streaming_size_guard(monkeypatch):
+    def no_evaluation(*args, **kwargs):
+        pytest.fail("a subset matrix was evaluated past the size guard")
+
     with pytest.raises(DomainError):
-        rate_direct_streaming(np.ones(6), np.eye(3), "boson", ordering, chunk=0)
+        rate_direct_streaming(np.eye(3), np.eye(3), "boson", chunk=0)
+    monkeypatch.setattr(rates, "_glynn", no_evaluation)
+    monkeypatch.setattr(rates.np.linalg, "det", no_evaluation)
+    # the cost guard: O(4^n n) flops for bosons, O(2^n n^3) for fermions
+    assert rates._streaming_cost(14, "boson") <= rates.MAX_STREAMING_FLOPS
+    assert rates._streaming_cost(19, "fermion") <= rates.MAX_STREAMING_FLOPS
+    for n, species in ((15, "boson"), (20, "fermion")):
+        with pytest.raises(SizeLimitError):
+            rate_direct_streaming(np.eye(n), np.eye(n), species, chunk=64)
+    # the memory guard: O(chunk 2^(n-1) n) working set for bosons
+    with pytest.raises(SizeLimitError):
+        rate_direct_streaming(np.eye(13), np.eye(13), "boson", chunk=10**6)

@@ -1,13 +1,14 @@
 import csv
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats
 
 import partdist.sampling
-from partdist.delays import ArrivalSpec, discretize, snapped_delay_matrix
+from partdist.delays import ArrivalSpec, delay_matrix, discretize, snapped_delay_matrix
 from partdist.errors import DomainError, SizeLimitError
 from partdist.interferometer import haar_unitary, monomial_vector, submatrix
 from partdist.rates import (
@@ -17,6 +18,9 @@ from partdist.rates import (
     build_transform,
     fourier_blocks,
     rate_blocked,
+    rate_direct,
+    rate_direct_streaming,
+    rate_matrix,
     rate_truncated,
 )
 from partdist.sampling import (
@@ -249,3 +253,69 @@ def test_batched_block_engines_match_per_string_projection(species, monkeypatch)
             norms.append(norm2)
             assert abs(got - want) <= 4 * N * delta * (1 + delta) * norm2, (s, got, want)
         assert 0.0 <= dist.parseval_residual <= _parseval_tolerance(6) * max(norms)
+
+
+def _record_streaming(monkeypatch):
+    """Wrap the streaming engine as the sampling module looks it up, and
+    return the list its calls and results are appended to."""
+    calls = []
+
+    def streaming(As, r, species, chunk):
+        result = rate_direct_streaming(As, r, species, chunk)
+        calls.append((len(As), chunk, result))
+        return result
+
+    monkeypatch.setattr(partdist.sampling, "rate_direct_streaming", streaming)
+    return calls
+
+
+def test_streaming_distribution_n7_is_light_and_matches_dense(monkeypatch):
+    # `distribution --threads-chunk 512` at m = 10, n = 7: one streaming call
+    # for all 120 strings, no group ordering, a few MiB at peak, against the
+    # dense engine's 5040 x 5040 rate matrix (about 815 MB of peak RSS)
+    spec = ArrivalSpec((0.1, 0.5, 0.9, 1.3, 1.7, 2.2, 3.0), 1.0, 4.0, 4)
+    itf10 = haar_unitary(10, seed=3)
+    calls = _record_streaming(monkeypatch)
+    tracemalloc.start()
+    try:
+        dist = build_distribution(itf10, spec, "boson", "direct", chunk=512)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    assert [(k, c) for k, c, _ in calls] == [(120, 512)]
+    bounds = calls[0][2].bounds
+    assert dist.cancellation == calls[0][2].cancellation >= 1.0
+
+    # chunk 0 is v^dag R v with the dense engine's R; every string's form is
+    # taken here with real products, and rate_direct itself on two strings
+    ordering = all_permutations(7)
+    R = rate_matrix(delay_matrix(spec), "boson", ordering)
+    V = np.stack([monomial_vector(submatrix(itf10, s), ordering).values for s in dist.strings])
+    RV = R.matrix @ V.real.T + 1j * (R.matrix @ V.imag.T)
+    dense = np.einsum("ij,ji->i", V.conj(), RV).real
+    # |R_ij| <= 1: the form rounds by at most 2 gamma_2N ||v||_1^2, N = 7!
+    N = len(ordering)
+    u = np.finfo(float).eps / 2
+    dense_bounds = 2 * (2 * N * u / (1 - 2 * N * u)) * np.abs(V).sum(axis=1) ** 2
+    assert np.all(np.abs(dist.rates - dense) <= bounds + dense_bounds)
+    for i in (0, 77):
+        assert abs(rate_direct(V[i], R) - dense[i]) <= 2 * dense_bounds[i]
+
+
+def test_streaming_distribution_runs_past_n7(monkeypatch):
+    # Generalized Fermion Sampling at n = 8, m = 10: the engine's own guard
+    # replaces the n <= 7 cap of the other engines
+    spec = ArrivalSpec(tuple(0.4 * k for k in range(8)), 1.0, 4.0, 4)
+    itf10 = haar_unitary(10, seed=8)
+    with pytest.raises(SizeLimitError):
+        build_distribution(itf10, spec, "fermion", "direct")
+    calls = _record_streaming(monkeypatch)
+    dist = build_distribution(itf10, spec, "fermion", "direct", chunk=64)
+    assert len(dist.strings) == math.comb(10, 8) == 45
+    assert [(k, c) for k, c, _ in calls] == [(45, 64)]
+    assert dist.probabilities.sum() == pytest.approx(1.0, abs=1e-12)
+    # a batch element gets the bits of its own single call
+    r = delay_matrix(spec)
+    for s, got in list(zip(dist.strings, dist.rates))[::11]:
+        assert got == float(rate_direct_streaming(submatrix(itf10, s), r, "fermion", 5).rates)
