@@ -5,8 +5,9 @@ The building blocks, bottom to top:
 
 - :mod:`partdist.symgroup` — permutations, partitions, characters, and the
   orthogonal irreducible matrices of the symmetric group;
-- :mod:`partdist.matfun` — permanents, immanants, and the irrep-transformed
-  matrix functions whose entries fill the diagonal blocks;
+- :mod:`partdist.matfun` — batched permanents (Glynn) and determinants,
+  immanants, and the irrep-transformed matrix functions whose entries fill
+  the diagonal blocks;
 - :mod:`partdist.interferometer` — unitaries, Haar samples, output strings,
   scattering submatrices;
 - :mod:`partdist.delays` — arrival-time specs, Gaussian-overlap delay
@@ -32,7 +33,7 @@ from .symgroup import (
     gl_dimension,
     irrep_matrices,
 )
-from .matfun import determinant, permanent, immanant, dfunction_block, dfunction_direct
+from .matfun import determinant, permanent, immanant, dfunction_direct
 from .interferometer import (
     Interferometer,
     OutputString,

@@ -227,6 +227,12 @@ class WitnessProbability:
     def exact_float(self) -> float:
         return float(self.exact)
 
+    @property
+    def asymptotic_order_exact(self) -> bool:
+        """Whether ``tail_asymptotic`` has the large-b order of the exact
+        tail: for even n only."""
+        return self.n % 2 == 0
+
 
 def witness_probability(n: int, b: int) -> WitnessProbability:
     """Sum the exact bin-pattern probabilities over every witness-forcing
@@ -249,7 +255,9 @@ def witness_probability(n: int, b: int) -> WitnessProbability:
 
 def analyze_report(n: int, b: int) -> dict:
     """Full JSON-shaped report: witness data, per-partition probabilities,
-    exact total, and the asymptotic tail."""
+    exact total, and the asymptotic tail, with
+    ``tail_asymptotic_order_exact`` false for odd n, where the closed form
+    sits a factor growing like sqrt(b) above the exact tail."""
     if n > MAX_ANALYZE_DEGREE:
         raise SizeLimitError(f"exact enumeration limited to n <= {MAX_ANALYZE_DEGREE}")
     wp = witness_probability(n, b)
@@ -276,5 +284,6 @@ def analyze_report(n: int, b: int) -> dict:
         "p_float": wp.exact_float,
         "tail_exact": float(wp.tail_exact),
         "tail_asymptotic": wp.tail_asymptotic,
+        "tail_asymptotic_order_exact": wp.asymptotic_order_exact,
         "tail_decaying": wp.decaying,
     }

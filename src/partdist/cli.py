@@ -11,20 +11,26 @@ Determinism under BLAS threading: rates come from BLAS matrix products, R v
 on the dense direct engine and, on the block engines, the per-label
 products of each level of the fast Fourier transform on S_n that yields T v
 and the blocks.  A BLAS library may split a product's sums differently for
-another thread count or another number of columns; the block engines' batch
-width depends on n alone.  The streaming engine evaluates each subset
-matrix by element-wise operations or its own LAPACK determinant call and
-sums all 2^n values of a rate at once, so neither the chunk nor the batch
-of strings or grid points changes its bits.  Reruns are byte-identical on
-the same NumPy and BLAS build with the same thread count
-(OPENBLAS_NUM_THREADS, OMP_NUM_THREADS); across builds or thread counts the
-strings, their order and the config hash stay the same, and rates agree to
-rounding.
+another thread count or another number of columns, and a batched einsum
+need not round like the same step on one string; so the batches are fixed.
+Strings go in their enumeration order and grid points in grid order,
+floor(2^16 / n!) per batch on the dense and block engines, and the
+references take floor(2^17 / 2^n) strings per permanent or determinant
+call: batch widths depend on n and that order alone.  The streaming engine
+evaluates each subset matrix by element-wise operations or its own LAPACK
+determinant call and sums all 2^n values of a rate at once, so neither the
+chunk nor the batch of strings or grid points changes its bits.  Reruns
+are byte-identical on the same NumPy and BLAS build with the same thread
+count (OPENBLAS_NUM_THREADS, OMP_NUM_THREADS); across builds or thread
+counts the strings, their order and the config hash stay the same, and
+rates agree to rounding.
 
 On stderr the block engines report, next to ``wall_time_s``, the largest
 Parseval residual |‖T v‖² - ‖v‖²| of the run (``parseval_residual``), and
 the streaming engine the largest cancellation sum_S |f(P_S)| / rate
-(``cancellation``).
+(``cancellation``).  Every engine adds ``clamped=N`` when N slightly
+negative raw rates, within their rounding bound, were clamped to 0; each
+rate call also warns once with its own count.
 """
 
 from __future__ import annotations
@@ -36,13 +42,14 @@ import io
 import json
 import sys
 import time
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import analysis
 from .delays import ArrivalSpec, delay_matrix, delay_matrix_from_times, discretize
-from .errors import DomainError, NumericalError, SizeLimitError
+from .errors import ClampWarning, DomainError, NumericalError, SizeLimitError
 from .interferometer import (
     Interferometer,
     OutputString,
@@ -244,18 +251,34 @@ def _emit_json(obj, out: str | None) -> None:
 
 
 class _Timer:
+    """Times a subcommand and writes its stderr report line; the warnings
+    raised inside are shown when it ends, and the clamps they count are
+    summed into ``clamped=``."""
+
     def __enter__(self):
         self.t0 = time.perf_counter()
         self.parseval_residual = None
         self.cancellation = None
+        self._recorder = warnings.catch_warnings(record=True)
+        self._caught = self._recorder.__enter__()
+        warnings.simplefilter("always", ClampWarning)
         return self
 
     def __exit__(self, *exc):
-        line = f"wall_time_s={time.perf_counter() - self.t0:.3f}"
+        wall = time.perf_counter() - self.t0
+        self._recorder.__exit__(*exc)
+        clamped = 0
+        for w in self._caught:
+            if isinstance(w.message, ClampWarning):
+                clamped += w.message.count
+            warnings.showwarning(w.message, w.category, w.filename, w.lineno)
+        line = f"wall_time_s={wall:.3f}"
         if self.parseval_residual is not None:
             line += f" parseval_residual={self.parseval_residual:.3e}"
         if self.cancellation is not None:
             line += f" cancellation={self.cancellation:.3e}"
+        if clamped:
+            line += f" clamped={clamped}"
         print(line, file=sys.stderr)
         return False
 
@@ -345,18 +368,18 @@ def cmd_distribution(args) -> None:
         timer.cancellation = dist.cancellation
         ref_i = reference_indistinguishable(cfg.interferometer, cfg.n, cfg.species, cfg.input_ports)
         ref_d = reference_distinguishable(cfg.interferometer, cfg.n, cfg.species, cfg.input_ports)
-        best = max(dist.entries, key=lambda e: e[2])
+        best = int(np.argmax(dist.probabilities))  # the first of equal maxima
         summary = {
             "config_hash": cfg.config_hash,
             "m": cfg.m,
             "n": cfg.n,
             "species": cfg.species,
             "engine": cfg.engine,
-            "strings": len(dist.entries),
+            "strings": len(dist.strings),
             "total_rate": dist.total_rate,
             "entropy_bits": entropy_bits(dist),
-            "max_prob_string": str(best[0]),
-            "max_prob": best[2],
+            "max_prob_string": str(dist.strings[best]),
+            "max_prob": float(dist.probabilities[best]),
             "tv_from_indistinguishable": total_variation(dist, ref_i),
             "tv_from_distinguishable": total_variation(dist, ref_d),
             "out": args.out,
@@ -434,15 +457,19 @@ def cmd_landscape(args) -> None:
             v = monomial_vector(A, ordering)
             rates = [rate_direct(v, rate_matrix(delays_at(p), cfg.species, ordering)) for p in points]
         else:
-            # the string, and so its projection, is the same at every grid point
+            # the string, and so its projection, is the same at every grid
+            # point; the blocks of floor(2^16 / n!) points come from one
+            # transform and give their rates in one call
             ordering = all_permutations(cfg.n)
             T = build_transform(ordering)
             projected = attach_vector(monomial_vector(A, ordering), {}, T, cfg.species)
             timer.parseval_residual = projected.parseval_residual
-            rates = [
-                rate_blocked(replace(projected, blocks=fourier_blocks(delays_at(p), cfg.species, T)))
-                for p in points
-            ]
+            rs = np.stack([delays_at(p) for p in points])
+            width = max(1, 2**16 // len(ordering))
+            rates = np.concatenate([
+                rate_blocked(replace(projected, blocks=fourier_blocks(rs[i : i + width], cfg.species, T)))
+                for i in range(0, len(rs), width)
+            ]).tolist()
         rows = [[f"dtau_{a}" for a in axes] + ["rate"]]
         for p, rate in zip(points, rates):
             rows.append([repr(d) for d in p.values()] + [repr(rate)])

@@ -5,7 +5,7 @@ codes) can tell bad input, refused problem sizes, and numerical breakdown
 apart.
 """
 
-__all__ = ["PartdistError", "DomainError", "SizeLimitError", "NumericalError"]
+__all__ = ["PartdistError", "DomainError", "SizeLimitError", "NumericalError", "ClampWarning"]
 
 
 class PartdistError(Exception):
@@ -22,3 +22,13 @@ class SizeLimitError(PartdistError, ValueError):
 
 class NumericalError(PartdistError, RuntimeError):
     """Numerical invariant violated (e.g. a rate significantly below zero)."""
+
+
+class ClampWarning(UserWarning):
+    """Raw rates slightly below zero, within their rounding bound, were
+    clamped to 0: ``count`` of them in one call, down to ``lowest``."""
+
+    def __init__(self, count: int, lowest: float):
+        super().__init__(f"clamping {count} slightly negative rate(s), down to {lowest}, to 0")
+        self.count = count
+        self.lowest = lowest

@@ -110,29 +110,44 @@ class OutputString:
 
 def submatrix(
     interferometer: Interferometer,
-    s: OutputString,
+    s,
     input_ports: tuple[int, ...] | None = None,
 ) -> np.ndarray:
     """Scattering submatrix A(s): rows = clicked detectors, columns = occupied
-    input ports (1-based; defaults to ports 1..n)."""
+    input ports (1-based; defaults to ports 1..n).
+
+    ``s`` is one :class:`OutputString`, or a sequence of K strings with the
+    same number of clicks, whose submatrices come as a stack (K, n, n) from
+    one gather."""
     U = interferometer.matrix
-    if s.m != interferometer.m:
-        raise DomainError(f"output string length {s.m} != channel count {interferometer.m}")
-    n = s.n
+    single = isinstance(s, OutputString)
+    strings = (s,) if single else tuple(s)
+    if not strings:
+        raise DomainError("need at least one output string")
+    for x in strings:
+        if x.m != interferometer.m:
+            raise DomainError(f"output string length {x.m} != channel count {interferometer.m}")
+    clicks = np.array([x.s for x in strings], dtype=bool)  # (K, m)
+    counts = clicks.sum(axis=1)
+    n = int(counts[0])
+    if (counts != n).any():
+        raise DomainError("output strings click different numbers of detectors")
     if input_ports is None:
         input_ports = tuple(range(1, n + 1))
     if len(input_ports) != n:
         raise DomainError(f"{n} detectors clicked but {len(input_ports)} input ports given")
     if any(not (1 <= p <= interferometer.m) for p in input_ports):
         raise DomainError("input port outside 1..m")
-    rows = [d - 1 for d in s.detectors]
-    cols = [p - 1 for p in input_ports]
-    return U[np.ix_(rows, cols)]
+    rows = np.nonzero(clicks)[1].reshape(len(strings), n)  # ascending per string
+    cols = np.array(input_ports, dtype=np.intp) - 1
+    A = U[rows[:, :, None], cols]
+    return A[0] if single else A
 
 
 @dataclass(frozen=True)
 class MonomialVector:
-    """v[gamma] = A[gamma(1),1] * ... * A[gamma(n),n] over a group ordering."""
+    """v[gamma] = A[gamma(1),1] * ... * A[gamma(n),n] over a group ordering;
+    ``values`` has shape (n!,), or (K, n!) for a stack of K submatrices."""
 
     ordering: GroupOrdering
     values: np.ndarray
@@ -142,11 +157,17 @@ class MonomialVector:
 
 
 def monomial_vector(A, ordering: GroupOrdering) -> MonomialVector:
+    """Monomial vector of an n x n submatrix, or of every matrix of a stack
+    (K, n, n), gathered one column of A at a time: ((A[g(1),1] A[g(2),2])
+    ...) A[g(n),n], the same products in the same order either way."""
     A = np.asarray(A)
     n = ordering.n
-    if A.shape != (n, n):
-        raise DomainError(f"expected a {n}x{n} submatrix, got {A.shape}")
-    values = np.prod(A[ordering.images_array, np.arange(n)], axis=1)
+    if A.shape[-2:] != (n, n) or A.ndim not in (2, 3):
+        raise DomainError(f"expected a {n}x{n} submatrix or a stack of them, got {A.shape}")
+    images = ordering.images_array
+    values = A[..., images[:, 0], 0]
+    for k in range(1, n):
+        values = values * A[..., images[:, k], k]
     values.setflags(write=False)
     return MonomialVector(ordering, values)
 

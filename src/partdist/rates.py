@@ -29,10 +29,12 @@ with mono_r(g) = prod_k r[g(k), k].  Both K_lam and the projected vector
 T v come from the fast Fourier transform on S_n
 (:func:`~partdist.symgroup.fourier_transform`), at O(n! n^2 s) cost for
 s the largest irrep dimension: :func:`fourier_blocks` transforms w * mono_r
-once per delay matrix and :func:`attach_vectors` a batch of monomial
-vectors at a time.  No n! x n! object and no irrep table is built on this
-route.  The dense T and the O((n!)^3) conjugation T R T^t stay in
-:func:`decompose_rate_matrix` as the reference.
+of one delay matrix or of a stack of them, and :func:`attach_vectors` a
+batch of monomial vectors, in one call each.  A batch stays batched through
+the rate step: :func:`rate_blocked` and :func:`rate_truncated` evaluate one
+broadcasting einsum per kept label for all of it.  No n! x n! object and no
+irrep table is built on this route.  The dense T and the O((n!)^3)
+conjugation T R T^t stay in :func:`decompose_rate_matrix` as the reference.
 For fermions the sign weighting makes K_lam orthogonally equivalent to the
 boson block of the conjugate label lam'.  Blocks whose label fails to
 dominate the bin-occupancy partition vanish identically, which is what the
@@ -49,9 +51,9 @@ from functools import cache, cached_property
 import numpy as np
 
 from .delays import DelayPartition
-from .errors import DomainError, NumericalError, SizeLimitError
+from .errors import ClampWarning, DomainError, NumericalError, SizeLimitError
 from .interferometer import MonomialVector, monomial_vector
-from .matfun import permanent
+from .matfun import _glynn, permanent
 from .symgroup import (
     GroupOrdering,
     Permutation,
@@ -163,7 +165,9 @@ def _composition_tables(ordering: GroupOrdering):
 
 
 def _monomials_of(r: np.ndarray, ordering: GroupOrdering) -> np.ndarray:
-    return np.prod(r[ordering.images_array, np.arange(ordering.n)], axis=1)
+    """prod_k r[g(k), k] for every g of the ordering, over the last axis;
+    r may be a stack (..., n, n)."""
+    return np.prod(r[..., ordering.images_array, np.arange(ordering.n)], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -208,17 +212,25 @@ def rate_matrix(r, species: str, ordering: GroupOrdering) -> RateMatrix:
     return RateMatrix(species, ordering, R)
 
 
-def _finalize_rate(value: complex) -> float:
-    scale = max(1.0, abs(value))
-    if abs(value.imag) > RATE_CLAMP_TOL * scale:
-        raise NumericalError(f"rate has a non-negligible imaginary part: {value}")
-    rate = value.real
-    if rate < -RATE_CLAMP_TOL:
-        raise NumericalError(f"rate {rate} is negative beyond tolerance")
-    if rate < 0.0:
-        warnings.warn(f"clamping slightly negative rate {rate} to 0", stacklevel=3)
-        return 0.0
-    return float(rate)
+def _finalize_rate(value):
+    """Real, non-negative rate from a raw value, or rates from an array of
+    them, element by element: an imaginary part beyond RATE_CLAMP_TOL
+    max(1, |value|), or a real part below -RATE_CLAMP_TOL, raises
+    :class:`NumericalError`; a real part within the tolerance below 0 clamps
+    to 0, with one :class:`ClampWarning` per call.  A scalar gives a float,
+    an array a float array of its shape."""
+    values = np.asarray(value, dtype=complex)
+    bad = np.abs(values.imag) > RATE_CLAMP_TOL * np.maximum(1.0, np.abs(values))
+    if bad.any():
+        raise NumericalError(f"rate has a non-negligible imaginary part: {values[bad].flat[0]}")
+    rates = values.real
+    if (rates < -RATE_CLAMP_TOL).any():
+        raise NumericalError(f"rate {rates.min()} is negative beyond tolerance")
+    negative = rates < 0.0
+    if negative.any():
+        warnings.warn(ClampWarning(int(negative.sum()), float(rates.min())), stacklevel=3)
+        rates = np.where(negative, 0.0, rates)
+    return float(rates) if rates.ndim == 0 else rates
 
 
 def rate_direct(v: MonomialVector | np.ndarray, R: RateMatrix) -> float:
@@ -276,38 +288,6 @@ def _streaming_bytes(n: int, species: str, width: int, batch: int) -> int:
         lo, hi = 2 ** ((n + 1) // 2 - 1), 2 ** (n - (n + 1) // 2)
         step += n * (lo + hi) + 3 * lo * hi
     return 16 * width * step + batch * (16 * n**3 + 2**n * (48 + 40 * n))
-
-
-@cache
-def _sign_vectors(m: int) -> np.ndarray:
-    """All 2^m vectors of +-1 as rows, the first all +1."""
-    bits = (np.arange(2**m)[:, None] >> np.arange(m)) & 1
-    return (1 - 2 * bits).astype(float)
-
-
-def _glynn(M: np.ndarray) -> np.ndarray:
-    """Permanents of a stack (w, n, n) by Glynn's formula
-
-        per M = 2^-(n-1) sum_d (prod_j d_j) prod_i sum_j d_j M[i, j],  d_0 = 1,
-
-    the row sums met in the middle: columns 0..h-1 (d_0 = 1) give the lo
-    half sums, columns h..n-1 the hi ones, and every row sum is lo + hi.
-    Only element-wise operations touch a matrix, so its permanent does not
-    depend on the other matrices of the stack."""
-    w, n, _ = M.shape
-    h = (n + 1) // 2
-    lo_d, hi_d = _sign_vectors(h - 1), _sign_vectors(n - h)
-    lo = np.repeat(M[:, :, :1], len(lo_d), axis=2)  # (w, n, 2^(h-1))
-    for j in range(1, h):
-        lo = lo + M[:, :, j, None] * lo_d[:, j - 1]
-    hi = np.zeros((w, n, len(hi_d)), dtype=M.dtype)  # (w, n, 2^(n-h))
-    for j in range(h, n):
-        hi = hi + M[:, :, j, None] * hi_d[:, j - h]
-    prod = lo[:, 0, :, None] + hi[:, 0, None, :]
-    for i in range(1, n):
-        prod *= lo[:, i, :, None] + hi[:, i, None, :]
-    total = ((prod * np.prod(hi_d, axis=1)).sum(axis=-1) * np.prod(lo_d, axis=1)).sum(axis=-1)
-    return total / 2 ** (n - 1)
 
 
 def _subset_errors(species: str, values, norms, ell) -> np.ndarray:
@@ -397,7 +377,8 @@ def rate_direct_streaming(A, r, species: str, chunk: int = 512) -> StreamingRate
 
     The bound is the sum of these terms over S.  A raw rate (or imaginary
     part) beyond it raises :class:`NumericalError`; a raw rate within it
-    below 0 clamps to 0 with a warning.  Exact zeros are physical (the
+    below 0 clamps to 0, with one :class:`ClampWarning` per call that
+    counts them.  Exact zeros are physical (the
     Hong-Ou-Mandel dip), so a bound above the rate is no error.
     """
     _check_species(species)
@@ -466,11 +447,7 @@ def rate_direct_streaming(A, r, species: str, chunk: int = 512) -> StreamingRate
         )
     negative = rates < 0.0
     if negative.any():
-        warnings.warn(
-            f"clamping {int(negative.sum())} slightly negative rate(s), down to "
-            f"{rates.min()}, to 0",
-            stacklevel=2,
-        )
+        warnings.warn(ClampWarning(int(negative.sum()), float(rates.min())), stacklevel=2)
         rates = np.where(negative, 0.0, rates)
     return StreamingRates(
         rates.reshape(shape), bounds.reshape(shape), magnitudes.reshape(shape)
@@ -534,14 +511,19 @@ def build_transform(ordering: GroupOrdering) -> BlockTransform:
 
 @dataclass(frozen=True)
 class BlockDecomposition:
-    """Per-partition blocks and projected vectors of one rate computation.
+    """Per-partition blocks and projected vectors of one rate computation,
+    or of a batch of them.
 
     For bosons the block stored at label lam is K_lam; for fermions it is
     the sign-weighted block, orthogonally equivalent to the conjugate boson
     block K_lam' (same spectrum).  The vectors are the s_lam copies of the
     projected monomial vector; the rate is the sum of v^dag K v over all
-    copies of all labels.  ``parseval_residual`` is |‖T v‖² - ‖v‖²| of the
-    projection (see :func:`attach_vector`).
+    copies of all labels.  Blocks (..., s_lam, s_lam) and vectors (...,
+    s_lam, s_lam) may carry leading batch axes, which broadcast: a batch of
+    strings shares one set of blocks (:func:`attach_vectors`), and a grid of
+    delay matrices one projected vector (:func:`fourier_blocks` of a stack).
+    ``parseval_residual`` is the largest |‖T v‖² - ‖v‖²| of the projections
+    (see :func:`attach_vector`).
     """
 
     species: str
@@ -555,11 +537,12 @@ class BlockDecomposition:
     def n(self) -> int:
         return self.transform.n
 
-    def term(self, lam: tuple[int, ...]) -> float:
-        """Contribution of all copies of one partition label."""
+    def term(self, lam: tuple[int, ...]):
+        """Contribution of all copies of one partition label: a float, or an
+        array over the broadcast batch axes."""
         vecs = self.vectors[lam]
-        block = self.blocks[lam]
-        return float(np.real(np.einsum("ab,bd,ad->", vecs.conj(), block, vecs)))
+        total = np.einsum("...ab,...bd,...ad->...", vecs.conj(), self.blocks[lam], vecs).real
+        return float(total) if total.ndim == 0 else total
 
 
 def decompose_rate_matrix(
@@ -602,17 +585,23 @@ def fourier_blocks(r, species: str, T: BlockTransform) -> dict[tuple[int, ...], 
 
     w = 1 for bosons and sgn(g) for fermions; each block equals the one
     :func:`decompose_rate_matrix` finds at the same label, with no n! x n!
-    object built.
+    object built.  ``r`` is one delay matrix, giving blocks (s_lam, s_lam),
+    or a stack (..., n, n) of them, giving blocks (..., s_lam, s_lam) from
+    one transform with a column per delay matrix.
     """
     _check_species(species)
     ordering = T.ordering
-    r = _check_delay_matrix(r, ordering.n)
-    weighted = _monomials_of(r, ordering)
+    r = _check_delay_matrix(r, ordering.n, batch=True)
+    weighted = _monomials_of(r, ordering).reshape(-1, len(ordering))
     if species == "fermion":
         weighted = weighted * ordering.signs
-    y = fourier_transform(weighted, ordering)
+    y = np.ascontiguousarray(fourier_transform(weighted.T, ordering).T)
     y.setflags(write=False)
-    return {lam: y[offset : offset + s * s].reshape(s, s) for lam, offset, s in T.layout}
+    batch = r.shape[:-2]
+    return {
+        lam: y[:, offset : offset + s * s].reshape(batch + (s, s))
+        for lam, offset, s in T.layout
+    }
 
 
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2
@@ -641,42 +630,45 @@ def _parseval_tolerance(n: int) -> float:
 
 
 def attach_vectors(
-    vs,
+    vs: MonomialVector | np.ndarray,
     blocks: dict[tuple[int, ...], np.ndarray],
     T: BlockTransform,
     species: str,
-) -> tuple[BlockDecomposition, ...]:
-    """:func:`attach_vector` for a batch of monomial vectors, projected by
-    one fast Fourier transform of all of them as columns."""
+) -> BlockDecomposition:
+    """:func:`attach_vector` for a batch: ``vs`` holds K monomial vectors as
+    rows, shape (K, n!) (:func:`~partdist.interferometer.monomial_vector` of
+    a stack of submatrices), projected by one fast Fourier transform of all
+    of them as columns.  Returns one decomposition whose vectors carry the
+    batch axis, (K, s_lam, s_lam) per label, so that :func:`rate_blocked`
+    and :func:`rate_truncated` give K rates; every vector passes its own
+    Parseval check.  A single vector (n!,) gives unbatched vectors."""
     _check_species(species)
-    columns = []
-    for v in vs:
-        if isinstance(v, MonomialVector):
-            if v.ordering is not T.ordering and v.ordering != T.ordering:
-                raise DomainError("monomial vector and transform use different orderings")
-            v = v.values
-        values = np.asarray(v)
-        if values.shape != (len(T.ordering),):
-            raise DomainError("monomial vector length does not match transform")
-        columns.append(values)
-    V = np.stack(columns, axis=1)
+    if isinstance(vs, MonomialVector):
+        if vs.ordering is not T.ordering and vs.ordering != T.ordering:
+            raise DomainError("monomial vector and transform use different orderings")
+        vs = vs.values
+    V = np.asarray(vs)
     N = len(T.ordering)
+    if V.ndim not in (1, 2) or V.shape[-1] != N:
+        raise DomainError("monomial vector length does not match transform")
+    rows = V.reshape(-1, N)
     scale = np.concatenate([np.full(s * s, math.sqrt(s / N)) for _, _, s in T.layout])
-    W = np.ascontiguousarray((fourier_transform(V, T.ordering) * scale[:, None]).T)
+    W = np.ascontiguousarray((fourier_transform(rows.T, T.ordering) * scale[:, None]).T)
     W.setflags(write=False)
-    norm2 = np.einsum("ij,ij->j", V.conj(), V).real
+    norm2 = np.einsum("ij,ij->i", rows.conj(), rows).real
     residuals = np.abs(np.einsum("ij,ij->i", W.conj(), W).real - norm2)
-    tolerance = _parseval_tolerance(T.n)
-    decomps = []
-    for w, residual, size in zip(W, residuals, norm2):
-        if residual > tolerance * size:
-            raise NumericalError(
-                f"transform is not orthogonal on this vector: Parseval residual "
-                f"{residual:.3e} against ‖v‖² = {size:.3e}"
-            )
-        vectors = {lam: w[offset : offset + s * s].reshape(s, s) for lam, offset, s in T.layout}
-        decomps.append(BlockDecomposition(species, T, blocks, vectors, 0.0, float(residual)))
-    return tuple(decomps)
+    bad = residuals > _parseval_tolerance(T.n) * norm2
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise NumericalError(
+            f"transform is not orthogonal on this vector: Parseval residual "
+            f"{residuals[i]:.3e} against ‖v‖² = {norm2[i]:.3e}"
+        )
+    batch = V.shape[:-1]
+    vectors = {
+        lam: W[:, offset : offset + s * s].reshape(batch + (s, s)) for lam, offset, s in T.layout
+    }
+    return BlockDecomposition(species, T, blocks, vectors, 0.0, float(residuals.max()))
 
 
 def attach_vector(
@@ -706,7 +698,7 @@ def attach_vector(
     the scaled norms of the E add up to it.  The final scaling by
     sqrt(s_lam/n!) adds γ_3, and each squared norm γ_2N (N complex terms).
     """
-    return replace(attach_vectors([v], blocks, T, species)[0], offblock_max=offblock_max)
+    return replace(attach_vectors(v, blocks, T, species), offblock_max=offblock_max)
 
 
 def block_decompose(
@@ -725,11 +717,38 @@ def block_decompose(
     return attach_vector(v, blocks, T, species, offblock)
 
 
-def rate_blocked(decomp: BlockDecomposition) -> float:
+def rate_blocked(decomp: BlockDecomposition):
     """Rate assembled block by block; equals the direct rate exactly (the
-    transform is orthogonal)."""
+    transform is orthogonal).  A float, or an array over the batch axes of
+    a batched decomposition: one broadcasting einsum per label for the whole
+    batch (:meth:`BlockDecomposition.term`), and the same checks and clamps
+    per element as for one string.
+
+    A batch and its strings (or delay matrices) one at a time agree to a
+    rounding bound; the batched transforms may round differently.  With
+    N = n!, ‖v‖ the monomial vector's norm, δ the transform rounding of
+    :func:`attach_vector`, γ_k = k u / (1 - k u) and u = 2^-53:
+
+    - Every K_lam is a diagonal block of T R T^t, so ‖K_lam‖_2 <= ‖R‖_2 <= N
+      (|R_ij| <= 1).  Each computed projection w is within δ‖v‖ of T v, so
+      ‖w‖ <= (1 + δ)‖v‖, and two projections move the rate by at most
+      ‖K‖ (‖w_1‖ + ‖w_2‖) ‖w_1 - w_2‖ <= 4 N δ (1 + δ) ‖v‖².
+    - The blocks are the transform of the weighted monomials f, |f(g)| <= 1
+      so ‖f‖² <= N, whose entries round by γ_n relative.  In the orthogonal
+      scaling both errors together move sum_lam (s_lam/N) ‖ΔK_lam‖_F² by
+      at most (δ' ‖f‖)², δ' = δ + (1 + δ) γ_n, so ‖ΔK_lam‖_2 <= δ' N and
+      the rate moves by at most δ' N ‖w‖²: two sets of blocks, by
+      2 δ' N (1 + δ)² ‖v‖².
+    - One evaluation rounds each label's s^3 products of three factors
+      and their sum by γ_(s^3+6) sum |w| |K| |w| <= γ_(s^3+6) ‖K_lam‖_F
+      ‖w_lam‖² <= γ_(s^3+6) √s N ‖w_lam‖², and the sum over the p(n) labels
+      by γ_p(n) N ‖w‖², s the largest irrep dimension: E = (γ_(s^3+6) √s +
+      γ_p(n)) N (1 + δ)² ‖v‖² per evaluation, 2E between two.
+
+    Clamping a negative raw rate to 0 moves it toward any non-negative
+    value, so the bound holds after clamping too."""
     total = sum(decomp.term(lam) for lam in decomp.blocks)
-    return _finalize_rate(complex(total))
+    return _finalize_rate(total)
 
 
 def _kept_labels(decomp: BlockDecomposition, mu: tuple[int, ...]):
@@ -745,17 +764,19 @@ def _as_partition(mu) -> tuple[int, ...]:
     return mu.partition if isinstance(mu, DelayPartition) else tuple(mu)
 
 
-def rate_truncated(decomp: BlockDecomposition, mu) -> float:
+def rate_truncated(decomp: BlockDecomposition, mu):
     """Rate summing only the blocks that survive for bin partition mu.
 
     Exact when the delay matrix came from snapped (bin-center) times; for raw
     continuous times the dropped blocks are only approximately zero, so use
-    :func:`truncation_report` to see what is being discarded.
+    :func:`truncation_report` to see what is being discarded.  The kept
+    labels are decided once per call, for a whole batch; the result is a
+    float or an array as for :func:`rate_blocked`.
     """
     mu = _as_partition(mu)
     kept = _kept_labels(decomp, mu)
     total = sum(decomp.term(lam) for lam, keep in kept.items() if keep)
-    return _finalize_rate(complex(total))
+    return _finalize_rate(total)
 
 
 @dataclass(frozen=True)

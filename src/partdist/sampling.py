@@ -66,17 +66,18 @@ def _spec_hash(payload: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OutputDistribution:
     """Normalized distribution over the collision-free strings G_{m,n}.
 
-    ``entries`` holds (string, raw rate, probability) triples, one
-    per string, in the fixed enumeration order of the output strings.
-    ``parseval_residual`` is the largest |‖T v‖² - ‖v‖²| over the strings on
-    the blocked and truncated engines, and None on the others;
-    ``cancellation`` is the largest sum_S |f(P_S)| / rate of the streaming
-    engine (:func:`~partdist.rates.rate_direct_streaming`), and None on the
-    others.
+    ``strings`` are the output strings in their fixed enumeration order;
+    ``rates`` (raw) and ``probabilities`` are read-only float arrays in the
+    same order, and ``entries`` zips the three into (string, rate,
+    probability) triples.  ``parseval_residual`` is the largest
+    |‖T v‖² - ‖v‖²| over the strings on the blocked and truncated engines,
+    and None on the others; ``cancellation`` is the largest
+    sum_S |f(P_S)| / rate of the streaming engine
+    (:func:`~partdist.rates.rate_direct_streaming`), and None on the others.
     """
 
     m: int
@@ -84,7 +85,9 @@ class OutputDistribution:
     species: str
     engine: str
     arrival_hash: str
-    entries: tuple[tuple[OutputString, float, float], ...]
+    strings: tuple[OutputString, ...]
+    rates: np.ndarray
+    probabilities: np.ndarray
     total_rate: float
     interferometer: Interferometer | None = None
     input_ports: tuple[int, ...] | None = None
@@ -92,6 +95,12 @@ class OutputDistribution:
     cancellation: float | None = None
 
     def __post_init__(self):
+        for name in ("rates", "probabilities"):
+            values = np.array(getattr(self, name), dtype=float)
+            if values.shape != (len(self.strings),):
+                raise DomainError(f"{name} must hold one value per output string")
+            values.setflags(write=False)
+            object.__setattr__(self, name, values)
         probs = self.probabilities
         if probs.min() < 0:
             raise DomainError("probabilities must be non-negative")
@@ -99,16 +108,8 @@ class OutputDistribution:
             raise DomainError(f"probabilities sum to {probs.sum()}, not 1")
 
     @property
-    def strings(self) -> tuple[OutputString, ...]:
-        return tuple(e[0] for e in self.entries)
-
-    @property
-    def rates(self) -> np.ndarray:
-        return np.array([e[1] for e in self.entries])
-
-    @property
-    def probabilities(self) -> np.ndarray:
-        return np.array([e[2] for e in self.entries])
+    def entries(self) -> tuple[tuple[OutputString, float, float], ...]:
+        return tuple(zip(self.strings, self.rates.tolist(), self.probabilities.tolist()))
 
 
 def _normalize(strings, rates, m, n, species, engine, arrival_hash,
@@ -118,14 +119,14 @@ def _normalize(strings, rates, m, n, species, engine, arrival_hash,
     total = float(rates.sum())
     if not total > 0.0:
         raise NumericalError("every collision-free rate vanished; cannot normalize")
-    probs = rates / total
-    entries = tuple(
-        (s, float(r), float(p)) for s, r, p in zip(strings, rates, probs)
-    )
     return OutputDistribution(
-        m, n, species, engine, arrival_hash, entries, total,
+        m, n, species, engine, arrival_hash, tuple(strings), rates, rates / total, total,
         interferometer, input_ports, parseval_residual, cancellation,
     )
+
+
+def _batches(strings, width: int):
+    return (strings[start : start + width] for start in range(0, len(strings), width))
 
 
 def build_distribution(
@@ -145,8 +146,13 @@ def build_distribution(
     The expensive group-level objects (the rate matrix for ``direct``; the
     Fourier blocks for ``blocked`` and ``truncated``) are built once and
     shared across every output string; only the monomial vector changes per
-    string.  The block engines project the vectors in batches of
-    floor(2^16 / n!) strings, one fast Fourier transform per batch.
+    string.  The strings go in batches of floor(2^16 / n!), in their fixed
+    order: one gather for the submatrices and one for the monomial vectors
+    of a batch, and on the block engines one fast Fourier transform and one
+    :func:`~partdist.rates.rate_blocked` or
+    :func:`~partdist.rates.rate_truncated` call, whose kept labels are
+    decided once per batch.  The dense engine then takes v^dag R v per
+    string.
     ``snapped`` replaces each arrival time by its bin center first, which is
     what makes the truncated engine exact; on raw continuous times the
     truncated engine refuses to run unless the caller opts into the
@@ -196,38 +202,31 @@ def build_distribution(
     rates = []
     residual = cancellation = None
     if streaming:
-        batch = max(1, 2**16 >> n)  # 2^16 stored subset values per call
         cancellation = 0.0
-        for start in range(0, len(strings), batch):
-            As = np.stack([submatrix(interferometer, s, input_ports)
-                           for s in strings[start : start + batch]])
-            streamed = rate_direct_streaming(As, r, species, chunk)
-            rates.extend(streamed.rates.tolist())
+        for batch in _batches(strings, max(1, 2**16 >> n)):  # 2^16 stored subset values per call
+            streamed = rate_direct_streaming(submatrix(interferometer, batch, input_ports),
+                                             r, species, chunk)
+            rates.append(streamed.rates)
             cancellation = max(cancellation, streamed.cancellation)
-    elif engine == "direct":
-        ordering = all_permutations(n, convention)
-        R = rate_matrix(r, species, ordering)
-        for s in strings:
-            A = submatrix(interferometer, s, input_ports)
-            rates.append(rate_direct(monomial_vector(A, ordering), R))
     else:
         ordering = all_permutations(n, convention)
-        T = build_transform(ordering)
-        blocks = fourier_blocks(r, species, T)
-        mu = part.partition if approximate_mu is None else tuple(approximate_mu)
-        batch = max(1, 2**16 // len(ordering))  # about 1 MB of coefficients
-        residual = 0.0
-        for start in range(0, len(strings), batch):
-            vs = [
-                monomial_vector(submatrix(interferometer, s, input_ports), ordering)
-                for s in strings[start : start + batch]
-            ]
-            for decomp in attach_vectors(vs, blocks, T, species):
+        width = max(1, 2**16 // len(ordering))  # about 1 MB of coefficients
+        if engine == "direct":
+            R = rate_matrix(r, species, ordering)
+        else:
+            T = build_transform(ordering)
+            blocks = fourier_blocks(r, species, T)
+            mu = part.partition if approximate_mu is None else tuple(approximate_mu)
+            residual = 0.0
+        for batch in _batches(strings, width):
+            vs = monomial_vector(submatrix(interferometer, batch, input_ports), ordering)
+            if engine == "direct":
+                rates.append([rate_direct(v, R) for v in vs.values])
+            else:
+                decomp = attach_vectors(vs, blocks, T, species)
                 residual = max(residual, decomp.parseval_residual)
-                if engine == "blocked":
-                    rates.append(rate_blocked(decomp))
-                else:
-                    rates.append(rate_truncated(decomp, mu))
+                rates.append(rate_blocked(decomp) if engine == "blocked" else rate_truncated(decomp, mu))
+    rates = np.concatenate(rates)
     return _normalize(strings, rates, m, n, species, engine, arrival_hash,
                       interferometer, input_ports, residual, cancellation)
 
@@ -248,15 +247,21 @@ def sample(dist: OutputDistribution, count: int, seed: int | None = None):
 # Classical reference distributions
 
 
-def _closed_form_distribution(interferometer, n, input_ports, per_string,
+def _closed_form_distribution(interferometer, n, input_ports, per_batch,
                               species, tag) -> OutputDistribution:
+    """Distribution whose rates ``per_batch`` takes from a stack of
+    submatrices, in batches of floor(2^17 / 2^n) strings: 2^16 of Glynn's
+    products per permanent call."""
     m = interferometer.m
     if input_ports is None:
         input_ports = tuple(range(1, n + 1))
     if math.comb(m, n) > MAX_DISTRIBUTION_STRINGS:
         raise SizeLimitError(f"binom({m},{n}) output strings exceed the guard")
     strings = enumerate_outputs(m, n, MAX_DISTRIBUTION_STRINGS)
-    rates = [per_string(submatrix(interferometer, s, input_ports)) for s in strings]
+    rates = np.concatenate([
+        per_batch(submatrix(interferometer, batch, input_ports))
+        for batch in _batches(strings, max(1, 2**17 >> n))
+    ])
     return _normalize(strings, rates, m, n, species, "reference",
                       f"reference:{tag}", interferometer, input_ports)
 
@@ -268,11 +273,12 @@ def reference_indistinguishable(
     input_ports: tuple[int, ...] | None = None,
 ) -> OutputDistribution:
     """All arrival times equal: probabilities proportional to |per A(s)|^2
-    for bosons and |det A(s)|^2 for fermions."""
+    for bosons and |det A(s)|^2 for fermions, one batched permanent or
+    determinant call per batch of strings."""
     if species == "boson":
-        fn = lambda A: abs(permanent(A)) ** 2
+        fn = lambda As: np.abs(permanent(As)) ** 2
     elif species == "fermion":
-        fn = lambda A: abs(determinant(A)) ** 2
+        fn = lambda As: np.abs(determinant(As)) ** 2
     else:
         raise DomainError(f"species must be 'boson' or 'fermion', got {species!r}")
     return _closed_form_distribution(
@@ -287,8 +293,9 @@ def reference_distinguishable(
     input_ports: tuple[int, ...] | None = None,
 ) -> OutputDistribution:
     """Fully distinguishable particles: probabilities proportional to
-    per(|A_ij(s)|^2) for either species."""
-    fn = lambda A: float(permanent(np.abs(A) ** 2).real)
+    per(|A_ij(s)|^2) for either species, one batched permanent call per
+    batch of strings."""
+    fn = lambda As: permanent(np.abs(As) ** 2).real
     return _closed_form_distribution(
         interferometer, n, input_ports, fn, species, "distinguishable"
     )

@@ -166,6 +166,20 @@ def test_analyze_report_shape_and_witness_set():
     assert Fraction(report["p_exact"]) == witness_probability(6, 8).exact
 
 
+def test_analyze_report_flags_odd_n_closed_form():
+    # even n: the closed form has the exact tail's order, so asymptotic /
+    # exact stays put as b grows; odd n: it is half a power of b too high
+    def ratios(n):
+        return [analyze_report(n, b)["tail_asymptotic"] / analyze_report(n, b)["tail_exact"]
+                for b in (16, 64)]
+
+    assert analyze_report(6, 8)["tail_asymptotic_order_exact"] is True
+    assert analyze_report(7, 8)["tail_asymptotic_order_exact"] is False
+    even, odd = ratios(6), ratios(7)
+    assert even[1] / even[0] < 1.5
+    assert odd[1] / odd[0] > 1.7  # about sqrt(64 / 16) = 2
+
+
 def test_analyze_report_degree_guard():
     with pytest.raises(SizeLimitError):
         analyze_report(13, 8)

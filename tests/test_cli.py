@@ -18,6 +18,7 @@ import pytest
 
 import partdist.cli
 import partdist.rates
+import partdist.errors
 import partdist.sampling
 import partdist.symgroup
 from partdist import analysis
@@ -588,3 +589,51 @@ def test_gamas_table_matches_vanishing_predicate(capsys):
 def test_gamas_table_rejects_large_n(capsys):
     code, _, _ = run_cli(capsys, "gamas-table", "--n", "13")
     assert code == 2
+
+
+def test_clamped_rates_are_counted_on_stderr(tmp_path, capsys, monkeypatch):
+    binned = write_config(tmp_path, "binned.json", arrival=BINNED)
+    runs = (("distribution", "--engine", "blocked"), ("sample", "--engine", "truncated", "--count", "3"),
+            ("landscape", "--engine", "blocked", "--steps", "5"), ("distribution", "--threads-chunk", "8"))
+    clean = {}
+    for argv in runs:
+        code, out, err = run_cli(capsys, *argv, "--config", binned)
+        assert code == 0 and "clamped=" not in err
+        clean[argv] = out
+
+    # every block rate call (one per run here) meets two raw rates 1e-12
+    # below 0, within the tolerance; on the streaming route (chunk 8 = 2^n subsets per step) the
+    # first string's subset values are replaced by 0, and -1e-30 for the
+    # full set, a raw rate below 0 but within its rounding bound
+    finalize = partdist.rates._finalize_rate
+
+    def one_negative(value):
+        value = np.array(value, dtype=complex)
+        value.flat[:2] = -1e-12
+        return finalize(value)
+
+    glynn = partdist.rates._glynn
+    steps = []
+
+    def first_string_negative(M):
+        steps.append(len(M))
+        values = glynn(M)
+        if len(steps) == 1:
+            values[:] = 0.0
+            values[-1] = -1e-30
+        return values
+
+    monkeypatch.setattr(partdist.rates, "_finalize_rate", one_negative)
+    monkeypatch.setattr(partdist.rates, "_glynn", first_string_negative)
+    for argv in runs:
+        with pytest.warns(partdist.errors.ClampWarning) as caught:
+            code, out, err = run_cli(capsys, *argv, "--config", binned)
+        assert code == 0, err
+        timing = [line for line in err.splitlines() if line.startswith("wall_time_s=")]
+        want = (2, -1e-12) if "--engine" in argv else (1, -1e-30)
+        assert len(timing) == 1 and timing[0].split()[-1] == f"clamped={want[0]}", err
+        clamps = [w.message for w in caught if w.category is partdist.errors.ClampWarning]
+        assert [(w.count, w.lowest) for w in clamps] == [want]
+        if argv[0] != "sample":
+            assert out != clean[argv]
+    assert steps[0] == 8

@@ -4,22 +4,27 @@ import math
 import numpy as np
 import pytest
 
-from partdist.errors import DomainError, NumericalError, SizeLimitError
+from partdist.errors import DomainError, SizeLimitError
 from partdist.matfun import (
+    GLYNN_PRODUCTS,
     determinant,
-    dfunction_block,
     dfunction_direct,
     immanant,
     permanent,
-    permuted_immanant,
 )
 from partdist.symgroup import (
-    Permutation,
     all_permutations,
     character,
     irrep_matrices,
     partitions_of,
 )
+
+
+UNIT_ROUNDOFF = np.finfo(float).eps / 2
+
+
+def gamma(k):
+    return k * UNIT_ROUNDOFF / (1 - k * UNIT_ROUNDOFF)
 
 
 def _permanent_by_enumeration(M):
@@ -28,6 +33,17 @@ def _permanent_by_enumeration(M):
         math.prod(M[sigma[k], k] for k in range(n))
         for sigma in itertools.permutations(range(n))
     )
+
+
+def _glynn_against_enumeration_bound(M):
+    """|Glynn - enumeration| bound: Glynn is within gamma_(K + 5n) prod_i a_i
+    of the permanent (matfun.permanent), a_i the 1-norm of row i and
+    K = 2^(n-1); the enumeration sums n! products of n factors, each at most
+    prod_i |M[sigma(i), i]|, so it is within gamma_(n! + 4n) per(|M|) <=
+    gamma_(n! + 4n) prod_i a_i (complex products round by gamma_4n)."""
+    n = M.shape[-1]
+    a = np.prod(np.abs(M).sum(axis=-1), axis=-1)
+    return (gamma(2 ** (n - 1) + 5 * n) + gamma(math.factorial(n) + 4 * n)) * a
 
 
 # ---------------------------------------------------------------------------
@@ -41,8 +57,10 @@ def test_permanent_small_closed_forms():
 
 
 def test_permanent_of_ones_is_factorial():
-    for n in range(1, 8):
-        assert permanent(np.ones((n, n))) == pytest.approx(math.factorial(n))
+    # every Glynn row sum and product is an integer below 2^53: exact
+    for n in range(1, 11):
+        assert permanent(np.ones((n, n))) == math.factorial(n)
+    assert permanent(np.zeros((0, 0))) == 1
 
 
 def test_permanent_matches_enumeration():
@@ -50,6 +68,44 @@ def test_permanent_matches_enumeration():
     for n in (3, 4, 5, 6):
         M = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         assert permanent(M) == pytest.approx(_permanent_by_enumeration(M), rel=1e-12)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_stacked_permanent_matches_enumeration_and_single_calls(n):
+    rng = np.random.default_rng(20 + n)
+    stack = rng.normal(size=(2, 3, n, n)) + 1j * rng.normal(size=(2, 3, n, n))
+    got = permanent(stack)
+    assert got.shape == (2, 3) and got.dtype == complex
+    bound = _glynn_against_enumeration_bound(stack)
+    for index in np.ndindex(2, 3):
+        M = stack[index]
+        want = _permanent_by_enumeration(M)
+        assert abs(got[index] - want) <= bound[index]
+        # Glynn touches each matrix element-wise only: a stacked value is
+        # the value of the matrix alone
+        assert got[index] == permanent(M)
+    real = np.abs(stack) ** 2
+    assert np.array_equal(permanent(real), [[permanent(M) for M in row] for row in real])
+
+
+def test_permanent_stack_spans_several_steps():
+    # at n = 8, GLYNN_PRODUCTS / 2^7 matrices go per step; a stack of three
+    # steps and a bit gives every matrix the bits of its single call
+    n = 8
+    width = GLYNN_PRODUCTS >> (n - 1)
+    rng = np.random.default_rng(5)
+    stack = rng.normal(size=(3 * width + 5, n, n)) + 1j * rng.normal(size=(3 * width + 5, n, n))
+    got = permanent(stack)
+    for i in (0, width - 1, width, 2 * width + 7, len(stack) - 1):
+        assert got[i] == permanent(stack[i])
+
+
+def test_permanent_and_determinant_shape_checks():
+    for fn in (permanent, determinant):
+        with pytest.raises(DomainError):
+            fn(np.ones(3))
+        with pytest.raises(DomainError):
+            fn(np.ones((2, 3, 4)))
 
 
 def test_permanent_row_permutation_invariance():
@@ -62,11 +118,22 @@ def test_permanent_row_permutation_invariance():
 def test_permanent_size_guard():
     with pytest.raises(SizeLimitError):
         permanent(np.ones((21, 21)))
+    with pytest.raises(SizeLimitError):
+        permanent(np.ones((4, 21, 21)))
 
 
 def test_determinant_is_numpy():
     M = np.array([[2.0, 1.0], [1.0, 2.0]])
     assert determinant(M) == pytest.approx(3.0)
+
+
+def test_stacked_determinant_equals_per_matrix_numpy():
+    rng = np.random.default_rng(12)
+    stack = rng.normal(size=(4, 5, 6, 6)) + 1j * rng.normal(size=(4, 5, 6, 6))
+    got = determinant(stack)
+    assert got.shape == (4, 5) and got.dtype == complex
+    for index in np.ndindex(4, 5):
+        assert got[index] == np.linalg.det(stack[index]) == determinant(stack[index])
 
 
 # ---------------------------------------------------------------------------
@@ -114,13 +181,6 @@ def test_immanant_shape_check():
         immanant((2, 1), np.eye(4))
 
 
-def test_permuted_immanant_identity_is_plain():
-    rng = np.random.default_rng(6)
-    M = rng.normal(size=(3, 3))
-    e = Permutation.identity(3)
-    assert permuted_immanant((2, 1), e, M) == pytest.approx(immanant((2, 1), M))
-
-
 # ---------------------------------------------------------------------------
 # Irrep-transformed matrix functions
 
@@ -149,19 +209,6 @@ def test_dfunction_multiplicativity_on_permutations():
             right = dfunction_direct(lam, M, irreps)
             combined = dfunction_direct(lam, sigma.matrix() @ M, irreps)
             assert np.allclose(left @ right, combined, atol=1e-10)
-
-
-def test_dfunction_block_solver_matches_direct_sum():
-    rng = np.random.default_rng(9)
-    for n in (3, 4):
-        ordering = all_permutations(n)
-        M = rng.normal(size=(n, n))
-        for lam in partitions_of(n):
-            irreps = irrep_matrices(lam, ordering)
-            direct = dfunction_direct(lam, M, irreps)
-            solved = dfunction_block(lam, M, irreps)
-            assert np.allclose(solved.values, direct, atol=1e-8)
-            assert solved.residual < 1e-10
 
 
 def test_dfunction_of_identity_is_identity():

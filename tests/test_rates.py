@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import json
 import math
 import tracemalloc
 import warnings
@@ -9,15 +11,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from partdist import rates, symgroup
+from partdist.cli import main as cli_main
 from partdist.delays import ArrivalSpec, delay_matrix_from_times, discretize, snapped_delay_matrix
-from partdist.errors import DomainError, NumericalError, SizeLimitError
-from partdist.interferometer import OutputString, haar_unitary, monomial_vector, submatrix
+from partdist.errors import ClampWarning, DomainError, NumericalError, SizeLimitError
+from partdist.interferometer import (
+    OutputString,
+    enumerate_outputs,
+    haar_unitary,
+    monomial_vector,
+    submatrix,
+)
 from partdist.matfun import determinant, dfunction_direct, immanant, permanent
 from partdist.rates import (
     _check_delay_matrix,
     _composition_tables,
     _fft_rounding,
+    _finalize_rate,
+    _parseval_tolerance,
     attach_vector,
+    attach_vectors,
     block_decompose,
     build_transform,
     decompose_rate_matrix,
@@ -733,3 +745,145 @@ def test_streaming_size_guard(monkeypatch):
     # the memory guard: O(chunk 2^(n-1) n) working set for bosons
     with pytest.raises(SizeLimitError):
         rate_direct_streaming(np.eye(13), np.eye(13), "boson", chunk=10**6)
+
+
+# ---------------------------------------------------------------------------
+# Batched block rates
+
+
+def batch_agreement_bound(n, norm2, blocks_differ):
+    """|batched rate - per-string rate| bound derived in rates.rate_blocked:
+    4 N δ (1 + δ) ‖v‖² for the two projections, 2 δ' N (1 + δ)² ‖v‖² when
+    the blocks come from different transforms too, and 2E for the two
+    evaluations of the quadratic form."""
+    N = math.factorial(n)
+    delta = _fft_rounding(n)
+    s = max(standard_tableau_count(lam) for lam in partitions_of(n))
+    labels = len(partitions_of(n))
+    bound = 4 * N * delta * (1 + delta) * norm2
+    if blocks_differ:
+        bound += 2 * (delta + (1 + delta) * gamma(n)) * N * (1 + delta) ** 2 * norm2
+    evaluation = (gamma(s**3 + 6) * math.sqrt(s) + gamma(labels)) * N * (1 + delta) ** 2 * norm2
+    return bound + 2 * evaluation
+
+
+@pytest.mark.parametrize("snapped", [False, True])
+@pytest.mark.parametrize("species", ["boson", "fermion"])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+def test_batched_block_rates_match_per_string(n, species, snapped):
+    rng = np.random.default_rng(300 + n)
+    spec = ArrivalSpec(tuple(rng.uniform(0, 1, size=n)), 2.0, 1.0, 3)
+    idx, part = discretize(spec)
+    r = snapped_delay_matrix(idx, spec) if snapped else delay_matrix_from_times(spec.taus, 2.0)
+    ordering = all_permutations(n)
+    T = build_transform(ordering)
+    blocks = fourier_blocks(r, species, T)
+    m = n + 2
+    strings = enumerate_outputs(m, n)
+    V = monomial_vector(submatrix(haar_unitary(m, seed=n), strings), ordering)
+    norm2 = np.einsum("ij,ij->i", V.values.conj(), V.values).real
+    # on continuous times truncation drops blocks that are only nearly
+    # zero; batched and per-string rates still drop the same ones
+    engines = {"blocked": rate_blocked, "truncated": lambda d: rate_truncated(d, part)}
+    for engine, rate in engines.items():
+        single = []
+        for v in V.values:
+            got = rate(attach_vector(v, blocks, T, species))
+            assert isinstance(got, float)
+            single.append(got)
+        for width in (1, 3, max(1, 2**16 // len(ordering))):  # the last as build_distribution
+            batched = []
+            for start in range(0, len(strings), width):
+                decomp = attach_vectors(V.values[start : start + width], blocks, T, species)
+                got = rate(decomp)
+                assert got.shape == (len(V.values[start : start + width]),)
+                batched.append(got)
+            batched = np.concatenate(batched)
+            tol = batch_agreement_bound(n, norm2, blocks_differ=False)
+            assert np.all(np.abs(batched - single) <= tol), (engine, width)
+
+
+def test_batched_decomposition_keeps_the_checks(monkeypatch):
+    n = 4
+    ordering = all_permutations(n)
+    T = build_transform(ordering)
+    A, r = _random_case(n, 31)
+    blocks = fourier_blocks(r, "boson", T)
+    V = monomial_vector(np.stack([A, 2 * A, A.conj()]), ordering)
+    decomp = attach_vectors(V, blocks, T, "boson")
+    assert decomp.parseval_residual <= _parseval_tolerance(n) * 4 * np.vdot(V.values[0], V.values[0]).real
+    with pytest.raises(DomainError):  # another ordering than the transform's
+        attach_vectors(monomial_vector(np.stack([A, A]), all_permutations(n, "cycle")), blocks, T, "boson")
+    with pytest.raises(DomainError):
+        attach_vectors(V.values[:, :-1], blocks, T, "boson")
+    # one vector of the batch off the transform fails the whole batch
+    calls = []
+    transform = rates.fourier_transform
+
+    def skewed(f, ordering):
+        out = transform(f, ordering)
+        calls.append(out.shape)
+        out[0, 1] *= 1 + 1e-6
+        return out
+
+    monkeypatch.setattr(rates, "fourier_transform", skewed)
+    with pytest.raises(NumericalError, match="Parseval"):
+        attach_vectors(V, blocks, T, "boson")
+    assert calls == [(24, 3)]
+
+
+def test_finalize_rate_checks_each_element_and_warns_once():
+    assert isinstance(_finalize_rate(complex(0.25)), float)
+    assert _finalize_rate(complex(0.25)) == 0.25
+    values = np.array([0.5, -1e-12, 0.0, -5e-11, 0.25 + 1e-12j])
+    with pytest.warns(ClampWarning) as caught:
+        got = _finalize_rate(values)
+    assert len(caught) == 1
+    assert caught[0].message.count == 2 and caught[0].message.lowest == -5e-11
+    assert got.tolist() == [0.5, 0.0, 0.0, 0.0, 0.25]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _finalize_rate(np.array([0.5, 0.0])).tolist() == [0.5, 0.0]
+    with pytest.raises(NumericalError, match="negative"):
+        _finalize_rate(np.array([0.5, -1e-9]))
+    with pytest.raises(NumericalError, match="imaginary"):
+        _finalize_rate(np.array([0.5, 0.5 + 1e-9j]))
+    with pytest.raises(NumericalError, match="imaginary"):
+        _finalize_rate(np.array([[2e3, 2e3 + 1e-6j]]))
+
+
+@pytest.mark.parametrize("n, steps", [(3, 9), (6, 100), (7, 30)])
+def test_batched_landscape_matches_per_point_rates(tmp_path, capsys, n, steps):
+    # the blocked landscape takes floor(2^16 / n!) grid points per transform:
+    # one batch of 81 at n = 3, 91 + 9 at n = 6, 13 + 13 + 4 at n = 7
+    m, ports, delta_omega = n + 2, list(range(1, n + 1)), 1.5
+    config = {
+        "m": m, "n": n, "unitary": {"type": "haar", "seed": 5}, "engine": "blocked",
+        "detectors": ports, "input_ports": ports,
+        "arrival": {"type": "continuous", "taus": [0.1 * k for k in range(n)],
+                    "delta_omega": delta_omega, "window": 1.0, "bins": 4},
+    }
+    path = tmp_path / "landscape.json"
+    path.write_text(json.dumps(config))
+    axes = (2, 3) if n == 3 else (n,)
+    extra = () if n == 3 else ("--axis", str(n))
+    code = cli_main(["landscape", "--config", str(path), "--range", "-2", "2",
+                     "--steps", str(steps), *extra])
+    out, err = capsys.readouterr()
+    assert code == 0, err
+    rows = np.array([[float(x) for x in line.split(",")] for line in out.splitlines()[2:]])
+    assert rows.shape == (steps ** len(axes), len(axes) + 1)
+
+    ordering = all_permutations(n)
+    T = build_transform(ordering)
+    A = submatrix(haar_unitary(m, seed=5), OutputString.from_detectors(m, tuple(ports)))
+    v = monomial_vector(A, ordering)
+    projected = attach_vector(v, {}, T, "boson")
+    tol = batch_agreement_bound(n, float(np.vdot(v.values, v.values).real), blocks_differ=True)
+    for row in rows:
+        taus = np.zeros(n)
+        for axis, d in zip(axes, row[:-1]):
+            taus[axis - 1] += d
+        blocks = fourier_blocks(delay_matrix_from_times(taus, delta_omega), "boson", T)
+        want = rate_blocked(dataclasses.replace(projected, blocks=blocks))
+        assert abs(row[-1] - want) <= tol, (row, want)

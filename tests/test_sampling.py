@@ -10,7 +10,8 @@ from scipy import stats
 import partdist.sampling
 from partdist.delays import ArrivalSpec, delay_matrix, discretize, snapped_delay_matrix
 from partdist.errors import DomainError, SizeLimitError
-from partdist.interferometer import haar_unitary, monomial_vector, submatrix
+from partdist.interferometer import enumerate_outputs, haar_unitary, monomial_vector, submatrix
+from partdist.matfun import determinant, permanent
 from partdist.rates import (
     _fft_rounding,
     _parseval_tolerance,
@@ -319,3 +320,48 @@ def test_streaming_distribution_runs_past_n7(monkeypatch):
     r = delay_matrix(spec)
     for s, got in list(zip(dist.strings, dist.rates))[::11]:
         assert got == float(rate_direct_streaming(submatrix(itf10, s), r, "fermion", 5).rates)
+
+
+@pytest.mark.parametrize("m, n", [(6, 3), (14, 12)])
+def test_batched_references_equal_per_string_values(m, n, monkeypatch):
+    # floor(2^17 / 2^n) strings per call: all 20 strings at n = 3, and the
+    # 91 strings at n = 12 in batches of 32, 32 and 27
+    itf_m = haar_unitary(m, seed=m)
+    calls = []
+
+    def counted(fn):
+        def wrapper(As):
+            calls.append(len(As))
+            return fn(As)
+        return wrapper
+
+    monkeypatch.setattr(partdist.sampling, "permanent", counted(permanent))
+    monkeypatch.setattr(partdist.sampling, "determinant", counted(determinant))
+    width = max(1, 2**17 >> n)
+    strings = enumerate_outputs(m, n)
+    widths = [min(width, len(strings) - start) for start in range(0, len(strings), width)]
+    As = [submatrix(itf_m, s) for s in strings]
+    # Glynn and LAPACK treat each matrix of a stack on its own: the same bits
+    for species, fn in (("boson", permanent), ("fermion", determinant)):
+        calls.clear()
+        ref = reference_indistinguishable(itf_m, n, species)
+        assert calls == widths
+        assert ref.strings == strings
+        assert ref.rates.tolist() == [np.abs(fn(A)) ** 2 for A in As]
+    calls.clear()
+    ref = reference_distinguishable(itf_m, n)
+    assert calls == widths
+    assert ref.rates.tolist() == [permanent(np.abs(A) ** 2).real for A in As]
+
+
+def test_distribution_holds_read_only_arrays(itf):
+    dist = build_distribution(itf, SPEC, "boson", "blocked")
+    for values in (dist.rates, dist.probabilities):
+        assert values.dtype == float and values.shape == (len(dist.strings),)
+        assert not values.flags.writeable
+    assert dist.probabilities.tolist() == (dist.rates / dist.total_rate).tolist()
+    assert dist.entries == tuple(zip(dist.strings, dist.rates.tolist(), dist.probabilities.tolist()))
+    with pytest.raises(DomainError):
+        partdist.sampling.OutputDistribution(
+            6, 3, "boson", "direct", "h", dist.strings, dist.rates[:-1], dist.probabilities[:-1], 1.0
+        )
