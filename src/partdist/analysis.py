@@ -79,39 +79,14 @@ def _as_partition(mu) -> tuple[int, ...]:
 
 def requires_witness(mu, n: int | None = None) -> bool:
     """True iff a bin-occupancy pattern mu forces the witness-class blocks
-    into the kept set — iff mu is dominated by the witness partition, iff no
-    bin holds more than ceil(n/2) particles.
-
-    Three deliberately separate routes are evaluated and compared on every
-    call; a disagreement would mean a bug, not bad input.
-    """
+    into the kept set: iff mu is dominated by the witness partition, which
+    is iff no bin holds more than ceil(n/2) particles."""
     mu = _as_partition(mu)
     if n is None:
         n = sum(mu)
     elif sum(mu) != n:
         raise DomainError(f"{mu} is not a partition of {n}")
-    w = witness_partition(n)
-
-    via_dominance = dominates(w, mu)
-    via_width = mu[0] <= math.ceil(n / 2)
-    # explicit prefix-sum comparison, written out independently of dominates()
-    w_padded = list(w) + [0] * max(0, len(mu) - len(w))
-    mu_padded = list(mu) + [0] * max(0, len(w) - len(mu))
-    acc_mu = acc_w = 0
-    via_prefix = True
-    for pm, pw in zip(mu_padded, w_padded):
-        acc_mu += pm
-        acc_w += pw
-        if acc_mu > acc_w:
-            via_prefix = False
-            break
-
-    if not (via_dominance == via_width == via_prefix):
-        raise PartdistError(
-            f"witness-detection routes disagree on {mu}: "
-            f"{via_dominance}/{via_width}/{via_prefix}"
-        )
-    return via_dominance
+    return dominates(witness_partition(n), mu)
 
 
 def catalan(k: int) -> int:

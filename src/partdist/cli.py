@@ -7,16 +7,21 @@ byte-identical.  A chunk above 0 selects the streaming engine for
 ``direct``; the chunk width itself changes memory, not bits.  Exit codes:
 0 success, 2 bad config/usage, 3 size guard, 4 numerical failure.
 
-Determinism under BLAS threading: rates come from BLAS matrix products, R v
-on the dense direct engine and, on the block engines, the per-label
-products of each level of the fast Fourier transform on S_n that yields T v
-and the blocks.  A BLAS library may split a product's sums differently for
-another thread count or another number of columns, and a batched einsum
-need not round like the same step on one string; so the batches are fixed.
-Strings go in their enumeration order and grid points in grid order,
-floor(2^16 / n!) per batch on the dense and block engines, and the
-references take floor(2^17 / 2^n) strings per permanent or determinant
-call: batch widths depend on n and that order alone.  The streaming engine
+Determinism under BLAS threading: rates come from BLAS matrix products.  On
+the dense direct engine those are R v per string in ``distribution`` and
+``sample``; in ``rate`` and ``landscape`` they are the products of the
+gathered rows of the composition walk with v, 64 rows at a time in the
+walk's fixed order, that give the autocorrelation of the string, and the
+products of the weighted monomials of the delay matrices with it.  On the
+block engines they are the per-label products of each level of the fast
+Fourier transform on S_n that yields T v and the blocks.  A BLAS library
+may split a product's sums differently for another thread count or another
+number of rows or columns, and a batched einsum need not round like the
+same step on one string; so the batches are fixed.  Strings go in their
+enumeration order and grid points in grid order, floor(2^16 / n!) per
+batch on the dense and block engines, and the references take
+floor(2^17 / 2^n) strings per permanent or determinant call: batch widths
+depend on n and that order alone.  The streaming engine
 evaluates each subset matrix by element-wise operations or its own LAPACK
 determinant call and sums all 2^n values of a rate at once, so neither the
 chunk nor the batch of strings or grid points changes its bits.  Reruns
@@ -60,13 +65,13 @@ from .interferometer import (
 )
 from .rates import (
     attach_vector,
+    autocorrelation,
     build_transform,
     fourier_blocks,
     gamas_vanishes,
     rate_blocked,
-    rate_direct,
     rate_direct_streaming,
-    rate_matrix,
+    rate_from_autocorrelation,
     rate_truncated,
     truncation_report,
 )
@@ -310,7 +315,8 @@ def cmd_rate(args) -> None:
             rate = float(streamed.rates)
         elif cfg.engine == "direct":
             ordering = all_permutations(cfg.n)
-            rate = rate_direct(monomial_vector(A, ordering), rate_matrix(r, cfg.species, ordering))
+            S = autocorrelation(monomial_vector(A, ordering))
+            rate = rate_from_autocorrelation(S, r, cfg.species, ordering)
         else:
             ordering = all_permutations(cfg.n)
             v = monomial_vector(A, ordering)
@@ -440,22 +446,24 @@ def cmd_landscape(args) -> None:
     s = OutputString.from_detectors(cfg.m, cfg.detectors)
     A = submatrix(cfg.interferometer, s, cfg.input_ports)
 
-    def delays_at(dtaus: dict[int, float]) -> np.ndarray:
-        taus = np.full(cfg.n, args.shift, dtype=float)
-        for axis, d in dtaus.items():
-            taus[axis - 1] += d
-        return delay_matrix_from_times(taus, cfg.spec.delta_omega)
+    taus = np.full((len(points), cfg.n), args.shift, dtype=float)
+    for i, p in enumerate(points):
+        for axis, d in p.items():
+            taus[i, axis - 1] += d
 
     with _Timer() as timer:
+        rs = delay_matrix_from_times(taus, cfg.spec.delta_omega)
         if cfg.engine == "direct" and cfg.chunk > 0:
-            rs = np.stack([delays_at(p) for p in points])
             streamed = rate_direct_streaming(A, rs, cfg.species, cfg.chunk)
             timer.cancellation = streamed.cancellation
             rates = streamed.rates.tolist()
         elif cfg.engine == "direct":
+            # the string is the same at every grid point: its
+            # autocorrelation is taken once, and every rate is one dot
+            # product with it
             ordering = all_permutations(cfg.n)
-            v = monomial_vector(A, ordering)
-            rates = [rate_direct(v, rate_matrix(delays_at(p), cfg.species, ordering)) for p in points]
+            S = autocorrelation(monomial_vector(A, ordering))
+            rates = rate_from_autocorrelation(S, rs, cfg.species, ordering).tolist()
         else:
             # the string, and so its projection, is the same at every grid
             # point; the blocks of floor(2^16 / n!) points come from one
@@ -464,7 +472,6 @@ def cmd_landscape(args) -> None:
             T = build_transform(ordering)
             projected = attach_vector(monomial_vector(A, ordering), {}, T, cfg.species)
             timer.parseval_residual = projected.parseval_residual
-            rs = np.stack([delays_at(p) for p in points])
             width = max(1, 2**16 // len(ordering))
             rates = np.concatenate([
                 rate_blocked(replace(projected, blocks=fourier_blocks(rs[i : i + width], cfg.species, T)))

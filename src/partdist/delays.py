@@ -128,9 +128,11 @@ class DelayPartition:
 
 
 def delay_matrix_from_times(taus, delta_omega: float) -> np.ndarray:
-    """Pairwise Gaussian overlaps for raw (continuous) arrival times."""
+    """Pairwise Gaussian overlaps for raw (continuous) arrival times: an
+    n x n matrix for n times, or a stack (..., n, n) for times (..., n),
+    each matrix bit-equal to its own call."""
     taus = np.asarray(taus, dtype=float)
-    diff = np.subtract.outer(taus, taus)
+    diff = taus[..., :, None] - taus[..., None, :]
     r = np.exp(-(delta_omega**2) * diff**2 / 2.0)
     r.setflags(write=False)
     return r

@@ -1,13 +1,26 @@
 """Coincidence rates: direct n! x n! form, streaming inclusion-exclusion
 form and block-diagonalized form.
 
-The direct route builds the rate matrix R over a group ordering,
+The direct route is the literal rate v^dag R v, v the scattering monomial
+vector and R the rate matrix over a group ordering,
 
-    R[i, j]  = prod_k r[(gj^-1 gi)(k), k]          (bosons)
-    R[i, j] *= sgn(gi) sgn(gj)                     (fermions)
+    R[i, j] = f(gj^-1 gi),   f(c) = w(c) prod_k r[c(k), k],
 
-and evaluates rate = v^dag R v with v the scattering monomial vector; it
-is the literal reference.
+w = 1 for bosons and sgn(c) for fermions (sgn(gi) sgn(gj) = sgn(gj^-1 gi)).
+R is the group matrix of the one function f on S_n, so the same sum is
+
+    rate = sum_c f(c) S_v(c),   S_v(c) = sum_h conj(v(h c)) v(h),
+
+with S_v the autocorrelation of v over the group, an n!-vector.  One string
+and one or more delay matrices (``rate``, ``landscape``) take that form
+(:func:`autocorrelation`, :func:`rate_from_autocorrelation`): O(n!^2) once
+per string, then one dot product per delay matrix, rounding by at most
+γ_4N max|f| ‖v‖_1² (N = n!), and no n! x n! object.  One delay matrix and
+many strings (``distribution``) keep R (:func:`rate_matrix`) and take
+v^dag R v per string (:func:`rate_direct`), rounding by 2 γ_2N max|f|
+‖v‖_1².  Both gather by a breadth-first walk over S_n
+(:func:`_composition_walk`) that holds two levels of the composition
+table, never all of it.
 
 The streaming route (:func:`rate_direct_streaming`) needs no group at all:
 with P_k = diag(conj A[k, :]) r diag(A[k, :]) for detector k,
@@ -70,6 +83,8 @@ __all__ = [
     "RateMatrix",
     "rate_matrix",
     "rate_direct",
+    "autocorrelation",
+    "rate_from_autocorrelation",
     "rate_direct_streaming",
     "BlockTransform",
     "build_transform",
@@ -98,6 +113,7 @@ MAX_STREAMING_FLOPS = 2**34  # about half a minute per rate on a 2-core machine
 MAX_STREAMING_BYTES = 2**29
 DISTINGUISHABLE_THRESHOLD = 1e-12
 RATE_CLAMP_TOL = 1e-10
+WALK_ROWS = 64  # composition-table rows per block of the walk
 
 
 def _allclose(a, b) -> bool:
@@ -123,45 +139,62 @@ def _check_delay_matrix(r, n: int, batch: bool = False) -> np.ndarray:
     return r
 
 
-@cache
-def _composition_tables(ordering: GroupOrdering):
-    """Index tables: comp[i, j] = ordering.index(gj^-1 * gi).
+def _composition_walk(ordering: GroupOrdering):
+    """The composition table comp[i, j] = ordering.index(gj^-1 gi), row
+    block by row block, with no table kept: yields (indices, rows), rows[a]
+    = comp[indices[a]] (int32), at most chunk = WALK_ROWS = 64 rows at a
+    time.
 
-    Row i is filled from a row already known: for gi = gp * s_k, gj^-1 gi is
-    (gj^-1 gp) * s_k, so comp[i] is comp[p] sent through the
-    right-multiplication-by-s_k index map.  The rows are visited breadth
-    first from the identity, whose row is the inverse indices.
+    Row i comes from a row already known: for gi = gp s_k, gj^-1 gi is
+    (gj^-1 gp) s_k, so comp[i] is comp[p] sent through the
+    right-multiplication-by-s_k index map.  The walk goes breadth first from
+    the identity, whose row is the inverse indices, so a level holds the
+    permutations with the same number of inversions, at most L_n of them
+    (the largest Mahonian number: 101 at n = 6, 573 at n = 7).  It holds
+    the rows of at most two levels, 4 N L_n bytes each, a 4 n^n-byte lookup
+    table and O(n N) index maps, and builds the next level chunk parent
+    rows at a time through 12 N chunk bytes of index temporaries.  While a
+    block is out only its own level is held, so a consumer that gathers
+    b-byte values by the rows, b <= 16, adds at most 24 N chunk bytes: the
+    working set stays below 8 N L_n + 24 N chunk + 4 n^n bytes plus
+    O(n N), 34 MB at n = 7.
     """
     n = ordering.n
     N = len(ordering)
     P = ordering.images_array
     powers = n ** np.arange(n, dtype=np.int64)
-    lut = np.full(n**n, -1, dtype=np.intp)
+    lut = np.full(n**n, -1, dtype=np.int32)
     lut[P @ powers] = np.arange(N)
     right = []  # right[k][x] = index of g_x * s_k: images at k, k+1 swapped
     for k in range(n - 1):
         cols = np.arange(n)
         cols[[k, k + 1]] = k + 1, k
         right.append(lut[P[:, cols] @ powers])
-    comp = np.empty((N, N), dtype=np.intp)
     identity = ordering.index(Permutation.identity(n))
-    comp[identity] = ordering.inverse_indices
+    frontier = np.array([identity])
+    rows = ordering.inverse_indices[None, :].astype(np.int32)
     seen = np.zeros(N, dtype=bool)
     seen[identity] = True
-    frontier = np.array([identity])
     while frontier.size:
-        reached = []
+        for a in range(0, len(frontier), WALK_ROWS):
+            yield frontier[a : a + WALK_ROWS], rows[a : a + WALK_ROWS]
+        children, parents = [], []
         for step in right:
             child = step[frontier]
-            new = ~seen[child]  # step is a bijection: no child appears twice
-            child, parent = child[new], frontier[new]
+            new = np.flatnonzero(~seen[child])  # step is a bijection: no child appears twice
+            child = child[new]
             seen[child] = True
-            for c, p in zip(child.tolist(), parent.tolist()):
-                np.take(step, comp[p], out=comp[c])  # no temporary row
-            reached.append(child)
-        frontier = np.concatenate([frontier[:0], *reached])
-    comp.setflags(write=False)
-    return comp
+            children.append(child)
+            parents.append((step, new))
+        frontier = np.concatenate([frontier[:0], *children])
+        grown = np.empty((len(frontier), N), dtype=np.int32)
+        at = 0
+        for step, new in parents:
+            for a in range(0, len(new), WALK_ROWS):
+                block = new[a : a + WALK_ROWS]
+                np.take(step, rows[block], out=grown[at : at + len(block)])
+                at += len(block)
+        rows = grown
 
 
 def _monomials_of(r: np.ndarray, ordering: GroupOrdering) -> np.ndarray:
@@ -189,27 +222,105 @@ def _check_species(species: str) -> str:
     return species
 
 
-def rate_matrix(r, species: str, ordering: GroupOrdering) -> RateMatrix:
-    """Dense n! x n! rate matrix from a delay matrix.
+def _check_dense_degree(n: int) -> None:
+    if n > MAX_DENSE_DEGREE:
+        raise SizeLimitError(
+            f"dense direct route limited to n <= {MAX_DENSE_DEGREE}; "
+            f"use rate_direct_streaming (a chunk > 0) for larger n"
+        )
 
-    Every entry is a degree-n monomial in the pairwise overlaps; the diagonal
-    is 1 (bosons) or +/-1 patterns absorbed into the sign factors (fermions).
+
+def _weighted_monomials(r: np.ndarray, species: str, ordering: GroupOrdering) -> np.ndarray:
+    """f(g) = w(g) mono_r(g) over the ordering, w = sgn for fermions; r may
+    be a stack (..., n, n)."""
+    f = _monomials_of(r, ordering)
+    return f * ordering.signs if species == "fermion" else f
+
+
+def rate_matrix(r, species: str, ordering: GroupOrdering) -> RateMatrix:
+    """Dense n! x n! rate matrix from a delay matrix: R[i, j] = f(gj^-1 gi)
+    with f = w mono_r, filled row block by row block from
+    :func:`_composition_walk`.
+
+    Every entry is a degree-n monomial in the pairwise overlaps; for
+    fermions sgn(gi) sgn(gj) = sgn(gj^-1 gi) folds the sign factors into f,
+    and multiplying by +-1 is exact.
     """
     _check_species(species)
     n = ordering.n
-    if n > MAX_DENSE_DEGREE:
-        raise SizeLimitError(
-            f"dense rate matrix limited to n <= {MAX_DENSE_DEGREE}; "
-            f"use rate_direct_streaming (a chunk > 0) for larger n"
-        )
+    _check_dense_degree(n)
     r = _check_delay_matrix(r, n)
-    mono = _monomials_of(r, ordering)
-    R = mono[_composition_tables(ordering)]
-    if species == "fermion":
-        signs = ordering.signs
-        R = R * np.outer(signs, signs)
+    f = _weighted_monomials(r, species, ordering)
+    R = np.empty((len(ordering), len(ordering)))
+    for indices, rows in _composition_walk(ordering):
+        R[indices] = f[rows]
     R.setflags(write=False)
     return RateMatrix(species, ordering, R)
+
+
+def autocorrelation(v: MonomialVector) -> np.ndarray:
+    """Group autocorrelation S_v(c) = sum_h conj(v(h c)) v(h) of a monomial
+    vector over its ordering, an n!-vector (complex).
+
+    With R[i, j] = f(gj^-1 gi), v^dag R v = sum_c f(c) S_v(c): the rate of
+    one string for any delay matrix is one dot product with S_v
+    (:func:`rate_from_autocorrelation`).  Entry c is conj(v)[comp[c]] .
+    v[inverse_indices], gathered row block by row block from
+    :func:`_composition_walk`, whose bound (34 MB at n = 7) is the working
+    set.  Costs O(n!^2) gathers and multiply-adds.
+    """
+    ordering = v.ordering
+    _check_dense_degree(ordering.n)
+    values = np.asarray(v.values)
+    if values.shape != (len(ordering),):
+        raise DomainError("autocorrelation takes one monomial vector of length n!")
+    conj, w = values.conj(), values[ordering.inverse_indices]
+    S = np.empty(len(ordering), dtype=np.result_type(values, complex))
+    for indices, rows in _composition_walk(ordering):
+        S[indices] = conj[rows] @ w
+    S.setflags(write=False)
+    return S
+
+
+def rate_from_autocorrelation(S, r, species: str, ordering: GroupOrdering):
+    """Rates sum_c f(c) S(c), f = w mono_r, from the autocorrelation S of a
+    monomial vector over ``ordering`` (:func:`autocorrelation`): a float
+    for one delay matrix, an array for a stack (..., n, n) of them.
+
+    No n! x n! object is built: each delay matrix costs its n! weighted
+    monomials and one real product against the real and imaginary parts of
+    S, floor(2^16 / n!) delay matrices per product, and every raw value goes
+    through one :func:`_finalize_rate` call.  The rate equals v^dag R v;
+    rounding bound, with N = n!, γ_k = k u / (1 - k u), u = 2^-53 and f the
+    computed weighted monomials:
+
+    - Entry c of S is a complex dot product of N terms.  Its real and its
+      imaginary part are each a real dot product of 2N terms, which rounds
+      by γ_2N sum_h |v(h c)| |v(h)| in any order of summation, so
+      |ΔS(c)| <= √2 γ_2N σ(c) with σ(c) = sum_h |v(h c)| |v(h)|, and
+      sum_c σ(c) = ‖v‖_1².
+    - The product with f rounds by γ_N sum_c |f(c)| |fl S(c)| <=
+      γ_N (1 + √2 γ_2N) max|f| ‖v‖_1².
+
+    Since √2 γ_2N <= γ_3N and γ_3N + γ_N + γ_3N γ_N <= γ_4N, the real and
+    the imaginary part of the raw rate lie within γ_4N max|f| ‖v‖_1² of
+    v^dag R v, against 2 γ_2N max|f| ‖v‖_1² for :func:`rate_direct`.
+    """
+    _check_species(species)
+    n = ordering.n
+    _check_dense_degree(n)
+    S = np.asarray(S, dtype=complex)
+    if S.shape != (len(ordering),):
+        raise DomainError("autocorrelation length does not match the ordering")
+    r = _check_delay_matrix(r, n, batch=True)
+    parts = np.ascontiguousarray(S).view(float).reshape(-1, 2)  # columns Re S, Im S
+    flat = r.reshape(-1, n, n)
+    width = max(1, 2**16 // len(ordering))
+    raw = np.concatenate([
+        _weighted_monomials(flat[i : i + width], species, ordering) @ parts
+        for i in range(0, len(flat), width)
+    ])
+    return _finalize_rate((raw[:, 0] + 1j * raw[:, 1]).reshape(r.shape[:-2]))
 
 
 def _finalize_rate(value):
@@ -242,8 +353,12 @@ def rate_direct(v: MonomialVector | np.ndarray, R: RateMatrix) -> float:
     particles.  Only :mod:`partdist.sampling` renormalises, over the
     collision-free set.
     """
-    values = v.values if isinstance(v, MonomialVector) else np.asarray(v)
-    if values.shape != (len(R.matrix),) :
+    if isinstance(v, MonomialVector):
+        if v.ordering is not R.ordering and v.ordering != R.ordering:
+            raise DomainError("monomial vector and rate matrix use different orderings")
+        v = v.values
+    values = np.asarray(v)
+    if values.shape != (len(R.matrix),):
         raise DomainError("monomial vector length does not match rate matrix")
     return _finalize_rate(complex(values.conj() @ R.matrix @ values))
 
@@ -864,7 +979,8 @@ def rate_via_reduction(
     """Rate computed by recursively peeling off fully distinguishable
     particles: the removed particle contributes classically, port by port,
     and each residual problem is one particle smaller.  Falls back to the
-    direct rate once no particle is below threshold."""
+    dense direct rate, through the autocorrelation of the one string, once
+    no particle is below threshold."""
     _check_species(species)
     A = np.asarray(A)
     r = np.asarray(r, dtype=float)
@@ -893,5 +1009,5 @@ def rate_via_reduction(
                 )
             return total
     ordering = all_permutations(n, convention)
-    R = rate_matrix(r, species, ordering)
-    return rate_direct(monomial_vector(A, ordering), R)
+    S = autocorrelation(monomial_vector(A, ordering))
+    return rate_from_autocorrelation(S, r, species, ordering)

@@ -423,13 +423,15 @@ def test_trace_and_homomorphism_identities():
 
 def test_witness_rule_equivalence_and_dimension_growth():
     t0 = time.perf_counter()
-    # requires_witness cross-checks three independent rules on every call and
-    # raises if they ever disagree; sweep the full domain
+    # requires_witness (a dominance test) must agree with the width rule and
+    # with the prefix sums on the full domain, and flag the witness itself
     witness_ok = True
     for n in range(2, 11):
         w = pd.witness_partition(n)
         for mu in pd.partitions_of(n):
             flag = pd.requires_witness(mu)
+            prefix = all(sum(mu[:k]) <= sum(w[:k]) for k in range(1, len(mu) + 1))
+            witness_ok = witness_ok and flag == (mu[0] <= math.ceil(n / 2)) == prefix
             if mu == w:
                 witness_ok = witness_ok and flag
 

@@ -40,13 +40,29 @@ def test_requires_witness_examples():
     assert requires_witness(DelayPartition((2, 2, 1), 8))
 
 
+def _dominated_by_prefix_sums(mu, w):
+    # every prefix sum of mu at most the same prefix sum of w, written out
+    # apart from symgroup.dominates
+    width = max(len(mu), len(w))
+    acc_mu = acc_w = 0
+    for pm, pw in zip(list(mu) + [0] * (width - len(mu)), list(w) + [0] * (width - len(w))):
+        acc_mu += pm
+        acc_w += pw
+        if acc_mu > acc_w:
+            return False
+    return True
+
+
 def test_requires_witness_equals_width_rule_everywhere():
-    for n in range(2, 11):
+    # the dominance test requires_witness takes, the width rule and the
+    # prefix sums agree on every partition of n <= 12
+    for n in range(2, 13):
         w = witness_partition(n)
         for mu in partitions_of(n):
             got = requires_witness(mu, n)
             assert got == (mu[0] <= math.ceil(n / 2))
             assert got == dominates(w, mu)
+            assert got == _dominated_by_prefix_sums(mu, w)
 
 
 # ---------------------------------------------------------------------------

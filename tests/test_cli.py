@@ -272,6 +272,23 @@ def test_block_engines_refuse_n8_before_building_irreps(tmp_path, capsys, monkey
         assert out == ""
 
 
+def test_direct_engine_refuses_n8_before_walking(tmp_path, capsys, monkeypatch):
+    def no_walk(*args, **kwargs):
+        pytest.fail("the composition walk started at n = 8")
+
+    monkeypatch.setattr(partdist.rates, "_composition_walk", no_walk)
+    ports = list(range(1, 9))
+    cfg = write_config(
+        tmp_path, "direct.json", m=8, n=8, engine="direct", detectors=ports, input_ports=ports,
+        arrival={**BASE["arrival"], "taus": [0.1 * k for k in range(8)]},
+    )
+    for argv in (("rate",), ("landscape", "--axis", "2", "--steps", "5")):
+        code, out, err = run_cli(capsys, *argv, "--config", cfg)
+        assert code == 3
+        assert "size limit" in err
+        assert out == ""
+
+
 def run_process(*argv):
     """One CLI run in a fresh interpreter, which inherits this process's
     BLAS thread settings."""
@@ -300,6 +317,25 @@ def test_block_engine_reruns_are_byte_identical_across_processes(tmp_path):
         assert timing[0].startswith("wall_time_s=")
         assert timing[1].startswith("parseval_residual=")
         assert float(timing[1].removeprefix("parseval_residual=")) >= 0.0
+
+
+def test_direct_engine_reruns_are_byte_identical_across_processes(tmp_path):
+    # one string through its autocorrelation (rate, landscape; at n = 6 the
+    # walk's levels span several 64-row blocks) and R v per string
+    # (distribution)
+    ports = list(range(1, 7))
+    six = write_config(tmp_path, "six.json", m=8, n=6, detectors=ports, input_ports=ports,
+                       arrival={**BASE["arrival"], "taus": [0.13 * k for k in range(6)]})
+    cfg = write_config(tmp_path, species="fermion")
+    for argv in (
+        ("rate", "--config", six),
+        ("landscape", "--config", six, "--axis", "4", "--steps", "9"),
+        ("landscape", "--config", cfg, "--steps", "9"),
+        ("distribution", "--config", cfg),
+    ):
+        first, second = run_process(*argv), run_process(*argv)
+        assert first.returncode == 0 and second.returncode == 0, first.stderr
+        assert first.stdout and first.stdout == second.stdout
 
 
 def test_streaming_reruns_are_byte_identical_across_processes(tmp_path):
@@ -496,6 +532,32 @@ def test_landscape_is_invariant_under_global_time_shift(tmp_path, capsys):
     assert header == ["dtau_2", "dtau_3", "rate"]
     assert rows0.shape == (49, 3)
     np.testing.assert_allclose(rows4, rows0, atol=1e-12)
+
+
+@pytest.mark.parametrize("species", ["boson", "fermion"])
+def test_landscape_stacked_delay_matrices_change_no_bits(tmp_path, capsys, monkeypatch, species):
+    # the grid's delay matrices come from one stacked call; fed one point
+    # at a time instead, every engine writes the same CSV byte for byte
+    cfg = write_config(tmp_path, species=species)
+    runs = [("--engine", "direct"), ("--engine", "direct", "--threads-chunk", "3"),
+            ("--engine", "blocked")]
+    argv = ("landscape", "--config", cfg, "--range", "-1.5", "2", "--steps", "9", "--shift", "0.3")
+    stacked = [run_cli(capsys, *argv, *extra) for extra in runs]
+
+    one_at_a_time = partdist.cli.delay_matrix_from_times
+
+    def per_point(taus, delta_omega):
+        taus = np.asarray(taus)
+        n = taus.shape[-1]
+        rows = [one_at_a_time(t, delta_omega) for t in taus.reshape(-1, n)]
+        return np.stack(rows).reshape(taus.shape + (n,))
+
+    monkeypatch.setattr(partdist.cli, "delay_matrix_from_times", per_point)
+    looped = [run_cli(capsys, *argv, *extra) for extra in runs]
+    for (code, out, err), (code2, out2, _) in zip(stacked, looped):
+        assert code == code2 == 0, err
+        assert out == out2
+        assert len(read_landscape(out)[1]) == 81
 
 
 def test_landscape_balanced_splitter_dip(tmp_path, capsys):

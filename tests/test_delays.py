@@ -114,3 +114,18 @@ def test_occupancy_counts_bins_by_load():
     assert occupancy((3,), 4) == (3, 0, 0, 1)
     with pytest.raises(DomainError):
         occupancy((1, 1, 1), 2)
+
+
+def test_stacked_times_give_bit_equal_delay_matrices():
+    rng = np.random.default_rng(9)
+    for n in (1, 2, 3, 7):
+        taus = rng.uniform(-5, 5, size=(4, 6, n))
+        stack = delay_matrix_from_times(taus, 1.7)
+        assert stack.shape == (4, 6, n, n)
+        assert not stack.flags.writeable
+        for idx in np.ndindex(4, 6):
+            one = delay_matrix_from_times(taus[idx], 1.7)
+            assert one.shape == (n, n)
+            assert one.tobytes() == stack[idx].tobytes()
+        # the 1-D form is the outer difference it always was
+        assert np.array_equal(one, np.exp(-(1.7**2) * np.subtract.outer(taus[idx], taus[idx]) ** 2 / 2.0))

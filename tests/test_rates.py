@@ -24,12 +24,13 @@ from partdist.interferometer import (
 from partdist.matfun import determinant, dfunction_direct, immanant, permanent
 from partdist.rates import (
     _check_delay_matrix,
-    _composition_tables,
+    _composition_walk,
     _fft_rounding,
     _finalize_rate,
     _parseval_tolerance,
     attach_vector,
     attach_vectors,
+    autocorrelation,
     block_decompose,
     build_transform,
     decompose_rate_matrix,
@@ -38,6 +39,7 @@ from partdist.rates import (
     rate_blocked,
     rate_direct,
     rate_direct_streaming,
+    rate_from_autocorrelation,
     rate_fully_distinguishable,
     rate_matrix,
     rate_truncated,
@@ -98,6 +100,13 @@ def direct_rounding(v):
     return 2 * gamma(2 * len(values)) * float(np.abs(values).sum()) ** 2
 
 
+def autocorrelation_rounding(v):
+    """Bound on |rate_from_autocorrelation - v^dag R v| for |f| <= 1:
+    gamma_4N ||v||_1^2 (derived in rates.rate_from_autocorrelation)."""
+    values = v.values
+    return gamma(4 * len(values)) * float(np.abs(values).sum()) ** 2
+
+
 def _random_case(n, seed):
     rng = np.random.default_rng(seed)
     itf = haar_unitary(2 * n, seed=seed)
@@ -141,7 +150,7 @@ def test_fermion_rate_matrix_is_sign_twisted_boson():
 
 
 def _composition_tables_by_columns(ordering):
-    # the column-by-column construction the breadth-first table replaced
+    # the composition table column by column: the reference for the walk
     n = ordering.n
     N = len(ordering)
     P = ordering.images_array
@@ -158,10 +167,161 @@ def _composition_tables_by_columns(ordering):
 @pytest.mark.parametrize("convention", ["lex", "cycle"])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_composition_table_matches_column_loop(n, convention):
+    # the walk's row blocks, stacked by their indices, are the whole table:
+    # every row exactly once, in blocks of at most 64 rows (the levels of
+    # S_6 hold up to 101)
     ordering = all_permutations(n, convention)
-    table = _composition_tables(ordering)
+    N = len(ordering)
+    table = np.full((N, N), -1, dtype=np.intp)
+    visits = np.zeros(N, dtype=int)
+    for indices, rows in _composition_walk(ordering):
+        assert len(indices) <= rates.WALK_ROWS and rows.shape == (len(indices), N)
+        table[indices] = rows
+        visits[indices] += 1
+    assert (visits == 1).all()
     assert np.array_equal(table, _composition_tables_by_columns(ordering))
-    assert not table.flags.writeable
+
+
+@pytest.mark.parametrize("convention", ["lex", "cycle"])
+@pytest.mark.parametrize("species", ["boson", "fermion"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_rate_matrix_is_bit_identical_to_outer_product_form(n, species, convention):
+    # the walk fills R[i, j] = (w mono_r)(gj^-1 gi); the table form it
+    # replaced took mono_r(gj^-1 gi) sgn(gi) sgn(gj): multiplying by +-1 is
+    # exact, so every bit agrees, signed zeros (r = I) included
+    ordering = all_permutations(n, convention)
+    table = _composition_tables_by_columns(ordering)
+    for r in (_random_case(n, 70 + n)[1], np.eye(n)):
+        want = rates._monomials_of(r, ordering)[table]
+        if species == "fermion":
+            want = want * np.outer(ordering.signs, ordering.signs)
+        R = rate_matrix(r, species, ordering).matrix
+        assert R.dtype == want.dtype and R.tobytes() == want.tobytes()
+        assert not R.flags.writeable
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+def test_autocorrelation_rate_matches_rate_direct_within_derived_bound(n):
+    rng = np.random.default_rng(500 + n)
+    spec = ArrivalSpec(tuple(rng.uniform(0, 1, size=n)), 2.0, 1.0, 3)
+    delays = (delay_matrix_from_times(spec.taus, spec.delta_omega),
+              snapped_delay_matrix(discretize(spec)[0], spec))
+    itf = haar_unitary(n + 3, seed=n)
+    A = submatrix(itf, OutputString.from_detectors(n + 3, tuple(range(2, n + 2))))
+    for convention in ("lex", "cycle"):
+        ordering = all_permutations(n, convention)
+        v = monomial_vector(A, ordering)
+        S = autocorrelation(v)
+        assert S.shape == (len(ordering),) and not S.flags.writeable
+        tol = autocorrelation_rounding(v) + direct_rounding(v)
+        for species in ("boson", "fermion"):
+            for r in delays:
+                got = rate_from_autocorrelation(S, r, species, ordering)
+                want = rate_direct(v, rate_matrix(r, species, ordering))
+                assert isinstance(got, float)
+                assert abs(got - want) <= tol, (convention, species, got, want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+    species=st.sampled_from(["boson", "fermion"]),
+    convention=st.sampled_from(["lex", "cycle"]),
+)
+def test_autocorrelation_rate_shift_invariance_and_limits(n, seed, species, convention):
+    rng = np.random.default_rng(seed)
+    m = n + int(rng.integers(0, 3))
+    s = OutputString.from_detectors(m, tuple(sorted(rng.choice(m, n, replace=False) + 1)))
+    A = submatrix(haar_unitary(m, seed=seed), s)
+    ordering = all_permutations(n, convention)
+    v = monomial_vector(A, ordering)
+    S = autocorrelation(v)
+    l1 = float(np.abs(v.values).sum()) ** 2
+    own = autocorrelation_rounding(v)
+
+    # a global time shift moves each overlap by rounding only; a product of
+    # n overlaps in [0, 1] moves by at most n max|r - r'| plus its own
+    # rounding, and sum_c |S(c)| <= ||v||_1^2
+    taus = rng.uniform(0, 2, size=n)
+    width = float(rng.uniform(0.5, 3.0))
+    r = delay_matrix_from_times(taus, width)
+    shifted = delay_matrix_from_times(taus + rng.uniform(-5, 5), width)
+    base = rate_from_autocorrelation(S, r, species, ordering)
+    moved = rate_from_autocorrelation(S, shifted, species, ordering)
+    drift = n * float(np.abs(r - shifted).max()) + 2 * gamma(n)
+    assert abs(base - moved) <= drift * l1 + 2 * own
+
+    # equal times: |per A|^2 or |det A|^2; fully distinguishable: per(|A|^2)
+    per, per_err = glynn_reference(A)
+    det, det_err = det_reference(A)
+    value, err = (per, per_err) if species == "boson" else (det, det_err)
+    equal = rate_from_autocorrelation(S, np.ones((n, n)), species, ordering)
+    assert abs(equal - abs(value) ** 2) <= own + (2 * abs(value) + err) * err
+    classical, classical_err = glynn_reference(np.abs(A) ** 2)
+    apart = rate_from_autocorrelation(S, np.eye(n), species, ordering)
+    assert abs(apart - classical.real) <= own + classical_err
+
+
+def test_autocorrelation_rates_of_a_stack_match_one_at_a_time():
+    # floor(2^16 / 4!) = 2730 delay matrices per product: 3000 take two
+    n = 4
+    A, _ = _random_case(n, 8)
+    ordering = all_permutations(n)
+    v = monomial_vector(A, ordering)
+    S = autocorrelation(v)
+    rs = delay_matrix_from_times(np.random.default_rng(8).uniform(0, 2, size=(3, 1000, n)), 1.3)
+    for species in ("boson", "fermion"):
+        got = rate_from_autocorrelation(S, rs, species, ordering)
+        assert got.shape == (3, 1000)
+        for idx in [(0, 0), (1, 729), (1, 730), (2, 999)]:
+            one = rate_from_autocorrelation(S, rs[idx], species, ordering)
+            assert abs(got[idx] - one) <= 2 * autocorrelation_rounding(v)
+
+
+def test_autocorrelation_route_at_n7_stays_within_its_working_set():
+    # rates._composition_walk: 8 N L_n + 24 N chunk + 4 n^n bytes plus
+    # O(n N), with L_7 = 573 rows in the largest level and chunk = 64
+    n, N = 7, 5040
+    ordering = all_permutations(n)
+    A, r = _random_case(n, 12)
+    v = monomial_vector(A, ordering)
+    tracemalloc.start()
+    try:
+        S = autocorrelation(v)
+        rate_from_autocorrelation(S, r, "fermion", ordering)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * N * 573 + 24 * N * 64 + 4 * n**n + 64 * n * N  # 36 MB; R alone is 203 MB
+
+
+def test_rate_direct_rejects_mismatched_ordering():
+    # a lex rate matrix against a cycle-ordered vector pairs the wrong
+    # monomials: 0.1113 for 0.0883 on one n = 4 case, so it must refuse
+    A, r = _random_case(4, 3)
+    lex, cycle = all_permutations(4, "lex"), all_permutations(4, "cycle")
+    v = monomial_vector(A, cycle)
+    with pytest.raises(DomainError, match="orderings"):
+        rate_direct(v, rate_matrix(r, "boson", lex))
+    want = rate_direct(v, rate_matrix(r, "boson", cycle))
+    assert rate_direct(monomial_vector(A, lex), rate_matrix(r, "boson", lex)) == pytest.approx(want)
+    assert rate_from_autocorrelation(autocorrelation(v), r, "boson", cycle) == pytest.approx(want)
+
+
+def test_autocorrelation_route_refuses_degree_8_before_walking(monkeypatch):
+    def no_walk(*args, **kwargs):
+        pytest.fail("the composition walk started at n = 8")
+
+    monkeypatch.setattr(rates, "_composition_walk", no_walk)
+    ordering = all_permutations(8)
+    v = monomial_vector(np.eye(8), ordering)
+    with pytest.raises(SizeLimitError):
+        autocorrelation(v)
+    with pytest.raises(SizeLimitError):
+        rate_from_autocorrelation(np.zeros(len(ordering), complex), np.eye(8), "boson", ordering)
+    with pytest.raises(SizeLimitError):
+        rate_matrix(np.eye(8), "boson", ordering)
 
 
 def test_delay_matrix_check_agrees_with_allclose():

@@ -1,6 +1,7 @@
 """The benchmark's layer trace (perfbench/spans.py) installs its hooks on
-partdist's public names; this runs it on three small operations so that a
-renamed or removed traced name fails here rather than in a benchmark run."""
+partdist's public names; this runs it on small operations so that a renamed
+or removed traced name fails here rather than in a benchmark run, and so
+that each operation's route shows in the counters it reads."""
 
 import importlib.util
 import json
@@ -63,6 +64,30 @@ def test_trace_hooks_cover_the_batched_block_routes(tmp_path):
     assert dist["matfun.permanent_calls"] == 2
     assert dist["rates.blocks_evaluated"] == 3
     assert dist["interferometer.monomial_vector_s"] > 0
-    # 81 grid points in one transform and one rate_blocked call
+    # 81 grid points from one stacked delay-matrix call, in one transform
+    # and one rate_blocked call
     assert land["rates.blocks_evaluated"] == 3
-    assert land["delays.delay_matrix_calls"] == 81
+    assert land["delays.delay_matrix_calls"] == 1
+
+
+def test_trace_shows_the_dense_routes(tmp_path):
+    # one string (rate, landscape) goes through its autocorrelation and
+    # builds no rate matrix; one delay matrix for many strings
+    # (distribution) builds R once
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(CONFIG))
+    rate = traced(tmp_path, "rate", "rate", "--config", str(cfg), "--engine", "direct",
+                  "--out", str(tmp_path / "rate.json"))
+    land = traced(tmp_path, "landscape", "landscape", "--config", str(cfg), "--engine", "direct",
+                  "--steps", "9", "--out", str(tmp_path / "land.csv"))
+    dist = traced(tmp_path, "distribution", "distribution", "--config", str(cfg),
+                  "--engine", "direct", "--out", str(tmp_path / "dist.jsonl"))
+
+    for metrics in (rate, land):
+        assert metrics["rates.rate_matrix_calls"] == 0
+        assert metrics["rates.rate_direct_calls"] == 0
+        assert metrics["rates.rate_matrix_bytes"] == 0
+    assert land["delays.delay_matrix_calls"] == 1
+    assert dist["rates.rate_matrix_calls"] == 1
+    assert dist["rates.rate_matrix_bytes"] == 6 * 6 * 8
+    assert dist["rates.rate_direct_calls"] == 20
