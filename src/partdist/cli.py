@@ -7,28 +7,14 @@ byte-identical.  A chunk above 0 selects the streaming engine for
 ``direct``; the chunk width itself changes memory, not bits.  Exit codes:
 0 success, 2 bad config/usage, 3 size guard, 4 numerical failure.
 
-Determinism under BLAS threading: rates come from BLAS matrix products.  On
-the dense direct engine those are R v per string in ``distribution`` and
-``sample``; in ``rate`` and ``landscape`` they are the products of the
-gathered rows of the composition walk with v, 64 rows at a time in the
-walk's fixed order, that give the autocorrelation of the string, and the
-products of the weighted monomials of the delay matrices with it.  On the
-block engines they are the per-label products of each level of the fast
-Fourier transform on S_n that yields T v and the blocks.  A BLAS library
-may split a product's sums differently for another thread count or another
-number of rows or columns, and a batched einsum need not round like the
-same step on one string; so the batches are fixed.  Strings go in their
-enumeration order and grid points in grid order, floor(2^16 / n!) per
-batch on the dense and block engines, and the references take
-floor(2^17 / 2^n) strings per permanent or determinant call: batch widths
-depend on n and that order alone.  The streaming engine
-evaluates each subset matrix by element-wise operations or its own LAPACK
-determinant call and sums all 2^n values of a rate at once, so neither the
-chunk nor the batch of strings or grid points changes its bits.  Reruns
-are byte-identical on the same NumPy and BLAS build with the same thread
-count (OPENBLAS_NUM_THREADS, OMP_NUM_THREADS); across builds or thread
-counts the strings, their order and the config hash stay the same, and
-rates agree to rounding.
+Determinism under BLAS threading: the batch widths of the rate engines are
+fixed in :func:`partdist.rates.engine_rates`, and strings go in their
+enumeration order and grid points in grid order; the references take
+floor(2^17 / 2^n) strings per permanent or determinant call.  Reruns are
+byte-identical on the same NumPy and BLAS build with the same thread count
+(OPENBLAS_NUM_THREADS, OMP_NUM_THREADS); across builds or thread counts the
+strings, their order and the config hash stay the same, and rates agree to
+rounding.
 
 On stderr the block engines report, next to ``wall_time_s``, the largest
 Parseval residual |‖T v‖² - ‖v‖²| of the run (``parseval_residual``), and
@@ -48,7 +34,7 @@ import json
 import sys
 import time
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,22 +45,10 @@ from .interferometer import (
     Interferometer,
     OutputString,
     haar_unitary,
-    monomial_vector,
     submatrix,
     unitary_from_json,
 )
-from .rates import (
-    attach_vector,
-    autocorrelation,
-    build_transform,
-    fourier_blocks,
-    gamas_vanishes,
-    rate_blocked,
-    rate_direct_streaming,
-    rate_from_autocorrelation,
-    rate_truncated,
-    truncation_report,
-)
+from .rates import engine_rates, gamas_vanishes, truncation_report
 from .sampling import (
     build_distribution,
     entropy_bits,
@@ -84,7 +58,7 @@ from .sampling import (
     to_jsonl,
     total_variation,
 )
-from .symgroup import all_permutations, partitions_of
+from .symgroup import partitions_of
 
 MAX_GRID_POINTS = 20_000
 
@@ -308,25 +282,14 @@ def cmd_rate(args) -> None:
         s = OutputString.from_detectors(cfg.m, cfg.detectors)
         A = submatrix(cfg.interferometer, s, cfg.input_ports)
         r = delay_matrix(cfg.spec)
+        result = engine_rates(A, r, cfg.species, cfg.engine, mu=cfg.mu, chunk=cfg.chunk)
+        timer.parseval_residual = result.parseval_residual
+        timer.cancellation = result.cancellation
         blocks_out = None
-        if cfg.engine == "direct" and cfg.chunk > 0:
-            streamed = rate_direct_streaming(A, r, cfg.species, cfg.chunk)
-            timer.cancellation = streamed.cancellation
-            rate = float(streamed.rates)
-        elif cfg.engine == "direct":
-            ordering = all_permutations(cfg.n)
-            S = autocorrelation(monomial_vector(A, ordering))
-            rate = rate_from_autocorrelation(S, r, cfg.species, ordering)
-        else:
-            ordering = all_permutations(cfg.n)
-            v = monomial_vector(A, ordering)
-            T = build_transform(ordering)
-            decomp = attach_vector(v, fourier_blocks(r, cfg.species, T), T, cfg.species)
-            timer.parseval_residual = decomp.parseval_residual
+        if result.decomposition is not None:
             # against the all-singletons partition every label dominates, so
             # the blocked report shows everything as kept
             mu = cfg.mu if cfg.engine == "truncated" else (1,) * cfg.n
-            rate = rate_truncated(decomp, mu) if cfg.engine == "truncated" else rate_blocked(decomp)
             blocks_out = [
                 {
                     "lam": list(e.lam),
@@ -334,7 +297,7 @@ def cmd_rate(args) -> None:
                     "magnitude": e.block_magnitude,
                     "term": e.term,
                 }
-                for e in truncation_report(decomp, mu)
+                for e in truncation_report(result.decomposition, mu)
             ]
         report = {
             "config_hash": cfg.config_hash,
@@ -345,7 +308,7 @@ def cmd_rate(args) -> None:
             "detectors": list(cfg.detectors),
             "output_string": str(s),
             "bin_partition": list(cfg.mu),
-            "rate": rate,
+            "rate": float(result.rates),
             "blocks": blocks_out,
         }
     _emit_json(report, args.out)
@@ -453,32 +416,11 @@ def cmd_landscape(args) -> None:
 
     with _Timer() as timer:
         rs = delay_matrix_from_times(taus, cfg.spec.delta_omega)
-        if cfg.engine == "direct" and cfg.chunk > 0:
-            streamed = rate_direct_streaming(A, rs, cfg.species, cfg.chunk)
-            timer.cancellation = streamed.cancellation
-            rates = streamed.rates.tolist()
-        elif cfg.engine == "direct":
-            # the string is the same at every grid point: its
-            # autocorrelation is taken once, and every rate is one dot
-            # product with it
-            ordering = all_permutations(cfg.n)
-            S = autocorrelation(monomial_vector(A, ordering))
-            rates = rate_from_autocorrelation(S, rs, cfg.species, ordering).tolist()
-        else:
-            # the string, and so its projection, is the same at every grid
-            # point; the blocks of floor(2^16 / n!) points come from one
-            # transform and give their rates in one call
-            ordering = all_permutations(cfg.n)
-            T = build_transform(ordering)
-            projected = attach_vector(monomial_vector(A, ordering), {}, T, cfg.species)
-            timer.parseval_residual = projected.parseval_residual
-            width = max(1, 2**16 // len(ordering))
-            rates = np.concatenate([
-                rate_blocked(replace(projected, blocks=fourier_blocks(rs[i : i + width], cfg.species, T)))
-                for i in range(0, len(rs), width)
-            ]).tolist()
+        result = engine_rates(A, rs, cfg.species, cfg.engine, chunk=cfg.chunk)
+        timer.parseval_residual = result.parseval_residual
+        timer.cancellation = result.cancellation
         rows = [[f"dtau_{a}" for a in axes] + ["rate"]]
-        for p, rate in zip(points, rates):
+        for p, rate in zip(points, result.rates.tolist()):
             rows.append([repr(d) for d in p.values()] + [repr(rate)])
         buf = io.StringIO()
         buf.write(f"# config_hash={cfg.config_hash}\n")

@@ -104,6 +104,8 @@ __all__ = [
     "ReducedDelayProblem",
     "rate_via_reduction",
     "StreamingRates",
+    "EngineRates",
+    "engine_rates",
     "MAX_DENSE_DEGREE",
     "DISTINGUISHABLE_THRESHOLD",
 ]
@@ -114,6 +116,7 @@ MAX_STREAMING_BYTES = 2**29
 DISTINGUISHABLE_THRESHOLD = 1e-12
 RATE_CLAMP_TOL = 1e-10
 WALK_ROWS = 64  # composition-table rows per block of the walk
+BATCH_ENTRIES = 2**16  # coefficients per batch: n! per string or delay matrix, 2^n per streamed string
 
 
 def _allclose(a, b) -> bool:
@@ -225,8 +228,8 @@ def _check_species(species: str) -> str:
 def _check_dense_degree(n: int) -> None:
     if n > MAX_DENSE_DEGREE:
         raise SizeLimitError(
-            f"dense direct route limited to n <= {MAX_DENSE_DEGREE}; "
-            f"use rate_direct_streaming (a chunk > 0) for larger n"
+            f"routes over S_n limited to n <= {MAX_DENSE_DEGREE}; the streaming "
+            f"direct engine (chunk > 0, --threads-chunk) goes further"
         )
 
 
@@ -315,7 +318,7 @@ def rate_from_autocorrelation(S, r, species: str, ordering: GroupOrdering):
     r = _check_delay_matrix(r, n, batch=True)
     parts = np.ascontiguousarray(S).view(float).reshape(-1, 2)  # columns Re S, Im S
     flat = r.reshape(-1, n, n)
-    width = max(1, 2**16 // len(ordering))
+    width = max(1, BATCH_ENTRIES // len(ordering))
     raw = np.concatenate([
         _weighted_monomials(flat[i : i + width], species, ordering) @ parts
         for i in range(0, len(flat), width)
@@ -613,8 +616,7 @@ def build_transform(ordering: GroupOrdering) -> BlockTransform:
     s_lam identical copies of the symmetric block K_lam for every partition
     lam."""
     n = ordering.n
-    if n > MAX_DENSE_DEGREE:
-        raise SizeLimitError(f"block transform limited to n <= {MAX_DENSE_DEGREE}")
+    _check_dense_degree(n)
     layout = []
     offset = 0
     for lam in partitions_of(n):
@@ -645,7 +647,6 @@ class BlockDecomposition:
     transform: BlockTransform
     blocks: dict[tuple[int, ...], np.ndarray]
     vectors: dict[tuple[int, ...], np.ndarray]  # (s_lam copies, s_lam)
-    offblock_max: float
     parseval_residual: float
 
     @property
@@ -783,7 +784,7 @@ def attach_vectors(
     vectors = {
         lam: W[:, offset : offset + s * s].reshape(batch + (s, s)) for lam, offset, s in T.layout
     }
-    return BlockDecomposition(species, T, blocks, vectors, 0.0, float(residuals.max()))
+    return BlockDecomposition(species, T, blocks, vectors, float(residuals.max()))
 
 
 def attach_vector(
@@ -791,7 +792,6 @@ def attach_vector(
     blocks: dict[tuple[int, ...], np.ndarray],
     T: BlockTransform,
     species: str,
-    offblock_max: float = 0.0,
 ) -> BlockDecomposition:
     """Project a monomial vector onto the block layout (the cheap
     per-output-string step): T v, taken from one fast Fourier transform of
@@ -813,7 +813,7 @@ def attach_vector(
     the scaled norms of the E add up to it.  The final scaling by
     sqrt(s_lam/n!) adds γ_3, and each squared norm γ_2N (N complex terms).
     """
-    return replace(attach_vectors(v, blocks, T, species), offblock_max=offblock_max)
+    return attach_vectors(v, blocks, T, species)
 
 
 def block_decompose(
@@ -828,8 +828,8 @@ def block_decompose(
     species = R.species if species is None else species
     if species != R.species:
         raise DomainError(f"decomposition species {species!r} != rate matrix {R.species!r}")
-    blocks, offblock = decompose_rate_matrix(R, T)
-    return attach_vector(v, blocks, T, species, offblock)
+    blocks, _ = decompose_rate_matrix(R, T)
+    return attach_vector(v, blocks, T, species)
 
 
 def rate_blocked(decomp: BlockDecomposition):
@@ -924,6 +924,117 @@ def gamas_vanishes(lam: tuple[int, ...], mu) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# One entry point for every engine
+
+
+@dataclass(frozen=True)
+class EngineRates:
+    """Rates from :func:`engine_rates` and the health figures of their route.
+
+    ``rates`` is 0-d for one string under one delay matrix, else one rate
+    per string or per delay matrix.  ``parseval_residual`` (block engines)
+    and ``cancellation`` (streaming engine) are None on the other routes;
+    ``decomposition`` is the block decomposition of one string under one
+    delay matrix on the block engines, and None otherwise.
+    """
+
+    rates: np.ndarray
+    parseval_residual: float | None = None
+    cancellation: float | None = None
+    decomposition: BlockDecomposition | None = None
+
+
+def _batches(stack, width: int):
+    return [stack[i : i + width] for i in range(0, len(stack), width)]
+
+
+def engine_rates(A, r, species: str, engine: str, *, mu=None, chunk: int = 0) -> EngineRates:
+    """Rates of one engine, for one scattering submatrix ``A`` (n, n) under
+    one delay matrix ``r`` (n, n) or a stack of them (P, n, n), or for a
+    stack of submatrices (K, n, n) under one delay matrix.
+
+    ``engine`` is ``direct``, ``blocked`` or ``truncated``; ``truncated``
+    drops the blocks that vanish for the bin partition ``mu``.  The route
+    follows from the engine, ``chunk`` and the shapes:
+
+    - ``direct`` with ``chunk > 0``: :func:`rate_direct_streaming`, with
+      ``chunk`` subset matrices per step and no group built; one call for
+      one string, floor(2^16 / 2^n) strings per call for a stack.
+    - ``direct``, one string: one :func:`autocorrelation`, then
+      :func:`rate_from_autocorrelation` for every delay matrix.
+    - ``direct``, a stack of strings: one :func:`rate_matrix`, then one
+      :func:`rate_direct` per string.
+    - ``blocked``, ``truncated``: one string is projected once
+      (:func:`attach_vector`) and meets the :func:`fourier_blocks` of its
+      delay matrices; a stack of strings is projected batch by batch
+      (:func:`attach_vectors`) against the blocks of its one delay matrix;
+      each batch takes one :func:`rate_blocked` or :func:`rate_truncated`.
+
+    Every route but the streaming one refuses n > MAX_DENSE_DEGREE with
+    :class:`SizeLimitError` before it enumerates S_n.
+
+    Determinism: the dense and block routes take their rates from BLAS
+    matrix products: R v per string; the gathered rows of the composition
+    walk times v, 64 rows at a time in the walk's fixed order, and the
+    weighted monomials of the delay matrices times the autocorrelation; and
+    the per-label products of each level of the fast Fourier transform on
+    S_n that yields T v and the blocks.  A BLAS library may split a
+    product's sums differently for another thread count or another number of
+    rows or columns, and a batched einsum need not round like the same step
+    on one string; so the batches are fixed.  Strings and delay matrices go
+    in their given order, floor(2^16 / n!) per batch, and batch widths depend
+    on n and that order alone.  The streaming engine evaluates each subset
+    matrix by element-wise operations or its own LAPACK determinant call and
+    sums all 2^n values of a rate at once, so neither the chunk nor the
+    batch changes its bits.
+    """
+    n = np.shape(A)[-1]
+    one_string = np.ndim(A) == 2
+    if np.ndim(A) not in (2, 3) or np.ndim(r) not in (2, 3) or not (one_string or np.ndim(r) == 2):
+        raise DomainError("engine rates take one string or a stack of strings under one delay matrix")
+    if engine == "direct" and chunk > 0:
+        streams = [rate_direct_streaming(a, r, species, chunk)
+                   for a in ([A] if one_string else _batches(A, max(1, BATCH_ENTRIES >> n)))]
+        rates = streams[0].rates if one_string else np.concatenate([s.rates for s in streams])
+        return EngineRates(rates, cancellation=max(s.cancellation for s in streams))
+    if engine not in ("direct", "blocked", "truncated"):
+        raise DomainError(f"unknown engine {engine!r}")
+    _check_dense_degree(n)
+    ordering = all_permutations(n)
+    width = max(1, BATCH_ENTRIES // len(ordering))
+    if engine == "direct" and one_string:
+        S = autocorrelation(monomial_vector(A, ordering))
+        return EngineRates(np.asarray(rate_from_autocorrelation(S, r, species, ordering)))
+    if engine == "direct":
+        R = rate_matrix(r, species, ordering)
+        return EngineRates(np.concatenate([
+            [rate_direct(v, R) for v in monomial_vector(a, ordering).values]
+            for a in _batches(A, width)
+        ]))
+
+    def rate(decomp):
+        return rate_truncated(decomp, mu) if engine == "truncated" else rate_blocked(decomp)
+
+    T = build_transform(ordering)
+    if not one_string:
+        blocks = fourier_blocks(r, species, T)
+        rates, residual = [], 0.0
+        for a in _batches(A, width):
+            decomp = attach_vectors(monomial_vector(a, ordering), blocks, T, species)
+            residual = max(residual, decomp.parseval_residual)
+            rates.append(rate(decomp))
+        return EngineRates(np.concatenate(rates), residual)
+    v = monomial_vector(A, ordering)
+    if np.ndim(r) == 2:
+        decomp = attach_vector(v, fourier_blocks(r, species, T), T, species)
+        return EngineRates(np.asarray(rate(decomp)), decomp.parseval_residual, decomposition=decomp)
+    projected = attach_vector(v, {}, T, species)
+    return EngineRates(np.concatenate([
+        rate(replace(projected, blocks=fourier_blocks(rs, species, T))) for rs in _batches(r, width)
+    ]), projected.parseval_residual)
+
+
+# ---------------------------------------------------------------------------
 # Fully / partially distinguishable limits
 
 
@@ -974,7 +1085,6 @@ def rate_via_reduction(
     r,
     species: str,
     threshold: float = DISTINGUISHABLE_THRESHOLD,
-    convention: str = "lex",
 ) -> float:
     """Rate computed by recursively peeling off fully distinguishable
     particles: the removed particle contributes classically, port by port,
@@ -1005,9 +1115,8 @@ def rate_via_reduction(
                     problem.delay_matrix,
                     species,
                     threshold,
-                    convention,
                 )
             return total
-    ordering = all_permutations(n, convention)
+    ordering = all_permutations(n)
     S = autocorrelation(monomial_vector(A, ordering))
     return rate_from_autocorrelation(S, r, species, ordering)

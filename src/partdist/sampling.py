@@ -14,32 +14,15 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .delays import ArrivalSpec, delay_matrix, discretize, snapped_delay_matrix
-from .errors import DomainError, NumericalError, SizeLimitError
-from .interferometer import (
-    Interferometer,
-    OutputString,
-    enumerate_outputs,
-    monomial_vector,
-    submatrix,
-)
+from .errors import DomainError, NumericalError
+from .interferometer import Interferometer, OutputString, enumerate_outputs, submatrix
 from .matfun import determinant, permanent
-from .rates import (
-    attach_vectors,
-    build_transform,
-    fourier_blocks,
-    rate_blocked,
-    rate_direct,
-    rate_direct_streaming,
-    rate_matrix,
-    rate_truncated,
-)
-from .symgroup import all_permutations
+from .rates import _batches, engine_rates
 
 __all__ = [
     "OutputDistribution",
@@ -54,11 +37,9 @@ __all__ = [
     "entropy_bits",
     "total_variation",
     "MAX_DISTRIBUTION_STRINGS",
-    "MAX_DISTRIBUTION_DEGREE",
 ]
 
 MAX_DISTRIBUTION_STRINGS = 100_000
-MAX_DISTRIBUTION_DEGREE = 7
 
 
 def _spec_hash(payload: dict) -> str:
@@ -125,10 +106,6 @@ def _normalize(strings, rates, m, n, species, engine, arrival_hash,
     )
 
 
-def _batches(strings, width: int):
-    return (strings[start : start + width] for start in range(0, len(strings), width))
-
-
 def build_distribution(
     interferometer: Interferometer,
     spec: ArrivalSpec,
@@ -138,32 +115,20 @@ def build_distribution(
     input_ports: tuple[int, ...] | None = None,
     snapped: bool = False,
     approximate_mu: tuple[int, ...] | None = None,
-    convention: str = "lex",
     chunk: int = 0,
 ) -> OutputDistribution:
     """Exact output distribution for one interferometer + arrival profile.
 
-    The expensive group-level objects (the rate matrix for ``direct``; the
-    Fourier blocks for ``blocked`` and ``truncated``) are built once and
-    shared across every output string; only the monomial vector changes per
-    string.  The strings go in batches of floor(2^16 / n!), in their fixed
-    order: one gather for the submatrices and one for the monomial vectors
-    of a batch, and on the block engines one fast Fourier transform and one
-    :func:`~partdist.rates.rate_blocked` or
-    :func:`~partdist.rates.rate_truncated` call, whose kept labels are
-    decided once per batch.  The dense engine then takes v^dag R v per
-    string.
+    The submatrices of all strings come from one gather, a stack of at most
+    MAX_DISTRIBUTION_STRINGS n^2 16 bytes, and their rates from one
+    :func:`~partdist.rates.engine_rates` call, which chooses the route from
+    ``engine`` and ``chunk``, shares the group-level objects across the
+    strings and batches them in their fixed order.
     ``snapped`` replaces each arrival time by its bin center first, which is
     what makes the truncated engine exact; on raw continuous times the
     truncated engine refuses to run unless the caller opts into the
     approximation by passing the bin partition to drop against as
     ``approximate_mu``.
-
-    ``engine="direct"`` with ``chunk > 0`` takes the streaming engine
-    (:func:`~partdist.rates.rate_direct_streaming`) instead of the dense
-    rate matrix, one call per batch of floor(2^16 / 2^n) strings with
-    ``chunk`` subset matrices per step; it builds no group ordering, and its
-    own size guard replaces the n <= 7 cap of the other engines.
     """
     m = interferometer.m
     n = spec.n
@@ -171,19 +136,6 @@ def build_distribution(
         input_ports = tuple(range(1, n + 1))
     if len(input_ports) != n:
         raise DomainError(f"need {n} input ports, got {len(input_ports)}")
-    streaming = engine == "direct" and chunk > 0
-    if n > MAX_DISTRIBUTION_DEGREE and not streaming:
-        raise SizeLimitError(
-            f"distributions limited to n <= {MAX_DISTRIBUTION_DEGREE}; "
-            f"the streaming engine (chunk > 0) goes further"
-        )
-    if math.comb(m, n) > MAX_DISTRIBUTION_STRINGS:
-        raise SizeLimitError(
-            f"binom({m},{n}) = {math.comb(m, n)} output strings exceeds "
-            f"{MAX_DISTRIBUTION_STRINGS}"
-        )
-    if engine not in ("direct", "blocked", "truncated"):
-        raise DomainError(f"unknown engine {engine!r}")
 
     bins, part = discretize(spec)
     if engine == "truncated" and not snapped and approximate_mu is None:
@@ -199,36 +151,11 @@ def build_distribution(
     )
 
     strings = enumerate_outputs(m, n, MAX_DISTRIBUTION_STRINGS)
-    rates = []
-    residual = cancellation = None
-    if streaming:
-        cancellation = 0.0
-        for batch in _batches(strings, max(1, 2**16 >> n)):  # 2^16 stored subset values per call
-            streamed = rate_direct_streaming(submatrix(interferometer, batch, input_ports),
-                                             r, species, chunk)
-            rates.append(streamed.rates)
-            cancellation = max(cancellation, streamed.cancellation)
-    else:
-        ordering = all_permutations(n, convention)
-        width = max(1, 2**16 // len(ordering))  # about 1 MB of coefficients
-        if engine == "direct":
-            R = rate_matrix(r, species, ordering)
-        else:
-            T = build_transform(ordering)
-            blocks = fourier_blocks(r, species, T)
-            mu = part.partition if approximate_mu is None else tuple(approximate_mu)
-            residual = 0.0
-        for batch in _batches(strings, width):
-            vs = monomial_vector(submatrix(interferometer, batch, input_ports), ordering)
-            if engine == "direct":
-                rates.append([rate_direct(v, R) for v in vs.values])
-            else:
-                decomp = attach_vectors(vs, blocks, T, species)
-                residual = max(residual, decomp.parseval_residual)
-                rates.append(rate_blocked(decomp) if engine == "blocked" else rate_truncated(decomp, mu))
-    rates = np.concatenate(rates)
-    return _normalize(strings, rates, m, n, species, engine, arrival_hash,
-                      interferometer, input_ports, residual, cancellation)
+    mu = part.partition if approximate_mu is None else tuple(approximate_mu)
+    result = engine_rates(submatrix(interferometer, strings, input_ports), r, species, engine,
+                          mu=mu, chunk=chunk)
+    return _normalize(strings, result.rates, m, n, species, engine, arrival_hash, interferometer,
+                      input_ports, result.parseval_residual, result.cancellation)
 
 
 def sample(dist: OutputDistribution, count: int, seed: int | None = None):
@@ -255,8 +182,6 @@ def _closed_form_distribution(interferometer, n, input_ports, per_batch,
     m = interferometer.m
     if input_ports is None:
         input_ports = tuple(range(1, n + 1))
-    if math.comb(m, n) > MAX_DISTRIBUTION_STRINGS:
-        raise SizeLimitError(f"binom({m},{n}) output strings exceed the guard")
     strings = enumerate_outputs(m, n, MAX_DISTRIBUTION_STRINGS)
     rates = np.concatenate([
         per_batch(submatrix(interferometer, batch, input_ports))

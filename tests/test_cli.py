@@ -233,6 +233,21 @@ def test_size_guards_exit_3(tmp_path, capsys):
     assert code == 3
 
 
+def refuse_group_at_8(monkeypatch):
+    """Make every enumeration of S_n from n = 8 on fail, in each module of
+    the CLI and rate layers that looks all_permutations up."""
+    enumerate_group = partdist.symgroup.all_permutations
+
+    def all_permutations(n, *args, **kwargs):
+        if n >= 8:
+            pytest.fail(f"S_{n} was enumerated before the size guard")
+        return enumerate_group(n, *args, **kwargs)
+
+    for module in (partdist.cli, partdist.sampling, partdist.rates):
+        if hasattr(module, "all_permutations"):
+            monkeypatch.setattr(module, "all_permutations", all_permutations)
+
+
 def test_block_engines_refuse_n8_before_building_irreps(tmp_path, capsys, monkeypatch):
     def no_irreps(*args, **kwargs):
         pytest.fail("irrep matrices were built on a block route")
@@ -248,6 +263,7 @@ def test_block_engines_refuse_n8_before_building_irreps(tmp_path, capsys, monkey
 
     monkeypatch.setattr(partdist.rates, "irrep_matrices", no_irreps)
     monkeypatch.setattr(partdist.symgroup, "_level_plan", level_plan)
+    refuse_group_at_8(monkeypatch)
     # the block routes run on the FFT plans and build no irreps at all
     code, _, _ = run_cli(capsys, "rate", "--config", write_config(tmp_path), "--engine", "blocked")
     assert code == 0
@@ -277,6 +293,7 @@ def test_direct_engine_refuses_n8_before_walking(tmp_path, capsys, monkeypatch):
         pytest.fail("the composition walk started at n = 8")
 
     monkeypatch.setattr(partdist.rates, "_composition_walk", no_walk)
+    refuse_group_at_8(monkeypatch)
     ports = list(range(1, 9))
     cfg = write_config(
         tmp_path, "direct.json", m=8, n=8, engine="direct", detectors=ports, input_ports=ports,
@@ -364,9 +381,8 @@ def test_streaming_routes_build_no_group(tmp_path, capsys, monkeypatch):
     def no_group(*args, **kwargs):
         pytest.fail("the streaming route enumerated the group")
 
-    for module in (partdist.cli, partdist.sampling):
-        monkeypatch.setattr(module, "all_permutations", no_group)
-        monkeypatch.setattr(module, "monomial_vector", no_group)
+    monkeypatch.setattr(partdist.rates, "all_permutations", no_group)
+    monkeypatch.setattr(partdist.rates, "monomial_vector", no_group)
     cfg = write_config(tmp_path, chunk=4)
     for argv in (("rate",), ("distribution",), ("sample", "--count", "5"),
                  ("landscape", "--steps", "5")):

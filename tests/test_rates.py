@@ -1047,3 +1047,95 @@ def test_batched_landscape_matches_per_point_rates(tmp_path, capsys, n, steps):
         blocks = fourier_blocks(delay_matrix_from_times(taus, delta_omega), "boson", T)
         want = rate_blocked(dataclasses.replace(projected, blocks=blocks))
         assert abs(row[-1] - want) <= tol, (row, want)
+
+
+def dispatch_before_engine_rates(A, r, species, engine, mu, chunk):
+    """The route choice as ``rate``, ``landscape`` and ``build_distribution``
+    each spelled it out before :func:`rates.engine_rates`: (rates, Parseval
+    residual, cancellation, decomposition)."""
+    n = A.shape[-1]
+    if A.ndim == 3:  # build_distribution: strings in batches, one delay matrix
+        if engine == "direct" and chunk > 0:
+            parts, cancellation = [], 0.0
+            for i in range(0, len(A), max(1, 2**16 >> n)):
+                streamed = rate_direct_streaming(A[i : i + max(1, 2**16 >> n)], r, species, chunk)
+                parts.append(streamed.rates)
+                cancellation = max(cancellation, streamed.cancellation)
+            return np.concatenate(parts), None, cancellation, None
+        ordering = all_permutations(n)
+        width = max(1, 2**16 // len(ordering))
+        if engine == "direct":
+            R = rate_matrix(r, species, ordering)
+        else:
+            T = build_transform(ordering)
+            blocks = fourier_blocks(r, species, T)
+            residual = 0.0
+        parts = []
+        for i in range(0, len(A), width):
+            vs = monomial_vector(A[i : i + width], ordering)
+            if engine == "direct":
+                parts.append([rate_direct(v, R) for v in vs.values])
+            else:
+                decomp = attach_vectors(vs, blocks, T, species)
+                residual = max(residual, decomp.parseval_residual)
+                parts.append(rate_blocked(decomp) if engine == "blocked" else rate_truncated(decomp, mu))
+        return np.concatenate(parts), None if engine == "direct" else residual, None, None
+    if engine == "direct" and chunk > 0:  # rate and landscape: one string
+        streamed = rate_direct_streaming(A, r, species, chunk)
+        return streamed.rates, None, streamed.cancellation, None
+    ordering = all_permutations(n)
+    if engine == "direct":
+        S = autocorrelation(monomial_vector(A, ordering))
+        return np.asarray(rate_from_autocorrelation(S, r, species, ordering)), None, None, None
+    T = build_transform(ordering)
+    rate = (lambda d: rate_truncated(d, mu)) if engine == "truncated" else rate_blocked
+    if r.ndim == 2:  # rate: the block report's decomposition
+        decomp = attach_vector(monomial_vector(A, ordering), fourier_blocks(r, species, T), T, species)
+        return np.asarray(rate(decomp)), decomp.parseval_residual, None, decomp
+    projected = attach_vector(monomial_vector(A, ordering), {}, T, species)
+    width = max(1, 2**16 // len(ordering))
+    parts = [rate(dataclasses.replace(projected, blocks=fourier_blocks(r[i : i + width], species, T)))
+             for i in range(0, len(r), width)]
+    return np.concatenate(parts), projected.parseval_residual, None, None
+
+
+@pytest.mark.parametrize("n, bins_of, m, strings, points", [
+    # n = 3: batches of 10922 strings or points, 8192 streamed strings
+    (3, (1, 4, 4), 7, 35, 12),
+    # n = 6: 91 strings or points per batch, 1024 streamed strings; each
+    # stack crosses a batch boundary of its route
+    (6, (1, 1, 2, 2, 3, 5), 13, 100, 100),
+])
+@pytest.mark.parametrize("species", ["boson", "fermion"])
+@pytest.mark.parametrize("engine, chunk", [
+    ("direct", 0), ("direct", 7), ("blocked", 0), ("truncated", 0),
+])
+def test_engine_rates_match_the_dispatch_it_replaced(n, bins_of, m, strings, points, species,
+                                                     engine, chunk):
+    rng = np.random.default_rng(n)
+    itf = haar_unitary(m, seed=n)
+    outputs = enumerate_outputs(m, n)
+    if engine == "direct" and chunk > 0 and n == 6:
+        strings = 1030
+    A = submatrix(itf, outputs[: strings])
+    # snapped times (bin centres of 8 bins), permuted per point: every delay
+    # matrix has the same bin partition, so truncation is exact
+    taus = (np.array(bins_of) - 0.5) / 8
+    stack = delay_matrix_from_times(np.array([rng.permutation(taus) for _ in range(points)]), 1.5)
+    mu = discretize(ArrivalSpec(tuple(taus), 1.5, 1.0, 8))[1].partition
+    for a, r in ((A[0], stack[0]), (A[0], stack), (A, stack[0])):
+        want, residual, cancellation, decomp = dispatch_before_engine_rates(
+            a, r, species, engine, mu, chunk)
+        got = rates.engine_rates(a, r, species, engine, mu=mu, chunk=chunk)
+        assert got.rates.shape == want.shape == a.shape[:-2] + r.shape[:-2]
+        assert np.array_equal(got.rates, want)
+        assert got.parseval_residual == residual
+        assert got.cancellation == cancellation
+        assert (got.decomposition is None) == (decomp is None)
+        if decomp is not None:
+            assert got.decomposition.blocks.keys() == decomp.blocks.keys()
+            for lam in decomp.blocks:
+                assert np.array_equal(got.decomposition.blocks[lam], decomp.blocks[lam])
+                assert np.array_equal(got.decomposition.vectors[lam], decomp.vectors[lam])
+    with pytest.raises(DomainError, match="one delay matrix"):
+        rates.engine_rates(A, stack, species, engine, mu=mu, chunk=chunk)

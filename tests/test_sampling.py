@@ -225,13 +225,13 @@ def test_batched_block_engines_match_per_string_projection(species, monkeypatch)
     spec = ArrivalSpec((0.05, 0.1, 0.33, 0.5, 0.52, 0.9), 3.0, 1.0, 4)
     itf10 = haar_unitary(10, seed=17)
     widths = []
-    batched = partdist.sampling.attach_vectors
+    batched = partdist.rates.attach_vectors
 
     def attach_vectors(vs, *args):
         widths.append(len(vs))
         return batched(vs, *args)
 
-    monkeypatch.setattr(partdist.sampling, "attach_vectors", attach_vectors)
+    monkeypatch.setattr(partdist.rates, "attach_vectors", attach_vectors)
     ordering = all_permutations(6)
     T = build_transform(ordering)
     idx, part = discretize(spec)
@@ -257,7 +257,7 @@ def test_batched_block_engines_match_per_string_projection(species, monkeypatch)
 
 
 def _record_streaming(monkeypatch):
-    """Wrap the streaming engine as the sampling module looks it up, and
+    """Wrap the streaming engine as the rate layer looks it up, and
     return the list its calls and results are appended to."""
     calls = []
 
@@ -266,7 +266,7 @@ def _record_streaming(monkeypatch):
         calls.append((len(As), chunk, result))
         return result
 
-    monkeypatch.setattr(partdist.sampling, "rate_direct_streaming", streaming)
+    monkeypatch.setattr(partdist.rates, "rate_direct_streaming", streaming)
     return calls
 
 
