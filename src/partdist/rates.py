@@ -13,14 +13,14 @@ R is the group matrix of the one function f on S_n, so the same sum is
 
 with S_v the autocorrelation of v over the group, an n!-vector.  One string
 and one or more delay matrices (``rate``, ``landscape``) take that form
-(:func:`autocorrelation`, :func:`rate_from_autocorrelation`): O(n!^2) once
-per string, then one dot product per delay matrix, rounding by at most
-γ_4N max|f| ‖v‖_1² (N = n!), and no n! x n! object.  One delay matrix and
-many strings (``distribution``) keep R (:func:`rate_matrix`) and take
-v^dag R v per string (:func:`rate_direct`), rounding by 2 γ_2N max|f|
-‖v‖_1².  Both gather by a breadth-first walk over S_n
-(:func:`_composition_walk`) that holds two levels of the composition
-table, never all of it.
+(:func:`autocorrelation`, :func:`rate_from_autocorrelation`): each S_v(c)
+is one permanent, so S_v costs one batched Glynn call, O(n! 2^(n-1) n),
+once per string, then one dot product per delay matrix, with no monomial
+vector and no n! x n! object.  One delay matrix and many strings
+(``distribution``) keep R (:func:`rate_matrix`) and take v^dag R v per
+string (:func:`rate_direct`), rounding by 2 γ_2N max|f| ‖v‖_1² (N = n!);
+R is filled along a breadth-first walk over S_n (:func:`_composition_walk`)
+that holds two levels of the composition table, never all of it.
 
 The streaming route (:func:`rate_direct_streaming`) needs no group at all:
 with P_k = diag(conj A[k, :]) r diag(A[k, :]) for detector k,
@@ -261,26 +261,33 @@ def rate_matrix(r, species: str, ordering: GroupOrdering) -> RateMatrix:
     return RateMatrix(species, ordering, R)
 
 
-def autocorrelation(v: MonomialVector) -> np.ndarray:
-    """Group autocorrelation S_v(c) = sum_h conj(v(h c)) v(h) of a monomial
-    vector over its ordering, an n!-vector (complex).
+def autocorrelation(A, ordering: GroupOrdering) -> np.ndarray:
+    """Group autocorrelation S_v(c) = sum_h conj(v(h c)) v(h) over
+    ``ordering``, an n!-vector (complex), of the monomial vector
+    v(h) = prod_j A[h(j), j] of an n x n submatrix A, which is never built.
 
     With R[i, j] = f(gj^-1 gi), v^dag R v = sum_c f(c) S_v(c): the rate of
     one string for any delay matrix is one dot product with S_v
-    (:func:`rate_from_autocorrelation`).  Entry c is conj(v)[comp[c]] .
-    v[inverse_indices], gathered row block by row block from
-    :func:`_composition_walk`, whose bound (34 MB at n = 7) is the working
-    set.  Costs O(n!^2) gathers and multiply-adds.
+    (:func:`rate_from_autocorrelation`).  Writing k = c(j) in conj(v(h c)),
+
+        S_v(c) = sum_h prod_k A[h(k), k] conj(A[h(k), c^-1(k)]) = per(A ∘ conj(A)[:, c^-1]),
+
+    so one batched Glynn :func:`~partdist.matfun.permanent` call takes all
+    of S_v at O(n! 2^(n-1) n), holding the 16 n! n²-byte stack and one Glynn
+    step, about 9 MB at n = 7.  Each entry of the stack rounds by √2 γ_2 <=
+    γ_3 relative, which moves its permanent by at most γ_3n prod_i a_i(c),
+    a_i(c) = sum_j |A_ij| |A_(i, c^-1(j))|; with Glynn's γ_(K+5n) prod_i a_i
+    (K = 2^(n-1)) on the rounded entries, |fl S(c) - S_v(c)| <= γ_(K+8n)
+    prod_i a_i(c).
     """
-    ordering = v.ordering
-    _check_dense_degree(ordering.n)
-    values = np.asarray(v.values)
-    if values.shape != (len(ordering),):
-        raise DomainError("autocorrelation takes one monomial vector of length n!")
-    conj, w = values.conj(), values[ordering.inverse_indices]
-    S = np.empty(len(ordering), dtype=np.result_type(values, complex))
-    for indices, rows in _composition_walk(ordering):
-        S[indices] = conj[rows] @ w
+    n = ordering.n
+    _check_dense_degree(n)
+    A = np.asarray(A, dtype=complex)
+    if A.shape != (n, n):
+        raise DomainError(f"autocorrelation takes one {n}x{n} submatrix, got shape {A.shape}")
+    M = A.conj()[np.arange(n)[:, None], ordering.images_array[ordering.inverse_indices, None, :]]
+    M *= A  # M[c] = A ∘ conj(A)[:, c^-1]: row c of the gather holds the images of c^-1
+    S = permanent(M)
     S.setflags(write=False)
     return S
 
@@ -295,19 +302,13 @@ def rate_from_autocorrelation(S, r, species: str, ordering: GroupOrdering):
     S, floor(2^16 / n!) delay matrices per product, and every raw value goes
     through one :func:`_finalize_rate` call.  The rate equals v^dag R v;
     rounding bound, with N = n!, γ_k = k u / (1 - k u), u = 2^-53 and f the
-    computed weighted monomials:
-
-    - Entry c of S is a complex dot product of N terms.  Its real and its
-      imaginary part are each a real dot product of 2N terms, which rounds
-      by γ_2N sum_h |v(h c)| |v(h)| in any order of summation, so
-      |ΔS(c)| <= √2 γ_2N σ(c) with σ(c) = sum_h |v(h c)| |v(h)|, and
-      sum_c σ(c) = ‖v‖_1².
-    - The product with f rounds by γ_N sum_c |f(c)| |fl S(c)| <=
-      γ_N (1 + √2 γ_2N) max|f| ‖v‖_1².
-
-    Since √2 γ_2N <= γ_3N and γ_3N + γ_N + γ_3N γ_N <= γ_4N, the real and
-    the imaginary part of the raw rate lie within γ_4N max|f| ‖v‖_1² of
-    v^dag R v, against 2 γ_2N max|f| ‖v‖_1² for :func:`rate_direct`.
+    computed weighted monomials: :func:`autocorrelation` gives each S(c)
+    within β(c) = γ_(K+8n) prod_i a_i(c), and the product with f rounds each
+    part by γ_N sum_c |f(c)| |fl S(c)|, where sum_c |S(c)| <= sum_c sum_h
+    |v(h c)| |v(h)| = ‖v‖_1².  So the real and the imaginary part of the raw
+    rate lie within (1 + γ_N) sum_c |f(c)| β(c) + γ_N max|f| ‖v‖_1² of
+    v^dag R v.  At n = 7 sum_c prod_i a_i(c) is about 140 ‖v‖_1² and
+    γ_(K+8n) about γ_N / 40, so the bound stays near γ_4N max|f| ‖v‖_1².
     """
     _check_species(species)
     n = ordering.n
@@ -974,11 +975,11 @@ def engine_rates(A, r, species: str, engine: str, *, mu=None, chunk: int = 0) ->
     :class:`SizeLimitError` before it enumerates S_n.
 
     Determinism: the dense and block routes take their rates from BLAS
-    matrix products: R v per string; the gathered rows of the composition
-    walk times v, 64 rows at a time in the walk's fixed order, and the
-    weighted monomials of the delay matrices times the autocorrelation; and
-    the per-label products of each level of the fast Fourier transform on
-    S_n that yields T v and the blocks.  A BLAS library may split a
+    matrix products: R v per string; the weighted monomials of the delay
+    matrices times the autocorrelation, whose entries come from element-wise
+    Glynn permanents and so depend on no BLAS library, batch or thread count;
+    and the per-label products of each level of the fast Fourier transform
+    on S_n that yields T v and the blocks.  A BLAS library may split a
     product's sums differently for another thread count or another number of
     rows or columns, and a batched einsum need not round like the same step
     on one string; so the batches are fixed.  Strings and delay matrices go
@@ -1003,7 +1004,7 @@ def engine_rates(A, r, species: str, engine: str, *, mu=None, chunk: int = 0) ->
     ordering = all_permutations(n)
     width = max(1, BATCH_ENTRIES // len(ordering))
     if engine == "direct" and one_string:
-        S = autocorrelation(monomial_vector(A, ordering))
+        S = autocorrelation(A, ordering)
         return EngineRates(np.asarray(rate_from_autocorrelation(S, r, species, ordering)))
     if engine == "direct":
         R = rate_matrix(r, species, ordering)
@@ -1089,8 +1090,8 @@ def rate_via_reduction(
     """Rate computed by recursively peeling off fully distinguishable
     particles: the removed particle contributes classically, port by port,
     and each residual problem is one particle smaller.  Falls back to the
-    dense direct rate, through the autocorrelation of the one string, once
-    no particle is below threshold."""
+    dense direct rate, one dot product with the string's autocorrelation of
+    n! batched permanents, once no particle is below threshold."""
     _check_species(species)
     A = np.asarray(A)
     r = np.asarray(r, dtype=float)
@@ -1118,5 +1119,4 @@ def rate_via_reduction(
                 )
             return total
     ordering = all_permutations(n)
-    S = autocorrelation(monomial_vector(A, ordering))
-    return rate_from_autocorrelation(S, r, species, ordering)
+    return rate_from_autocorrelation(autocorrelation(A, ordering), r, species, ordering)

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import partdist.cli
+import partdist.interferometer
 import partdist.rates
 import partdist.errors
 import partdist.sampling
@@ -292,7 +293,15 @@ def test_direct_engine_refuses_n8_before_walking(tmp_path, capsys, monkeypatch):
     def no_walk(*args, **kwargs):
         pytest.fail("the composition walk started at n = 8")
 
+    permanent = partdist.rates.permanent
+
+    def permanent_below_8(M):
+        if np.shape(M)[-1] >= 8:
+            pytest.fail("permanents of degree 8 were evaluated")
+        return permanent(M)
+
     monkeypatch.setattr(partdist.rates, "_composition_walk", no_walk)
+    monkeypatch.setattr(partdist.rates, "permanent", permanent_below_8)
     refuse_group_at_8(monkeypatch)
     ports = list(range(1, 9))
     cfg = write_config(
@@ -306,12 +315,35 @@ def test_direct_engine_refuses_n8_before_walking(tmp_path, capsys, monkeypatch):
         assert out == ""
 
 
-def run_process(*argv):
+def test_direct_engine_one_string_builds_no_walk_and_no_monomial_vector(tmp_path, capsys,
+                                                                      monkeypatch):
+    # rate and landscape take the autocorrelation from n! permanents of the
+    # submatrix; only R (distribution, sample) is filled along the walk
+    def refuse(*args, **kwargs):
+        pytest.fail("the one-string direct route walked S_n or built a monomial vector")
+
+    for name in ("_composition_walk", "monomial_vector"):
+        monkeypatch.setattr(partdist.rates, name, refuse)
+    monkeypatch.setattr(partdist.interferometer, "monomial_vector", refuse)
+    ports = list(range(1, 8))
+    cfg = write_config(tmp_path, "seven.json", m=9, n=7, species="fermion", detectors=ports,
+                       input_ports=ports,
+                       arrival={**BASE["arrival"], "taus": [0.11 * k for k in range(7)]})
+    for argv in (("rate",), ("landscape", "--axis", "3", "--steps", "5")):
+        code, out, err = run_cli(capsys, *argv, "--config", cfg)
+        assert code == 0, err
+        assert out
+
+
+def run_process(*argv, threads=None):
     """One CLI run in a fresh interpreter, which inherits this process's
-    BLAS thread settings."""
+    BLAS thread settings unless ``threads`` sets OPENBLAS_NUM_THREADS for
+    the child alone."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = str(threads)
     return subprocess.run(
         [sys.executable, "-m", "partdist.cli", *argv],
         capture_output=True, text=True, env=env, timeout=120,
@@ -337,20 +369,21 @@ def test_block_engine_reruns_are_byte_identical_across_processes(tmp_path):
 
 
 def test_direct_engine_reruns_are_byte_identical_across_processes(tmp_path):
-    # one string through its autocorrelation (rate, landscape; at n = 6 the
-    # walk's levels span several 64-row blocks) and R v per string
-    # (distribution)
+    # one string through its autocorrelation (rate, landscape), whose
+    # element-wise Glynn permanents use no BLAS: only the product with the
+    # weighted monomials does, so two BLAS threads and one give the same
+    # bytes; R v per string (distribution) reruns at one thread count
     ports = list(range(1, 7))
     six = write_config(tmp_path, "six.json", m=8, n=6, detectors=ports, input_ports=ports,
                        arrival={**BASE["arrival"], "taus": [0.13 * k for k in range(6)]})
     cfg = write_config(tmp_path, species="fermion")
-    for argv in (
-        ("rate", "--config", six),
-        ("landscape", "--config", six, "--axis", "4", "--steps", "9"),
-        ("landscape", "--config", cfg, "--steps", "9"),
-        ("distribution", "--config", cfg),
+    for argv, threads in (
+        (("rate", "--config", six), (2, 1)),
+        (("landscape", "--config", six, "--axis", "4", "--steps", "9"), (2, 1)),
+        (("landscape", "--config", cfg, "--steps", "9"), (2, 1)),
+        (("distribution", "--config", cfg), (None, None)),
     ):
-        first, second = run_process(*argv), run_process(*argv)
+        first, second = (run_process(*argv, threads=t) for t in threads)
         assert first.returncode == 0 and second.returncode == 0, first.stderr
         assert first.stdout and first.stdout == second.stdout
 

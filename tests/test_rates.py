@@ -21,7 +21,7 @@ from partdist.interferometer import (
     monomial_vector,
     submatrix,
 )
-from partdist.matfun import determinant, dfunction_direct, immanant, permanent
+from partdist.matfun import GLYNN_PRODUCTS, determinant, dfunction_direct, immanant, permanent
 from partdist.rates import (
     _check_delay_matrix,
     _composition_walk,
@@ -100,11 +100,38 @@ def direct_rounding(v):
     return 2 * gamma(2 * len(values)) * float(np.abs(values).sum()) ** 2
 
 
-def autocorrelation_rounding(v):
+def walked_autocorrelation(v):
+    """S_v(c) = conj(v)[comp[c]] . v[inverse_indices], gathered row block by
+    row block along rates._composition_walk: the O(n!^2) reference for
+    rates.autocorrelation.  Its real and imaginary parts are real dot
+    products of 2N terms, so it lies within sqrt(2) gamma_2N sigma(c) of
+    S_v(c), sigma(c) = sum_h |v(h c)| |v(h)|, the walked sum of |v|."""
+    ordering = v.ordering
+    values = np.asarray(v.values)
+    conj, w = values.conj(), values[ordering.inverse_indices]
+    S = np.empty(len(ordering), dtype=np.result_type(values, complex))
+    for indices, rows in _composition_walk(ordering):
+        S[indices] = conj[rows] @ w
+    return S
+
+
+def autocorrelation_errors(A, ordering):
+    """beta(c) = gamma_(K+8n) prod_i a_i(c), K = 2^(n-1) and a_i(c) =
+    sum_j |A_ij| |A_(i, c^-1(j))|: the bound on |autocorrelation(A) - S_v|
+    entry by entry (derived in rates.autocorrelation)."""
+    n = ordering.n
+    a = np.abs(np.asarray(A))
+    columns = ordering.images_array[ordering.inverse_indices]
+    return gamma(2 ** (n - 1) + 8 * n) * (a * a[:, columns].transpose(1, 0, 2)).sum(-1).prod(-1)
+
+
+def autocorrelation_rounding(A, ordering):
     """Bound on |rate_from_autocorrelation - v^dag R v| for |f| <= 1:
-    gamma_4N ||v||_1^2 (derived in rates.rate_from_autocorrelation)."""
-    values = v.values
-    return gamma(4 * len(values)) * float(np.abs(values).sum()) ** 2
+    (1 + gamma_N) sum_c beta(c) + gamma_N ||v||_1^2 (derived in
+    rates.rate_from_autocorrelation)."""
+    N = len(ordering)
+    l1 = float(np.abs(monomial_vector(A, ordering).values).sum()) ** 2
+    return (1 + gamma(N)) * float(autocorrelation_errors(A, ordering).sum()) + gamma(N) * l1
 
 
 def _random_case(n, seed):
@@ -211,15 +238,25 @@ def test_autocorrelation_rate_matches_rate_direct_within_derived_bound(n):
     for convention in ("lex", "cycle"):
         ordering = all_permutations(n, convention)
         v = monomial_vector(A, ordering)
-        S = autocorrelation(v)
+        S = autocorrelation(A, ordering)
         assert S.shape == (len(ordering),) and not S.flags.writeable
-        tol = autocorrelation_rounding(v) + direct_rounding(v)
+        # against the walked sum, entry by entry and rate by rate
+        walked = walked_autocorrelation(v)
+        sigma = walked_autocorrelation(dataclasses.replace(v, values=np.abs(v.values))).real
+        N = len(ordering)
+        walk_errors = math.sqrt(2) * gamma(2 * N) * sigma
+        assert (np.abs(S - walked) <= autocorrelation_errors(A, ordering) + walk_errors).all()
+        own = autocorrelation_rounding(A, ordering)
+        walk_rounding = gamma(4 * N) * float(np.abs(v.values).sum()) ** 2
+        tol = own + direct_rounding(v)
         for species in ("boson", "fermion"):
             for r in delays:
                 got = rate_from_autocorrelation(S, r, species, ordering)
                 want = rate_direct(v, rate_matrix(r, species, ordering))
                 assert isinstance(got, float)
                 assert abs(got - want) <= tol, (convention, species, got, want)
+                from_walk = rate_from_autocorrelation(walked, r, species, ordering)
+                assert abs(got - from_walk) <= own + walk_rounding
 
 
 @settings(max_examples=40, deadline=None)
@@ -236,9 +273,9 @@ def test_autocorrelation_rate_shift_invariance_and_limits(n, seed, species, conv
     A = submatrix(haar_unitary(m, seed=seed), s)
     ordering = all_permutations(n, convention)
     v = monomial_vector(A, ordering)
-    S = autocorrelation(v)
+    S = autocorrelation(A, ordering)
     l1 = float(np.abs(v.values).sum()) ** 2
-    own = autocorrelation_rounding(v)
+    own = autocorrelation_rounding(A, ordering)
 
     # a global time shift moves each overlap by rounding only; a product of
     # n overlaps in [0, 1] moves by at most n max|r - r'| plus its own
@@ -268,32 +305,33 @@ def test_autocorrelation_rates_of_a_stack_match_one_at_a_time():
     n = 4
     A, _ = _random_case(n, 8)
     ordering = all_permutations(n)
-    v = monomial_vector(A, ordering)
-    S = autocorrelation(v)
+    S = autocorrelation(A, ordering)
     rs = delay_matrix_from_times(np.random.default_rng(8).uniform(0, 2, size=(3, 1000, n)), 1.3)
     for species in ("boson", "fermion"):
         got = rate_from_autocorrelation(S, rs, species, ordering)
         assert got.shape == (3, 1000)
         for idx in [(0, 0), (1, 729), (1, 730), (2, 999)]:
             one = rate_from_autocorrelation(S, rs[idx], species, ordering)
-            assert abs(got[idx] - one) <= 2 * autocorrelation_rounding(v)
+            assert abs(got[idx] - one) <= 2 * autocorrelation_rounding(A, ordering)
 
 
 def test_autocorrelation_route_at_n7_stays_within_its_working_set():
-    # rates._composition_walk: 8 N L_n + 24 N chunk + 4 n^n bytes plus
-    # O(n N), with L_7 = 573 rows in the largest level and chunk = 64
+    # rates.autocorrelation: the 16 N n^2-byte Hadamard stack, the N
+    # permanents, and one Glynn step, which holds its lo and hi row sums
+    # (w n 2^3 complex each, w = 2^16 / 2^6 matrices per step) and its w 2^6
+    # products, with at most two temporaries at a time: under 5 * 16 * 2^16
+    # bytes.  8.5 MB measured
     n, N = 7, 5040
     ordering = all_permutations(n)
     A, r = _random_case(n, 12)
-    v = monomial_vector(A, ordering)
     tracemalloc.start()
     try:
-        S = autocorrelation(v)
+        S = autocorrelation(A, ordering)
         rate_from_autocorrelation(S, r, "fermion", ordering)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 8 * N * 573 + 24 * N * 64 + 4 * n**n + 64 * n * N  # 36 MB; R alone is 203 MB
+    assert peak < 16 * N * n**2 + 16 * N + 5 * 16 * GLYNN_PRODUCTS  # 9.3 MB
 
 
 def test_rate_direct_rejects_mismatched_ordering():
@@ -306,22 +344,32 @@ def test_rate_direct_rejects_mismatched_ordering():
         rate_direct(v, rate_matrix(r, "boson", lex))
     want = rate_direct(v, rate_matrix(r, "boson", cycle))
     assert rate_direct(monomial_vector(A, lex), rate_matrix(r, "boson", lex)) == pytest.approx(want)
-    assert rate_from_autocorrelation(autocorrelation(v), r, "boson", cycle) == pytest.approx(want)
+    assert rate_from_autocorrelation(autocorrelation(A, cycle), r, "boson", cycle) == pytest.approx(want)
 
 
 def test_autocorrelation_route_refuses_degree_8_before_walking(monkeypatch):
     def no_walk(*args, **kwargs):
         pytest.fail("the composition walk started at n = 8")
 
+    def permanent_below_8(M):
+        if np.shape(M)[-1] >= 8:
+            pytest.fail("permanents of degree 8 were evaluated")
+        return permanent(M)
+
     monkeypatch.setattr(rates, "_composition_walk", no_walk)
+    monkeypatch.setattr(rates, "permanent", permanent_below_8)
     ordering = all_permutations(8)
-    v = monomial_vector(np.eye(8), ordering)
     with pytest.raises(SizeLimitError):
-        autocorrelation(v)
+        autocorrelation(np.eye(8), ordering)
     with pytest.raises(SizeLimitError):
         rate_from_autocorrelation(np.zeros(len(ordering), complex), np.eye(8), "boson", ordering)
     with pytest.raises(SizeLimitError):
         rate_matrix(np.eye(8), "boson", ordering)
+    # a submatrix that does not match the ordering's degree, or a stack
+    four = all_permutations(4)
+    for A in (np.eye(3), np.eye(5), np.ones((2, 4, 4)), np.ones((4, 3))):
+        with pytest.raises(DomainError, match="submatrix"):
+            autocorrelation(A, four)
 
 
 def test_delay_matrix_check_agrees_with_allclose():
@@ -1085,7 +1133,7 @@ def dispatch_before_engine_rates(A, r, species, engine, mu, chunk):
         return streamed.rates, None, streamed.cancellation, None
     ordering = all_permutations(n)
     if engine == "direct":
-        S = autocorrelation(monomial_vector(A, ordering))
+        S = autocorrelation(A, ordering)
         return np.asarray(rate_from_autocorrelation(S, r, species, ordering)), None, None, None
     T = build_transform(ordering)
     rate = (lambda d: rate_truncated(d, mu)) if engine == "truncated" else rate_blocked
