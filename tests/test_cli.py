@@ -713,9 +713,11 @@ def test_clamped_rates_are_counted_on_stderr(tmp_path, capsys, monkeypatch):
         clean[argv] = out
 
     # every block rate call (one per run here) meets two raw rates 1e-12
-    # below 0, within the tolerance; on the streaming route (chunk 8 = 2^n subsets per step) the
-    # first string's subset values are replaced by 0, and -1e-30 for the
-    # full set, a raw rate below 0 but within its rounding bound
+    # below 0, within the tolerance; on the streaming route (chunk 8 distinct
+    # subsets per step) every subset value but the full sets' is replaced by
+    # 0, so each rate is the permanent of its full P_S (a positive
+    # semidefinite matrix, so >= 0), and the first string's by -1e-30, a raw
+    # rate below 0 but within its rounding bound
     finalize = partdist.rates._finalize_rate
 
     def one_negative(value):
@@ -723,19 +725,30 @@ def test_clamped_rates_are_counted_on_stderr(tmp_path, capsys, monkeypatch):
         value.flat[:2] = -1e-12
         return finalize(value)
 
+    distinct = partdist.rates._distinct_subsets
+    codes = []
+
+    def record_codes(rowid, rows):
+        code, pair = distinct(rowid, rows)
+        codes.append(code)
+        return code, pair
+
     glynn = partdist.rates._glynn
     steps = []
 
-    def first_string_negative(M):
-        steps.append(len(M))
+    def full_sets_only(M):
         values = glynn(M)
-        if len(steps) == 1:
-            values[:] = 0.0
-            values[-1] = -1e-30
+        done = sum(steps)
+        steps.append(len(M))
+        step = np.arange(done, done + len(M))  # subsets are evaluated in code order
+        full = codes[-1][:, -1]
+        values[~np.isin(step, full)] = 0.0
+        values[step == full[0]] = -1e-30
         return values
 
     monkeypatch.setattr(partdist.rates, "_finalize_rate", one_negative)
-    monkeypatch.setattr(partdist.rates, "_glynn", first_string_negative)
+    monkeypatch.setattr(partdist.rates, "_distinct_subsets", record_codes)
+    monkeypatch.setattr(partdist.rates, "_glynn", full_sets_only)
     for argv in runs:
         with pytest.warns(partdist.errors.ClampWarning) as caught:
             code, out, err = run_cli(capsys, *argv, "--config", binned)

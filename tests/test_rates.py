@@ -47,6 +47,7 @@ from partdist.rates import (
     reduce_distinguishable_particle,
     truncation_report,
 )
+from partdist.sampling import build_distribution
 from partdist.symgroup import (
     all_permutations,
     conjugate,
@@ -489,6 +490,109 @@ def test_streaming_chunk_size_does_not_change_result_materially():
                           for a, q in zip(np.broadcast_to(As, (3, n, n)),
                                           np.broadcast_to(r, (3, n, n)))]
                 assert np.array_equal(runs[0].rates, single)
+
+
+def _own_calls(As, r, species):
+    """rate_direct_streaming on each batch element by itself: (rates,
+    bounds, magnitudes), each stacked."""
+    own = [rate_direct_streaming(a, q, species, 10**6) for a, q in zip(As, r)]
+    return [np.stack([getattr(s, f) for s in own]) for f in ("rates", "bounds", "magnitudes")]
+
+
+def _assert_same_bits(got, want):
+    for field, values in zip(("rates", "bounds", "magnitudes"), want):
+        assert getattr(got, field).tobytes() == values.tobytes(), field
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+def test_shared_subsets_give_each_string_the_bits_of_its_own_call(n):
+    # all C(n + 2, n) strings of one interferometer share their detector
+    # rows, so a batch evaluates each distinct subset once; every rate,
+    # bound and magnitude still has the bits of the string's own call
+    m = n + 2
+    A = submatrix(haar_unitary(m, seed=80 + n), enumerate_outputs(m, n, 10**6))
+    rng = np.random.default_rng(90 + n)
+    spec = ArrivalSpec(tuple(rng.uniform(0, 1, size=n)), 2.0, 1.0, 3)
+    for r in (delay_matrix_from_times(spec.taus, spec.delta_omega),
+              snapped_delay_matrix(discretize(spec)[0], spec)):
+        rs = np.broadcast_to(r, A.shape)
+        for species in ("boson", "fermion"):
+            want = _own_calls(A, rs, species)
+            for chunk in (1, 3, 10**6):
+                _assert_same_bits(rate_direct_streaming(A, r, species, chunk), want)
+
+
+def test_shared_subsets_with_repeated_reordered_and_stacked_rows(monkeypatch):
+    n = 4
+    U = np.array(haar_unitary(7, seed=31).matrix)
+    U[5] = U[2]  # detectors 3 and 6 have equal rows
+    strings = enumerate_outputs(7, n, 10**6)
+    A = U[np.array([s.detectors for s in strings]) - 1][:, :, :n]
+    rng = np.random.default_rng(32)
+    swapped = rng.permuted(np.broadcast_to(np.arange(n), (len(A), n)), axis=1)
+    repeated = A.copy()
+    repeated[:, 3] = repeated[:, 0]  # every string lists one row twice
+    r = delay_matrix_from_times(rng.uniform(0, 1, size=n), 1.5)
+    taus = rng.uniform(0, 1, size=(5, n))
+    taus[3] = taus[1]
+    rs = delay_matrix_from_times(taus, 1.5)  # rs[3] equals rs[1] bit for bit
+    cases = ((A, r), (np.take_along_axis(A, swapped[:, :, None], axis=1), r),
+             (repeated, r), (A[0], rs))
+    for As, q in cases:
+        shape = np.broadcast_shapes(np.shape(As)[:-2], np.shape(q)[:-2]) + (n, n)
+        for species in ("boson", "fermion"):
+            want = _own_calls(np.broadcast_to(As, shape), np.broadcast_to(q, shape), species)
+            for chunk in (1, 5, 10**6):
+                _assert_same_bits(rate_direct_streaming(As, q, species, chunk), want)
+    # one string (detectors 1 to 4, rows all distinct) under 5 delay
+    # matrices shares only the empty subset, and what rs[3] shares with rs[1]
+    glynn, sizes = rates._glynn, []
+    monkeypatch.setattr(rates, "_glynn", lambda M: sizes.append(len(M)) or glynn(M))
+    rate_direct_streaming(A[0], rs, "boson", 10**6)
+    assert sizes == [1 + 4 * (2**n - 1)]
+
+
+@pytest.mark.parametrize("m, n", [(7, 3), (12, 6)])
+@pytest.mark.parametrize("species", ["boson", "fermion"])
+def test_streaming_distribution_evaluates_each_detector_subset_once(m, n, species, monkeypatch):
+    # the strings list their rows in detector order, so their subsets are
+    # the sets of at most n of the m detectors: sum_(j <= n) C(m, j) of
+    # them (2510 at m = 12, n = 6) against C(m, n) 2^n pairs (59136)
+    evaluated = []
+
+    def counted(evaluate):
+        def count(M):
+            evaluated.append(len(M))
+            return evaluate(M)
+        return count
+
+    if species == "boson":
+        monkeypatch.setattr(rates, "_glynn", counted(rates._glynn))
+    else:
+        monkeypatch.setattr(rates.np.linalg, "det", counted(np.linalg.det))
+    spec = ArrivalSpec(tuple(0.3 * k for k in range(n)), 1.0, 4.0, 4)
+    dist = build_distribution(haar_unitary(m, seed=m), spec, species, "direct", chunk=512)
+    assert len(dist.strings) * 2**n <= rates.BATCH_ENTRIES  # one streaming call
+    assert sum(evaluated) == sum(math.comb(m, j) for j in range(n + 1))
+    assert max(evaluated) == min(512, sum(evaluated))
+
+
+@pytest.mark.parametrize("n", [6, 8])
+@pytest.mark.parametrize("species", ["boson", "fermion"])
+def test_streaming_peak_stays_under_its_memory_guard(n, species):
+    # one engine_rates batch of m = 12 strings: the subset codes, the table
+    # of distinct subsets and each step stay inside _streaming_bytes
+    A = submatrix(haar_unitary(12, seed=n), enumerate_outputs(12, n, 10**6))[: rates.BATCH_ENTRIES >> n]
+    r = delay_matrix_from_times(np.linspace(0.0, 2.0, n), 1.0)
+    for chunk in (64, 4096):
+        tracemalloc.start()
+        try:
+            rate_direct_streaming(A, r, species, chunk)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        width = min(chunk, len(A) * 2**n)
+        assert peak <= rates._streaming_bytes(n, species, width, len(A)), (chunk, peak)
 
 
 @pytest.mark.parametrize("snapped", [False, True])
@@ -934,6 +1038,23 @@ def test_rate_via_reduction_fully_separated_is_classical():
         assert rate_via_reduction(A, r, species) == pytest.approx(
             rate_fully_distinguishable(A), rel=1e-11
         )
+
+
+def test_rate_via_reduction_refuses_degree_8_before_enumerating(monkeypatch):
+    def permutations_below_8(n, *args, **kwargs):
+        if n >= 8:
+            pytest.fail(f"S_{n} was enumerated")
+        return all_permutations(n, *args, **kwargs)
+
+    monkeypatch.setattr(rates, "all_permutations", permutations_below_8)
+    for species in ("boson", "fermion"):
+        with pytest.raises(SizeLimitError):
+            rate_via_reduction(np.eye(8), np.ones((8, 8)), species)
+    # a fully distinguishable particle brings n = 8 down to n = 7, which runs:
+    # A = 1 and equal times for the rest give |per 1|^2 = |det 1|^2 = 1
+    r = np.ones((8, 8))
+    r[0, 1:] = r[1:, 0] = 0.0
+    assert rate_via_reduction(np.eye(8), r, "boson") == pytest.approx(1.0, rel=1e-12)
 
 
 def test_streaming_size_guard(monkeypatch):
