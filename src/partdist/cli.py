@@ -3,9 +3,12 @@ gamas-table.
 
 Every run is deterministic given (config, seed): artifacts carry the config
 hash, and wall-clock timing goes to stderr so reruns with the same hash stay
-byte-identical.  A chunk above 0 selects the streaming engine for
-``direct``; the chunk width itself changes memory, not bits.  Exit codes:
-0 success, 2 bad config/usage, 3 size guard, 4 numerical failure.
+byte-identical.  ``direct`` with a chunk above 0 (config ``"chunk"``,
+``--threads-chunk``) runs the streaming engine, and :func:`load_config` is
+the one place that says so; the chunk's value is hashed but sizes nothing,
+since the engine sizes its own steps, and artifacts print the configured
+engine.  Exit codes: 0 success, 2 bad config/usage, 3 size guard, 4
+numerical failure.
 
 Determinism under BLAS threading: the batch widths of the rate engines are
 fixed in :func:`partdist.rates.engine_rates`, and strings go in their
@@ -76,8 +79,8 @@ class Config:
     n: int
     interferometer: Interferometer
     species: str
-    engine: str
-    chunk: int
+    engine: str  # as configured, printed in artifacts
+    rate_engine: str  # the rates engine that runs: streaming for direct with chunk > 0
     seed: int | None
     detectors: tuple[int, ...]
     input_ports: tuple[int, ...]
@@ -86,6 +89,11 @@ class Config:
     mu: tuple[int, ...]  # bin-occupancy partition of the (possibly snapped) times
     allow_approximate_truncation: bool
     config_hash: str
+
+
+def _canonical_hash(obj) -> str:
+    """SHA-256 of the canonical JSON of ``obj``: sorted keys, no spaces."""
+    return hashlib.sha256(json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
 
 
 def _cfg_get(raw: dict, field: str, types, default="__required__"):
@@ -205,12 +213,9 @@ def load_config(path: str, args: argparse.Namespace) -> Config:
         "input_ports": list(input_ports),
         "allow_approximate_truncation": allow_approx,
     }
-    digest = hashlib.sha256(
-        json.dumps(resolved, sort_keys=True, separators=(",", ":")).encode()
-    ).hexdigest()
-
-    return Config(m, n, itf, species, engine, chunk, seed, detectors,
-                  input_ports, spec, binned, part.partition, allow_approx, digest)
+    rate_engine = "streaming" if engine == "direct" and chunk > 0 else engine
+    return Config(m, n, itf, species, engine, rate_engine, seed, detectors, input_ports,
+                  spec, binned, part.partition, allow_approx, _canonical_hash(resolved))
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +287,7 @@ def cmd_rate(args) -> None:
         s = OutputString.from_detectors(cfg.m, cfg.detectors)
         A = submatrix(cfg.interferometer, s, cfg.input_ports)
         r = delay_matrix(cfg.spec)
-        result = engine_rates(A, r, cfg.species, cfg.engine, mu=cfg.mu, chunk=cfg.chunk)
+        result = engine_rates(A, r, cfg.species, cfg.rate_engine, mu=cfg.mu)
         timer.parseval_residual = result.parseval_residual
         timer.cancellation = result.cancellation
         blocks_out = None
@@ -321,11 +326,10 @@ def _build_dist(cfg: Config):
         cfg.interferometer,
         cfg.spec,
         cfg.species,
-        cfg.engine,
+        cfg.rate_engine,
         input_ports=cfg.input_ports,
         snapped=cfg.binned,
         approximate_mu=cfg.mu if approximate else None,
-        chunk=cfg.chunk,
     )
 
 
@@ -353,12 +357,10 @@ def cmd_distribution(args) -> None:
             "tv_from_distinguishable": total_variation(dist, ref_d),
             "out": args.out,
         }
+    to_jsonl(dist, args.out or sys.stdout)
     if args.out:
-        to_jsonl(dist, args.out)
         _emit_json(summary, None)
     else:
-        for s, rate, prob in dist.entries:
-            print(json.dumps({"s": str(s), "rate": rate, "prob": prob}))
         print(json.dumps(summary, indent=2), file=sys.stderr)
 
 
@@ -416,7 +418,7 @@ def cmd_landscape(args) -> None:
 
     with _Timer() as timer:
         rs = delay_matrix_from_times(taus, cfg.spec.delta_omega)
-        result = engine_rates(A, rs, cfg.species, cfg.engine, chunk=cfg.chunk)
+        result = engine_rates(A, rs, cfg.species, cfg.rate_engine)
         timer.parseval_residual = result.parseval_residual
         timer.cancellation = result.cancellation
         rows = [[f"dtau_{a}" for a in axes] + ["rate"]]
@@ -432,10 +434,7 @@ def cmd_landscape(args) -> None:
 def cmd_analyze(args) -> None:
     with _Timer():
         report = analysis.analyze_report(args.n, args.b)
-        key = {"analyze": {"n": args.n, "b": args.b}}
-        report["config_hash"] = hashlib.sha256(
-            json.dumps(key, sort_keys=True, separators=(",", ":")).encode()
-        ).hexdigest()
+        report["config_hash"] = _canonical_hash({"analyze": {"n": args.n, "b": args.b}})
     _emit_json(report, args.out)
 
 
@@ -447,11 +446,7 @@ def cmd_gamas_table(args) -> None:
         parts = partitions_of(n)
         labels = ["+".join(map(str, p)) for p in parts]
         width = max(len(x) for x in labels) + 2
-        key = {"gamas_table": {"n": n}}
-        digest = hashlib.sha256(
-            json.dumps(key, sort_keys=True, separators=(",", ":")).encode()
-        ).hexdigest()
-        out = [f"# config_hash={digest}"]
+        out = [f"# config_hash={_canonical_hash({'gamas_table': {'n': n}})}"]
         out.append(
             "block label \\ bin partition: 0 = identically vanishing block, . = generically nonzero"
         )
@@ -477,8 +472,8 @@ def _add_common(p: argparse.ArgumentParser, config_required=True) -> None:
     p.add_argument("--out", default=None, help="write the artifact here instead of stdout")
     p.add_argument(
         "--threads-chunk", type=int, default=None,
-        help="distinct subset matrices per step of the streaming direct engine "
-        "(0 = dense rate matrix); changes memory, not results",
+        help="> 0 selects the streaming engine for direct (0 = dense); the value "
+        "is hashed into config_hash but sizes nothing",
     )
 
 

@@ -200,8 +200,13 @@ def unitary_to_json(interferometer: Interferometer, path) -> None:
 def unitary_from_json(path) -> Interferometer:
     """Load a unitary written by :func:`unitary_to_json`; unitarity is
     re-validated so corrupted files are rejected."""
-    with open(path) as fh:
-        data = json.load(fh)
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise DomainError(f"cannot read unitary file {path}: {exc}") from exc
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not text
+        raise DomainError(f"unitary file {path} is not valid JSON: {exc}") from exc
     try:
         U = np.array([[complex(re, im) for re, im in row] for row in data])
     except (TypeError, ValueError) as exc:

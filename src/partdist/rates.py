@@ -115,6 +115,7 @@ __all__ = [
 MAX_DENSE_DEGREE = 7  # 7!^2 doubles is ~200 MB; 8! would need 13 GB
 MAX_STREAMING_FLOPS = 2**34  # about half a minute per rate on a 2-core machine
 MAX_STREAMING_BYTES = 2**29
+STREAMING_STEP_BYTES = 2**20  # subset-matrix bytes per step of rate_direct_streaming
 DISTINGUISHABLE_THRESHOLD = 1e-12
 RATE_CLAMP_TOL = 1e-10
 WALK_ROWS = 64  # composition-table rows per block of the walk
@@ -147,7 +148,7 @@ def _check_delay_matrix(r, n: int, batch: bool = False) -> np.ndarray:
 def _composition_walk(ordering: GroupOrdering):
     """The composition table comp[i, j] = ordering.index(gj^-1 gi), row
     block by row block, with no table kept: yields (indices, rows), rows[a]
-    = comp[indices[a]] (int32), at most chunk = WALK_ROWS = 64 rows at a
+    = comp[indices[a]] (int32), at most W = WALK_ROWS = 64 rows at a
     time.
 
     Row i comes from a row already known: for gi = gp s_k, gj^-1 gi is
@@ -157,11 +158,11 @@ def _composition_walk(ordering: GroupOrdering):
     permutations with the same number of inversions, at most L_n of them
     (the largest Mahonian number: 101 at n = 6, 573 at n = 7).  It holds
     the rows of at most two levels, 4 N L_n bytes each, a 4 n^n-byte lookup
-    table and O(n N) index maps, and builds the next level chunk parent
-    rows at a time through 12 N chunk bytes of index temporaries.  While a
+    table and O(n N) index maps, and builds the next level W parent
+    rows at a time through 12 N W bytes of index temporaries.  While a
     block is out only its own level is held, so a consumer that gathers
-    b-byte values by the rows, b <= 16, adds at most 24 N chunk bytes: the
-    working set stays below 8 N L_n + 24 N chunk + 4 n^n bytes plus
+    b-byte values by the rows, b <= 16, adds at most 24 N W bytes: the
+    working set stays below 8 N L_n + 24 N W + 4 n^n bytes plus
     O(n N), 34 MB at n = 7.
     """
     n = ordering.n
@@ -231,7 +232,7 @@ def _check_dense_degree(n: int) -> None:
     if n > MAX_DENSE_DEGREE:
         raise SizeLimitError(
             f"routes over S_n limited to n <= {MAX_DENSE_DEGREE}; the streaming "
-            f"direct engine (chunk > 0, --threads-chunk) goes further"
+            f"engine (engine 'streaming', or --threads-chunk > 0 with direct) goes further"
         )
 
 
@@ -399,21 +400,27 @@ def _streaming_cost(n: int, species: str) -> int:
     return 2**n * 2 ** (n - 1) * 8 * n
 
 
-def _streaming_bytes(n: int, species: str, width: int, batch: int) -> int:
-    """Peak working set: the matrices of ``width`` distinct subsets per
-    step, with their gathered P_k and row norms (and, for Glynn, the half
-    row sums and the 2^(n-1) products); the P_k, row sums and row keys of
-    every row of the batch; the subset code, value and bound of every
-    (batch element, subset) pair, with the keys of the doubling; and the
-    pair, value, row sums, row norms, bound and key of every distinct
-    subset, at most one per (batch element, subset) pair."""
+def _subset_bytes(n: int, species: str) -> int:
+    """Bytes one distinct subset matrix takes in a step: P_S with its
+    gathered P_k and row norms, and for Glynn the half row sums and the
+    2^(n-1) products."""
     step = 3 * n * n + 4 * n
     if species == "boson":
         lo, hi = 2 ** ((n + 1) // 2 - 1), 2 ** (n - (n + 1) // 2)
         step += n * (lo + hi) + 3 * lo * hi
+    return 16 * step
+
+
+def _streaming_bytes(n: int, species: str, width: int, batch: int) -> int:
+    """Peak working set: the ``width`` distinct subset matrices of one step
+    (:func:`_subset_bytes` each); the P_k, row sums and row keys of every
+    row of the batch; the subset code, value and bound of every (batch
+    element, subset) pair, with the keys of the doubling; and the pair,
+    value, row sums, row norms, bound and key of every distinct subset, at
+    most one per (batch element, subset) pair."""
     rows = batch * n * (16 * n * n + 24 * (n * n + 3 * n) + 48 * n)
     pairs = batch * 2**n
-    return 16 * width * step + rows + 80 * pairs + (40 * n + 96) * (pairs + 1)
+    return width * _subset_bytes(n, species) + rows + 80 * pairs + (40 * n + 96) * (pairs + 1)
 
 
 def _bit_ids(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -486,7 +493,7 @@ def _subset_errors(species: str, values, norms, ell) -> np.ndarray:
     )
 
 
-def rate_direct_streaming(A, r, species: str, chunk: int = 512) -> StreamingRates:
+def rate_direct_streaming(A, r, species: str) -> StreamingRates:
     """Rates with no n! object, by inclusion-exclusion over detector subsets.
 
     With P_k = diag(conj A[k, :]) r diag(A[k, :]) and P_S = sum_(k in S) P_k,
@@ -511,17 +518,20 @@ def rate_direct_streaming(A, r, species: str, chunk: int = 512) -> StreamingRate
     detector order, so a batch of them costs at most sum_(j <= n) C(m, j)
     evaluations instead of 2^n per string (2510 against 59136 at m = 12,
     n = 6); one string, or one string under a stack of delay matrices,
-    shares only the empty subset and costs 2^n per rate.  ``chunk`` is the
-    number of distinct subset matrices evaluated per step, so a step holds
-    O(chunk n^2) for P_S, and for bosons O(chunk 2^(n-1)) for Glynn's
-    products, besides a code, value and bound for each (batch element,
-    subset) pair.  Every value of f is computed element-wise or by its own
-    LAPACK call, each P_S and its row sums ℓ are added up in detector
-    order as for the string alone, and all 2^n values of a rate are summed
-    at once in a fixed order, so the rates, bounds and magnitudes are
-    bit-identical for every chunk and batch.  Raises
-    :class:`SizeLimitError`, before allocating, when one rate costs more
-    than ``MAX_STREAMING_FLOPS`` or the working set exceeds
+    shares only the empty subset and costs 2^n per rate.  A step evaluates
+    as many distinct subset matrices as fit in ``STREAMING_STEP_BYTES``, at
+    least one, each counted by :func:`_subset_bytes` (O(n^2) for P_S, and
+    for bosons O(2^(n-1)) for Glynn's products), the way
+    :func:`~partdist.matfun.permanent` steps by ``GLYNN_PRODUCTS``; one
+    matrix takes at most 436 KiB (bosons, n = 14), so a step stays within
+    1 MiB for any batch.  Besides a step the call holds a code, value and
+    bound for each (batch element, subset) pair.  Every value of f is
+    computed element-wise or by its own LAPACK call, each P_S and its row
+    sums ℓ are added up in detector order as for the string alone, and all
+    2^n values of a rate are summed at once in a fixed order, so the rates,
+    bounds and magnitudes are bit-identical for every step width and batch.
+    Raises :class:`SizeLimitError`, before allocating, when one rate costs
+    more than ``MAX_STREAMING_FLOPS`` or the working set exceeds
     ``MAX_STREAMING_BYTES`` (:func:`_streaming_bytes`, which counts every
     pair as distinct).
 
@@ -565,8 +575,6 @@ def rate_direct_streaming(A, r, species: str, chunk: int = 512) -> StreamingRate
     if A.ndim < 2 or A.shape[-1] != A.shape[-2] or A.shape[-1] == 0:
         raise DomainError(f"scattering submatrices must be square and nonempty, got shape {A.shape}")
     n = A.shape[-1]
-    if chunk < 1:
-        raise DomainError("chunk must be >= 1")
     cost = _streaming_cost(n, species)
     if cost > MAX_STREAMING_FLOPS:
         raise SizeLimitError(
@@ -579,12 +587,12 @@ def rate_direct_streaming(A, r, species: str, chunk: int = 512) -> StreamingRate
     r = np.broadcast_to(r, shape + (n, n)).reshape(-1, n, n)
     batch, subsets = len(A), 2**n
     total = batch * subsets
-    width = max(1, min(chunk, total))
+    width = max(1, min(STREAMING_STEP_BYTES // _subset_bytes(n, species), total))
     need = _streaming_bytes(n, species, width, batch)
     if need > MAX_STREAMING_BYTES:
         raise SizeLimitError(
             f"streaming rates need about {need / 2**20:.0f} MiB for {batch} rates at "
-            f"n = {n}, chunk {width}; the limit is {MAX_STREAMING_BYTES / 2**20:.0f} MiB"
+            f"n = {n}; the limit is {MAX_STREAMING_BYTES / 2**20:.0f} MiB"
         )
 
     # rows of A that agree bit for bit, with their row sums of |P_k| (a
@@ -1020,21 +1028,21 @@ def _batches(stack, width: int):
     return [stack[i : i + width] for i in range(0, len(stack), width)]
 
 
-def engine_rates(A, r, species: str, engine: str, *, mu=None, chunk: int = 0) -> EngineRates:
+def engine_rates(A, r, species: str, engine: str, *, mu=None) -> EngineRates:
     """Rates of one engine, for one scattering submatrix ``A`` (n, n) under
     one delay matrix ``r`` (n, n) or a stack of them (P, n, n), or for a
     stack of submatrices (K, n, n) under one delay matrix.
 
-    ``engine`` is ``direct``, ``blocked`` or ``truncated``; ``truncated``
-    drops the blocks that vanish for the bin partition ``mu``.  The route
-    follows from the engine, ``chunk`` and the shapes:
+    ``engine`` is ``direct``, ``streaming``, ``blocked`` or ``truncated``;
+    ``truncated`` drops the blocks that vanish for the bin partition ``mu``.
+    The route follows from the engine and the shapes:
 
-    - ``direct`` with ``chunk > 0``: :func:`rate_direct_streaming`, with
-      ``chunk`` distinct subset matrices per step and no group built; one
-      call for one string, floor(2^16 / 2^n) strings per call for a stack.
-      A call evaluates each distinct detector subset once, so a batch of
-      the C(m, n) strings costs at most sum_(j <= n) C(m, j) subset
-      matrices, and one string 2^n per delay matrix.
+    - ``streaming``: :func:`rate_direct_streaming`, which sizes its own
+      steps and builds no group; one call for one string, floor(2^16 / 2^n)
+      strings per call for a stack.  A call evaluates each distinct detector
+      subset once, so a batch of the C(m, n) strings costs at most
+      sum_(j <= n) C(m, j) subset matrices, and one string 2^n per delay
+      matrix.
     - ``direct``, one string: one :func:`autocorrelation`, then
       :func:`rate_from_autocorrelation` for every delay matrix.
     - ``direct``, a stack of strings: one :func:`rate_matrix`, then one
@@ -1061,14 +1069,14 @@ def engine_rates(A, r, species: str, engine: str, *, mu=None, chunk: int = 0) ->
     on n and that order alone.  The streaming engine evaluates each subset
     matrix by element-wise operations or its own LAPACK determinant call,
     whichever strings share it, and sums all 2^n values of a rate at once,
-    so neither the chunk nor the batch changes its bits.
+    so neither the step width nor the batch changes its bits.
     """
     n = np.shape(A)[-1]
     one_string = np.ndim(A) == 2
     if np.ndim(A) not in (2, 3) or np.ndim(r) not in (2, 3) or not (one_string or np.ndim(r) == 2):
         raise DomainError("engine rates take one string or a stack of strings under one delay matrix")
-    if engine == "direct" and chunk > 0:
-        streams = [rate_direct_streaming(a, r, species, chunk)
+    if engine == "streaming":
+        streams = [rate_direct_streaming(a, r, species)
                    for a in ([A] if one_string else _batches(A, max(1, BATCH_ENTRIES >> n)))]
         rates = streams[0].rates if one_string else np.concatenate([s.rates for s in streams])
         return EngineRates(rates, cancellation=max(s.cancellation for s in streams))

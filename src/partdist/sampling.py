@@ -12,7 +12,6 @@ no approximation.
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
 from dataclasses import dataclass
 
@@ -42,11 +41,6 @@ __all__ = [
 MAX_DISTRIBUTION_STRINGS = 100_000
 
 
-def _spec_hash(payload: dict) -> str:
-    canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode()).hexdigest()
-
-
 @dataclass(frozen=True, eq=False)
 class OutputDistribution:
     """Normalized distribution over the collision-free strings G_{m,n}.
@@ -65,7 +59,6 @@ class OutputDistribution:
     n: int
     species: str
     engine: str
-    arrival_hash: str
     strings: tuple[OutputString, ...]
     rates: np.ndarray
     probabilities: np.ndarray
@@ -93,15 +86,14 @@ class OutputDistribution:
         return tuple(zip(self.strings, self.rates.tolist(), self.probabilities.tolist()))
 
 
-def _normalize(strings, rates, m, n, species, engine, arrival_hash,
-               interferometer=None, input_ports=None,
+def _normalize(strings, rates, m, n, species, engine, interferometer=None, input_ports=None,
                parseval_residual=None, cancellation=None) -> OutputDistribution:
     rates = np.asarray(rates, dtype=float)
     total = float(rates.sum())
     if not total > 0.0:
         raise NumericalError("every collision-free rate vanished; cannot normalize")
     return OutputDistribution(
-        m, n, species, engine, arrival_hash, tuple(strings), rates, rates / total, total,
+        m, n, species, engine, tuple(strings), rates, rates / total, total,
         interferometer, input_ports, parseval_residual, cancellation,
     )
 
@@ -115,15 +107,14 @@ def build_distribution(
     input_ports: tuple[int, ...] | None = None,
     snapped: bool = False,
     approximate_mu: tuple[int, ...] | None = None,
-    chunk: int = 0,
 ) -> OutputDistribution:
     """Exact output distribution for one interferometer + arrival profile.
 
     The submatrices of all strings come from one gather, a stack of at most
     MAX_DISTRIBUTION_STRINGS n^2 16 bytes, and their rates from one
-    :func:`~partdist.rates.engine_rates` call, which chooses the route from
-    ``engine`` and ``chunk``, shares the group-level objects across the
-    strings and batches them in their fixed order.
+    :func:`~partdist.rates.engine_rates` call, which shares the group-level
+    objects of ``engine`` across the strings and batches them in their
+    fixed order.
     ``snapped`` replaces each arrival time by its bin center first, which is
     what makes the truncated engine exact; on raw continuous times the
     truncated engine refuses to run unless the caller opts into the
@@ -145,16 +136,11 @@ def build_distribution(
             "approximate_mu"
         )
     r = snapped_delay_matrix(bins, spec) if snapped else delay_matrix(spec)
-    arrival_hash = _spec_hash(
-        {"taus": list(spec.taus), "delta_omega": spec.delta_omega,
-         "window": spec.window, "bins": spec.bins, "snapped": snapped}
-    )
 
     strings = enumerate_outputs(m, n, MAX_DISTRIBUTION_STRINGS)
     mu = part.partition if approximate_mu is None else tuple(approximate_mu)
-    result = engine_rates(submatrix(interferometer, strings, input_ports), r, species, engine,
-                          mu=mu, chunk=chunk)
-    return _normalize(strings, result.rates, m, n, species, engine, arrival_hash, interferometer,
+    result = engine_rates(submatrix(interferometer, strings, input_ports), r, species, engine, mu=mu)
+    return _normalize(strings, result.rates, m, n, species, engine, interferometer,
                       input_ports, result.parseval_residual, result.cancellation)
 
 
@@ -175,7 +161,7 @@ def sample(dist: OutputDistribution, count: int, seed: int | None = None):
 
 
 def _closed_form_distribution(interferometer, n, input_ports, per_batch,
-                              species, tag) -> OutputDistribution:
+                              species) -> OutputDistribution:
     """Distribution whose rates ``per_batch`` takes from a stack of
     submatrices, in batches of floor(2^17 / 2^n) strings: 2^16 of Glynn's
     products per permanent call."""
@@ -187,8 +173,7 @@ def _closed_form_distribution(interferometer, n, input_ports, per_batch,
         per_batch(submatrix(interferometer, batch, input_ports))
         for batch in _batches(strings, max(1, 2**17 >> n))
     ])
-    return _normalize(strings, rates, m, n, species, "reference",
-                      f"reference:{tag}", interferometer, input_ports)
+    return _normalize(strings, rates, m, n, species, "reference", interferometer, input_ports)
 
 
 def reference_indistinguishable(
@@ -206,9 +191,7 @@ def reference_indistinguishable(
         fn = lambda As: np.abs(determinant(As)) ** 2
     else:
         raise DomainError(f"species must be 'boson' or 'fermion', got {species!r}")
-    return _closed_form_distribution(
-        interferometer, n, input_ports, fn, species, "indistinguishable"
-    )
+    return _closed_form_distribution(interferometer, n, input_ports, fn, species)
 
 
 def reference_distinguishable(
@@ -221,9 +204,7 @@ def reference_distinguishable(
     per(|A_ij(s)|^2) for either species, one batched permanent call per
     batch of strings."""
     fn = lambda As: permanent(np.abs(As) ** 2).real
-    return _closed_form_distribution(
-        interferometer, n, input_ports, fn, species, "distinguishable"
-    )
+    return _closed_form_distribution(interferometer, n, input_ports, fn, species)
 
 
 @dataclass(frozen=True)
@@ -265,11 +246,15 @@ def indistinguishable_fermion_check(
 
 
 def to_jsonl(dist: OutputDistribution, path) -> None:
-    """One record per string: {"s": "01101", "rate": x, "prob": p}."""
+    """One record per string, {"s": "01101", "rate": x, "prob": p}, to the
+    file at ``path``, or to ``path`` itself when it is a text stream."""
+    text = "".join(json.dumps({"s": str(s), "rate": rate, "prob": prob}) + "\n"
+                   for s, rate, prob in dist.entries)
+    if hasattr(path, "write"):
+        path.write(text)
+        return
     with open(path, "w") as fh:
-        for s, rate, prob in dist.entries:
-            fh.write(json.dumps({"s": str(s), "rate": rate, "prob": prob}))
-            fh.write("\n")
+        fh.write(text)
 
 
 def to_csv(dist: OutputDistribution, path) -> None:

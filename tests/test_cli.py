@@ -199,6 +199,18 @@ def test_missing_and_malformed_config_files_exit_2(tmp_path, capsys):
     assert "JSON" in err
 
 
+def test_missing_and_malformed_unitary_files_exit_2(tmp_path, capsys):
+    bad = tmp_path / "bad_unitary.json"
+    bad.write_text("[[[1, 0]], oops")
+    for path, says in ((tmp_path / "nope.json", "cannot read"), (bad, "JSON")):
+        cfg = write_config(tmp_path, m=1, n=1, unitary={"type": "file", "path": str(path)},
+                           arrival={**BASE["arrival"], "taus": [0.0]}, detectors=[1], input_ports=[1])
+        for argv in (("rate",), ("distribution",)):
+            code, out, err = run_cli(capsys, *argv, "--config", cfg)
+            assert code == 2 and out == ""
+            assert err.startswith("error: ") and says in err and str(path) in err
+
+
 def test_size_guards_exit_3(tmp_path, capsys):
     # dense transform is capped well below 8 particles
     big_n = write_config(
@@ -390,7 +402,7 @@ def test_direct_engine_reruns_are_byte_identical_across_processes(tmp_path):
 
 def test_streaming_reruns_are_byte_identical_across_processes(tmp_path):
     # chunk > 0 takes the streaming engine: each subset value is computed on
-    # its own, so the chunk width changes memory and never bits
+    # its own, and the chunk's value is hashed but sizes nothing
     cfg = write_config(tmp_path, "streaming.json", species="fermion")
     rows = []
     for argv in (
@@ -455,7 +467,7 @@ def test_streaming_fermion_rate_at_n12(tmp_path, capsys):
     assert time.perf_counter() - start < 30
     rate = json.loads(out)["rate"]
     A = submatrix(haar_unitary(14, seed=5), OutputString.from_detectors(14, tuple(range(1, 13))))
-    own = rate_direct_streaming(A, np.ones((12, 12)), "fermion", 4096)
+    own = rate_direct_streaming(A, np.ones((12, 12)), "fermion")
     assert rate == float(own.rates) > 0.0
 
 
@@ -713,11 +725,11 @@ def test_clamped_rates_are_counted_on_stderr(tmp_path, capsys, monkeypatch):
         clean[argv] = out
 
     # every block rate call (one per run here) meets two raw rates 1e-12
-    # below 0, within the tolerance; on the streaming route (chunk 8 distinct
-    # subsets per step) every subset value but the full sets' is replaced by
-    # 0, so each rate is the permanent of its full P_S (a positive
-    # semidefinite matrix, so >= 0), and the first string's by -1e-30, a raw
-    # rate below 0 but within its rounding bound
+    # below 0, within the tolerance; on the streaming route (a step budget of
+    # 8 distinct subset matrices) every subset value but the full sets' is
+    # replaced by 0, so each rate is the permanent of its full P_S (a
+    # positive semidefinite matrix, so >= 0), and the first string's by
+    # -1e-30, a raw rate below 0 but within its rounding bound
     finalize = partdist.rates._finalize_rate
 
     def one_negative(value):
@@ -749,6 +761,8 @@ def test_clamped_rates_are_counted_on_stderr(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(partdist.rates, "_finalize_rate", one_negative)
     monkeypatch.setattr(partdist.rates, "_distinct_subsets", record_codes)
     monkeypatch.setattr(partdist.rates, "_glynn", full_sets_only)
+    eight = 8 * partdist.rates._subset_bytes(3, "boson")
+    monkeypatch.setattr(partdist.rates, "STREAMING_STEP_BYTES", eight)
     for argv in runs:
         with pytest.warns(partdist.errors.ClampWarning) as caught:
             code, out, err = run_cli(capsys, *argv, "--config", binned)

@@ -465,7 +465,7 @@ def test_direct_streaming_blocked_agree(n, species):
     v = monomial_vector(A, ordering)
     R = rate_matrix(r, species, ordering)
     direct = rate_direct(v, R)
-    stream = rate_direct_streaming(A, r, species, chunk=5)
+    stream = rate_direct_streaming(A, r, species)
     T = build_transform(ordering)
     blocked = rate_blocked(block_decompose(v, R, T))
     scale = max(1.0, direct)
@@ -473,20 +473,30 @@ def test_direct_streaming_blocked_agree(n, species):
     assert abs(direct - blocked) < 1e-10 * scale
 
 
-def test_streaming_chunk_size_does_not_change_result_materially():
+def _step_budgets(n, species, *widths):
+    """Values of rates.STREAMING_STEP_BYTES that give one subset matrix per
+    step, ``widths`` matrices per step, and every matrix in one step."""
+    size = rates._subset_bytes(n, species)
+    return (1, *(w * size for w in widths), 2**62)
+
+
+def test_streaming_chunk_size_does_not_change_result_materially(monkeypatch):
     # every subset value is computed on its own and all 2^n are summed at
-    # once, so the chunk width changes memory, never bits; a batch of
+    # once, so the step width changes memory, never bits; a batch of
     # strings or of delay matrices gives each element's single-call bits
     for n in (1, 3, 4, 6):
         A = np.stack([_random_case(n, 60 + n + j)[0] for j in range(3)])
         rs = np.stack([_random_case(n, 70 + n + j)[1] for j in range(3)])
         for species in ("boson", "fermion"):
             for As, r in ((A, rs[0]), (A[0], rs)):
-                runs = [rate_direct_streaming(As, r, species, c) for c in (1, 3, 2**n, 10**6)]
+                runs = []
+                for budget in _step_budgets(n, species, 3, 2**n):
+                    monkeypatch.setattr(rates, "STREAMING_STEP_BYTES", budget)
+                    runs.append(rate_direct_streaming(As, r, species))
                 for run in runs[1:]:
                     assert np.array_equal(run.rates, runs[0].rates)
                     assert np.array_equal(run.bounds, runs[0].bounds)
-                single = [float(rate_direct_streaming(a, q, species, 7).rates)
+                single = [float(rate_direct_streaming(a, q, species).rates)
                           for a, q in zip(np.broadcast_to(As, (3, n, n)),
                                           np.broadcast_to(r, (3, n, n)))]
                 assert np.array_equal(runs[0].rates, single)
@@ -495,7 +505,7 @@ def test_streaming_chunk_size_does_not_change_result_materially():
 def _own_calls(As, r, species):
     """rate_direct_streaming on each batch element by itself: (rates,
     bounds, magnitudes), each stacked."""
-    own = [rate_direct_streaming(a, q, species, 10**6) for a, q in zip(As, r)]
+    own = [rate_direct_streaming(a, q, species) for a, q in zip(As, r)]
     return [np.stack([getattr(s, f) for s in own]) for f in ("rates", "bounds", "magnitudes")]
 
 
@@ -505,7 +515,7 @@ def _assert_same_bits(got, want):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
-def test_shared_subsets_give_each_string_the_bits_of_its_own_call(n):
+def test_shared_subsets_give_each_string_the_bits_of_its_own_call(n, monkeypatch):
     # all C(n + 2, n) strings of one interferometer share their detector
     # rows, so a batch evaluates each distinct subset once; every rate,
     # bound and magnitude still has the bits of the string's own call
@@ -518,8 +528,9 @@ def test_shared_subsets_give_each_string_the_bits_of_its_own_call(n):
         rs = np.broadcast_to(r, A.shape)
         for species in ("boson", "fermion"):
             want = _own_calls(A, rs, species)
-            for chunk in (1, 3, 10**6):
-                _assert_same_bits(rate_direct_streaming(A, r, species, chunk), want)
+            for budget in _step_budgets(n, species, 3):
+                monkeypatch.setattr(rates, "STREAMING_STEP_BYTES", budget)
+                _assert_same_bits(rate_direct_streaming(A, r, species), want)
 
 
 def test_shared_subsets_with_repeated_reordered_and_stacked_rows(monkeypatch):
@@ -542,13 +553,15 @@ def test_shared_subsets_with_repeated_reordered_and_stacked_rows(monkeypatch):
         shape = np.broadcast_shapes(np.shape(As)[:-2], np.shape(q)[:-2]) + (n, n)
         for species in ("boson", "fermion"):
             want = _own_calls(np.broadcast_to(As, shape), np.broadcast_to(q, shape), species)
-            for chunk in (1, 5, 10**6):
-                _assert_same_bits(rate_direct_streaming(As, q, species, chunk), want)
+            for budget in _step_budgets(n, species, 5):
+                monkeypatch.setattr(rates, "STREAMING_STEP_BYTES", budget)
+                _assert_same_bits(rate_direct_streaming(As, q, species), want)
     # one string (detectors 1 to 4, rows all distinct) under 5 delay
     # matrices shares only the empty subset, and what rs[3] shares with rs[1]
     glynn, sizes = rates._glynn, []
     monkeypatch.setattr(rates, "_glynn", lambda M: sizes.append(len(M)) or glynn(M))
-    rate_direct_streaming(A[0], rs, "boson", 10**6)
+    monkeypatch.setattr(rates, "STREAMING_STEP_BYTES", 2**62)
+    rate_direct_streaming(A[0], rs, "boson")
     assert sizes == [1 + 4 * (2**n - 1)]
 
 
@@ -571,28 +584,51 @@ def test_streaming_distribution_evaluates_each_detector_subset_once(m, n, specie
     else:
         monkeypatch.setattr(rates.np.linalg, "det", counted(np.linalg.det))
     spec = ArrivalSpec(tuple(0.3 * k for k in range(n)), 1.0, 4.0, 4)
-    dist = build_distribution(haar_unitary(m, seed=m), spec, species, "direct", chunk=512)
+    monkeypatch.setattr(rates, "STREAMING_STEP_BYTES", 512 * rates._subset_bytes(n, species))
+    dist = build_distribution(haar_unitary(m, seed=m), spec, species, "streaming")
     assert len(dist.strings) * 2**n <= rates.BATCH_ENTRIES  # one streaming call
     assert sum(evaluated) == sum(math.comb(m, j) for j in range(n + 1))
     assert max(evaluated) == min(512, sum(evaluated))
 
 
+def _streaming_peak(A, r, species):
+    """tracemalloc peak of one rate_direct_streaming call, and the
+    _streaming_bytes the call sized itself at."""
+    n = A.shape[-1]
+    width = min(max(1, rates.STREAMING_STEP_BYTES // rates._subset_bytes(n, species)), len(A) * 2**n)
+    tracemalloc.start()
+    try:
+        rate_direct_streaming(A, r, species)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, rates._streaming_bytes(n, species, width, len(A))
+
+
 @pytest.mark.parametrize("n", [6, 8])
 @pytest.mark.parametrize("species", ["boson", "fermion"])
-def test_streaming_peak_stays_under_its_memory_guard(n, species):
+def test_streaming_peak_stays_under_its_memory_guard(n, species, monkeypatch):
     # one engine_rates batch of m = 12 strings: the subset codes, the table
-    # of distinct subsets and each step stay inside _streaming_bytes
+    # of distinct subsets and each step stay inside _streaming_bytes, with
+    # one, 64 and 4096 subset matrices per step
     A = submatrix(haar_unitary(12, seed=n), enumerate_outputs(12, n, 10**6))[: rates.BATCH_ENTRIES >> n]
     r = delay_matrix_from_times(np.linspace(0.0, 2.0, n), 1.0)
-    for chunk in (64, 4096):
-        tracemalloc.start()
-        try:
-            rate_direct_streaming(A, r, species, chunk)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        width = min(chunk, len(A) * 2**n)
-        assert peak <= rates._streaming_bytes(n, species, width, len(A)), (chunk, peak)
+    for budget in _step_budgets(n, species, 64, 4096)[:-1]:
+        monkeypatch.setattr(rates, "STREAMING_STEP_BYTES", budget)
+        peak, guard = _streaming_peak(A, r, species)
+        assert peak <= guard, (budget, peak)
+
+
+def test_streaming_guard_admits_a_boson_batch_at_n8():
+    # the 256 strings of one m = 12, n = 8 batch: sized by the default step
+    # budget, not by one matrix per (string, subset) pair, the call fits the
+    # guard and its peak stays inside what it was sized at
+    A = submatrix(haar_unitary(12, seed=8), enumerate_outputs(12, 8, 10**6))[: rates.BATCH_ENTRIES >> 8]
+    assert len(A) == 256
+    r = delay_matrix_from_times(np.linspace(0.0, 2.0, 8), 1.0)
+    peak, guard = _streaming_peak(A, r, "boson")
+    assert guard <= rates.MAX_STREAMING_BYTES
+    assert peak <= guard, peak
 
 
 @pytest.mark.parametrize("snapped", [False, True])
@@ -610,7 +646,7 @@ def test_streaming_matches_direct_within_derived_bound(n, species, snapped):
     ordering = all_permutations(n)
     v = monomial_vector(A, ordering)
     direct = rate_direct(v, rate_matrix(r, species, ordering))
-    stream = rate_direct_streaming(A, r, species, 64)
+    stream = rate_direct_streaming(A, r, species)
     assert abs(float(stream.rates) - direct) <= float(stream.bounds) + direct_rounding(v)
     assert float(stream.magnitudes) >= float(stream.rates) > 0.0
 
@@ -660,7 +696,7 @@ def test_streaming_matches_internal_mode_sum(n, species):
     modes = np.array(list(itertools.product(range(2), repeat=n)))  # (2^n, n)
     M = A[None, :, :] * Phi[modes, :]  # M[j, k, i] = A[k, i] Phi[j_k, i]
     want, err = squared_sum(glynn_reference if species == "boson" else det_reference, M)
-    got = rate_direct_streaming(A, r, species, 256)
+    got = rate_direct_streaming(A, r, species)
     assert abs(float(got.rates) - want) <= float(got.bounds) + err
 
 
@@ -680,7 +716,7 @@ def test_streaming_limits_up_to_n10(n):
     }
     for (species, times), (want, err) in limits.items():
         r = np.ones((n, n)) if times == "equal" else np.eye(n)
-        got = rate_direct_streaming(A, r, species, 512)
+        got = rate_direct_streaming(A, r, species)
         assert abs(float(got.rates) - want) <= float(got.bounds) + err, (species, times)
 
 
@@ -697,7 +733,7 @@ def test_streaming_shift_invariant_and_relabelling_covariant(n, seed, species):
     A = submatrix(haar_unitary(m, seed=seed), s)
     taus = rng.uniform(0, 2, size=n)
     width = float(rng.uniform(0.5, 3.0))
-    base = rate_direct_streaming(A, delay_matrix_from_times(taus, width), species, 5)
+    base = rate_direct_streaming(A, delay_matrix_from_times(taus, width), species)
     # a global time shift changes no overlap; relabelling the particles
     # (columns of A with the rows and columns of r) or the detectors (rows
     # of A) permutes the terms of the rate
@@ -707,7 +743,7 @@ def test_streaming_shift_invariant_and_relabelling_covariant(n, seed, species):
         (A[detectors][:, particles], delay_matrix_from_times(taus[particles], width)),
     ]
     for A2, r2 in variants:
-        other = rate_direct_streaming(A2, r2, species, 5)
+        other = rate_direct_streaming(A2, r2, species)
         assert abs(float(other.rates) - float(base.rates)) <= float(other.bounds + base.bounds)
 
 
@@ -1061,8 +1097,6 @@ def test_streaming_size_guard(monkeypatch):
     def no_evaluation(*args, **kwargs):
         pytest.fail("a subset matrix was evaluated past the size guard")
 
-    with pytest.raises(DomainError):
-        rate_direct_streaming(np.eye(3), np.eye(3), "boson", chunk=0)
     monkeypatch.setattr(rates, "_glynn", no_evaluation)
     monkeypatch.setattr(rates.np.linalg, "det", no_evaluation)
     # the cost guard: O(4^n n) flops for bosons, O(2^n n^3) for fermions
@@ -1070,10 +1104,12 @@ def test_streaming_size_guard(monkeypatch):
     assert rates._streaming_cost(19, "fermion") <= rates.MAX_STREAMING_FLOPS
     for n, species in ((15, "boson"), (20, "fermion")):
         with pytest.raises(SizeLimitError):
-            rate_direct_streaming(np.eye(n), np.eye(n), species, chunk=64)
-    # the memory guard: O(chunk 2^(n-1) n) working set for bosons
+            rate_direct_streaming(np.eye(n), np.eye(n), species)
+    # the memory guard: O(w 2^(n-1) n) working set for bosons at w subset
+    # matrices per step, here all 2^13 of them in one step
+    monkeypatch.setattr(rates, "STREAMING_STEP_BYTES", 2**62)
     with pytest.raises(SizeLimitError):
-        rate_direct_streaming(np.eye(13), np.eye(13), "boson", chunk=10**6)
+        rate_direct_streaming(np.eye(13), np.eye(13), "boson")
 
 
 # ---------------------------------------------------------------------------
@@ -1220,14 +1256,15 @@ def test_batched_landscape_matches_per_point_rates(tmp_path, capsys, n, steps):
 
 def dispatch_before_engine_rates(A, r, species, engine, mu, chunk):
     """The route choice as ``rate``, ``landscape`` and ``build_distribution``
-    each spelled it out before :func:`rates.engine_rates`: (rates, Parseval
+    each spelled it out before :func:`rates.engine_rates`, when ``direct``
+    with ``chunk > 0`` selected the streaming engine: (rates, Parseval
     residual, cancellation, decomposition)."""
     n = A.shape[-1]
     if A.ndim == 3:  # build_distribution: strings in batches, one delay matrix
         if engine == "direct" and chunk > 0:
             parts, cancellation = [], 0.0
             for i in range(0, len(A), max(1, 2**16 >> n)):
-                streamed = rate_direct_streaming(A[i : i + max(1, 2**16 >> n)], r, species, chunk)
+                streamed = rate_direct_streaming(A[i : i + max(1, 2**16 >> n)], r, species)
                 parts.append(streamed.rates)
                 cancellation = max(cancellation, streamed.cancellation)
             return np.concatenate(parts), None, cancellation, None
@@ -1250,7 +1287,7 @@ def dispatch_before_engine_rates(A, r, species, engine, mu, chunk):
                 parts.append(rate_blocked(decomp) if engine == "blocked" else rate_truncated(decomp, mu))
         return np.concatenate(parts), None if engine == "direct" else residual, None, None
     if engine == "direct" and chunk > 0:  # rate and landscape: one string
-        streamed = rate_direct_streaming(A, r, species, chunk)
+        streamed = rate_direct_streaming(A, r, species)
         return streamed.rates, None, streamed.cancellation, None
     ordering = all_permutations(n)
     if engine == "direct":
@@ -1280,7 +1317,12 @@ def dispatch_before_engine_rates(A, r, species, engine, mu, chunk):
     ("direct", 0), ("direct", 7), ("blocked", 0), ("truncated", 0),
 ])
 def test_engine_rates_match_the_dispatch_it_replaced(n, bins_of, m, strings, points, species,
-                                                     engine, chunk):
+                                                     engine, chunk, monkeypatch):
+    # the old spelling direct with chunk > 0 is the engine "streaming" now,
+    # and its chunk of subset matrices per step a step budget of as many
+    named = "streaming" if engine == "direct" and chunk > 0 else engine
+    if named == "streaming":
+        monkeypatch.setattr(rates, "STREAMING_STEP_BYTES", chunk * rates._subset_bytes(n, species))
     rng = np.random.default_rng(n)
     itf = haar_unitary(m, seed=n)
     outputs = enumerate_outputs(m, n)
@@ -1295,7 +1337,7 @@ def test_engine_rates_match_the_dispatch_it_replaced(n, bins_of, m, strings, poi
     for a, r in ((A[0], stack[0]), (A[0], stack), (A, stack[0])):
         want, residual, cancellation, decomp = dispatch_before_engine_rates(
             a, r, species, engine, mu, chunk)
-        got = rates.engine_rates(a, r, species, engine, mu=mu, chunk=chunk)
+        got = rates.engine_rates(a, r, species, named, mu=mu)
         assert got.rates.shape == want.shape == a.shape[:-2] + r.shape[:-2]
         assert np.array_equal(got.rates, want)
         assert got.parseval_residual == residual
@@ -1307,4 +1349,11 @@ def test_engine_rates_match_the_dispatch_it_replaced(n, bins_of, m, strings, poi
                 assert np.array_equal(got.decomposition.blocks[lam], decomp.blocks[lam])
                 assert np.array_equal(got.decomposition.vectors[lam], decomp.vectors[lam])
     with pytest.raises(DomainError, match="one delay matrix"):
-        rates.engine_rates(A, stack, species, engine, mu=mu, chunk=chunk)
+        rates.engine_rates(A, stack, species, named, mu=mu)
+
+
+def test_engine_rates_refuses_an_unknown_engine():
+    A, r = _random_case(3, 5)
+    for engine in ("dense", "Streaming", ""):
+        with pytest.raises(DomainError, match="unknown engine"):
+            rates.engine_rates(A, r, "boson", engine)

@@ -261,9 +261,9 @@ def _record_streaming(monkeypatch):
     return the list its calls and results are appended to."""
     calls = []
 
-    def streaming(As, r, species, chunk):
-        result = rate_direct_streaming(As, r, species, chunk)
-        calls.append((len(As), chunk, result))
+    def streaming(As, r, species):
+        result = rate_direct_streaming(As, r, species)
+        calls.append((len(As), result))
         return result
 
     monkeypatch.setattr(partdist.rates, "rate_direct_streaming", streaming)
@@ -279,17 +279,17 @@ def test_streaming_distribution_n7_is_light_and_matches_dense(monkeypatch):
     calls = _record_streaming(monkeypatch)
     tracemalloc.start()
     try:
-        dist = build_distribution(itf10, spec, "boson", "direct", chunk=512)
+        dist = build_distribution(itf10, spec, "boson", "streaming")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
-    assert [(k, c) for k, c, _ in calls] == [(120, 512)]
-    bounds = calls[0][2].bounds
-    assert dist.cancellation == calls[0][2].cancellation >= 1.0
+    assert [k for k, _ in calls] == [120]
+    bounds = calls[0][1].bounds
+    assert dist.cancellation == calls[0][1].cancellation >= 1.0
 
-    # chunk 0 is v^dag R v with the dense engine's R; every string's form is
-    # taken here with real products, and rate_direct itself on two strings
+    # the dense engine is v^dag R v with its R; every string's form is taken
+    # here with real products, and rate_direct itself on two strings
     ordering = all_permutations(7)
     R = rate_matrix(delay_matrix(spec), "boson", ordering)
     V = np.stack([monomial_vector(submatrix(itf10, s), ordering).values for s in dist.strings])
@@ -312,14 +312,14 @@ def test_streaming_distribution_runs_past_n7(monkeypatch):
     with pytest.raises(SizeLimitError):
         build_distribution(itf10, spec, "fermion", "direct")
     calls = _record_streaming(monkeypatch)
-    dist = build_distribution(itf10, spec, "fermion", "direct", chunk=64)
+    dist = build_distribution(itf10, spec, "fermion", "streaming")
     assert len(dist.strings) == math.comb(10, 8) == 45
-    assert [(k, c) for k, c, _ in calls] == [(45, 64)]
+    assert [k for k, _ in calls] == [45]
     assert dist.probabilities.sum() == pytest.approx(1.0, abs=1e-12)
     # a batch element gets the bits of its own single call
     r = delay_matrix(spec)
     for s, got in list(zip(dist.strings, dist.rates))[::11]:
-        assert got == float(rate_direct_streaming(submatrix(itf10, s), r, "fermion", 5).rates)
+        assert got == float(rate_direct_streaming(submatrix(itf10, s), r, "fermion").rates)
 
 
 @pytest.mark.parametrize("m, n", [(6, 3), (14, 12)])
@@ -363,5 +363,5 @@ def test_distribution_holds_read_only_arrays(itf):
     assert dist.entries == tuple(zip(dist.strings, dist.rates.tolist(), dist.probabilities.tolist()))
     with pytest.raises(DomainError):
         partdist.sampling.OutputDistribution(
-            6, 3, "boson", "direct", "h", dist.strings, dist.rates[:-1], dist.probabilities[:-1], 1.0
+            6, 3, "boson", "direct", dist.strings, dist.rates[:-1], dist.probabilities[:-1], 1.0
         )
