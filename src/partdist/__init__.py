@@ -12,10 +12,12 @@ The building blocks, bottom to top:
   scattering submatrices;
 - :mod:`partdist.delays` — arrival-time specs, Gaussian-overlap delay
   matrices, time-bin discretization;
-- :mod:`partdist.rates` — the n! x n! rate quadratic form and its exact
-  block-diagonalized and truncated equivalents;
-- :mod:`partdist.sampling` — normalized output distributions and exact
-  inverse-CDF sampling;
+- :mod:`partdist.rates` — the n! x n! rate quadratic form, its streaming
+  inclusion-exclusion form and its exact block-diagonalized and truncated
+  equivalents, behind one entry point;
+- :mod:`partdist.sampling` — normalized output distributions, their
+  equal-time and distinguishable references, exact inverse-CDF sampling and
+  JSONL export;
 - :mod:`partdist.analysis` — bin-collision probabilities, the witness
   partition, and the evaluation-cost model.
 """
@@ -52,7 +54,6 @@ from .delays import (
     discretize,
     snapped_times,
     snapped_delay_matrix,
-    effective_width,
 )
 from .rates import (
     rate_matrix,
@@ -65,18 +66,14 @@ from .rates import (
     truncation_report,
     gamas_vanishes,
     rate_fully_distinguishable,
-    reduce_distinguishable_particle,
-    rate_via_reduction,
 )
 from .sampling import (
     OutputDistribution,
     build_distribution,
     sample,
-    indistinguishable_fermion_check,
     reference_indistinguishable,
     reference_distinguishable,
     to_jsonl,
-    to_csv,
     entropy_bits,
     total_variation,
 )

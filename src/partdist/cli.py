@@ -97,23 +97,36 @@ def _canonical_hash(obj) -> str:
 
 
 def _cfg_get(raw: dict, field: str, types, default="__required__"):
+    """raw[field] checked against ``types``, or ``default`` when absent.
+    JSON true and false load as bools, which are ints too, so they pass only
+    where ``types`` is bool."""
     if field not in raw:
         if default == "__required__":
             raise DomainError(f"config field '{field}': missing")
         return default
     value = raw[field]
-    if types is not None and not isinstance(value, types):
+    if not isinstance(value, types) or (isinstance(value, bool) and types is not bool):
         raise DomainError(f"config field '{field}': expected {types}, got {type(value).__name__}")
     return value
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_seed(seed, field: str):
+    if seed is not None and seed < 0:
+        raise DomainError(f"{field}: seed must be a non-negative integer, got {seed}")
+    return seed
+
+
 def _port_tuple(raw, field: str, n: int, m: int, default) -> tuple[int, ...]:
     ports = _cfg_get(raw, field, list, default=list(default))
+    for p in ports:
+        if not _is_int(p) or not 1 <= p <= m:
+            raise DomainError(f"config field '{field}': port {p!r} outside 1..{m}")
     if len(ports) != n or len(set(ports)) != n:
         raise DomainError(f"config field '{field}': need {n} distinct ports")
-    for p in ports:
-        if not isinstance(p, int) or not 1 <= p <= m:
-            raise DomainError(f"config field '{field}': port {p!r} outside 1..{m}")
     return tuple(ports)
 
 
@@ -133,14 +146,14 @@ def load_config(path: str, args: argparse.Namespace) -> Config:
     if not 1 <= n <= m:
         raise DomainError(f"config field 'n': need 1 <= n <= m, got n={n}, m={m}")
 
-    seed = _cfg_get(raw, "seed", int, default=None)
+    seed = _check_seed(_cfg_get(raw, "seed", int, default=None), "config field 'seed'")
     if getattr(args, "seed", None) is not None:
-        seed = args.seed
+        seed = _check_seed(args.seed, "--seed")
 
     uni = _cfg_get(raw, "unitary", dict)
     utype = _cfg_get(uni, "type", str)
     if utype == "haar":
-        useed = uni.get("seed", seed)
+        useed = _check_seed(_cfg_get(uni, "seed", int, default=seed), "config field 'unitary.seed'")
         if useed is None:
             raise DomainError("config field 'unitary.seed': required for haar unitaries")
         itf = haar_unitary(m, seed=useed)
@@ -182,6 +195,9 @@ def load_config(path: str, args: argparse.Namespace) -> Config:
         taus = _cfg_get(arrival, "taus", list)
         if len(taus) != n:
             raise DomainError(f"config field 'arrival.taus': need {n} times, got {len(taus)}")
+        for t in taus:
+            if not isinstance(t, (int, float)) or isinstance(t, bool):
+                raise DomainError(f"config field 'arrival.taus': time {t!r} is not a number")
         spec = ArrivalSpec(tuple(float(t) for t in taus), delta_omega, window, bins)
         binned = False
         arrival_key = {"type": "continuous", "taus": list(spec.taus)}
@@ -190,7 +206,7 @@ def load_config(path: str, args: argparse.Namespace) -> Config:
         if len(idx) != n:
             raise DomainError(f"config field 'arrival.bin_indices': need {n} indices, got {len(idx)}")
         for c in idx:
-            if not isinstance(c, int) or not 1 <= c <= bins:
+            if not _is_int(c) or not 1 <= c <= bins:
                 raise DomainError(f"config field 'arrival.bin_indices': index {c!r} outside 1..{bins}")
         # place each particle at its bin center; truncation is then exact
         taus = tuple((c - 0.5) * window / bins for c in idx)

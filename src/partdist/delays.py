@@ -14,8 +14,6 @@ statement into an exact one.
 
 from __future__ import annotations
 
-import json
-import math
 from collections import Counter
 from dataclasses import dataclass
 
@@ -26,7 +24,6 @@ from .errors import DomainError
 __all__ = [
     "ArrivalSpec",
     "DelayPartition",
-    "effective_width",
     "delay_matrix",
     "delay_matrix_from_times",
     "discretize",
@@ -34,14 +31,6 @@ __all__ = [
     "snapped_delay_matrix",
     "occupancy",
 ]
-
-
-def effective_width(source_width: float, detector_width: float) -> float:
-    """Fold source bandwidth and detector resolution into one Gaussian width:
-    1/dw^2 = 1/source^2 + 1/detector^2."""
-    if source_width <= 0 or detector_width <= 0:
-        raise DomainError("widths must be positive")
-    return 1.0 / math.sqrt(1.0 / source_width**2 + 1.0 / detector_width**2)
 
 
 @dataclass(frozen=True)
@@ -77,29 +66,6 @@ class ArrivalSpec:
     def n(self) -> int:
         return len(self.taus)
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "taus": list(self.taus),
-                "delta_omega": self.delta_omega,
-                "window": self.window,
-                "bins": self.bins,
-            }
-        )
-
-    @staticmethod
-    def from_json(text: str) -> "ArrivalSpec":
-        try:
-            data = json.loads(text)
-            return ArrivalSpec(
-                tuple(data["taus"]),
-                float(data["delta_omega"]),
-                float(data["window"]),
-                int(data["bins"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DomainError(f"malformed arrival spec: {exc}") from exc
-
 
 @dataclass(frozen=True)
 class DelayPartition:
@@ -120,11 +86,6 @@ class DelayPartition:
     @property
     def n(self) -> int:
         return sum(self.partition)
-
-    @property
-    def width(self) -> int:
-        """Largest same-bin cluster."""
-        return self.partition[0] if self.partition else 0
 
 
 def delay_matrix_from_times(taus, delta_omega: float) -> np.ndarray:

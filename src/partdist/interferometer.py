@@ -37,10 +37,9 @@ UNITARITY_TOL = 1e-10
 
 @dataclass(frozen=True)
 class Interferometer:
-    """An m-channel unitary, plus the seed used to draw it (None if loaded)."""
+    """An m-channel unitary."""
 
     matrix: np.ndarray
-    seed: int | None = None
 
     def __post_init__(self):
         U = np.asarray(self.matrix, dtype=complex)
@@ -66,7 +65,7 @@ def haar_unitary(m: int, seed: int | None = None) -> Interferometer:
     q, r = np.linalg.qr(z)
     phases = np.diag(r).copy()
     phases /= np.abs(phases)
-    return Interferometer(q * phases, seed)
+    return Interferometer(q * phases)
 
 
 @dataclass(frozen=True)

@@ -102,21 +102,16 @@ __all__ = [
     "TruncationEntry",
     "gamas_vanishes",
     "rate_fully_distinguishable",
-    "reduce_distinguishable_particle",
-    "ReducedDelayProblem",
-    "rate_via_reduction",
     "StreamingRates",
     "EngineRates",
     "engine_rates",
     "MAX_DENSE_DEGREE",
-    "DISTINGUISHABLE_THRESHOLD",
 ]
 
 MAX_DENSE_DEGREE = 7  # 7!^2 doubles is ~200 MB; 8! would need 13 GB
 MAX_STREAMING_FLOPS = 2**34  # about half a minute per rate on a 2-core machine
 MAX_STREAMING_BYTES = 2**29
 STREAMING_STEP_BYTES = 2**20  # subset-matrix bytes per step of rate_direct_streaming
-DISTINGUISHABLE_THRESHOLD = 1e-12
 RATE_CLAMP_TOL = 1e-10
 WALK_ROWS = 64  # composition-table rows per block of the walk
 BATCH_ENTRIES = 2**16  # coefficients per batch: n! per string or delay matrix, 2^n per streamed string
@@ -1118,88 +1113,10 @@ def engine_rates(A, r, species: str, engine: str, *, mu=None) -> EngineRates:
 
 
 # ---------------------------------------------------------------------------
-# Fully / partially distinguishable limits
+# Fully distinguishable limit
 
 
 def rate_fully_distinguishable(A) -> float:
     """Classical rate per(|A_ij|^2): all interference terms gone."""
     A = np.asarray(A)
     return _finalize_rate(permanent(np.abs(A) ** 2))
-
-
-@dataclass(frozen=True)
-class ReducedDelayProblem:
-    """Bookkeeping for peeling one fully distinguishable particle off.
-
-    The remaining (n-1)-particle delay matrix appears n times over — once for
-    each output port the removed particle can occupy."""
-
-    delay_matrix: np.ndarray
-    removed: int  # 0-based index of the particle taken out
-    copies: int  # multiplicity of the reduced block: n
-
-
-def reduce_distinguishable_particle(
-    r, k: int, threshold: float = DISTINGUISHABLE_THRESHOLD
-) -> ReducedDelayProblem:
-    """Remove particle k (0-based) from the delay matrix.
-
-    Requires every overlap of particle k with the others to sit below the
-    distinguishability threshold; the Gaussian overlaps never reach zero for
-    finite separations, so the cut is an explicit threshold, not a limit.
-    """
-    r = np.asarray(r, dtype=float)
-    n = r.shape[0]
-    if not (0 <= k < n):
-        raise DomainError(f"particle index {k} outside 0..{n - 1}")
-    off = np.abs(np.delete(r[k], k))
-    if off.size and off.max() >= threshold:
-        raise DomainError(
-            f"particle {k} is not fully distinguishable: max overlap {off.max():.3e}"
-        )
-    keep = [i for i in range(n) if i != k]
-    reduced = r[np.ix_(keep, keep)].copy()
-    reduced.setflags(write=False)
-    return ReducedDelayProblem(reduced, k, n)
-
-
-def rate_via_reduction(
-    A,
-    r,
-    species: str,
-    threshold: float = DISTINGUISHABLE_THRESHOLD,
-) -> float:
-    """Rate computed by recursively peeling off fully distinguishable
-    particles: the removed particle contributes classically, port by port,
-    and each residual problem is one particle smaller.  Falls back to the
-    dense direct rate, one dot product with the string's autocorrelation of
-    n! batched permanents, once no particle is below threshold."""
-    _check_species(species)
-    A = np.asarray(A)
-    r = np.asarray(r, dtype=float)
-    n = r.shape[0]
-    if A.shape != (n, n):
-        raise DomainError("scattering submatrix and delay matrix sizes differ")
-    if n == 1:
-        return float(np.abs(A[0, 0]) ** 2)
-    for k in range(n):
-        off = np.abs(np.delete(r[k], k))
-        if off.max() < threshold:
-            problem = reduce_distinguishable_particle(r, k, threshold)
-            total = 0.0
-            cols = [j for j in range(n) if j != k]
-            for q in range(n):
-                weight = float(np.abs(A[q, k]) ** 2)
-                if weight == 0.0:
-                    continue
-                rows = [i for i in range(n) if i != q]
-                total += weight * rate_via_reduction(
-                    A[np.ix_(rows, cols)],
-                    problem.delay_matrix,
-                    species,
-                    threshold,
-                )
-            return total
-    _check_dense_degree(n)
-    ordering = all_permutations(n)
-    return rate_from_autocorrelation(autocorrelation(A, ordering), r, species, ordering)

@@ -11,14 +11,13 @@ no approximation.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .delays import ArrivalSpec, delay_matrix, discretize, snapped_delay_matrix
-from .errors import DomainError, NumericalError
+from .errors import DomainError, NumericalError, SizeLimitError
 from .interferometer import Interferometer, OutputString, enumerate_outputs, submatrix
 from .matfun import determinant, permanent
 from .rates import _batches, engine_rates
@@ -27,18 +26,17 @@ __all__ = [
     "OutputDistribution",
     "build_distribution",
     "sample",
-    "FermionCheckReport",
-    "indistinguishable_fermion_check",
     "reference_indistinguishable",
     "reference_distinguishable",
     "to_jsonl",
-    "to_csv",
     "entropy_bits",
     "total_variation",
     "MAX_DISTRIBUTION_STRINGS",
+    "MAX_SAMPLE_COUNT",
 ]
 
 MAX_DISTRIBUTION_STRINGS = 100_000
+MAX_SAMPLE_COUNT = 10**6  # 8-byte deviate and 8-byte index per draw: 16 MB at the cap
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,8 +61,6 @@ class OutputDistribution:
     rates: np.ndarray
     probabilities: np.ndarray
     total_rate: float
-    interferometer: Interferometer | None = None
-    input_ports: tuple[int, ...] | None = None
     parseval_residual: float | None = None
     cancellation: float | None = None
 
@@ -86,15 +82,15 @@ class OutputDistribution:
         return tuple(zip(self.strings, self.rates.tolist(), self.probabilities.tolist()))
 
 
-def _normalize(strings, rates, m, n, species, engine, interferometer=None, input_ports=None,
-               parseval_residual=None, cancellation=None) -> OutputDistribution:
+def _normalize(strings, rates, m, n, species, engine, parseval_residual=None,
+               cancellation=None) -> OutputDistribution:
     rates = np.asarray(rates, dtype=float)
     total = float(rates.sum())
     if not total > 0.0:
         raise NumericalError("every collision-free rate vanished; cannot normalize")
     return OutputDistribution(
         m, n, species, engine, tuple(strings), rates, rates / total, total,
-        interferometer, input_ports, parseval_residual, cancellation,
+        parseval_residual, cancellation,
     )
 
 
@@ -140,14 +136,18 @@ def build_distribution(
     strings = enumerate_outputs(m, n, MAX_DISTRIBUTION_STRINGS)
     mu = part.partition if approximate_mu is None else tuple(approximate_mu)
     result = engine_rates(submatrix(interferometer, strings, input_ports), r, species, engine, mu=mu)
-    return _normalize(strings, result.rates, m, n, species, engine, interferometer,
-                      input_ports, result.parseval_residual, result.cancellation)
+    return _normalize(strings, result.rates, m, n, species, engine,
+                      result.parseval_residual, result.cancellation)
 
 
 def sample(dist: OutputDistribution, count: int, seed: int | None = None):
-    """``count`` i.i.d. draws by inverse CDF; deterministic given the seed."""
+    """``count`` i.i.d. draws by inverse CDF; deterministic given the seed.
+    Raises :class:`SizeLimitError` before any draw when ``count`` exceeds
+    ``MAX_SAMPLE_COUNT``."""
     if count < 0:
         raise DomainError("count must be non-negative")
+    if count > MAX_SAMPLE_COUNT:
+        raise SizeLimitError(f"{count} draws exceed the limit {MAX_SAMPLE_COUNT}")
     cdf = np.cumsum(dist.probabilities)
     cdf[-1] = 1.0  # guard the last bin against rounding
     rng = np.random.default_rng(seed)
@@ -173,7 +173,7 @@ def _closed_form_distribution(interferometer, n, input_ports, per_batch,
         per_batch(submatrix(interferometer, batch, input_ports))
         for batch in _batches(strings, max(1, 2**17 >> n))
     ])
-    return _normalize(strings, rates, m, n, species, "reference", interferometer, input_ports)
+    return _normalize(strings, rates, m, n, species, "reference")
 
 
 def reference_indistinguishable(
@@ -207,40 +207,6 @@ def reference_distinguishable(
     return _closed_form_distribution(interferometer, n, input_ports, fn, species)
 
 
-@dataclass(frozen=True)
-class FermionCheckReport:
-    """Cross-check of a simultaneous-arrival fermion distribution against the
-    determinant distribution it must equal — the case a classical machine
-    handles in polynomial time."""
-
-    max_abs_diff: float
-    classically_easy: bool
-    deviations: tuple[float, ...]
-
-
-def indistinguishable_fermion_check(
-    dist: OutputDistribution, tol: float = 1e-9
-) -> FermionCheckReport:
-    """Verify each probability equals |det A(s)|^2 / sum.
-
-    Requires the distribution to carry its interferometer (built in-process)
-    and to be fermionic with all arrival times equal.
-    """
-    if dist.species != "fermion":
-        raise DomainError("check applies to fermion distributions only")
-    if dist.interferometer is None:
-        raise DomainError("distribution does not carry its interferometer")
-    ref = reference_indistinguishable(
-        dist.interferometer, dist.n, "fermion", dist.input_ports
-    )
-    diffs = np.abs(dist.probabilities - ref.probabilities)
-    return FermionCheckReport(
-        max_abs_diff=float(diffs.max()),
-        classically_easy=bool(diffs.max() < tol),
-        deviations=tuple(float(d) for d in diffs),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Export and summary helpers
 
@@ -255,14 +221,6 @@ def to_jsonl(dist: OutputDistribution, path) -> None:
         return
     with open(path, "w") as fh:
         fh.write(text)
-
-
-def to_csv(dist: OutputDistribution, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["s", "rate", "prob"])
-        for s, rate, prob in dist.entries:
-            writer.writerow([str(s), repr(rate), repr(prob)])
 
 
 def entropy_bits(dist: OutputDistribution) -> float:

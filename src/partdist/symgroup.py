@@ -130,22 +130,13 @@ class Permutation:
         return "".join("(" + " ".join(map(str, c)) + ")" for c in cycs)
 
 
-def _cycle_sort_key(p: Permutation):
-    # Class order: cycle types compared as tuples; within a class, canonical
-    # cycle notation compared lexicographically.  For n=3 this yields
-    # e, (12), (13), (23), (123), (132).
-    flat = tuple(itertools.chain.from_iterable(p.cycles()))
-    return (p.cycle_type(), flat)
-
-
 @dataclass(frozen=True)
 class GroupOrdering:
-    """An enumeration of the full symmetric group in a fixed order."""
+    """An enumeration of the full symmetric group in a fixed order:
+    :meth:`index` is a permutation's position in ``permutations``."""
 
     n: int
-    convention: str
     permutations: tuple[Permutation, ...]
-    _index: dict[tuple[int, ...], int] = field(repr=False, compare=False, default=None)
 
     def __len__(self) -> int:
         return len(self.permutations)
@@ -158,6 +149,10 @@ class GroupOrdering:
 
     def index(self, p: Permutation) -> int:
         return self._index[p.images]
+
+    @cached_property
+    def _index(self) -> dict[tuple[int, ...], int]:
+        return {p.images: k for k, p in enumerate(self.permutations)}
 
     @cached_property
     def images_array(self) -> np.ndarray:
@@ -209,23 +204,13 @@ class GroupOrdering:
 
 
 @cache
-def all_permutations(n: int, convention: str = "lex") -> GroupOrdering:
-    """Enumerate the symmetric group on n symbols.
-
-    ``convention="lex"`` lists one-line images lexicographically, which puts
-    the identity first.  ``convention="cycle"`` sorts by cycle type and then
-    by cycle notation — the order used in small worked examples
-    (e, (12), (13), (23), (123), (132) for n=3).
-    """
+def all_permutations(n: int) -> GroupOrdering:
+    """Enumerate the symmetric group on n symbols, one-line images in
+    lexicographic order, which puts the identity first."""
     if not (1 <= n <= MAX_GROUP_DEGREE):
         raise SizeLimitError(f"group degree n={n} outside 1..{MAX_GROUP_DEGREE}")
-    perms = [Permutation(im) for im in itertools.permutations(range(n))]
-    if convention == "cycle":
-        perms.sort(key=_cycle_sort_key)
-    elif convention != "lex":
-        raise DomainError(f"unknown ordering convention {convention!r}")
-    index = {p.images: k for k, p in enumerate(perms)}
-    return GroupOrdering(n, convention, tuple(perms), index)
+    perms = tuple(Permutation(im) for im in itertools.permutations(range(n)))
+    return GroupOrdering(n, perms)
 
 
 # ---------------------------------------------------------------------------

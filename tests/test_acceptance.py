@@ -34,6 +34,8 @@ import numpy as np
 
 import partdist as pd
 
+from orderings import cycle_ordering
+
 RNG_SEED = 20250815
 
 
@@ -59,7 +61,7 @@ def random_gram(rng, n):
 def test_rate_monomials_three_particles():
     t0 = time.perf_counter()
     rng = np.random.default_rng(RNG_SEED)
-    ordering = pd.all_permutations(3, "cycle")
+    ordering = cycle_ordering(3)
     worst = 0.0
     for _ in range(50):
         r = random_gram(rng, 3)
@@ -79,7 +81,7 @@ def test_rate_monomials_three_particles():
 def test_block_entries_match_immanants_and_polynomials():
     t0 = time.perf_counter()
     rng = np.random.default_rng(RNG_SEED + 1)
-    ordering = pd.all_permutations(3, "cycle")
+    ordering = cycle_ordering(3)
     irreps = {lam: pd.irrep_matrices(lam, ordering) for lam in pd.partitions_of(3)}
     root3 = math.sqrt(3)
 

@@ -189,6 +189,34 @@ def test_invalid_configs_exit_2(tmp_path, capsys, overrides):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "overrides, argv, field",
+    [
+        pytest.param({"n": True}, (), "'n'", id="n-true"),
+        pytest.param({"chunk": True}, (), "'chunk'", id="chunk-true"),
+        pytest.param({"input_ports": [True, 2, 3]}, (), "'input_ports'", id="port-true"),
+        pytest.param({"arrival": {**BINNED, "bin_indices": [True, 4, 7]}}, (),
+                     "'arrival.bin_indices'", id="bin-index-true"),
+        pytest.param({"arrival": {**BASE["arrival"], "window": 2.0, "taus": [True, 0.42, 0.77]}}, (),
+                     "'arrival.taus'", id="tau-true"),
+        pytest.param({"seed": -1}, (), "'seed'", id="seed-negative"),
+        pytest.param({}, ("--seed", "-1"), "--seed", id="seed-flag-negative"),
+        pytest.param({"unitary": {"type": "haar", "seed": -5}}, (), "'unitary.seed'",
+                     id="unitary-seed-negative"),
+        pytest.param({"unitary": {"type": "haar", "seed": 2.5}}, (), "'seed'", id="unitary-seed-float"),
+        pytest.param({"unitary": {"type": "haar", "seed": True}}, (), "'seed'", id="unitary-seed-true"),
+    ],
+)
+def test_booleans_and_bad_seeds_exit_2(tmp_path, capsys, overrides, argv, field):
+    # JSON true is a Python int, and NumPy refuses negative or fractional
+    # seeds with its own exceptions: each must be a config error naming its
+    # field, not a traceback or a silent reading as 1
+    cfg = write_config(tmp_path, **overrides)
+    code, out, err = run_cli(capsys, "sample", "--config", cfg, "--count", "3", *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and field in err
+
+
 def test_missing_and_malformed_config_files_exit_2(tmp_path, capsys):
     code, _, _ = run_cli(capsys, "rate", "--config", str(tmp_path / "nope.json"))
     assert code == 2
@@ -565,6 +593,15 @@ def test_sample_is_seed_deterministic(tmp_path, capsys):
     assert first != other
     for line in first.strip().splitlines():
         assert len(line) == 6 and line.count("1") == 3 and set(line) <= {"0", "1"}
+
+
+def test_sample_count_above_the_cap_exits_3_before_drawing(tmp_path, capsys):
+    # 10^15 uniform deviates would need 8 PB: only a refusal before the
+    # draw gets out with exit 3
+    cfg = write_config(tmp_path)
+    code, out, err = run_cli(capsys, "sample", "--config", cfg, "--count", str(10**15))
+    assert code == 3 and out == ""
+    assert "size limit" in err and str(partdist.sampling.MAX_SAMPLE_COUNT) in err
 
 
 # ---------------------------------------------------------------------------

@@ -43,8 +43,6 @@ from partdist.rates import (
     rate_fully_distinguishable,
     rate_matrix,
     rate_truncated,
-    rate_via_reduction,
-    reduce_distinguishable_particle,
     truncation_report,
 )
 from partdist.sampling import build_distribution
@@ -57,6 +55,8 @@ from partdist.symgroup import (
     partitions_of,
     standard_tableau_count,
 )
+
+from orderings import cycle_ordering, ordering_of
 
 
 UNIT_ROUNDOFF = np.finfo(float).eps / 2
@@ -151,7 +151,7 @@ def _random_case(n, seed):
 
 def test_rate_matrix_monomials_n3_cycle_ordering():
     rng = np.random.default_rng(0)
-    ordering = all_permutations(3, "cycle")
+    ordering = cycle_ordering(3)
     taus = rng.uniform(0, 1, size=3)
     r = delay_matrix_from_times(taus, 1.8)
     R = rate_matrix(r, "boson", ordering).matrix
@@ -198,7 +198,7 @@ def test_composition_table_matches_column_loop(n, convention):
     # the walk's row blocks, stacked by their indices, are the whole table:
     # every row exactly once, in blocks of at most 64 rows (the levels of
     # S_6 hold up to 101)
-    ordering = all_permutations(n, convention)
+    ordering = ordering_of(n, convention)
     N = len(ordering)
     table = np.full((N, N), -1, dtype=np.intp)
     visits = np.zeros(N, dtype=int)
@@ -217,7 +217,7 @@ def test_rate_matrix_is_bit_identical_to_outer_product_form(n, species, conventi
     # the walk fills R[i, j] = (w mono_r)(gj^-1 gi); the table form it
     # replaced took mono_r(gj^-1 gi) sgn(gi) sgn(gj): multiplying by +-1 is
     # exact, so every bit agrees, signed zeros (r = I) included
-    ordering = all_permutations(n, convention)
+    ordering = ordering_of(n, convention)
     table = _composition_tables_by_columns(ordering)
     for r in (_random_case(n, 70 + n)[1], np.eye(n)):
         want = rates._monomials_of(r, ordering)[table]
@@ -237,7 +237,7 @@ def test_autocorrelation_rate_matches_rate_direct_within_derived_bound(n):
     itf = haar_unitary(n + 3, seed=n)
     A = submatrix(itf, OutputString.from_detectors(n + 3, tuple(range(2, n + 2))))
     for convention in ("lex", "cycle"):
-        ordering = all_permutations(n, convention)
+        ordering = ordering_of(n, convention)
         v = monomial_vector(A, ordering)
         S = autocorrelation(A, ordering)
         assert S.shape == (len(ordering),) and not S.flags.writeable
@@ -272,7 +272,7 @@ def test_autocorrelation_rate_shift_invariance_and_limits(n, seed, species, conv
     m = n + int(rng.integers(0, 3))
     s = OutputString.from_detectors(m, tuple(sorted(rng.choice(m, n, replace=False) + 1)))
     A = submatrix(haar_unitary(m, seed=seed), s)
-    ordering = all_permutations(n, convention)
+    ordering = ordering_of(n, convention)
     v = monomial_vector(A, ordering)
     S = autocorrelation(A, ordering)
     l1 = float(np.abs(v.values).sum()) ** 2
@@ -339,7 +339,7 @@ def test_rate_direct_rejects_mismatched_ordering():
     # a lex rate matrix against a cycle-ordered vector pairs the wrong
     # monomials: 0.1113 for 0.0883 on one n = 4 case, so it must refuse
     A, r = _random_case(4, 3)
-    lex, cycle = all_permutations(4, "lex"), all_permutations(4, "cycle")
+    lex, cycle = all_permutations(4), cycle_ordering(4)
     v = monomial_vector(A, cycle)
     with pytest.raises(DomainError, match="orderings"):
         rate_direct(v, rate_matrix(r, "boson", lex))
@@ -752,7 +752,7 @@ def test_rate_is_ordering_convention_independent():
     for species in ("boson", "fermion"):
         vals = []
         for convention in ("lex", "cycle"):
-            ordering = all_permutations(4, convention)
+            ordering = ordering_of(4, convention)
             v = monomial_vector(A, ordering)
             vals.append(rate_direct(v, rate_matrix(r, species, ordering)))
         assert vals[0] == pytest.approx(vals[1], rel=1e-12)
@@ -779,7 +779,7 @@ def test_fourier_transform_matches_irreps_built_transform(convention, monkeypatc
     monkeypatch.setattr(rates, "irrep_matrices", irrep_matrices.__wrapped__)
     rng = np.random.default_rng(500)
     for n in range(1, 8):
-        ordering = all_permutations(n, convention)
+        ordering = ordering_of(n, convention)
         T = build_transform(ordering)
         N = len(ordering)
         scale = np.concatenate([np.full(s * s, math.sqrt(s / N)) for _, _, s in T.layout])
@@ -859,7 +859,7 @@ def test_fourier_blocks_match_dense_reference(n, species, convention, snapped):
         r = snapped_delay_matrix(discretize(spec)[0], spec)
     else:
         r = delay_matrix_from_times(spec.taus, spec.delta_omega)
-    ordering = all_permutations(n, convention)
+    ordering = ordering_of(n, convention)
     T = build_transform(ordering)
     itf = haar_unitary(2 * n, seed=n)
     A = submatrix(itf, OutputString.from_detectors(2 * n, tuple(range(1, n + 1))))
@@ -891,7 +891,7 @@ def test_block_engines_equal_direct_property(n, seed, species, convention):
     m = n + int(rng.integers(0, 3))
     itf = haar_unitary(m, seed=seed)
     s = OutputString.from_detectors(m, tuple(sorted(rng.choice(m, n, replace=False) + 1)))
-    ordering = all_permutations(n, convention)
+    ordering = ordering_of(n, convention)
     T = build_transform(ordering)
     v = monomial_vector(submatrix(itf, s), ordering)
     tol = rate_rounding(n, float(np.vdot(v.values, v.values).real))
@@ -937,16 +937,16 @@ def test_attach_vector_rejects_perturbed_transform(monkeypatch):
 
 def test_attach_vector_rejects_mismatched_ordering():
     A, r = _random_case(3, 9)
-    T = build_transform(all_permutations(3, "lex"))
-    v = monomial_vector(A, all_permutations(3, "cycle"))
+    T = build_transform(all_permutations(3))
+    v = monomial_vector(A, cycle_ordering(3))
     with pytest.raises(DomainError):
         attach_vector(v, fourier_blocks(r, "boson", T), T, "boson")
 
 
 def test_decompose_rejects_mismatched_orderings():
     r = delay_matrix_from_times((0.0, 0.3, 0.7), 1.5)
-    R = rate_matrix(r, "boson", all_permutations(3, "cycle"))
-    T = build_transform(all_permutations(3, "lex"))
+    R = rate_matrix(r, "boson", cycle_ordering(3))
+    T = build_transform(all_permutations(3))
     with pytest.raises((DomainError, NumericalError)):
         decompose_rate_matrix(R, T)
 
@@ -1045,16 +1045,6 @@ def test_fully_distinguishable_limit_both_species():
             assert got == pytest.approx(want, rel=1e-10)
 
 
-def test_reduce_distinguishable_particle():
-    r = delay_matrix_from_times((0.1, 0.12, 5000.0), 2.0)
-    problem = reduce_distinguishable_particle(r, 2)
-    assert problem.copies == 3 and problem.removed == 2
-    assert problem.delay_matrix.shape == (2, 2)
-    assert problem.delay_matrix[0, 1] == pytest.approx(r[0, 1])
-    with pytest.raises(DomainError):
-        reduce_distinguishable_particle(r, 0)  # particle 0 overlaps particle 1
-
-
 @pytest.mark.parametrize("species", ["boson", "fermion"])
 def test_rate_via_reduction_matches_direct(species):
     A, _ = _random_case(4, 40)
@@ -1063,34 +1053,14 @@ def test_rate_via_reduction_matches_direct(species):
     ordering = all_permutations(4)
     v = monomial_vector(A, ordering)
     direct = rate_direct(v, rate_matrix(r, species, ordering))
-    reduced = rate_via_reduction(A, r, species)
+    # particle 3 overlaps no other: it leaves by port q with weight
+    # |A[q, 3]|^2, and the other three interfere among the remaining rows
+    reduced = sum(
+        abs(A[q, 3]) ** 2
+        * float(rates.engine_rates(np.delete(A, q, axis=0)[:, :3], r[:3, :3], species, "direct").rates)
+        for q in range(4)
+    )
     assert reduced == pytest.approx(direct, rel=1e-11, abs=1e-14)
-
-
-def test_rate_via_reduction_fully_separated_is_classical():
-    A, _ = _random_case(3, 41)
-    r = delay_matrix_from_times((0.0, 3000.0, 6000.0), 2.0)
-    for species in ("boson", "fermion"):
-        assert rate_via_reduction(A, r, species) == pytest.approx(
-            rate_fully_distinguishable(A), rel=1e-11
-        )
-
-
-def test_rate_via_reduction_refuses_degree_8_before_enumerating(monkeypatch):
-    def permutations_below_8(n, *args, **kwargs):
-        if n >= 8:
-            pytest.fail(f"S_{n} was enumerated")
-        return all_permutations(n, *args, **kwargs)
-
-    monkeypatch.setattr(rates, "all_permutations", permutations_below_8)
-    for species in ("boson", "fermion"):
-        with pytest.raises(SizeLimitError):
-            rate_via_reduction(np.eye(8), np.ones((8, 8)), species)
-    # a fully distinguishable particle brings n = 8 down to n = 7, which runs:
-    # A = 1 and equal times for the rest give |per 1|^2 = |det 1|^2 = 1
-    r = np.ones((8, 8))
-    r[0, 1:] = r[1:, 0] = 0.0
-    assert rate_via_reduction(np.eye(8), r, "boson") == pytest.approx(1.0, rel=1e-12)
 
 
 def test_streaming_size_guard(monkeypatch):
@@ -1178,7 +1148,7 @@ def test_batched_decomposition_keeps_the_checks(monkeypatch):
     decomp = attach_vectors(V, blocks, T, "boson")
     assert decomp.parseval_residual <= _parseval_tolerance(n) * 4 * np.vdot(V.values[0], V.values[0]).real
     with pytest.raises(DomainError):  # another ordering than the transform's
-        attach_vectors(monomial_vector(np.stack([A, A]), all_permutations(n, "cycle")), blocks, T, "boson")
+        attach_vectors(monomial_vector(np.stack([A, A]), cycle_ordering(n)), blocks, T, "boson")
     with pytest.raises(DomainError):
         attach_vectors(V.values[:, :-1], blocks, T, "boson")
     # one vector of the batch off the transform fails the whole batch

@@ -18,6 +18,8 @@ from partdist.symgroup import (
     standard_tableaux,
 )
 
+from orderings import cycle_ordering
+
 
 # ---------------------------------------------------------------------------
 # Permutations
@@ -84,14 +86,14 @@ def test_lex_ordering_n3():
 
 
 def test_cycle_ordering_n3_groups_by_class():
-    ordering = all_permutations(3, "cycle")
+    ordering = cycle_ordering(3)
     assert [p.cycles() for p in ordering.permutations] == [
         (), ((1, 2),), ((1, 3),), ((2, 3),), ((1, 2, 3),), ((1, 3, 2),),
     ]
 
 
 def test_ordering_index_and_arrays_agree():
-    ordering = all_permutations(4, "cycle")
+    ordering = cycle_ordering(4)
     for i, p in enumerate(ordering.permutations):
         assert ordering.index(p) == i
         assert tuple(ordering.images_array[i]) == p.images

@@ -31,6 +31,17 @@ def load_spans():
     return module
 
 
+def test_every_traced_name_resolves():
+    # Tracer.install looks each traced name up before cli.main runs, so one
+    # name missing from its module fails every traced operation
+    spans = load_spans()
+    for short, names in spans.TRACED.items():
+        module = importlib.import_module(f"partdist.{short}")
+        missing = [name for name in names if not callable(getattr(module, name, None))]
+        assert not missing, (short, missing)
+    assert callable(importlib.import_module("partdist.rates").BlockDecomposition.term)
+
+
 def traced(tmp_path, op, *argv):
     """Layer metrics of one CLI operation run under spans.py in a fresh
     interpreter."""
