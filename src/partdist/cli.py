@@ -53,6 +53,7 @@ from .interferometer import (
 )
 from .rates import engine_rates, gamas_vanishes, truncation_report
 from .sampling import (
+    _check_count,
     build_distribution,
     entropy_bits,
     reference_distinguishable,
@@ -64,6 +65,7 @@ from .sampling import (
 from .symgroup import partitions_of
 
 MAX_GRID_POINTS = 20_000
+MAX_CHANNELS = 2048  # an m x m complex array is 64 MiB; see README Limits
 
 ENGINES = ("direct", "blocked", "truncated")
 SPECIES = ("boson", "fermion")
@@ -142,6 +144,8 @@ def load_config(path: str, args: argparse.Namespace) -> Config:
         raise DomainError("config root must be a JSON object")
 
     m = _cfg_get(raw, "m", int)
+    if m > MAX_CHANNELS:  # before a unitary is drawn or read
+        raise SizeLimitError(f"config field 'm': {m} channels exceed {MAX_CHANNELS}")
     n = _cfg_get(raw, "n", int)
     if not 1 <= n <= m:
         raise DomainError(f"config field 'n': need 1 <= n <= m, got n={n}, m={m}")
@@ -238,16 +242,18 @@ def load_config(path: str, args: argparse.Namespace) -> Config:
 # Output plumbing
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(pieces, out: str | None) -> None:
+    """Write the strings ``pieces`` in order to the file ``out``, or to
+    stdout when ``out`` is empty."""
     if out:
         with open(out, "w") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
 
 
 def _emit_json(obj, out: str | None) -> None:
-    _emit(json.dumps(obj, indent=2) + "\n", out)
+    _emit([json.dumps(obj, indent=2), "\n"], out)
 
 
 class _Timer:
@@ -382,13 +388,14 @@ def cmd_distribution(args) -> None:
 
 def cmd_sample(args) -> None:
     cfg = load_config(args.config, args)
+    _check_count(args.count)  # before the distribution is built
     with _Timer() as timer:
         dist = _build_dist(cfg)
         timer.parseval_residual = dist.parseval_residual
         timer.cancellation = dist.cancellation
-        lines = {s: f"{s}\n" for s in dist.strings}  # each string formatted once, not once per draw
-        text = "".join([lines[s] for s in sample(dist, args.count, cfg.seed)])
-    _emit(text, args.out)
+        draws = sample(dist, args.count, cfg.seed)
+    lines = {s: f"{s}\n" for s in dist.strings}  # each string formatted once, not once per draw
+    _emit(map(lines.__getitem__, draws), args.out)  # line by line: no second copy of the artifact
     print(
         json.dumps({"config_hash": cfg.config_hash, "count": args.count, "seed": cfg.seed}),
         file=sys.stderr,
@@ -444,7 +451,7 @@ def cmd_landscape(args) -> None:
         buf.write(f"# config_hash={cfg.config_hash}\n")
         writer = csv.writer(buf)
         writer.writerows(rows)
-    _emit(buf.getvalue(), args.out)
+    _emit([buf.getvalue()], args.out)
 
 
 def cmd_analyze(args) -> None:
@@ -473,7 +480,7 @@ def cmd_gamas_table(args) -> None:
                 for mu in parts
             ]
             out.append(lam_label.ljust(width) + "".join(cells))
-    _emit("\n".join(out) + "\n", args.out)
+    _emit([f"{line}\n" for line in out], args.out)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, SizeLimitError
-from .symgroup import GroupOrdering
+from .symgroup import GroupOrdering, monomials
 
 __all__ = [
     "Interferometer",
@@ -157,16 +157,12 @@ class MonomialVector:
 
 def monomial_vector(A, ordering: GroupOrdering) -> MonomialVector:
     """Monomial vector of an n x n submatrix, or of every matrix of a stack
-    (K, n, n), gathered one column of A at a time: ((A[g(1),1] A[g(2),2])
-    ...) A[g(n),n], the same products in the same order either way."""
+    (K, n, n) (:func:`~partdist.symgroup.monomials`)."""
     A = np.asarray(A)
     n = ordering.n
     if A.shape[-2:] != (n, n) or A.ndim not in (2, 3):
         raise DomainError(f"expected a {n}x{n} submatrix or a stack of them, got {A.shape}")
-    images = ordering.images_array
-    values = A[..., images[:, 0], 0]
-    for k in range(1, n):
-        values = values * A[..., images[:, k], k]
+    values = monomials(A, ordering)
     values.setflags(write=False)
     return MonomialVector(ordering, values)
 

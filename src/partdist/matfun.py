@@ -19,7 +19,7 @@ from functools import cache
 import numpy as np
 
 from .errors import DomainError, SizeLimitError
-from .symgroup import GroupOrdering, IrrepMatrixSet, all_permutations, character
+from .symgroup import GroupOrdering, IrrepMatrixSet, all_permutations, character, monomials
 
 __all__ = [
     "determinant",
@@ -113,12 +113,6 @@ def permanent(M):
     return complex(values[0]) if M.ndim == 2 else values.reshape(M.shape[:-2])
 
 
-def _monomials(M: np.ndarray, ordering: GroupOrdering) -> np.ndarray:
-    """All n! products M[gamma(1),1] * ... * M[gamma(n),n] in ordering order."""
-    n = ordering.n
-    return np.prod(M[ordering.images_array, np.arange(n)], axis=1)
-
-
 def immanant(lam: tuple[int, ...], M, ordering: GroupOrdering | None = None) -> complex:
     """Character-weighted sum over all n! permutation monomials."""
     M = _square(M)
@@ -130,7 +124,7 @@ def immanant(lam: tuple[int, ...], M, ordering: GroupOrdering | None = None) -> 
     if ordering is None:
         ordering = all_permutations(n)
     chars = np.array([character(lam, p) for p in ordering], dtype=np.float64)
-    return complex(chars @ _monomials(M, ordering))
+    return complex(chars @ monomials(M, ordering))
 
 
 def dfunction_direct(
@@ -145,6 +139,6 @@ def dfunction_direct(
     ordering = irreps.ordering
     if M.shape[0] != ordering.n:
         raise DomainError("matrix size does not match irrep degree")
-    mono = _monomials(M, ordering)
+    mono = monomials(M, ordering)
     stack = np.stack(irreps.matrices)  # (n!, s, s)
     return np.tensordot(mono, stack, axes=(0, 0))

@@ -19,8 +19,9 @@ once per string, then one dot product per delay matrix, with no monomial
 vector and no n! x n! object.  One delay matrix and many strings
 (``distribution``) keep R (:func:`rate_matrix`) and take v^dag R v per
 string (:func:`rate_direct`), rounding by 2 γ_2N max|f| ‖v‖_1² (N = n!);
-R is filled along a breadth-first walk over S_n (:func:`_composition_walk`)
-that holds two levels of the composition table, never all of it.
+R is filled 64 rows at a time by looking f up through the rows of the
+composition table (:func:`_composition_rows`), each block of rows one
+exact float64 product of base-n codes, so the table is never held whole.
 
 The streaming route (:func:`rate_direct_streaming`) needs no group at all:
 with P_k = diag(conj A[k, :]) r diag(A[k, :]) for detector k,
@@ -44,8 +45,8 @@ with mono_r(g) = prod_k r[g(k), k].  Both K_lam and the projected vector
 T v come from the fast Fourier transform on S_n
 (:func:`~partdist.symgroup.fourier_transform`), at O(n! n^2 s) cost for
 s the largest irrep dimension: :func:`fourier_blocks` transforms w * mono_r
-of one delay matrix or of a stack of them, and :func:`attach_vectors` a
-batch of monomial vectors, in one call each.  A batch stays batched through
+of one delay matrix or of a stack of them, and :func:`attach_vector` one
+monomial vector or a batch of them, in one call each.  A batch stays batched through
 the rate step: :func:`rate_blocked` and :func:`rate_truncated` evaluate one
 broadcasting einsum per kept label for all of it.  No n! x n! object and no
 irrep table is built on this route.  The dense T and the O((n!)^3)
@@ -71,12 +72,12 @@ from .interferometer import MonomialVector, monomial_vector
 from .matfun import _glynn, permanent
 from .symgroup import (
     GroupOrdering,
-    Permutation,
     all_permutations,
     conjugate,
     dominates,
     fourier_transform,
     irrep_matrices,
+    monomials,
     partitions_of,
     standard_tableau_count,
 )
@@ -95,7 +96,6 @@ __all__ = [
     "decompose_rate_matrix",
     "fourier_blocks",
     "attach_vector",
-    "attach_vectors",
     "rate_blocked",
     "rate_truncated",
     "truncation_report",
@@ -113,7 +113,7 @@ MAX_STREAMING_FLOPS = 2**34  # about half a minute per rate on a 2-core machine
 MAX_STREAMING_BYTES = 2**29
 STREAMING_STEP_BYTES = 2**20  # subset-matrix bytes per step of rate_direct_streaming
 RATE_CLAMP_TOL = 1e-10
-WALK_ROWS = 64  # composition-table rows per block of the walk
+TABLE_ROWS = 64  # composition-table rows per block of _composition_rows
 BATCH_ENTRIES = 2**16  # coefficients per batch: n! per string or delay matrix, 2^n per streamed string
 
 
@@ -140,68 +140,33 @@ def _check_delay_matrix(r, n: int, batch: bool = False) -> np.ndarray:
     return r
 
 
-def _composition_walk(ordering: GroupOrdering):
-    """The composition table comp[i, j] = ordering.index(gj^-1 gi), row
-    block by row block, with no table kept: yields (indices, rows), rows[a]
-    = comp[indices[a]] (int32), at most W = WALK_ROWS = 64 rows at a
-    time.
+def _composition_rows(ordering: GroupOrdering):
+    """The composition table comp[i, j] = ordering.index(gj^-1 gi), with no
+    table kept: yields (indices, rows), rows[a] = comp[indices[a]] (int32),
+    W = TABLE_ROWS = 64 rows at a time in ordering order.
 
-    Row i comes from a row already known: for gi = gp s_k, gj^-1 gi is
-    (gj^-1 gp) s_k, so comp[i] is comp[p] sent through the
-    right-multiplication-by-s_k index map.  The walk goes breadth first from
-    the identity, whose row is the inverse indices, so a level holds the
-    permutations with the same number of inversions, at most L_n of them
-    (the largest Mahonian number: 101 at n = 6, 573 at n = 7).  It holds
-    the rows of at most two levels, 4 N L_n bytes each, a 4 n^n-byte lookup
-    table and O(n N) index maps, and builds the next level W parent
-    rows at a time through 12 N W bytes of index temporaries.  While a
-    block is out only its own level is held, so a consumer that gathers
-    b-byte values by the rows, b <= 16, adds at most 24 N W bytes: the
-    working set stays below 8 N L_n + 24 N W + 4 n^n bytes plus
-    O(n N), 34 MB at n = 7.
+    A permutation h has the code sum_v h(v) n^v, below n^n, and a table of
+    n^n entries turns a code into its index.  With inv[j] the one-line
+    images of gj^-1, (gj^-1 gi)(v) = inv[j, gi(v)]; putting u = gi(v), the
+    code of gj^-1 gi is sum_u inv[j, u] n^(inv[i, u]) = (Q inv^t)[i, j] with
+    Q[i, u] = n^(inv[i, u]).  So a block of rows is one float64 product, exact
+    because every partial sum is an integer below n^n <= 7^7 < 2^53, and one
+    lookup.  The call holds the 4 n^n-byte lookup table, inv, Q and a float
+    copy of inv (24 n N bytes) and, for a block of W rows, the 8 N W-byte
+    product and its 4 N W bytes of codes, then the 4 N W bytes of rows:
+    8 MB at n = 7, the same for any ordering.
     """
     n = ordering.n
     N = len(ordering)
     P = ordering.images_array
     powers = n ** np.arange(n, dtype=np.int64)
-    lut = np.full(n**n, -1, dtype=np.int32)
+    lut = np.empty(n**n, dtype=np.int32)
     lut[P @ powers] = np.arange(N)
-    right = []  # right[k][x] = index of g_x * s_k: images at k, k+1 swapped
-    for k in range(n - 1):
-        cols = np.arange(n)
-        cols[[k, k + 1]] = k + 1, k
-        right.append(lut[P[:, cols] @ powers])
-    identity = ordering.index(Permutation.identity(n))
-    frontier = np.array([identity])
-    rows = ordering.inverse_indices[None, :].astype(np.int32)
-    seen = np.zeros(N, dtype=bool)
-    seen[identity] = True
-    while frontier.size:
-        for a in range(0, len(frontier), WALK_ROWS):
-            yield frontier[a : a + WALK_ROWS], rows[a : a + WALK_ROWS]
-        children, parents = [], []
-        for step in right:
-            child = step[frontier]
-            new = np.flatnonzero(~seen[child])  # step is a bijection: no child appears twice
-            child = child[new]
-            seen[child] = True
-            children.append(child)
-            parents.append((step, new))
-        frontier = np.concatenate([frontier[:0], *children])
-        grown = np.empty((len(frontier), N), dtype=np.int32)
-        at = 0
-        for step, new in parents:
-            for a in range(0, len(new), WALK_ROWS):
-                block = new[a : a + WALK_ROWS]
-                np.take(step, rows[block], out=grown[at : at + len(block)])
-                at += len(block)
-        rows = grown
-
-
-def _monomials_of(r: np.ndarray, ordering: GroupOrdering) -> np.ndarray:
-    """prod_k r[g(k), k] for every g of the ordering, over the last axis;
-    r may be a stack (..., n, n)."""
-    return np.prod(r[..., ordering.images_array, np.arange(ordering.n)], axis=-1)
+    inv = P[ordering.inverse_indices]
+    Q, invT = powers[inv].astype(float), inv.T.astype(float)
+    for start in range(0, N, TABLE_ROWS):
+        stop = min(start + TABLE_ROWS, N)
+        yield range(start, stop), lut[(Q[start:stop] @ invT).astype(np.int32)]
 
 
 @dataclass(frozen=True)
@@ -234,14 +199,16 @@ def _check_dense_degree(n: int) -> None:
 def _weighted_monomials(r: np.ndarray, species: str, ordering: GroupOrdering) -> np.ndarray:
     """f(g) = w(g) mono_r(g) over the ordering, w = sgn for fermions; r may
     be a stack (..., n, n)."""
-    f = _monomials_of(r, ordering)
+    f = monomials(r, ordering)
     return f * ordering.signs if species == "fermion" else f
 
 
 def rate_matrix(r, species: str, ordering: GroupOrdering) -> RateMatrix:
     """Dense n! x n! rate matrix from a delay matrix: R[i, j] = f(gj^-1 gi)
-    with f = w mono_r, filled row block by row block from
-    :func:`_composition_walk`.
+    with f = w mono_r, filled 64 rows at a time by a lookup of f through the
+    rows of the composition table (:func:`_composition_rows`).  Beyond R
+    (8 (n!)² bytes, 203 MB at n = 7) the fill holds the rows' lookup table
+    and one block of rows and of their values, 9.3 MB traced at n = 7.
 
     Every entry is a degree-n monomial in the pairwise overlaps; for
     fermions sgn(gi) sgn(gj) = sgn(gj^-1 gi) folds the sign factors into f,
@@ -253,7 +220,7 @@ def rate_matrix(r, species: str, ordering: GroupOrdering) -> RateMatrix:
     r = _check_delay_matrix(r, n)
     f = _weighted_monomials(r, species, ordering)
     R = np.empty((len(ordering), len(ordering)))
-    for indices, rows in _composition_walk(ordering):
+    for indices, rows in _composition_rows(ordering):
         R[indices] = f[rows]
     R.setflags(write=False)
     return RateMatrix(species, ordering, R)
@@ -512,8 +479,9 @@ def rate_direct_streaming(A, r, species: str) -> StreamingRates:
     The C(m, n) strings of an m-detector interferometer list their rows in
     detector order, so a batch of them costs at most sum_(j <= n) C(m, j)
     evaluations instead of 2^n per string (2510 against 59136 at m = 12,
-    n = 6); one string, or one string under a stack of delay matrices,
-    shares only the empty subset and costs 2^n per rate.  A step evaluates
+    n = 6).  One string costs 2^n per rate; under a stack of delay
+    matrices it costs 2^n per bitwise-distinct delay matrix, so a
+    landscape's +-d points share theirs.  A step evaluates
     as many distinct subset matrices as fit in ``STREAMING_STEP_BYTES``, at
     least one, each counted by :func:`_subset_bytes` (O(n^2) for P_S, and
     for bosons O(2^(n-1)) for Glynn's products), the way
@@ -712,7 +680,7 @@ class BlockDecomposition:
     projected monomial vector; the rate is the sum of v^dag K v over all
     copies of all labels.  Blocks (..., s_lam, s_lam) and vectors (...,
     s_lam, s_lam) may carry leading batch axes, which broadcast: a batch of
-    strings shares one set of blocks (:func:`attach_vectors`), and a grid of
+    strings shares one set of blocks (:func:`attach_vector`), and a grid of
     delay matrices one projected vector (:func:`fourier_blocks` of a stack).
     ``parseval_residual`` is the largest |‖T v‖² - ‖v‖²| of the projections
     (see :func:`attach_vector`).
@@ -783,9 +751,7 @@ def fourier_blocks(r, species: str, T: BlockTransform) -> dict[tuple[int, ...], 
     _check_species(species)
     ordering = T.ordering
     r = _check_delay_matrix(r, ordering.n, batch=True)
-    weighted = _monomials_of(r, ordering).reshape(-1, len(ordering))
-    if species == "fermion":
-        weighted = weighted * ordering.signs
+    weighted = _weighted_monomials(r, species, ordering).reshape(-1, len(ordering))
     y = np.ascontiguousarray(fourier_transform(weighted.T, ordering).T)
     y.setflags(write=False)
     batch = r.shape[:-2]
@@ -820,25 +786,46 @@ def _parseval_tolerance(n: int) -> float:
     return 2 * delta + delta**2 + 2 * _gamma(2 * math.factorial(n)) * (1 + delta) ** 2
 
 
-def attach_vectors(
-    vs: MonomialVector | np.ndarray,
+def attach_vector(
+    v: MonomialVector | np.ndarray,
     blocks: dict[tuple[int, ...], np.ndarray],
     T: BlockTransform,
     species: str,
 ) -> BlockDecomposition:
-    """:func:`attach_vector` for a batch: ``vs`` holds K monomial vectors as
-    rows, shape (K, n!) (:func:`~partdist.interferometer.monomial_vector` of
-    a stack of submatrices), projected by one fast Fourier transform of all
-    of them as columns.  Returns one decomposition whose vectors carry the
-    batch axis, (K, s_lam, s_lam) per label, so that :func:`rate_blocked`
-    and :func:`rate_truncated` give K rates; every vector passes its own
-    Parseval check.  A single vector (n!,) gives unbatched vectors."""
+    """Project a monomial vector onto the block layout (the cheap
+    per-output-string step): T v, taken from one fast Fourier transform of
+    v and scaled by sqrt(s_lam/n!) per label.
+
+    ``v`` is one vector (n!,), giving vectors (s_lam, s_lam) per label, or a
+    stack of K vectors as rows (K, n!)
+    (:func:`~partdist.interferometer.monomial_vector` of a stack of
+    submatrices), projected by one transform of all of them as columns and
+    giving vectors (K, s_lam, s_lam), so that :func:`rate_blocked` and
+    :func:`rate_truncated` give K rates.  Every vector passes its own
+    Parseval check.
+
+    Raises :class:`DomainError` when v was built over another ordering than
+    T, and :class:`NumericalError` when the Parseval residual
+    |‖T v‖² - ‖v‖²| exceeds (2δ + δ² + 2γ_2N (1 + δ)²) ‖v‖², with
+    1 + δ = (1 + γ_3) prod_k (1 + √k (k-1) √(2s) γ_{s+3}) (1 + √(ks) γ_ks),
+    k = 2..n, γ_k = k u / (1 - k u), u = 2^-53, N = n! and s the largest
+    irrep dimension of S_k.  The bound is the rounding of the transform.  In
+    coordinates scaled by sqrt(s_lam/k!), level k of the FFT is an
+    orthogonal map, computed as products [D(c_0) | ... | D(c_(k-1))] E.
+    Each coset matrix D(c_j) is a product of at most k-1 of Young's generator
+    matrices, each factor adding at most √(2s) γ_{s+3} in Frobenius norm, so
+    the stored row is within √k (k-1) √(2s) γ_{s+3} of the exact one in
+    2-norm; the product rounds by γ_ks ‖W‖_F ≤ γ_ks √(ks) against the level's
+    input norm, since the branching rule sum_(lam ⊃ mu) s_lam = k s_mu makes
+    the scaled norms of the E add up to it.  The final scaling by
+    sqrt(s_lam/n!) adds γ_3, and each squared norm γ_2N (N complex terms).
+    """
     _check_species(species)
-    if isinstance(vs, MonomialVector):
-        if vs.ordering is not T.ordering and vs.ordering != T.ordering:
+    if isinstance(v, MonomialVector):
+        if v.ordering is not T.ordering and v.ordering != T.ordering:
             raise DomainError("monomial vector and transform use different orderings")
-        vs = vs.values
-    V = np.asarray(vs)
+        v = v.values
+    V = np.asarray(v)
     N = len(T.ordering)
     if V.ndim not in (1, 2) or V.shape[-1] != N:
         raise DomainError("monomial vector length does not match transform")
@@ -860,35 +847,6 @@ def attach_vectors(
         lam: W[:, offset : offset + s * s].reshape(batch + (s, s)) for lam, offset, s in T.layout
     }
     return BlockDecomposition(species, T, blocks, vectors, float(residuals.max()))
-
-
-def attach_vector(
-    v: MonomialVector | np.ndarray,
-    blocks: dict[tuple[int, ...], np.ndarray],
-    T: BlockTransform,
-    species: str,
-) -> BlockDecomposition:
-    """Project a monomial vector onto the block layout (the cheap
-    per-output-string step): T v, taken from one fast Fourier transform of
-    v and scaled by sqrt(s_lam/n!) per label.
-
-    Raises :class:`DomainError` when v was built over another ordering than
-    T, and :class:`NumericalError` when the Parseval residual
-    |‖T v‖² - ‖v‖²| exceeds (2δ + δ² + 2γ_2N (1 + δ)²) ‖v‖², with
-    1 + δ = (1 + γ_3) prod_k (1 + √k (k-1) √(2s) γ_{s+3}) (1 + √(ks) γ_ks),
-    k = 2..n, γ_k = k u / (1 - k u), u = 2^-53, N = n! and s the largest
-    irrep dimension of S_k.  The bound is the rounding of the transform.  In
-    coordinates scaled by sqrt(s_lam/k!), level k of the FFT is an
-    orthogonal map, computed as products [D(c_0) | ... | D(c_(k-1))] E.
-    Each coset matrix D(c_j) is a product of at most k-1 of Young's generator
-    matrices, each factor adding at most √(2s) γ_{s+3} in Frobenius norm, so
-    the stored row is within √k (k-1) √(2s) γ_{s+3} of the exact one in
-    2-norm; the product rounds by γ_ks ‖W‖_F ≤ γ_ks √(ks) against the level's
-    input norm, since the branching rule sum_(lam ⊃ mu) s_lam = k s_mu makes
-    the scaled norms of the E add up to it.  The final scaling by
-    sqrt(s_lam/n!) adds γ_3, and each squared norm γ_2N (N complex terms).
-    """
-    return attach_vectors(v, blocks, T, species)
 
 
 def block_decompose(
@@ -1036,17 +994,18 @@ def engine_rates(A, r, species: str, engine: str, *, mu=None) -> EngineRates:
       steps and builds no group; one call for one string, floor(2^16 / 2^n)
       strings per call for a stack.  A call evaluates each distinct detector
       subset once, so a batch of the C(m, n) strings costs at most
-      sum_(j <= n) C(m, j) subset matrices, and one string 2^n per delay
-      matrix.
+      sum_(j <= n) C(m, j) subset matrices, and one string 2^n per
+      bitwise-distinct delay matrix.
     - ``direct``, one string: one :func:`autocorrelation`, then
       :func:`rate_from_autocorrelation` for every delay matrix.
     - ``direct``, a stack of strings: one :func:`rate_matrix`, then one
       :func:`rate_direct` per string.
-    - ``blocked``, ``truncated``: one string is projected once
-      (:func:`attach_vector`) and meets the :func:`fourier_blocks` of its
-      delay matrices; a stack of strings is projected batch by batch
-      (:func:`attach_vectors`) against the blocks of its one delay matrix;
-      each batch takes one :func:`rate_blocked` or :func:`rate_truncated`.
+    - ``blocked``, ``truncated``: one route of decompositions.  One string
+      is projected once (:func:`attach_vector`) and meets the
+      :func:`fourier_blocks` of each batch of its delay matrices; a stack of
+      strings meets the blocks of its one delay matrix, projected batch by
+      batch.  Each decomposition takes one :func:`rate_blocked` or
+      :func:`rate_truncated`, and only one batch is held at a time.
 
     Every route but the streaming one refuses n > MAX_DENSE_DEGREE with
     :class:`SizeLimitError` before it enumerates S_n.
@@ -1090,26 +1049,28 @@ def engine_rates(A, r, species: str, engine: str, *, mu=None) -> EngineRates:
             for a in _batches(A, width)
         ]))
 
-    def rate(decomp):
-        return rate_truncated(decomp, mu) if engine == "truncated" else rate_blocked(decomp)
-
     T = build_transform(ordering)
-    if not one_string:
-        blocks = fourier_blocks(r, species, T)
-        rates, residual = [], 0.0
-        for a in _batches(A, width):
-            decomp = attach_vectors(monomial_vector(a, ordering), blocks, T, species)
-            residual = max(residual, decomp.parseval_residual)
-            rates.append(rate(decomp))
-        return EngineRates(np.concatenate(rates), residual)
-    v = monomial_vector(A, ordering)
-    if np.ndim(r) == 2:
-        decomp = attach_vector(v, fourier_blocks(r, species, T), T, species)
-        return EngineRates(np.asarray(rate(decomp)), decomp.parseval_residual, decomposition=decomp)
-    projected = attach_vector(v, {}, T, species)
-    return EngineRates(np.concatenate([
-        rate(replace(projected, blocks=fourier_blocks(rs, species, T))) for rs in _batches(r, width)
-    ]), projected.parseval_residual)
+
+    def decompositions():
+        """(decomposition, kept): kept for one string under one delay
+        matrix, whose result carries its decomposition."""
+        if one_string:
+            projected = attach_vector(monomial_vector(A, ordering), {}, T, species)
+            for rs in [r] if np.ndim(r) == 2 else _batches(r, width):
+                yield replace(projected, blocks=fourier_blocks(rs, species, T)), np.ndim(rs) == 2
+        else:
+            blocks = fourier_blocks(r, species, T)
+            for a in _batches(A, width):
+                yield attach_vector(monomial_vector(a, ordering), blocks, T, species), False
+
+    rates, residual = [], 0.0
+    for decomp, kept in decompositions():
+        rate = rate_truncated(decomp, mu) if engine == "truncated" else rate_blocked(decomp)
+        if kept:
+            return EngineRates(np.asarray(rate), decomp.parseval_residual, decomposition=decomp)
+        residual = max(residual, decomp.parseval_residual)
+        rates.append(rate)
+    return EngineRates(np.concatenate(rates), residual)
 
 
 # ---------------------------------------------------------------------------

@@ -140,14 +140,19 @@ def build_distribution(
                       result.parseval_residual, result.cancellation)
 
 
-def sample(dist: OutputDistribution, count: int, seed: int | None = None):
-    """``count`` i.i.d. draws by inverse CDF; deterministic given the seed.
-    Raises :class:`SizeLimitError` before any draw when ``count`` exceeds
-    ``MAX_SAMPLE_COUNT``."""
+def _check_count(count: int) -> None:
+    """Refuse a draw count: :class:`DomainError` when negative,
+    :class:`SizeLimitError` above ``MAX_SAMPLE_COUNT``."""
     if count < 0:
         raise DomainError("count must be non-negative")
     if count > MAX_SAMPLE_COUNT:
         raise SizeLimitError(f"{count} draws exceed the limit {MAX_SAMPLE_COUNT}")
+
+
+def sample(dist: OutputDistribution, count: int, seed: int | None = None):
+    """``count`` i.i.d. draws by inverse CDF; deterministic given the seed.
+    The count passes :func:`_check_count` before any draw."""
+    _check_count(count)
     cdf = np.cumsum(dist.probabilities)
     cdf[-1] = 1.0  # guard the last bin against rounding
     rng = np.random.default_rng(seed)

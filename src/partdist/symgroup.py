@@ -25,6 +25,7 @@ from .errors import DomainError, SizeLimitError
 __all__ = [
     "Permutation",
     "GroupOrdering",
+    "monomials",
     "all_permutations",
     "partitions_of",
     "conjugate",
@@ -201,6 +202,20 @@ class GroupOrdering:
         gather[position] = np.arange(len(self))
         gather.setflags(write=False)
         return gather
+
+
+def monomials(M, ordering: GroupOrdering) -> np.ndarray:
+    """The permutation monomials prod_k M[g(k), k] for every g of the
+    ordering, in ordering order along the last axis; M may be a stack
+    (..., n, n).  They are gathered one column of M at a time,
+    ((M[g(0), 0] M[g(1), 1]) ...) M[g(n-1), n-1], by element-wise products,
+    so a stacked value has the bits of the matrix alone."""
+    M = np.asarray(M)
+    images = ordering.images_array
+    values = M[..., images[:, 0], 0]
+    for k in range(1, ordering.n):
+        values = values * M[..., images[:, k], k]
+    return values
 
 
 @cache

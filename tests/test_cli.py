@@ -331,7 +331,7 @@ def test_block_engines_refuse_n8_before_building_irreps(tmp_path, capsys, monkey
 
 def test_direct_engine_refuses_n8_before_walking(tmp_path, capsys, monkeypatch):
     def no_walk(*args, **kwargs):
-        pytest.fail("the composition walk started at n = 8")
+        pytest.fail("the composition table was filled at n = 8")
 
     permanent = partdist.rates.permanent
 
@@ -340,7 +340,7 @@ def test_direct_engine_refuses_n8_before_walking(tmp_path, capsys, monkeypatch):
             pytest.fail("permanents of degree 8 were evaluated")
         return permanent(M)
 
-    monkeypatch.setattr(partdist.rates, "_composition_walk", no_walk)
+    monkeypatch.setattr(partdist.rates, "_composition_rows", no_walk)
     monkeypatch.setattr(partdist.rates, "permanent", permanent_below_8)
     refuse_group_at_8(monkeypatch)
     ports = list(range(1, 9))
@@ -358,11 +358,11 @@ def test_direct_engine_refuses_n8_before_walking(tmp_path, capsys, monkeypatch):
 def test_direct_engine_one_string_builds_no_walk_and_no_monomial_vector(tmp_path, capsys,
                                                                       monkeypatch):
     # rate and landscape take the autocorrelation from n! permanents of the
-    # submatrix; only R (distribution, sample) is filled along the walk
+    # submatrix; only R (distribution, sample) is filled from the composition table
     def refuse(*args, **kwargs):
-        pytest.fail("the one-string direct route walked S_n or built a monomial vector")
+        pytest.fail("the one-string direct route filled R's rows or built a monomial vector")
 
-    for name in ("_composition_walk", "monomial_vector"):
+    for name in ("_composition_rows", "monomial_vector"):
         monkeypatch.setattr(partdist.rates, name, refuse)
     monkeypatch.setattr(partdist.interferometer, "monomial_vector", refuse)
     ports = list(range(1, 8))
@@ -602,6 +602,48 @@ def test_sample_count_above_the_cap_exits_3_before_drawing(tmp_path, capsys):
     code, out, err = run_cli(capsys, "sample", "--config", cfg, "--count", str(10**15))
     assert code == 3 and out == ""
     assert "size limit" in err and str(partdist.sampling.MAX_SAMPLE_COUNT) in err
+
+
+def test_sample_count_is_refused_before_the_distribution_is_built(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        pytest.fail("the distribution was built for a refused count")
+
+    monkeypatch.setattr(partdist.cli, "build_distribution", refuse)
+    cfg = write_config(tmp_path)
+    for count, want in ((partdist.sampling.MAX_SAMPLE_COUNT + 1, 3), (-1, 2)):
+        code, out, err = run_cli(capsys, "sample", "--config", cfg, "--count", str(count))
+        assert (code, out) == (want, "")
+        assert "size limit:" in err if want == 3 else "error:" in err
+
+
+def test_sample_artifact_written_line_by_line_keeps_its_bytes(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    argv = ("sample", "--config", cfg, "--count", "50")
+    _, printed, _ = run_cli(capsys, *argv)
+    out = tmp_path / "draws.txt"
+    assert run_cli(capsys, *argv, "--out", str(out))[0] == 0
+    config = partdist.cli.load_config(cfg, partdist.cli.build_parser().parse_args(argv))
+    draws = partdist.sampling.sample(partdist.cli._build_dist(config), 50, config.seed)
+    assert printed == out.read_text() == "".join(f"{s}\n" for s in draws)
+
+
+def test_channel_count_above_the_cap_exits_3_before_any_unitary(tmp_path, capsys, monkeypatch):
+    # a 100 000-channel Haar draw would ask for 160 GB of complex matrices
+    def refuse(*args, **kwargs):
+        pytest.fail("a unitary was drawn or read past the channel cap")
+
+    monkeypatch.setattr(partdist.cli, "haar_unitary", refuse)
+    monkeypatch.setattr(partdist.cli, "unitary_from_json", refuse)
+    one = {"detectors": [1], "input_ports": [1], "arrival": {**BASE["arrival"], "taus": [0.0]}}
+    haar = write_config(tmp_path, "haar.json", m=100_000, n=1, **one)
+    listed = write_config(tmp_path, "file.json", m=partdist.cli.MAX_CHANNELS + 1, n=1,
+                          unitary={"type": "file", "path": str(tmp_path / "absent.json")}, **one)
+    for cfg in (haar, listed):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "rate", "--config", cfg)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (3, "")
+        assert err.startswith("size limit:") and "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

@@ -24,12 +24,11 @@ from partdist.interferometer import (
 from partdist.matfun import GLYNN_PRODUCTS, determinant, dfunction_direct, immanant, permanent
 from partdist.rates import (
     _check_delay_matrix,
-    _composition_walk,
+    _composition_rows,
     _fft_rounding,
     _finalize_rate,
     _parseval_tolerance,
     attach_vector,
-    attach_vectors,
     autocorrelation,
     block_decompose,
     build_transform,
@@ -103,7 +102,7 @@ def direct_rounding(v):
 
 def walked_autocorrelation(v):
     """S_v(c) = conj(v)[comp[c]] . v[inverse_indices], gathered row block by
-    row block along rates._composition_walk: the O(n!^2) reference for
+    row block along rates._composition_rows: the O(n!^2) reference for
     rates.autocorrelation.  Its real and imaginary parts are real dot
     products of 2N terms, so it lies within sqrt(2) gamma_2N sigma(c) of
     S_v(c), sigma(c) = sum_h |v(h c)| |v(h)|, the walked sum of |v|."""
@@ -111,7 +110,7 @@ def walked_autocorrelation(v):
     values = np.asarray(v.values)
     conj, w = values.conj(), values[ordering.inverse_indices]
     S = np.empty(len(ordering), dtype=np.result_type(values, complex))
-    for indices, rows in _composition_walk(ordering):
+    for indices, rows in _composition_rows(ordering):
         S[indices] = conj[rows] @ w
     return S
 
@@ -178,7 +177,7 @@ def test_fermion_rate_matrix_is_sign_twisted_boson():
 
 
 def _composition_tables_by_columns(ordering):
-    # the composition table column by column: the reference for the walk
+    # the composition table column by column: the reference for the row blocks
     n = ordering.n
     N = len(ordering)
     P = ordering.images_array
@@ -195,15 +194,14 @@ def _composition_tables_by_columns(ordering):
 @pytest.mark.parametrize("convention", ["lex", "cycle"])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_composition_table_matches_column_loop(n, convention):
-    # the walk's row blocks, stacked by their indices, are the whole table:
-    # every row exactly once, in blocks of at most 64 rows (the levels of
-    # S_6 hold up to 101)
+    # the row blocks, stacked by their indices, are the whole table:
+    # every row exactly once, in blocks of at most 64 rows
     ordering = ordering_of(n, convention)
     N = len(ordering)
     table = np.full((N, N), -1, dtype=np.intp)
     visits = np.zeros(N, dtype=int)
-    for indices, rows in _composition_walk(ordering):
-        assert len(indices) <= rates.WALK_ROWS and rows.shape == (len(indices), N)
+    for indices, rows in _composition_rows(ordering):
+        assert len(indices) <= rates.TABLE_ROWS and rows.shape == (len(indices), N)
         table[indices] = rows
         visits[indices] += 1
     assert (visits == 1).all()
@@ -214,13 +212,13 @@ def test_composition_table_matches_column_loop(n, convention):
 @pytest.mark.parametrize("species", ["boson", "fermion"])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_rate_matrix_is_bit_identical_to_outer_product_form(n, species, convention):
-    # the walk fills R[i, j] = (w mono_r)(gj^-1 gi); the table form it
+    # rate_matrix fills R[i, j] = (w mono_r)(gj^-1 gi); the table form it
     # replaced took mono_r(gj^-1 gi) sgn(gi) sgn(gj): multiplying by +-1 is
     # exact, so every bit agrees, signed zeros (r = I) included
     ordering = ordering_of(n, convention)
     table = _composition_tables_by_columns(ordering)
     for r in (_random_case(n, 70 + n)[1], np.eye(n)):
-        want = rates._monomials_of(r, ordering)[table]
+        want = rates.monomials(r, ordering)[table]
         if species == "fermion":
             want = want * np.outer(ordering.signs, ordering.signs)
         R = rate_matrix(r, species, ordering).matrix
@@ -350,14 +348,14 @@ def test_rate_direct_rejects_mismatched_ordering():
 
 def test_autocorrelation_route_refuses_degree_8_before_walking(monkeypatch):
     def no_walk(*args, **kwargs):
-        pytest.fail("the composition walk started at n = 8")
+        pytest.fail("the composition table was filled at n = 8")
 
     def permanent_below_8(M):
         if np.shape(M)[-1] >= 8:
             pytest.fail("permanents of degree 8 were evaluated")
         return permanent(M)
 
-    monkeypatch.setattr(rates, "_composition_walk", no_walk)
+    monkeypatch.setattr(rates, "_composition_rows", no_walk)
     monkeypatch.setattr(rates, "permanent", permanent_below_8)
     ordering = all_permutations(8)
     with pytest.raises(SizeLimitError):
@@ -1006,6 +1004,44 @@ def test_vanishing_blocks_match_immanant_vanishing():
             assert vanishes == (abs(immanant(lam, r)) < 1e-12), (lam, mu)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    assignment=st.lists(st.integers(0, 2**16), min_size=1, max_size=6),
+    bins=st.integers(2, 8),
+    seed=st.integers(0, 2**32 - 1),
+    species=st.sampled_from(["boson", "fermion"]),
+)
+def test_gamas_dropped_blocks_vanish_on_random_bins(assignment, bins, seed, species):
+    # Gamas's theorem on snapped times: each block at a label that
+    # _kept_labels drops is zero within block_rounding, so dropping them
+    # moves the rate by at most those blocks' terms and two evaluations'
+    # rounding (rates.rate_blocked)
+    n = len(assignment)
+    rng = np.random.default_rng(seed)
+    # a random time inside each particle's bin, then snapped to its center
+    taus = tuple((x % bins + rng.uniform(0, 1)) / bins for x in assignment)
+    spec = ArrivalSpec(taus, float(rng.uniform(0.5, 4.0)), 1.0, bins)
+    idx, part = discretize(spec)
+    assert idx == tuple(x % bins + 1 for x in assignment)
+    m = n + int(rng.integers(0, 3))
+    s = OutputString.from_detectors(m, tuple(sorted(rng.choice(m, n, replace=False) + 1)))
+    ordering = all_permutations(n)
+    T = build_transform(ordering)
+    v = monomial_vector(submatrix(haar_unitary(m, seed=seed), s), ordering)
+    decomp = attach_vector(v, fourier_blocks(snapped_delay_matrix(idx, spec), species, T), T, species)
+    tol = block_rounding(n)
+    dropped = [lam for lam, keep in rates._kept_labels(decomp, part.partition).items() if not keep]
+    for lam in dropped:
+        assert np.max(np.abs(decomp.blocks[lam])) <= tol, lam
+    # |term| <= ‖K‖_2 ‖w‖² <= s max|K| ‖w‖², ‖w‖ <= (1 + δ) ‖v‖
+    N = len(ordering)
+    s_max = max(standard_tableau_count(lam) for lam in partitions_of(n))
+    w2 = float(np.vdot(v.values, v.values).real) * (1 + _fft_rounding(n)) ** 2
+    evaluation = (gamma(s_max**3 + 6) * math.sqrt(s_max) + gamma(len(decomp.blocks))) * N * w2
+    bound = len(dropped) * s_max * tol * w2 + 2 * evaluation
+    assert abs(rate_truncated(decomp, part) - rate_blocked(decomp)) <= bound
+
+
 def test_gamas_vanishes_examples():
     assert gamas_vanishes((1, 1, 1), (2, 1))
     assert not gamas_vanishes((2, 1), (2, 1))
@@ -1129,7 +1165,7 @@ def test_batched_block_rates_match_per_string(n, species, snapped):
         for width in (1, 3, max(1, 2**16 // len(ordering))):  # the last as build_distribution
             batched = []
             for start in range(0, len(strings), width):
-                decomp = attach_vectors(V.values[start : start + width], blocks, T, species)
+                decomp = attach_vector(V.values[start : start + width], blocks, T, species)
                 got = rate(decomp)
                 assert got.shape == (len(V.values[start : start + width]),)
                 batched.append(got)
@@ -1145,12 +1181,12 @@ def test_batched_decomposition_keeps_the_checks(monkeypatch):
     A, r = _random_case(n, 31)
     blocks = fourier_blocks(r, "boson", T)
     V = monomial_vector(np.stack([A, 2 * A, A.conj()]), ordering)
-    decomp = attach_vectors(V, blocks, T, "boson")
+    decomp = attach_vector(V, blocks, T, "boson")
     assert decomp.parseval_residual <= _parseval_tolerance(n) * 4 * np.vdot(V.values[0], V.values[0]).real
     with pytest.raises(DomainError):  # another ordering than the transform's
-        attach_vectors(monomial_vector(np.stack([A, A]), cycle_ordering(n)), blocks, T, "boson")
+        attach_vector(monomial_vector(np.stack([A, A]), cycle_ordering(n)), blocks, T, "boson")
     with pytest.raises(DomainError):
-        attach_vectors(V.values[:, :-1], blocks, T, "boson")
+        attach_vector(V.values[:, :-1], blocks, T, "boson")
     # one vector of the batch off the transform fails the whole batch
     calls = []
     transform = rates.fourier_transform
@@ -1163,7 +1199,7 @@ def test_batched_decomposition_keeps_the_checks(monkeypatch):
 
     monkeypatch.setattr(rates, "fourier_transform", skewed)
     with pytest.raises(NumericalError, match="Parseval"):
-        attach_vectors(V, blocks, T, "boson")
+        attach_vector(V, blocks, T, "boson")
     assert calls == [(24, 3)]
 
 
@@ -1252,7 +1288,7 @@ def dispatch_before_engine_rates(A, r, species, engine, mu, chunk):
             if engine == "direct":
                 parts.append([rate_direct(v, R) for v in vs.values])
             else:
-                decomp = attach_vectors(vs, blocks, T, species)
+                decomp = attach_vector(vs, blocks, T, species)
                 residual = max(residual, decomp.parseval_residual)
                 parts.append(rate_blocked(decomp) if engine == "blocked" else rate_truncated(decomp, mu))
         return np.concatenate(parts), None if engine == "direct" else residual, None, None

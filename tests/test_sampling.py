@@ -208,13 +208,13 @@ def test_batched_block_engines_match_per_string_projection(species, monkeypatch)
     spec = ArrivalSpec((0.05, 0.1, 0.33, 0.5, 0.52, 0.9), 3.0, 1.0, 4)
     itf10 = haar_unitary(10, seed=17)
     widths = []
-    batched = partdist.rates.attach_vectors
+    batched = partdist.rates.attach_vector
 
-    def attach_vectors(vs, *args):
+    def attach_vector(vs, *args):
         widths.append(len(vs))
         return batched(vs, *args)
 
-    monkeypatch.setattr(partdist.rates, "attach_vectors", attach_vectors)
+    monkeypatch.setattr(partdist.rates, "attach_vector", attach_vector)
     ordering = all_permutations(6)
     T = build_transform(ordering)
     idx, part = discretize(spec)

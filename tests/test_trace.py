@@ -69,9 +69,10 @@ def test_trace_hooks_cover_the_batched_block_routes(tmp_path):
 
     assert rate["rates.attach_vector_calls"] == 1
     assert rate["rates.blocks_evaluated"] == 3
-    # 20 strings in one batch: one rate_truncated call, both references
-    # from one batched permanent call each
+    # 20 strings in one batch: one projection and one rate_truncated call,
+    # both references from one batched permanent call each
     assert dist["sampling.build_distribution_s"] > 0
+    assert dist["rates.attach_vector_calls"] == 1
     assert dist["matfun.permanent_calls"] == 2
     assert dist["rates.blocks_evaluated"] == 3
     assert dist["interferometer.monomial_vector_s"] > 0
