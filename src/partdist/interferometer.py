@@ -37,7 +37,9 @@ UNITARITY_TOL = 1e-10
 
 @dataclass(frozen=True)
 class Interferometer:
-    """An m-channel unitary."""
+    """An m-channel unitary: every entry of U^dag U - I is within
+    UNITARITY_TOL = 1e-10 in modulus, absolute (a Haar unitary drawn by QR
+    has entries near 1e-15, up to m = 2048)."""
 
     matrix: np.ndarray
 
@@ -45,7 +47,7 @@ class Interferometer:
         U = np.asarray(self.matrix, dtype=complex)
         if U.ndim != 2 or U.shape[0] != U.shape[1]:
             raise DomainError(f"interferometer matrix must be square, got {U.shape}")
-        if not np.allclose(U.conj().T @ U, np.eye(U.shape[0]), atol=UNITARITY_TOL):
+        if not np.allclose(U.conj().T @ U, np.eye(U.shape[0]), rtol=0, atol=UNITARITY_TOL):
             raise DomainError("matrix is not unitary within 1e-10")
         U.setflags(write=False)
         object.__setattr__(self, "matrix", U)

@@ -102,7 +102,6 @@ __all__ = [
     "TruncationEntry",
     "gamas_vanishes",
     "rate_fully_distinguishable",
-    "StreamingRates",
     "EngineRates",
     "engine_rates",
     "MAX_DENSE_DEGREE",
@@ -113,29 +112,28 @@ MAX_STREAMING_FLOPS = 2**34  # about half a minute per rate on a 2-core machine
 MAX_STREAMING_BYTES = 2**29
 STREAMING_STEP_BYTES = 2**20  # subset-matrix bytes per step of rate_direct_streaming
 RATE_CLAMP_TOL = 1e-10
+DELAY_MATRIX_TOL = 1e-12
 TABLE_ROWS = 64  # composition-table rows per block of _composition_rows
 BATCH_ENTRIES = 2**16  # coefficients per batch: n! per string or delay matrix, 2^n per streamed string
-
-
-def _allclose(a, b) -> bool:
-    """np.allclose(a, b, atol=1e-12) with its default rtol of 1e-5, for
-    finite a and b, from plain ufuncs: |a - b| <= 1e-12 + 1e-5 |b|."""
-    return bool((np.abs(a - b) <= 1e-12 + 1e-5 * np.abs(b)).all())
 
 
 def _check_delay_matrix(r, n: int, batch: bool = False) -> np.ndarray:
     """r as floats, after checking that it is an n x n symmetric matrix with
     unit diagonal whose entries are finite overlaps in [-1, 1]; with
-    ``batch`` a stack (..., n, n) of them.  Entries may pass 1 in modulus by
-    the tolerance of the unit diagonal, 1e-12 + 1e-5, as a normalised Gram
-    matrix does by rounding."""
+    ``batch`` a stack (..., n, n) of them.  Each of the three holds to
+    DELAY_MATRIX_TOL = 1e-12 absolute, as a normalised Gram matrix does by
+    rounding.  Every delay matrix of :mod:`partdist.delays` passes exactly,
+    since (t_i - t_j)^2 = (t_j - t_i)^2 in IEEE arithmetic and exp(0) = 1;
+    the rounding bounds of the dense and block routes take |r_ij| <= 1.
+    """
     r = np.asarray(r, dtype=float)
     if r.shape[-2:] != (n, n) or (r.ndim != 2 and not batch):
         raise DomainError(f"delay matrix shape {r.shape} does not match degree {n}")
-    if not (np.abs(r) <= 1.0 + 1e-12 + 1e-5).all():  # False for NaN and infinities too
+    if not (np.abs(r) <= 1.0 + DELAY_MATRIX_TOL).all():  # False for NaN and infinities too
         raise DomainError("delay matrix entries must be finite overlaps in [-1, 1]")
     diagonal = np.diagonal(r, axis1=-2, axis2=-1)
-    if not _allclose(r, np.swapaxes(r, -1, -2)) or not _allclose(diagonal, 1.0):
+    if not ((np.abs(r - np.swapaxes(r, -1, -2)) <= DELAY_MATRIX_TOL).all()
+            and (np.abs(diagonal - 1.0) <= DELAY_MATRIX_TOL).all()):
         raise DomainError("delay matrix must be symmetric with unit diagonal")
     return r
 
@@ -292,20 +290,28 @@ def rate_from_autocorrelation(S, r, species: str, ordering: GroupOrdering):
     return _finalize_rate((raw[:, 0] + 1j * raw[:, 1]).reshape(r.shape[:-2]))
 
 
-def _finalize_rate(value):
+def _finalize_rate(value, bounds=None):
     """Real, non-negative rate from a raw value, or rates from an array of
-    them, element by element: an imaginary part beyond RATE_CLAMP_TOL
-    max(1, |value|), or a real part below -RATE_CLAMP_TOL, raises
-    :class:`NumericalError`; a real part within the tolerance below 0 clamps
-    to 0, with one :class:`ClampWarning` per call.  A scalar gives a float,
-    an array a float array of its shape."""
+    them, element by element, judged against ``bounds`` (the rounding bound
+    of each raw value) or else RATE_CLAMP_TOL max(1, |value|): a value that
+    is not finite, an imaginary part above the bound or a real part below
+    minus it raises :class:`NumericalError`; a real part within the bound
+    below 0 clamps to 0, with one :class:`ClampWarning` per call.  Exact
+    zeros are physical (the Hong-Ou-Mandel dip), so a bound above the rate
+    is no error.  A scalar gives a float, an array a float array of its
+    shape.  Without ``bounds`` the real part meets the absolute
+    RATE_CLAMP_TOL in effect: a finite value with |value| > 1 whose real
+    part lies in [-bound, -RATE_CLAMP_TOL) has |imag| above the bound."""
     values = np.asarray(value, dtype=complex)
-    bad = np.abs(values.imag) > RATE_CLAMP_TOL * np.maximum(1.0, np.abs(values))
-    if bad.any():
-        raise NumericalError(f"rate has a non-negligible imaginary part: {values[bad].flat[0]}")
+    bound = RATE_CLAMP_TOL * np.maximum(1.0, np.abs(values)) if bounds is None else bounds
+    if not np.isfinite(values).all():
+        raise NumericalError(f"rate {values[~np.isfinite(values)].flat[0]} is not finite")
+    for excess, what in ((np.abs(values.imag) - bound, "has an imaginary part"),
+                         (-values.real - bound, "is negative")):
+        if (excess > 0).any():
+            worst = np.unravel_index(np.argmax(excess), excess.shape)
+            raise NumericalError(f"rate {values[worst]} {what} beyond its bound {bound[worst]:.3e}")
     rates = values.real
-    if (rates < -RATE_CLAMP_TOL).any():
-        raise NumericalError(f"rate {rates.min()} is negative beyond tolerance")
     negative = rates < 0.0
     if negative.any():
         warnings.warn(ClampWarning(int(negative.sum()), float(rates.min())), stacklevel=3)
@@ -330,28 +336,6 @@ def rate_direct(v: MonomialVector | np.ndarray, R: RateMatrix) -> float:
     if values.shape != (len(R.matrix),):
         raise DomainError("monomial vector length does not match rate matrix")
     return _finalize_rate(complex(values.conj() @ R.matrix @ values))
-
-
-@dataclass(frozen=True)
-class StreamingRates:
-    """Rates from :func:`rate_direct_streaming`, one per batch element.
-
-    ``rates`` are the clamped, non-negative rates; ``bounds`` the rounding
-    bound of each raw alternating sum; ``magnitudes`` the sums
-    sum_S |f(P_S)| that the alternating sum cancels down to the rate.
-    """
-
-    rates: np.ndarray
-    bounds: np.ndarray
-    magnitudes: np.ndarray
-
-    @property
-    def cancellation(self) -> float:
-        """Largest sum_S |f(P_S)| / max(rate, tiny) of the batch."""
-        if not self.rates.size:
-            return 0.0
-        tiny = np.finfo(float).tiny
-        return float(np.max(self.magnitudes / np.maximum(self.rates, tiny)))
 
 
 def _streaming_cost(n: int, species: str) -> int:
@@ -455,7 +439,7 @@ def _subset_errors(species: str, values, norms, ell) -> np.ndarray:
     )
 
 
-def rate_direct_streaming(A, r, species: str) -> StreamingRates:
+def rate_direct_streaming(A, r, species: str) -> EngineRates:
     """Rates with no n! object, by inclusion-exclusion over detector subsets.
 
     With P_k = diag(conj A[k, :]) r diag(A[k, :]) and P_S = sum_(k in S) P_k,
@@ -491,8 +475,8 @@ def rate_direct_streaming(A, r, species: str) -> StreamingRates:
     bound for each (batch element, subset) pair.  Every value of f is
     computed element-wise or by its own LAPACK call, each P_S and its row
     sums ℓ are added up in detector order as for the string alone, and all
-    2^n values of a rate are summed at once in a fixed order, so the rates,
-    bounds and magnitudes are bit-identical for every step width and batch.
+    2^n values of a rate are summed at once in a fixed order, so the rates
+    and bounds are bit-identical for every step width and batch.
     Raises :class:`SizeLimitError`, before allocating, when one rate costs
     more than ``MAX_STREAMING_FLOPS`` or the working set exceeds
     ``MAX_STREAMING_BYTES`` (:func:`_streaming_bytes`, which counts every
@@ -527,11 +511,10 @@ def rate_direct_streaming(A, r, species: str) -> StreamingRates:
       alternating sum of the 2^n computed values f̂_S adds γ_(2^n) sum_S
       |f̂_S|.
 
-    The bound is the sum of these terms over S.  A raw rate (or imaginary
-    part) beyond it raises :class:`NumericalError`; a raw rate within it
-    below 0 clamps to 0, with one :class:`ClampWarning` per call that
-    counts them.  Exact zeros are physical (the
-    Hong-Ou-Mandel dip), so a bound above the rate is no error.
+    The bound is the sum of these terms over S.  :func:`_finalize_rate`
+    judges each raw rate against its bound, as it judges every route's.
+    Returns :class:`EngineRates` with ``bounds``, and with ``cancellation``
+    the largest sum_S |f̂_S| / rate of the batch (0.0 for an empty one).
     """
     _check_species(species)
     A = np.ascontiguousarray(A, dtype=complex)
@@ -595,24 +578,10 @@ def rate_direct_streaming(A, r, species: str) -> StreamingRates:
     raw = (values * np.where((n - popcount) % 2, -1.0, 1.0)).sum(axis=-1)
     magnitudes = np.abs(values).sum(axis=-1)
     bounds = errors.sum(axis=-1) + _gamma(subsets) * magnitudes
-    if np.any(np.abs(raw.imag) > bounds):
-        worst = int(np.argmax(np.abs(raw.imag) - bounds))
-        raise NumericalError(
-            f"rate has a non-negligible imaginary part: {raw[worst]} (bound {bounds[worst]:.3e})"
-        )
-    rates = raw.real
-    if np.any(rates < -bounds):
-        worst = int(np.argmax(-rates - bounds))
-        raise NumericalError(
-            f"rate {rates[worst]} is negative beyond its rounding bound {bounds[worst]:.3e}"
-        )
-    negative = rates < 0.0
-    if negative.any():
-        warnings.warn(ClampWarning(int(negative.sum()), float(rates.min())), stacklevel=2)
-        rates = np.where(negative, 0.0, rates)
-    return StreamingRates(
-        rates.reshape(shape), bounds.reshape(shape), magnitudes.reshape(shape)
-    )
+    rates = _finalize_rate(raw, bounds)
+    ratios = magnitudes / np.maximum(rates, np.finfo(float).tiny)
+    return EngineRates(rates.reshape(shape), bounds=bounds.reshape(shape),
+                       cancellation=float(ratios.max()) if batch else 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -966,15 +935,19 @@ class EngineRates:
 
     ``rates`` is 0-d for one string under one delay matrix, else one rate
     per string or per delay matrix.  ``parseval_residual`` (block engines)
-    and ``cancellation`` (streaming engine) are None on the other routes;
-    ``decomposition`` is the block decomposition of one string under one
-    delay matrix on the block engines, and None otherwise.
+    and ``cancellation`` (streaming engine: the largest sum_S |f(P_S)| /
+    rate) are None on the other routes; ``decomposition`` is the block
+    decomposition of one string under one delay matrix on the block
+    engines, and None otherwise.  ``bounds``, of the shape of ``rates``, is
+    the rounding bound of each raw rate that :func:`_finalize_rate` judged
+    it by, or None on a route that derives none yet (all but streaming).
     """
 
     rates: np.ndarray
     parseval_residual: float | None = None
     cancellation: float | None = None
     decomposition: BlockDecomposition | None = None
+    bounds: np.ndarray | None = None
 
 
 def _batches(stack, width: int):
@@ -1030,10 +1003,13 @@ def engine_rates(A, r, species: str, engine: str, *, mu=None) -> EngineRates:
     if np.ndim(A) not in (2, 3) or np.ndim(r) not in (2, 3) or not (one_string or np.ndim(r) == 2):
         raise DomainError("engine rates take one string or a stack of strings under one delay matrix")
     if engine == "streaming":
+        if one_string:
+            return rate_direct_streaming(A, r, species)
         streams = [rate_direct_streaming(a, r, species)
-                   for a in ([A] if one_string else _batches(A, max(1, BATCH_ENTRIES >> n)))]
-        rates = streams[0].rates if one_string else np.concatenate([s.rates for s in streams])
-        return EngineRates(rates, cancellation=max(s.cancellation for s in streams))
+                   for a in _batches(A, max(1, BATCH_ENTRIES >> n))]
+        return EngineRates(np.concatenate([s.rates for s in streams]),
+                           bounds=np.concatenate([s.bounds for s in streams]),
+                           cancellation=max(s.cancellation for s in streams))
     if engine not in ("direct", "blocked", "truncated"):
         raise DomainError(f"unknown engine {engine!r}")
     _check_dense_degree(n)

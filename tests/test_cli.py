@@ -239,6 +239,19 @@ def test_missing_and_malformed_unitary_files_exit_2(tmp_path, capsys):
             assert err.startswith("error: ") and says in err and str(path) in err
 
 
+def test_unitary_file_off_by_2e_6_exits_2(tmp_path, capsys):
+    # one column of a Haar unitary scaled by 1 + 1e-6: the diagonal of
+    # U^dag U is off by 2e-6, far above the stated 1e-10
+    U = haar_unitary(6, seed=5).matrix.copy()
+    U[:, 3] *= 1 + 1e-6
+    path = tmp_path / "skewed.json"
+    path.write_text(json.dumps([[[z.real, z.imag] for z in row] for row in U.tolist()]))
+    cfg = write_config(tmp_path, unitary={"type": "file", "path": str(path)})
+    code, out, err = run_cli(capsys, "rate", "--config", cfg)
+    assert code == 2 and out == ""
+    assert "not unitary within 1e-10" in err
+
+
 def test_size_guards_exit_3(tmp_path, capsys):
     # dense transform is capped well below 8 particles
     big_n = write_config(
@@ -808,10 +821,14 @@ def test_clamped_rates_are_counted_on_stderr(tmp_path, capsys, monkeypatch):
     # 8 distinct subset matrices) every subset value but the full sets' is
     # replaced by 0, so each rate is the permanent of its full P_S (a
     # positive semidefinite matrix, so >= 0), and the first string's by
-    # -1e-30, a raw rate below 0 but within its rounding bound
+    # -1e-30, a raw rate below 0 but within its rounding bound; both routes
+    # are judged by _finalize_rate, the streaming one with its bounds, which
+    # the stub leaves as they are
     finalize = partdist.rates._finalize_rate
 
-    def one_negative(value):
+    def one_negative(value, bounds=None):
+        if bounds is not None:
+            return finalize(value, bounds)
         value = np.array(value, dtype=complex)
         value.flat[:2] = -1e-12
         return finalize(value)

@@ -25,6 +25,28 @@ def test_interferometer_rejects_nonunitary():
         Interferometer(np.eye(3)[:2])
 
 
+def test_unitarity_is_checked_to_1e_10_absolute(tmp_path):
+    # one column of a Haar unitary scaled by 1 + 1e-6 or 1 + 1e-9: max
+    # |U^dag U - I| is 2e-6 or 2e-9, inside np.allclose's default rtol of
+    # 1e-5 and outside the stated 1e-10
+    U = haar_unitary(8, seed=4).matrix
+    for scale in (1 + 1e-6, 1 + 1e-9):
+        skewed = U.copy()
+        skewed[:, 3] *= scale
+        assert 1e-10 < np.abs(skewed.conj().T @ skewed - np.eye(8)).max() < 1e-5
+        with pytest.raises(DomainError, match="not unitary within 1e-10"):
+            Interferometer(skewed)
+    for m in (1, 8, 64, 256):
+        for seed in range(3):
+            assert haar_unitary(m, seed=seed).m == m
+    # a unitary_to_json round trip at m = 512, written as perfbench writes
+    # its unitary files (the same text, from one json.dumps)
+    itf = haar_unitary(512, seed=6)
+    path = tmp_path / "u512.json"
+    path.write_text(json.dumps([[[z.real, z.imag] for z in row] for row in itf.matrix.tolist()]))
+    assert np.array_equal(unitary_from_json(path).matrix, itf.matrix)
+
+
 def test_interferometer_accepts_unitary():
     itf = Interferometer(np.eye(4, dtype=complex))
     assert itf.m == 4

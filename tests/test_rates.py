@@ -4,6 +4,7 @@ import json
 import math
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -373,13 +374,13 @@ def test_autocorrelation_route_refuses_degree_8_before_walking(monkeypatch):
 
 def test_delay_matrix_check_agrees_with_allclose():
     # on finite overlaps in [-1, 1] the check is np.allclose(r, r.T,
-    # atol=1e-12) and np.allclose(diag r, 1, atol=1e-12), rtol 1e-5
-    # included, from plain ufuncs; entries that are not finite or that pass
-    # 1 in modulus by more than that tolerance are refused whatever their
-    # symmetry, and no input raises a floating-point warning
+    # rtol=0, atol=1e-12) and np.allclose(diag r, 1, rtol=0, atol=1e-12),
+    # from plain ufuncs; entries that are not finite or that pass 1 in
+    # modulus by more than 1e-12 are refused whatever their symmetry, and no
+    # input raises a floating-point warning
     rng = np.random.default_rng(2024)
-    specials = [np.nan, np.inf, -np.inf, 1e308, -1e308, 3.0, -1.5, 1 + 2e-5, 0.0, 1.0, -1.0]
-    steps = [1e-5, -1e-5, 9.99e-6, -9.99e-6, 1.001e-5, 1e-12, 2e-12, 1e-6, 0.0]
+    specials = [np.nan, np.inf, -np.inf, 1e308, -1e308, 3.0, -1.5, 1 + 2e-5, 1 + 1e-9, 0.0, 1.0, -1.0]
+    steps = [1e-5, -1e-5, 9.99e-6, -9.99e-6, 1.001e-5, 1e-12, 2e-12, 1e-9, 1e-6, 0.0]
     verdicts = set()
     out_of_range = 0
     for trial in range(3000):
@@ -391,7 +392,7 @@ def test_delay_matrix_check_agrees_with_allclose():
         if kind in (0, 1, 2):
             np.fill_diagonal(r, 1.0)
         i, j = rng.integers(0, n, 2)
-        if kind == 0:  # asymmetry at the rtol boundary
+        if kind == 0:  # asymmetry near the atol and near the old rtol of 1e-5
             r[i, j] *= 1 + rng.choice(steps)
         elif kind == 1:  # a special value, mirrored or not
             r[i, j] = rng.choice(specials)
@@ -400,8 +401,9 @@ def test_delay_matrix_check_agrees_with_allclose():
         elif kind == 2:  # diagonal near 1
             r[np.diag_indices(n)] += rng.choice(steps, size=n)
         with np.errstate(invalid="ignore"):
-            in_range = bool((np.abs(r) <= 1 + 1e-12 + 1e-5).all())
-            close = np.allclose(r, r.T, atol=1e-12) and np.allclose(np.diag(r), 1.0, atol=1e-12)
+            in_range = bool((np.abs(r) <= 1 + 1e-12).all())
+            close = (np.allclose(r, r.T, rtol=0, atol=1e-12)
+                     and np.allclose(np.diag(r), 1.0, rtol=0, atol=1e-12))
         out_of_range += close and not in_range
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -417,6 +419,14 @@ def test_delay_matrix_check_agrees_with_allclose():
     for r in ([[1.0, 3.0], [3.0, 1.0]], [[1.0, np.inf], [np.inf, 1.0]], [[1.0, np.nan], [np.nan, 1.0]]):
         with pytest.raises(DomainError, match="finite overlaps"):
             _check_delay_matrix(r, 2)
+    # a diagonal of 1 + 1e-6, or an overlap of 1 + 1e-9, is refused (both
+    # passed the old relative tolerance of 1e-5)
+    with pytest.raises(DomainError):
+        _check_delay_matrix([[1.0 + 1e-6, 0.5], [0.5, 1.0]], 2)
+    with pytest.raises(DomainError, match="unit diagonal"):
+        _check_delay_matrix([[1.0 - 1e-6, 0.5], [0.5, 1.0]], 2)
+    with pytest.raises(DomainError, match="finite overlaps"):
+        _check_delay_matrix([[1.0, 1.0 + 1e-9], [1.0 + 1e-9, 1.0]], 2)
     # a normalised Gram matrix may pass 1 by rounding
     _check_delay_matrix([[1.0 + 2.3e-16, 1.0], [1.0, 1.0]], 2)
 
@@ -501,22 +511,25 @@ def test_streaming_chunk_size_does_not_change_result_materially(monkeypatch):
 
 
 def _own_calls(As, r, species):
-    """rate_direct_streaming on each batch element by itself: (rates,
-    bounds, magnitudes), each stacked."""
+    """rate_direct_streaming on each batch element by itself: rates and
+    bounds, each stacked, and the largest cancellation."""
     own = [rate_direct_streaming(a, q, species) for a, q in zip(As, r)]
-    return [np.stack([getattr(s, f) for s in own]) for f in ("rates", "bounds", "magnitudes")]
+    return [np.stack([s.rates for s in own]), np.stack([s.bounds for s in own]),
+            max(s.cancellation for s in own)]
 
 
 def _assert_same_bits(got, want):
-    for field, values in zip(("rates", "bounds", "magnitudes"), want):
+    for field, values in zip(("rates", "bounds"), want):
         assert getattr(got, field).tobytes() == values.tobytes(), field
+    assert got.cancellation == want[2]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
 def test_shared_subsets_give_each_string_the_bits_of_its_own_call(n, monkeypatch):
     # all C(n + 2, n) strings of one interferometer share their detector
-    # rows, so a batch evaluates each distinct subset once; every rate,
-    # bound and magnitude still has the bits of the string's own call
+    # rows, so a batch evaluates each distinct subset once; every rate and
+    # bound, and the largest cancellation, still has the bits of the
+    # strings' own calls
     m = n + 2
     A = submatrix(haar_unitary(m, seed=80 + n), enumerate_outputs(m, n, 10**6))
     rng = np.random.default_rng(90 + n)
@@ -646,7 +659,7 @@ def test_streaming_matches_direct_within_derived_bound(n, species, snapped):
     direct = rate_direct(v, rate_matrix(r, species, ordering))
     stream = rate_direct_streaming(A, r, species)
     assert abs(float(stream.rates) - direct) <= float(stream.bounds) + direct_rounding(v)
-    assert float(stream.magnitudes) >= float(stream.rates) > 0.0
+    assert stream.cancellation >= 1.0 and float(stream.rates) > 0.0
 
 
 def glynn_reference(M):
@@ -743,6 +756,40 @@ def test_streaming_shift_invariant_and_relabelling_covariant(n, seed, species):
     for A2, r2 in variants:
         other = rate_direct_streaming(A2, r2, species)
         assert abs(float(other.rates) - float(base.rates)) <= float(other.bounds + base.bounds)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+    species=st.sampled_from(["boson", "fermion"]),
+    snapped=st.booleans(),
+)
+def test_stacked_streaming_matches_stacked_dense_within_bounds(n, seed, species, snapped):
+    # all C(m, n) strings of one interferometer through engine_rates, with
+    # BATCH_ENTRIES patched so that the streaming stack spans two or more
+    # calls: each rate is within its own bound in the concatenated bounds
+    # plus the dense form's 2 gamma_2N ||v||_1^2
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(n + 1, 10))
+    A = submatrix(haar_unitary(m, seed=seed), enumerate_outputs(m, n, 10**6))
+    spec = ArrivalSpec(tuple(rng.uniform(0, 1, size=n)), float(rng.uniform(0.5, 4.0)), 1.0, 3)
+    r = (snapped_delay_matrix(discretize(spec)[0], spec) if snapped
+         else delay_matrix_from_times(spec.taus, spec.delta_omega))
+    width = int(rng.integers(1, len(A)))  # strings per streaming call, fewer than all
+    calls = []
+    streaming = rates.rate_direct_streaming
+    with mock.patch.object(rates, "BATCH_ENTRIES", width << n), \
+         mock.patch.object(rates, "rate_direct_streaming",
+                           lambda *args: calls.append(len(args[0])) or streaming(*args)):
+        stream = rates.engine_rates(A, r, species, "streaming")
+        dense = rates.engine_rates(A, r, species, "direct")
+    assert len(calls) == -(-len(A) // width) >= 2
+    assert stream.bounds.shape == stream.rates.shape == dense.rates.shape == (len(A),)
+    assert dense.bounds is None
+    values = monomial_vector(A, all_permutations(n)).values
+    dense_rounding = 2 * gamma(2 * values.shape[1]) * np.abs(values).sum(axis=1) ** 2
+    assert (np.abs(stream.rates - dense.rates) <= stream.bounds + dense_rounding).all()
 
 
 def test_rate_is_ordering_convention_independent():
@@ -1221,6 +1268,56 @@ def test_finalize_rate_checks_each_element_and_warns_once():
         _finalize_rate(np.array([0.5, 0.5 + 1e-9j]))
     with pytest.raises(NumericalError, match="imaginary"):
         _finalize_rate(np.array([[2e3, 2e3 + 1e-6j]]))
+
+
+def test_finalize_rate_refuses_values_that_are_not_finite():
+    # with or without bounds: no bound of max(1, |value|) admits them
+    for value in (np.nan, np.inf, -np.inf, complex(-1.0, np.nan), complex(0.5, np.inf)):
+        with pytest.raises(NumericalError, match="not finite"):
+            _finalize_rate(np.array([0.25, value]))
+        with pytest.raises(NumericalError, match="not finite"):
+            _finalize_rate(np.array([0.25, value]), np.array([1e-3, 1e-3]))
+
+
+def test_streaming_rates_meet_the_shared_verdict(monkeypatch):
+    # the 4 strings of m = 4, n = 3 in one streaming call, with every subset
+    # value but the full sets' replaced by 0 (as
+    # test_clamped_rates_are_counted_on_stderr does on the CLI), so each raw
+    # rate is the value given to its full set; _finalize_rate judges it
+    # against the string's own rounding bound
+    A = submatrix(haar_unitary(4, seed=3), enumerate_outputs(4, 3, 10**6))
+    r = delay_matrix_from_times([0.1, 0.5, 0.7], 1.5)
+    distinct, codes, full_values = rates._distinct_subsets, [], []
+
+    def record_codes(rowid, rows):
+        code, pair = distinct(rowid, rows)
+        codes.append(code)
+        return code, pair
+
+    def full_sets_only(M):
+        assert len(M) == codes[-1].max() + 1  # one step, in code order
+        values = np.zeros(len(M), dtype=complex)
+        values[codes[-1][:, -1]] = full_values
+        return values
+
+    monkeypatch.setattr(rates, "_distinct_subsets", record_codes)
+    monkeypatch.setattr(rates, "_glynn", full_sets_only)
+    full_values[:] = [1.0, 1e-30, 0.25, 0.5]
+    bounds = rate_direct_streaming(A, r, "boson").bounds
+    assert (bounds > 0).all() and bounds[1] < 1e-12
+
+    full_values[:] = [-1.0, 1e-30, 0.25, 0.5]  # the bound of +-1.0 is bounds[0]
+    with pytest.raises(NumericalError, match="negative") as raised:
+        rate_direct_streaming(A, r, "boson")
+    assert f"{bounds[0]:.3e}" in str(raised.value)
+
+    full_values[:] = [-1e-30, -2e-30, 0.25, 0.5]  # far inside each bound
+    with pytest.warns(ClampWarning) as caught:
+        got = rate_direct_streaming(A, r, "boson")
+    assert len(caught) == 1
+    assert (caught[0].message.count, caught[0].message.lowest) == (2, -2e-30)
+    assert got.rates.tolist() == [0.0, 0.0, 0.25, 0.5]
+    assert got.bounds.shape == (4,) and got.cancellation >= 1.0
 
 
 @pytest.mark.parametrize("n, steps", [(3, 9), (6, 100), (7, 30)])
