@@ -47,7 +47,7 @@ def main():
     for species in ("boson", "fermion"):
         R = rate_matrix(r, species, ordering)
         direct = rate_direct(v, R)
-        decomp = block_decompose(v, R, T, species)
+        decomp = block_decompose(v, R, T)
         print(f"\n{species}: rate for output {s}")
         total = 0.0
         for lam in sorted(decomp.blocks, reverse=True):

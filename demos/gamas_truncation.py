@@ -60,7 +60,7 @@ def main():
 
     for species in ("boson", "fermion"):
         R = rate_matrix(r, species, ordering)
-        decomp = block_decompose(v, R, T, species)
+        decomp = block_decompose(v, R, T)
         print(f"\n{species}:")
         for entry in truncation_report(decomp, part.partition):
             tag = "keep" if entry.kept else "drop"

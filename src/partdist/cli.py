@@ -51,7 +51,7 @@ from .interferometer import (
     submatrix,
     unitary_from_json,
 )
-from .rates import engine_rates, gamas_vanishes, truncation_report
+from .rates import engine_rates, gamas_partition, gamas_vanishes, truncation_report
 from .sampling import (
     _check_count,
     build_distribution,
@@ -87,9 +87,7 @@ class Config:
     detectors: tuple[int, ...]
     input_ports: tuple[int, ...]
     spec: ArrivalSpec
-    binned: bool
-    mu: tuple[int, ...]  # bin-occupancy partition of the (possibly snapped) times
-    allow_approximate_truncation: bool
+    mu: tuple[int, ...]  # bin-occupancy partition of the arrival times
     config_hash: str
 
 
@@ -203,7 +201,6 @@ def load_config(path: str, args: argparse.Namespace) -> Config:
             if not isinstance(t, (int, float)) or isinstance(t, bool):
                 raise DomainError(f"config field 'arrival.taus': time {t!r} is not a number")
         spec = ArrivalSpec(tuple(float(t) for t in taus), delta_omega, window, bins)
-        binned = False
         arrival_key = {"type": "continuous", "taus": list(spec.taus)}
     elif atype == "binned":
         idx = _cfg_get(arrival, "bin_indices", list)
@@ -212,10 +209,10 @@ def load_config(path: str, args: argparse.Namespace) -> Config:
         for c in idx:
             if not _is_int(c) or not 1 <= c <= bins:
                 raise DomainError(f"config field 'arrival.bin_indices': index {c!r} outside 1..{bins}")
-        # place each particle at its bin center; truncation is then exact
+        # place each particle at its bin center: particles of one bin share
+        # a time, so truncation drops the blocks of the bin partition
         taus = tuple((c - 0.5) * window / bins for c in idx)
         spec = ArrivalSpec(taus, delta_omega, window, bins)
-        binned = True
         arrival_key = {"type": "binned", "bin_indices": list(idx)}
     else:
         raise DomainError(f"config field 'arrival.type': expected 'continuous' or 'binned', got {atype!r}")
@@ -224,18 +221,16 @@ def load_config(path: str, args: argparse.Namespace) -> Config:
 
     detectors = _port_tuple(raw, "detectors", n, m, range(1, n + 1))
     input_ports = _port_tuple(raw, "input_ports", n, m, range(1, n + 1))
-    allow_approx = bool(_cfg_get(raw, "allow_approximate_truncation", bool, default=False))
 
     resolved = {
         "m": m, "n": n, "unitary": unitary_key, "species": species,
         "engine": engine, "chunk": chunk, "seed": seed,
         "arrival": arrival_key, "detectors": list(detectors),
         "input_ports": list(input_ports),
-        "allow_approximate_truncation": allow_approx,
     }
     rate_engine = "streaming" if engine == "direct" and chunk > 0 else engine
     return Config(m, n, itf, species, engine, rate_engine, seed, detectors, input_ports,
-                  spec, binned, part.partition, allow_approx, _canonical_hash(resolved))
+                  spec, part.partition, _canonical_hash(resolved))
 
 
 # ---------------------------------------------------------------------------
@@ -289,34 +284,24 @@ class _Timer:
         return False
 
 
-def _check_truncation_allowed(cfg: Config) -> None:
-    if cfg.engine == "truncated" and not cfg.binned and not cfg.allow_approximate_truncation:
-        raise DomainError(
-            "engine 'truncated' on continuous arrival times drops nonzero "
-            "blocks; use a binned arrival spec or set "
-            "'allow_approximate_truncation': true"
-        )
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 
 
 def cmd_rate(args) -> None:
     cfg = load_config(args.config, args)
-    _check_truncation_allowed(cfg)
     with _Timer() as timer:
         s = OutputString.from_detectors(cfg.m, cfg.detectors)
         A = submatrix(cfg.interferometer, s, cfg.input_ports)
         r = delay_matrix(cfg.spec)
-        result = engine_rates(A, r, cfg.species, cfg.rate_engine, mu=cfg.mu)
+        result = engine_rates(A, r, cfg.species, cfg.rate_engine)
         timer.parseval_residual = result.parseval_residual
         timer.cancellation = result.cancellation
         blocks_out = None
         if result.decomposition is not None:
             # against the all-singletons partition every label dominates, so
             # the blocked report shows everything as kept
-            mu = cfg.mu if cfg.engine == "truncated" else (1,) * cfg.n
+            mu = gamas_partition(r) if cfg.engine == "truncated" else (1,) * cfg.n
             blocks_out = [
                 {
                     "lam": list(e.lam),
@@ -342,16 +327,8 @@ def cmd_rate(args) -> None:
 
 
 def _build_dist(cfg: Config):
-    _check_truncation_allowed(cfg)
-    approximate = cfg.engine == "truncated" and not cfg.binned
     return build_distribution(
-        cfg.interferometer,
-        cfg.spec,
-        cfg.species,
-        cfg.rate_engine,
-        input_ports=cfg.input_ports,
-        snapped=cfg.binned,
-        approximate_mu=cfg.mu if approximate else None,
+        cfg.interferometer, cfg.spec, cfg.species, cfg.rate_engine, input_ports=cfg.input_ports
     )
 
 

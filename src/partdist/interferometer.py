@@ -188,10 +188,10 @@ def enumerate_outputs(
 
 def unitary_to_json(interferometer: Interferometer, path) -> None:
     """Write the unitary as a JSON array-of-arrays of [re, im] pairs."""
-    U = interferometer.matrix
-    data = [[[float(z.real), float(z.imag)] for z in row] for row in U]
+    U = np.ascontiguousarray(interferometer.matrix, dtype=complex)
+    text = json.dumps(U.view(float).reshape(U.shape + (2,)).tolist())
     with open(path, "w") as fh:
-        json.dump(data, fh)
+        fh.write(text)
 
 
 def unitary_from_json(path) -> Interferometer:

@@ -52,9 +52,11 @@ broadcasting einsum per kept label for all of it.  No n! x n! object and no
 irrep table is built on this route.  The dense T and the O((n!)^3)
 conjugation T R T^t stay in :func:`decompose_rate_matrix` as the reference.
 For fermions the sign weighting makes K_lam orthogonally equivalent to the
-boson block of the conjugate label lam'.  Blocks whose label fails to
-dominate the bin-occupancy partition vanish identically, which is what the
-truncated engine exploits.
+boson block of the conjugate label lam'.  Particles whose rows of r agree
+bit for bit are identical wavepackets, and f is invariant under the Young
+subgroup of their classes; blocks whose label fails to dominate the class
+sizes (:func:`gamas_partition`) vanish identically (Gamas's theorem), which
+is what the truncated engine exploits.
 """
 
 from __future__ import annotations
@@ -101,6 +103,7 @@ __all__ = [
     "truncation_report",
     "TruncationEntry",
     "gamas_vanishes",
+    "gamas_partition",
     "rate_fully_distinguishable",
     "EngineRates",
     "engine_rates",
@@ -160,7 +163,7 @@ def _composition_rows(ordering: GroupOrdering):
     powers = n ** np.arange(n, dtype=np.int64)
     lut = np.empty(n**n, dtype=np.int32)
     lut[P @ powers] = np.arange(N)
-    inv = P[ordering.inverse_indices]
+    inv = np.argsort(P, axis=1)
     Q, invT = powers[inv].astype(float), inv.T.astype(float)
     for start in range(0, N, TABLE_ROWS):
         stop = min(start + TABLE_ROWS, N)
@@ -248,7 +251,7 @@ def autocorrelation(A, ordering: GroupOrdering) -> np.ndarray:
     A = np.asarray(A, dtype=complex)
     if A.shape != (n, n):
         raise DomainError(f"autocorrelation takes one {n}x{n} submatrix, got shape {A.shape}")
-    M = A.conj()[np.arange(n)[:, None], ordering.images_array[ordering.inverse_indices, None, :]]
+    M = A.conj()[np.arange(n)[:, None], np.argsort(ordering.images_array, axis=1)[:, None, :]]
     M *= A  # M[c] = A ∘ conj(A)[:, c^-1]: row c of the gather holds the images of c^-1
     S = permanent(M)
     S.setflags(write=False)
@@ -818,20 +821,13 @@ def attach_vector(
     return BlockDecomposition(species, T, blocks, vectors, float(residuals.max()))
 
 
-def block_decompose(
-    v: MonomialVector | np.ndarray,
-    R: RateMatrix,
-    T: BlockTransform,
-    species: str | None = None,
-) -> BlockDecomposition:
+def block_decompose(v: MonomialVector | np.ndarray, R: RateMatrix, T: BlockTransform) -> BlockDecomposition:
     """Dense reference decomposition of one rate computation: blocks of
     T R T^t (:func:`decompose_rate_matrix`) plus the projected vector
-    copies.  The engines use :func:`fourier_blocks` instead."""
-    species = R.species if species is None else species
-    if species != R.species:
-        raise DomainError(f"decomposition species {species!r} != rate matrix {R.species!r}")
+    copies, of the species of R.  The engines use :func:`fourier_blocks`
+    instead."""
     blocks, _ = decompose_rate_matrix(R, T)
-    return attach_vector(v, blocks, T, species)
+    return attach_vector(v, blocks, T, R.species)
 
 
 def rate_blocked(decomp: BlockDecomposition):
@@ -869,9 +865,9 @@ def rate_blocked(decomp: BlockDecomposition):
 
 
 def _kept_labels(decomp: BlockDecomposition, mu: tuple[int, ...]):
-    # A block vanishes identically unless its own label dominates the bin
-    # partition.  The block sitting at vector label lam is K_lam for bosons
-    # but the conjugate K_lam' for fermions, hence the conjugate test there.
+    # A block vanishes identically unless its own label dominates mu.  The
+    # block sitting at vector label lam is K_lam for bosons but the
+    # conjugate K_lam' for fermions, hence the conjugate test there.
     if decomp.species == "boson":
         return {lam: dominates(lam, mu) for lam in decomp.blocks}
     return {lam: dominates(conjugate(lam), mu) for lam in decomp.blocks}
@@ -882,13 +878,16 @@ def _as_partition(mu) -> tuple[int, ...]:
 
 
 def rate_truncated(decomp: BlockDecomposition, mu):
-    """Rate summing only the blocks that survive for bin partition mu.
+    """Rate summing only the blocks whose label survives for the partition
+    mu (a tuple or a :class:`~partdist.delays.DelayPartition`).
 
-    Exact when the delay matrix came from snapped (bin-center) times; for raw
-    continuous times the dropped blocks are only approximately zero, so use
-    :func:`truncation_report` to see what is being discarded.  The kept
-    labels are decided once per call, for a whole batch; the result is a
-    float or an array as for :func:`rate_blocked`.
+    Exact when mu is :func:`gamas_partition` of the blocks' delay matrix,
+    as :func:`engine_rates` takes it: every dropped block then vanishes
+    identically, and so it is against a finer mu.  Against a coarser one,
+    such as the bin partition of raw continuous times, a dropped block need
+    not vanish; :func:`truncation_report` shows what is discarded.  The kept labels are
+    decided once per call, for a whole batch; the result is a float or an
+    array as for :func:`rate_blocked`.
     """
     mu = _as_partition(mu)
     kept = _kept_labels(decomp, mu)
@@ -916,6 +915,25 @@ def truncation_report(decomp: BlockDecomposition, mu) -> tuple[TruncationEntry, 
         )
         for lam in decomp.blocks
     )
+
+
+def gamas_partition(r) -> tuple[int, ...]:
+    """Sizes, largest first, of the classes of particles whose rows of the
+    delay matrix r agree bit for bit: identical wavepackets.
+
+    If rows i and j agree, r[σ(a), b] = r[a, b] for the transposition σ of
+    i and j, so f(σ g) = ±f(g) with the same factors in the same order, bit
+    for bit (the sign for fermions).  f is thus invariant, up to sign, under
+    the Young subgroup of these classes, and every block whose label fails
+    to dominate this partition (for fermions, whose conjugate fails to)
+    vanishes for r as given.  Distinct times give (1,) * n and keep every
+    block; times at bin centres give the bin partition.
+    """
+    r = np.asarray(r, dtype=float)
+    if r.ndim != 2 or r.shape[0] != r.shape[1]:
+        raise DomainError(f"gamas_partition takes one square delay matrix, got shape {r.shape}")
+    sizes = np.bincount(_bit_ids(r)[1])
+    return tuple(sorted(sizes.tolist(), reverse=True))
 
 
 def gamas_vanishes(lam: tuple[int, ...], mu) -> bool:
@@ -954,14 +972,17 @@ def _batches(stack, width: int):
     return [stack[i : i + width] for i in range(0, len(stack), width)]
 
 
-def engine_rates(A, r, species: str, engine: str, *, mu=None) -> EngineRates:
+def engine_rates(A, r, species: str, engine: str) -> EngineRates:
     """Rates of one engine, for one scattering submatrix ``A`` (n, n) under
     one delay matrix ``r`` (n, n) or a stack of them (P, n, n), or for a
     stack of submatrices (K, n, n) under one delay matrix.
 
     ``engine`` is ``direct``, ``streaming``, ``blocked`` or ``truncated``;
-    ``truncated`` drops the blocks that vanish for the bin partition ``mu``.
-    The route follows from the engine and the shapes:
+    ``truncated`` drops the blocks that vanish identically for
+    :func:`gamas_partition` of the delay matrix, so it equals ``blocked``
+    bit for bit when it drops none.  A stack of delay matrices must share
+    one partition, or :class:`DomainError` is raised.  The route follows
+    from the engine and the shapes:
 
     - ``streaming``: :func:`rate_direct_streaming`, which sizes its own
       steps and builds no group; one call for one string, floor(2^16 / 2^n)
@@ -1013,6 +1034,12 @@ def engine_rates(A, r, species: str, engine: str, *, mu=None) -> EngineRates:
     if engine not in ("direct", "blocked", "truncated"):
         raise DomainError(f"unknown engine {engine!r}")
     _check_dense_degree(n)
+    if engine == "truncated":
+        partitions = set(map(gamas_partition, _check_delay_matrix(r, n, batch=True).reshape(-1, n, n)))
+        if len(partitions) > 1:
+            raise DomainError(f"truncated rates need one Gamas partition for the stack of "
+                              f"delay matrices, got {sorted(partitions)}")
+        (mu,) = partitions
     ordering = all_permutations(n)
     width = max(1, BATCH_ENTRIES // len(ordering))
     if engine == "direct" and one_string:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .delays import ArrivalSpec, delay_matrix, discretize, snapped_delay_matrix
+from .delays import ArrivalSpec, delay_matrix
 from .errors import DomainError, NumericalError, SizeLimitError
 from .interferometer import Interferometer, OutputString, enumerate_outputs, submatrix
 from .matfun import determinant, permanent
@@ -101,8 +101,6 @@ def build_distribution(
     engine: str = "direct",
     *,
     input_ports: tuple[int, ...] | None = None,
-    snapped: bool = False,
-    approximate_mu: tuple[int, ...] | None = None,
 ) -> OutputDistribution:
     """Exact output distribution for one interferometer + arrival profile.
 
@@ -110,12 +108,11 @@ def build_distribution(
     MAX_DISTRIBUTION_STRINGS n^2 16 bytes, and their rates from one
     :func:`~partdist.rates.engine_rates` call, which shares the group-level
     objects of ``engine`` across the strings and batches them in their
-    fixed order.
-    ``snapped`` replaces each arrival time by its bin center first, which is
-    what makes the truncated engine exact; on raw continuous times the
-    truncated engine refuses to run unless the caller opts into the
-    approximation by passing the bin partition to drop against as
-    ``approximate_mu``.
+    fixed order.  The delay matrix is :func:`~partdist.delays.delay_matrix`
+    of ``spec``, and the truncated engine drops only the blocks that vanish
+    for it (:func:`~partdist.rates.gamas_partition`): particles that share a
+    time, such as times at bin centres
+    (:func:`~partdist.delays.snapped_times`) in one bin.
     """
     m = interferometer.m
     n = spec.n
@@ -124,18 +121,9 @@ def build_distribution(
     if len(input_ports) != n:
         raise DomainError(f"need {n} input ports, got {len(input_ports)}")
 
-    bins, part = discretize(spec)
-    if engine == "truncated" and not snapped and approximate_mu is None:
-        raise DomainError(
-            "truncated engine on continuous times discards nonzero blocks; "
-            "pass snapped=True to bin the times first, or opt in with "
-            "approximate_mu"
-        )
-    r = snapped_delay_matrix(bins, spec) if snapped else delay_matrix(spec)
-
     strings = enumerate_outputs(m, n, MAX_DISTRIBUTION_STRINGS)
-    mu = part.partition if approximate_mu is None else tuple(approximate_mu)
-    result = engine_rates(submatrix(interferometer, strings, input_ports), r, species, engine, mu=mu)
+    result = engine_rates(submatrix(interferometer, strings, input_ports), delay_matrix(spec),
+                          species, engine)
     return _normalize(strings, result.rates, m, n, species, engine,
                       result.parseval_residual, result.cancellation)
 

@@ -164,7 +164,12 @@ class GroupOrdering:
 
     @cached_property
     def signs(self) -> np.ndarray:
-        arr = np.array([p.sign for p in self.permutations], dtype=np.float64)
+        """(n!,) float signs, (-1)^(number of inversions) of each row of
+        ``images_array``."""
+        P = self.images_array
+        i, j = np.triu_indices(self.n, 1)
+        inversions = (P[:, i] > P[:, j]).sum(axis=1)  # 0 for n = 1: no pairs
+        arr = 1.0 - 2.0 * (inversions % 2)
         arr.setflags(write=False)
         return arr
 

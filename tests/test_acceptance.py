@@ -187,7 +187,7 @@ def test_engines_agree_on_random_binned_cases():
             for species in ("boson", "fermion"):
                 R = pd.rate_matrix(r, species, ordering)
                 direct = pd.rate_direct(v, R)
-                decomp = pd.block_decompose(v, R, T, species)
+                decomp = pd.block_decompose(v, R, T)
                 blocked = pd.rate_blocked(decomp)
                 truncated = pd.rate_truncated(decomp, mu)
                 scale = max(abs(direct), abs(blocked), abs(truncated))

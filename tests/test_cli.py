@@ -5,6 +5,7 @@ artifacts, and stderr diagnostics are all observable.  Wall-clock timing
 lines go to stderr by design, so stdout comparisons can be byte-exact.
 """
 
+import hashlib
 import json
 import math
 import os
@@ -121,18 +122,44 @@ def test_rate_truncated_reports_dropped_blocks(tmp_path, capsys):
     assert report["rate"] == pytest.approx(json.loads(out)["rate"], rel=1e-9)
 
 
-def test_truncated_on_continuous_times_is_refused(tmp_path, capsys):
-    cfg = write_config(tmp_path, engine="truncated")
-    code, _, err = run_cli(capsys, "rate", "--config", cfg)
-    assert code == 2
-    assert "truncated" in err
+@pytest.mark.parametrize("species", ["boson", "fermion"])
+def test_truncated_on_continuous_times_keeps_every_block(tmp_path, capsys, species):
+    # distinct continuous times share no row of the delay matrix, so the
+    # Gamas partition is (1, 1, 1), nothing is dropped and truncated is
+    # blocked bit for bit
+    reports = {}
+    for engine in ("blocked", "truncated"):
+        cfg = write_config(tmp_path, f"{engine}.json", engine=engine, species=species)
+        code, out, err = run_cli(capsys, "rate", "--config", cfg)
+        assert code == 0, err
+        reports[engine] = json.loads(out)
+    blocked, truncated = reports["blocked"], reports["truncated"]
+    assert truncated["rate"] == blocked["rate"] > 0
+    assert truncated["blocks"] == blocked["blocks"]
+    assert all(b["kept"] for b in truncated["blocks"])
+    for command in ("distribution", "sample"):
+        outs = [run_cli(capsys, command, "--config", cfg, "--engine", engine)
+                for engine in ("blocked", "truncated")]
+        assert outs[0][0] == outs[1][0] == 0
+        assert outs[0][1] == outs[1][1]
 
-    cfg_ok = write_config(
-        tmp_path, "opt_in.json", engine="truncated", allow_approximate_truncation=True
-    )
-    code, out, _ = run_cli(capsys, "rate", "--config", cfg_ok)
-    assert code == 0
-    assert json.loads(out)["engine"] == "truncated"
+
+def test_retired_approximate_truncation_key_is_ignored(tmp_path, capsys):
+    # a config that still carries the key loads as one without it, like any
+    # unknown key, and the hash is that of the resolved config, which has no
+    # such key: here BASE with the engine set
+    plain = write_config(tmp_path, "plain.json", engine="truncated")
+    for value in (True, False):
+        keyed = write_config(tmp_path, f"keyed{value}.json", engine="truncated",
+                             allow_approximate_truncation=value)
+        for command in ("rate", "distribution"):
+            want = run_cli(capsys, command, "--config", plain)
+            got = run_cli(capsys, command, "--config", keyed)
+            assert got[0] == want[0] == 0
+            assert got[1] == want[1]
+    code, out, _ = run_cli(capsys, "rate", "--config", plain)
+    resolved = json.dumps({**BASE, "engine": "truncated"}, sort_keys=True, separators=(",", ":"))
+    assert json.loads(out)["config_hash"] == hashlib.sha256(resolved.encode()).hexdigest()
 
 
 def test_rate_rerun_is_byte_identical(tmp_path, capsys):

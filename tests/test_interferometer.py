@@ -141,3 +141,16 @@ def test_unitary_json_round_trip(tmp_path):
     assert np.array_equal(loaded.matrix, itf.matrix)
     payload = json.loads(path.read_text())
     assert len(payload) == 4 and len(payload[0][0]) == 2  # rows of [re, im] pairs
+
+
+def test_unitary_json_bytes_match_the_per_entry_writer(tmp_path):
+    # the file as json.dump of a per-entry list of [float(re), float(im)]
+    # pairs wrote it
+    for m in (1, 8, 64):
+        itf = haar_unitary(m, seed=m)
+        path = tmp_path / f"u{m}.json"
+        unitary_to_json(itf, path)
+        pairs = [[[float(z.real), float(z.imag)] for z in row] for row in itf.matrix]
+        with open(tmp_path / "reference.json", "w") as fh:
+            json.dump(pairs, fh)
+        assert path.read_bytes() == (tmp_path / "reference.json").read_bytes()

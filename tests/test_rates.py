@@ -13,7 +13,13 @@ from hypothesis import strategies as st
 
 from partdist import rates, symgroup
 from partdist.cli import main as cli_main
-from partdist.delays import ArrivalSpec, delay_matrix_from_times, discretize, snapped_delay_matrix
+from partdist.delays import (
+    ArrivalSpec,
+    delay_matrix,
+    delay_matrix_from_times,
+    discretize,
+    snapped_delay_matrix,
+)
 from partdist.errors import ClampWarning, DomainError, NumericalError, SizeLimitError
 from partdist.interferometer import (
     OutputString,
@@ -35,6 +41,7 @@ from partdist.rates import (
     build_transform,
     decompose_rate_matrix,
     fourier_blocks,
+    gamas_partition,
     gamas_vanishes,
     rate_blocked,
     rate_direct,
@@ -1089,6 +1096,64 @@ def test_gamas_dropped_blocks_vanish_on_random_bins(assignment, bins, seed, spec
     assert abs(rate_truncated(decomp, part) - rate_blocked(decomp)) <= bound
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    indices=st.lists(st.integers(1, 20), min_size=1, max_size=7),
+    bins=st.integers(2, 20),
+    window=st.floats(0.5, 10.0),
+    delta_omega=st.floats(0.1, 10.0),
+)
+def test_gamas_partition_is_the_bin_partition_on_binned_specs(indices, bins, window, delta_omega):
+    # particles placed at their bin centres, as a binned config places them:
+    # the classes of equal rows of the delay matrix are the occupied bins
+    idx = tuple((c - 1) % bins + 1 for c in indices)
+    spec = ArrivalSpec(tuple((c - 0.5) * window / bins for c in idx), delta_omega, window, bins)
+    bins_of, part = discretize(spec)
+    assert bins_of == idx
+    r = delay_matrix(spec)
+    assert r.tobytes() == snapped_delay_matrix(idx, spec).tobytes()
+    assert gamas_partition(r) == part.partition
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(2, 6),
+    seed=st.integers(0, 2**32 - 1),
+    species=st.sampled_from(["boson", "fermion"]),
+)
+def test_truncated_matches_direct_on_tied_continuous_times(n, seed, species):
+    # continuous times, not bin centres, with n particles on n - 1 or fewer
+    # distinct times: at least one exact tie, so truncation drops blocks
+    rng = np.random.default_rng(seed)
+    slots = rng.integers(0, n - 1, size=n)
+    r = delay_matrix_from_times(rng.uniform(0, 1, size=n - 1)[slots], float(rng.uniform(0.5, 4.0)))
+    assert gamas_partition(r) == tuple(sorted(np.bincount(slots)[np.bincount(slots) > 0], reverse=True))
+    m = n + int(rng.integers(0, 3))
+    s = OutputString.from_detectors(m, tuple(sorted(rng.choice(m, n, replace=False) + 1)))
+    A = submatrix(haar_unitary(m, seed=seed), s)
+    got = rates.engine_rates(A, r, species, "truncated")
+    kept = rates._kept_labels(got.decomposition, gamas_partition(r))
+    assert not all(kept.values())
+    ordering = all_permutations(n)
+    v = monomial_vector(A, ordering)
+    direct = rate_direct(v, rate_matrix(r, species, ordering))
+    tol = rate_rounding(n, float(np.vdot(v.values, v.values).real))
+    assert abs(float(got.rates) - direct) <= tol
+
+
+def test_truncated_stack_needs_one_gamas_partition():
+    A, _ = _random_case(3, 12)
+    tied = delay_matrix_from_times([0.2, 0.2, 0.7], 1.5)
+    distinct = delay_matrix_from_times([0.2, 0.3, 0.7], 1.5)
+    assert (gamas_partition(tied), gamas_partition(distinct)) == ((2, 1), (1, 1, 1))
+    with pytest.raises(DomainError, match="one Gamas partition"):
+        rates.engine_rates(A, np.stack([tied, distinct]), "boson", "truncated")
+    blocked = rates.engine_rates(A, np.stack([tied, distinct]), "boson", "blocked").rates
+    # a stack of one partition runs; with every block kept it is blocked's
+    assert np.array_equal(rates.engine_rates(A, np.stack([distinct, distinct]), "boson",
+                                             "truncated").rates, blocked[[1, 1]])
+
+
 def test_gamas_vanishes_examples():
     assert gamas_vanishes((1, 1, 1), (2, 1))
     assert not gamas_vanishes((2, 1), (2, 1))
@@ -1440,7 +1505,7 @@ def test_engine_rates_match_the_dispatch_it_replaced(n, bins_of, m, strings, poi
     for a, r in ((A[0], stack[0]), (A[0], stack), (A, stack[0])):
         want, residual, cancellation, decomp = dispatch_before_engine_rates(
             a, r, species, engine, mu, chunk)
-        got = rates.engine_rates(a, r, species, named, mu=mu)
+        got = rates.engine_rates(a, r, species, named)
         assert got.rates.shape == want.shape == a.shape[:-2] + r.shape[:-2]
         assert np.array_equal(got.rates, want)
         assert got.parseval_residual == residual
@@ -1452,7 +1517,7 @@ def test_engine_rates_match_the_dispatch_it_replaced(n, bins_of, m, strings, poi
                 assert np.array_equal(got.decomposition.blocks[lam], decomp.blocks[lam])
                 assert np.array_equal(got.decomposition.vectors[lam], decomp.vectors[lam])
     with pytest.raises(DomainError, match="one delay matrix"):
-        rates.engine_rates(A, stack, species, named, mu=mu)
+        rates.engine_rates(A, stack, species, named)
 
 
 def test_engine_rates_refuses_an_unknown_engine():

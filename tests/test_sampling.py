@@ -7,7 +7,7 @@ import pytest
 from scipy import stats
 
 import partdist.sampling
-from partdist.delays import ArrivalSpec, delay_matrix, discretize, snapped_delay_matrix
+from partdist.delays import ArrivalSpec, delay_matrix, discretize, snapped_delay_matrix, snapped_times
 from partdist.errors import DomainError, SizeLimitError
 from partdist.interferometer import enumerate_outputs, haar_unitary, monomial_vector, submatrix
 from partdist.matfun import determinant, permanent
@@ -39,6 +39,13 @@ EQUAL = ArrivalSpec((0.3, 0.3, 0.3), 1.5, 1.0, 8)
 FAR = ArrivalSpec((0.01, 0.45, 0.93), 500.0, 1.0, 8)
 
 
+def at_bin_centres(spec):
+    """The spec with each time moved to its bin centre, as a binned config
+    places its particles."""
+    return ArrivalSpec(snapped_times(discretize(spec)[0], spec), spec.delta_omega, spec.window,
+                       spec.bins)
+
+
 @pytest.fixture(scope="module")
 def itf():
     return haar_unitary(6, seed=3)
@@ -58,16 +65,21 @@ def test_engines_build_identical_distributions(itf, species):
     direct = build_distribution(itf, SPEC, species, "direct")
     blocked = build_distribution(itf, SPEC, species, "blocked")
     assert np.abs(direct.probabilities - blocked.probabilities).max() < 1e-11
-    snapped_direct = build_distribution(itf, SPEC, species, "direct", snapped=True)
-    truncated = build_distribution(itf, SPEC, species, "truncated", snapped=True)
+    centred = at_bin_centres(SPEC)
+    snapped_direct = build_distribution(itf, centred, species, "direct")
+    truncated = build_distribution(itf, centred, species, "truncated")
     assert np.abs(snapped_direct.probabilities - truncated.probabilities).max() < 1e-11
 
 
-def test_truncated_requires_snapping_or_explicit_mu(itf):
-    with pytest.raises(DomainError):
-        build_distribution(itf, SPEC, "boson", "truncated")
-    approx = build_distribution(itf, SPEC, "boson", "truncated", approximate_mu=(2, 1))
-    assert approx.probabilities.sum() == pytest.approx(1.0, abs=1e-12)
+@pytest.mark.parametrize("species", ["boson", "fermion"])
+def test_truncated_on_continuous_times_equals_blocked(itf, species):
+    # distinct times: the Gamas partition is (1, 1, 1) and every block is
+    # kept, so truncated runs blocked's arithmetic bit for bit
+    blocked = build_distribution(itf, SPEC, species, "blocked")
+    truncated = build_distribution(itf, SPEC, species, "truncated")
+    assert truncated.rates.tobytes() == blocked.rates.tobytes()
+    assert truncated.probabilities.tobytes() == blocked.probabilities.tobytes()
+    assert truncated.parseval_residual == blocked.parseval_residual
 
 
 def test_point_mass_when_channels_equal_particles():
@@ -225,7 +237,7 @@ def test_batched_block_engines_match_per_string_projection(species, monkeypatch)
     delta = _fft_rounding(6)
     for engine in ("blocked", "truncated"):
         widths.clear()
-        dist = build_distribution(itf10, spec, species, engine, snapped=True)
+        dist = build_distribution(itf10, at_bin_centres(spec), species, engine)
         assert widths == [91, 91, 28]
         assert len(dist.strings) == 210
         norms = []

@@ -101,6 +101,17 @@ def test_ordering_index_and_arrays_agree():
         assert ordering.permutations[ordering.inverse_indices[i]] == p.inverse()
 
 
+@pytest.mark.parametrize("n", range(1, 8))
+def test_signs_and_inverse_images_from_the_image_array(n):
+    # signs by inversion parity and inverse images by argsort, as the rate
+    # layer takes them, against the permutation objects
+    for ordering in (all_permutations(n), cycle_ordering(n)):
+        want = np.array([p.sign for p in ordering.permutations], dtype=np.float64)
+        assert ordering.signs.dtype == want.dtype and ordering.signs.tobytes() == want.tobytes()
+        inverse = ordering.images_array[ordering.inverse_indices]
+        assert np.array_equal(np.argsort(ordering.images_array, axis=1), inverse)
+
+
 def test_group_degree_guard():
     with pytest.raises(SizeLimitError):
         all_permutations(11)
