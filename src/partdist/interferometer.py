@@ -12,6 +12,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -169,10 +170,12 @@ def monomial_vector(A, ordering: GroupOrdering) -> MonomialVector:
     return MonomialVector(ordering, values)
 
 
+@lru_cache(maxsize=1)
 def enumerate_outputs(
     m: int, n: int, max_count: int = MAX_OUTPUT_ENUMERATION
 ) -> tuple[OutputString, ...]:
-    """All C(m, n) collision-free strings, lexicographic in the 0/1 tuples."""
+    """All C(m, n) collision-free strings, lexicographic in the 0/1 tuples;
+    the last tuple is kept, so a distribution and its references share it."""
     if not (0 <= n <= m):
         raise DomainError(f"cannot place {n} single clicks among {m} channels")
     count = math.comb(m, n)

@@ -332,7 +332,7 @@ def rate_direct(v: MonomialVector | np.ndarray, R: RateMatrix) -> float:
     collision-free set.
     """
     if isinstance(v, MonomialVector):
-        if v.ordering is not R.ordering and v.ordering != R.ordering:
+        if v.ordering is not R.ordering:
             raise DomainError("monomial vector and rate matrix use different orderings")
         v = v.values
     values = np.asarray(v)
@@ -686,7 +686,7 @@ def decompose_rate_matrix(
     blocks plus the largest entry found outside the predicted block-diagonal
     positions (a structural health check: it should sit at rounding level).
     """
-    if R.ordering is not T.ordering and R.ordering != T.ordering:
+    if R.ordering is not T.ordering:
         raise DomainError("rate matrix and transform use different orderings")
     M = T.matrix @ R.matrix @ T.matrix.T
     blocks = {}
@@ -794,7 +794,7 @@ def attach_vector(
     """
     _check_species(species)
     if isinstance(v, MonomialVector):
-        if v.ordering is not T.ordering and v.ordering != T.ordering:
+        if v.ordering is not T.ordering:
             raise DomainError("monomial vector and transform use different orderings")
         v = v.values
     V = np.asarray(v)

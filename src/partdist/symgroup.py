@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache, cached_property
 
 import numpy as np
@@ -131,36 +131,49 @@ class Permutation:
         return "".join("(" + " ".join(map(str, c)) + ")" for c in cycs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroupOrdering:
-    """An enumeration of the full symmetric group in a fixed order:
-    :meth:`index` is a permutation's position in ``permutations``."""
+    """An enumeration of the full symmetric group in a fixed order: row k of
+    the read-only (n!, n) ``images_array`` holds the one-line images of the
+    k-th permutation, and each row must be a bijection on 0..n-1.
+
+    ``ordering[k]`` and iteration make :class:`Permutation` objects on
+    demand; :meth:`index` is a permutation's position.  Orderings compare
+    and hash by identity, and :func:`all_permutations` keeps one per degree.
+    """
 
     n: int
-    permutations: tuple[Permutation, ...]
+    images_array: np.ndarray
+
+    def __post_init__(self):
+        n = self.n
+        P = np.asarray(self.images_array)
+        if P.dtype != np.intp or P.flags.writeable:  # else kept: 290 MB at n = 10
+            P = np.array(P, dtype=np.intp)
+            P.setflags(write=False)
+        if n < 1 or P.shape != (math.factorial(n), n) or P.min() < 0 or P.max() >= n:
+            raise DomainError(f"need an (n!, n) array of images in 0..{n - 1}, got {P.shape}")
+        hit = np.zeros(P.shape, dtype=bool)
+        hit[np.arange(len(P))[:, None], P] = True
+        if not hit.all():
+            raise DomainError(f"row {hit.all(axis=1).argmin()} is not a bijection on 0..{n - 1}")
+        object.__setattr__(self, "images_array", P)
 
     def __len__(self) -> int:
-        return len(self.permutations)
+        return len(self.images_array)
 
     def __getitem__(self, i: int) -> Permutation:
-        return self.permutations[i]
+        return Permutation(tuple(self.images_array[i].tolist()))
 
     def __iter__(self):
-        return iter(self.permutations)
+        return map(Permutation, map(tuple, self.images_array.tolist()))
 
     def index(self, p: Permutation) -> int:
         return self._index[p.images]
 
     @cached_property
     def _index(self) -> dict[tuple[int, ...], int]:
-        return {p.images: k for k, p in enumerate(self.permutations)}
-
-    @cached_property
-    def images_array(self) -> np.ndarray:
-        """(n!, n) int array of one-line images, row k = permutations[k]."""
-        arr = np.array([p.images for p in self.permutations], dtype=np.intp)
-        arr.setflags(write=False)
-        return arr
+        return {images: k for k, images in enumerate(map(tuple, self.images_array.tolist()))}
 
     @cached_property
     def signs(self) -> np.ndarray:
@@ -170,15 +183,6 @@ class GroupOrdering:
         i, j = np.triu_indices(self.n, 1)
         inversions = (P[:, i] > P[:, j]).sum(axis=1)  # 0 for n = 1: no pairs
         arr = 1.0 - 2.0 * (inversions % 2)
-        arr.setflags(write=False)
-        return arr
-
-    @cached_property
-    def inverse_indices(self) -> np.ndarray:
-        """inverse_indices[k] = index of permutations[k]^-1."""
-        arr = np.array(
-            [self.index(p.inverse()) for p in self.permutations], dtype=np.intp
-        )
         arr.setflags(write=False)
         return arr
 
@@ -226,11 +230,20 @@ def monomials(M, ordering: GroupOrdering) -> np.ndarray:
 @cache
 def all_permutations(n: int) -> GroupOrdering:
     """Enumerate the symmetric group on n symbols, one-line images in
-    lexicographic order, which puts the identity first."""
+    lexicographic order, which puts the identity first.  Level k of the
+    image array runs f = 0..k-1 as first image, each followed by level k-1
+    on the other symbols, P_(k-1) + (P_(k-1) >= f)."""
     if not (1 <= n <= MAX_GROUP_DEGREE):
         raise SizeLimitError(f"group degree n={n} outside 1..{MAX_GROUP_DEGREE}")
-    perms = tuple(Permutation(im) for im in itertools.permutations(range(n)))
-    return GroupOrdering(n, perms)
+    P = np.zeros((1, 0), dtype=np.intp)
+    for k in range(1, n + 1):
+        level = np.empty((k, len(P), k), dtype=np.intp)
+        for f in range(k):
+            level[f, :, 0] = f
+            level[f, :, 1:] = P + (P >= f)
+        P = level.reshape(-1, k)
+    P.setflags(write=False)
+    return GroupOrdering(n, P)
 
 
 # ---------------------------------------------------------------------------
@@ -411,22 +424,21 @@ def standard_tableaux(lam: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...]
 class IrrepMatrixSet:
     """Orthogonal irrep matrices for one partition over a full group ordering.
 
-    ``matrices[k]`` represents ``ordering[k]``; ``matrix(p)`` looks up any
-    permutation.  Matrices are real orthogonal and satisfy
+    ``matrices[k]`` represents ``ordering[k]``; ``matrix(p)`` is the matrix
+    at ``ordering.index(p)``.  Matrices are real orthogonal and satisfy
     D(p * q) = D(p) @ D(q).
     """
 
     lam: tuple[int, ...]
     ordering: GroupOrdering
     matrices: tuple[np.ndarray, ...]
-    _by_images: dict = field(repr=False, compare=False)
 
     @property
     def dim(self) -> int:
         return int(self.matrices[0].shape[0])
 
     def matrix(self, p: Permutation) -> np.ndarray:
-        return self._by_images[p.images]
+        return self.matrices[self.ordering.index(p)]
 
 
 def _adjacent_transposition_matrices(lam: tuple[int, ...]) -> list[np.ndarray]:
@@ -499,8 +511,8 @@ def irrep_matrices(lam: tuple[int, ...], ordering: GroupOrdering) -> IrrepMatrix
         frontier = nxt
     for m in by_images.values():
         m.setflags(write=False)
-    matrices = tuple(by_images[p.images] for p in ordering)
-    return IrrepMatrixSet(lam, ordering, matrices, by_images)
+    matrices = tuple(by_images[images] for images in map(tuple, ordering.images_array.tolist()))
+    return IrrepMatrixSet(lam, ordering, matrices)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,9 @@ def _cycle_sort_key(p: Permutation):
 
 @cache
 def cycle_ordering(n: int) -> GroupOrdering:
-    return GroupOrdering(n, tuple(sorted(all_permutations(n), key=_cycle_sort_key)))
+    lex = all_permutations(n)
+    order = sorted(range(len(lex)), key=lambda k: _cycle_sort_key(lex[k]))
+    return GroupOrdering(n, lex.images_array[order])
 
 
 def ordering_of(n: int, convention: str) -> GroupOrdering:

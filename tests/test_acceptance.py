@@ -407,7 +407,7 @@ def test_trace_and_homomorphism_identities():
             irreps = pd.irrep_matrices(lam, ordering)
             for _ in range(20):
                 M = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-                sigma = ordering.permutations[int(rng.integers(math.factorial(n)))]
+                sigma = ordering[int(rng.integers(math.factorial(n)))]
                 P = sigma.matrix()
                 DM = pd.dfunction_direct(lam, M, irreps)
                 worst = max(worst, abs(np.trace(DM) - pd.immanant(lam, M)))

@@ -124,6 +124,7 @@ def test_monomial_vector_sum_is_permanent():
 
 def test_enumerate_outputs_counts_and_order():
     outs = enumerate_outputs(4, 2, 100)
+    assert enumerate_outputs(4, 2, 100) is outs  # a distribution and its references share it
     assert len(outs) == 6
     assert [str(s) for s in outs[:3]] == ["0011", "0101", "0110"]
     assert all(o.n == 2 for o in outs)

@@ -166,7 +166,7 @@ def test_immanant_from_character_sum():
     for lam in partitions_of(4):
         want = sum(
             character(lam, p) * math.prod(M[p(k), k] for k in range(4))
-            for p in ordering.permutations
+            for p in ordering
         )
         assert immanant(lam, M) == pytest.approx(want, rel=1e-12)
 
@@ -199,12 +199,11 @@ def test_dfunction_multiplicativity_on_permutations():
     rng = np.random.default_rng(8)
     n = 4
     ordering = all_permutations(n)
-    perms = ordering.permutations
     M = rng.normal(size=(n, n))
     for lam in [(3, 1), (2, 2), (2, 1, 1)]:
         irreps = irrep_matrices(lam, ordering)
         for _ in range(5):
-            sigma = perms[rng.integers(len(perms))]
+            sigma = ordering[rng.integers(len(ordering))]
             left = dfunction_direct(lam, sigma.matrix(), irreps)
             right = dfunction_direct(lam, M, irreps)
             combined = dfunction_direct(lam, sigma.matrix() @ M, irreps)

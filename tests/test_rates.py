@@ -109,14 +109,15 @@ def direct_rounding(v):
 
 
 def walked_autocorrelation(v):
-    """S_v(c) = conj(v)[comp[c]] . v[inverse_indices], gathered row block by
+    """S_v(c) = conj(v)[comp[c]] . v(h^-1), gathered row block by
     row block along rates._composition_rows: the O(n!^2) reference for
     rates.autocorrelation.  Its real and imaginary parts are real dot
     products of 2N terms, so it lies within sqrt(2) gamma_2N sigma(c) of
     S_v(c), sigma(c) = sum_h |v(h c)| |v(h)|, the walked sum of |v|."""
     ordering = v.ordering
     values = np.asarray(v.values)
-    conj, w = values.conj(), values[ordering.inverse_indices]
+    inverses = [ordering.index(p.inverse()) for p in ordering]
+    conj, w = values.conj(), values[inverses]
     S = np.empty(len(ordering), dtype=np.result_type(values, complex))
     for indices, rows in _composition_rows(ordering):
         S[indices] = conj[rows] @ w
@@ -129,7 +130,7 @@ def autocorrelation_errors(A, ordering):
     entry by entry (derived in rates.autocorrelation)."""
     n = ordering.n
     a = np.abs(np.asarray(A))
-    columns = ordering.images_array[ordering.inverse_indices]
+    columns = np.argsort(ordering.images_array, axis=1)
     return gamma(2 ** (n - 1) + 8 * n) * (a * a[:, columns].transpose(1, 0, 2)).sum(-1).prod(-1)
 
 
@@ -192,7 +193,7 @@ def _composition_tables_by_columns(ordering):
     powers = n ** np.arange(n, dtype=np.int64)
     lut = np.full(n**n, -1, dtype=np.intp)
     lut[P @ powers] = np.arange(N)
-    inv_images = P[ordering.inverse_indices]
+    inv_images = np.argsort(P, axis=1)
     comp = np.empty((N, N), dtype=np.intp)
     for j in range(N):
         comp[:, j] = lut[inv_images[j][P] @ powers]
@@ -1525,3 +1526,24 @@ def test_engine_rates_refuses_an_unknown_engine():
     for engine in ("dense", "Streaming", ""):
         with pytest.raises(DomainError, match="unknown engine"):
             rates.engine_rates(A, r, "boson", engine)
+
+
+def test_no_engine_route_builds_permutation_objects(monkeypatch):
+    # every engine reads S_n as one image array: not even enumerating the
+    # group makes a Permutation per element
+    built = []
+    validate = symgroup.Permutation.__post_init__
+
+    def counted(p):
+        built.append(p.images)
+        validate(p)
+
+    monkeypatch.setattr(symgroup.Permutation, "__post_init__", counted)
+    all_permutations.cache_clear()
+    n = 6
+    A = submatrix(haar_unitary(8, seed=6), enumerate_outputs(8, n)[:3])
+    r = delay_matrix_from_times(np.linspace(0.0, 1.0, n), 1.5)
+    for engine in ("direct", "streaming", "blocked", "truncated"):
+        for strings in (A[0], A):
+            rates.engine_rates(strings, r, "fermion", engine)
+    assert built == []

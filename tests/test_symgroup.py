@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from partdist.errors import DomainError, SizeLimitError
 from partdist.symgroup import (
+    GroupOrdering,
     Permutation,
     all_permutations,
     character,
@@ -80,25 +82,35 @@ def test_permutation_matrix_is_row_selection():
 
 def test_lex_ordering_n3():
     ordering = all_permutations(3)
-    assert [p.images for p in ordering.permutations] == [
+    assert [p.images for p in ordering] == [
         (0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0),
     ]
 
 
 def test_cycle_ordering_n3_groups_by_class():
     ordering = cycle_ordering(3)
-    assert [p.cycles() for p in ordering.permutations] == [
+    assert [p.cycles() for p in ordering] == [
         (), ((1, 2),), ((1, 3),), ((2, 3),), ((1, 2, 3),), ((1, 3, 2),),
     ]
 
 
 def test_ordering_index_and_arrays_agree():
-    ordering = cycle_ordering(4)
-    for i, p in enumerate(ordering.permutations):
-        assert ordering.index(p) == i
-        assert tuple(ordering.images_array[i]) == p.images
-        assert ordering.signs[i] == p.sign
-        assert ordering.permutations[ordering.inverse_indices[i]] == p.inverse()
+    for n in range(1, 9):
+        lex = all_permutations(n)
+        want = np.array(list(itertools.permutations(range(n))), dtype=np.intp).reshape(-1, n)
+        assert lex.images_array.dtype == want.dtype and np.array_equal(lex.images_array, want)
+        with pytest.raises(ValueError):
+            lex.images_array[0, 0] = 0
+        broken = want.copy()
+        broken[-1, 0] = broken[-1, -1] if n > 1 else 1
+        for images in (broken, want[1:]):
+            with pytest.raises(DomainError):
+                GroupOrdering(n, images)
+        for ordering in (lex, cycle_ordering(n)):
+            for k, p in enumerate(ordering):
+                assert ordering.index(ordering[k]) == k
+                assert tuple(ordering.images_array[k]) == p.images
+                assert ordering.signs[k] == p.sign
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -106,9 +118,9 @@ def test_signs_and_inverse_images_from_the_image_array(n):
     # signs by inversion parity and inverse images by argsort, as the rate
     # layer takes them, against the permutation objects
     for ordering in (all_permutations(n), cycle_ordering(n)):
-        want = np.array([p.sign for p in ordering.permutations], dtype=np.float64)
+        want = np.array([p.sign for p in ordering], dtype=np.float64)
         assert ordering.signs.dtype == want.dtype and ordering.signs.tobytes() == want.tobytes()
-        inverse = ordering.images_array[ordering.inverse_indices]
+        inverse = np.array([p.inverse().images for p in ordering], dtype=np.intp)
         assert np.array_equal(np.argsort(ordering.images_array, axis=1), inverse)
 
 
@@ -291,11 +303,10 @@ def test_irrep_matrices_are_orthogonal():
 def test_irrep_homomorphism_property():
     rng = np.random.default_rng(3)
     ordering = all_permutations(5)
-    perms = ordering.permutations
     for lam in [(3, 2), (2, 2, 1), (4, 1)]:
         rep = irrep_matrices(lam, ordering)
         for _ in range(20):
-            p, q = (perms[rng.integers(len(perms))] for _ in range(2))
+            p, q = (ordering[rng.integers(len(ordering))] for _ in range(2))
             assert np.allclose(rep.matrix(p * q), rep.matrix(p) @ rep.matrix(q),
                                atol=1e-12)
 
@@ -304,7 +315,7 @@ def test_irrep_traces_are_characters():
     ordering = all_permutations(5)
     for lam in partitions_of(5):
         rep = irrep_matrices(lam, ordering)
-        for p, D in zip(ordering.permutations, rep.matrices):
+        for p, D in zip(ordering, rep.matrices):
             assert abs(np.trace(D) - character(lam, p)) < 1e-12
 
 
@@ -328,5 +339,5 @@ def test_sum_of_squared_dimensions_is_group_order():
 def test_sign_representation_matches_sign():
     ordering = all_permutations(4)
     rep = irrep_matrices((1, 1, 1, 1), ordering)
-    for p, D in zip(ordering.permutations, rep.matrices):
+    for p, D in zip(ordering, rep.matrices):
         assert D.shape == (1, 1) and abs(D[0, 0] - p.sign) < 1e-15
