@@ -48,7 +48,7 @@ def main():
     # four particles, two sharing a bin: occupancy (2,1,1)
     spec = ArrivalSpec((0.05, 0.08, 0.40, 0.78), 6.0, 1.0, 10)
     idx, part = discretize(spec)
-    print(f"\narrival times {spec.taus} in {spec.bins} bins -> occupancy {part.partition}")
+    print(f"\narrival times {spec.taus} in {spec.bins} bins -> occupancy {part}")
 
     n = 4
     ordering = all_permutations(n)
@@ -62,11 +62,11 @@ def main():
         R = rate_matrix(r, species, ordering)
         decomp = block_decompose(v, R, T)
         print(f"\n{species}:")
-        for entry in truncation_report(decomp, part.partition):
+        for entry in truncation_report(decomp, part):
             tag = "keep" if entry.kept else "drop"
             print(f"  {tag} {str(entry.lam):14} |block| = {entry.block_magnitude:.3e}"
                   f"  term = {entry.term:+.3e}")
-        truncated = rate_truncated(decomp, part.partition)
+        truncated = rate_truncated(decomp, part)
         direct = rate_direct(v, R)
         print(f"  truncated rate = {truncated:.12f}")
         print(f"  direct rate    = {direct:.12f}")

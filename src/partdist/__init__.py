@@ -48,7 +48,6 @@ from .interferometer import (
 )
 from .delays import (
     ArrivalSpec,
-    DelayPartition,
     delay_matrix,
     delay_matrix_from_times,
     discretize,

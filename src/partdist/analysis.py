@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .delays import DelayPartition, occupancy
+from .delays import occupancy
 from .errors import DomainError, PartdistError, SizeLimitError
 from .symgroup import (
     conjugate,
@@ -69,8 +69,6 @@ def witness_partition(n: int) -> tuple[int, ...]:
 
 
 def _as_partition(mu) -> tuple[int, ...]:
-    if isinstance(mu, DelayPartition):
-        return mu.partition
     mu = tuple(int(p) for p in mu)
     if any(p <= 0 for p in mu) or list(mu) != sorted(mu, reverse=True):
         raise DomainError(f"{mu} is not a partition (positive, sorted descending)")
@@ -78,9 +76,10 @@ def _as_partition(mu) -> tuple[int, ...]:
 
 
 def requires_witness(mu, n: int | None = None) -> bool:
-    """True iff a bin-occupancy pattern mu forces the witness-class blocks
-    into the kept set: iff mu is dominated by the witness partition, which
-    is iff no bin holds more than ceil(n/2) particles."""
+    """True iff a bin-occupancy pattern mu (a descending tuple, as
+    :func:`~partdist.delays.discretize` returns) forces the witness-class
+    blocks into the kept set: iff mu is dominated by the witness partition,
+    which is iff no bin holds more than ceil(n/2) particles."""
     mu = _as_partition(mu)
     if n is None:
         n = sum(mu)
@@ -145,8 +144,8 @@ class WitnessReport:
 
 def witness_report(n: int, mu=None) -> WitnessReport:
     """Witness partition, its conjugate column shape, whether a given bin
-    pattern forces it, and the cost estimate for the dominant block — the one
-    labelled by the conjugate shape."""
+    pattern mu (a descending tuple) forces it, and the cost estimate for the
+    dominant block — the one labelled by the conjugate shape."""
     w = witness_partition(n)
     wc = conjugate(w)
     forces = None if mu is None else requires_witness(mu, n)
@@ -160,8 +159,9 @@ def witness_report(n: int, mu=None) -> WitnessReport:
 
 def delay_partition_probability(mu, b: int, n: int | None = None) -> Fraction:
     """Probability that n uniform arrivals into b bins produce occupancy
-    pattern mu: multinomial(n; mu) * multinomial(b; bin tallies) / b^n,
-    and exactly 0 whenever mu has more parts than there are bins."""
+    pattern mu (a descending tuple): multinomial(n; mu) * multinomial(b;
+    bin tallies) / b^n, and exactly 0 whenever mu has more parts than there
+    are bins."""
     mu = _as_partition(mu)
     if n is None:
         n = sum(mu)

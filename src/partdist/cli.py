@@ -217,7 +217,7 @@ def load_config(path: str, args: argparse.Namespace) -> Config:
     else:
         raise DomainError(f"config field 'arrival.type': expected 'continuous' or 'binned', got {atype!r}")
     arrival_key.update({"delta_omega": delta_omega, "window": window, "bins": bins})
-    _, part = discretize(spec)
+    _, mu = discretize(spec)
 
     detectors = _port_tuple(raw, "detectors", n, m, range(1, n + 1))
     input_ports = _port_tuple(raw, "input_ports", n, m, range(1, n + 1))
@@ -230,7 +230,7 @@ def load_config(path: str, args: argparse.Namespace) -> Config:
     }
     rate_engine = "streaming" if engine == "direct" and chunk > 0 else engine
     return Config(m, n, itf, species, engine, rate_engine, seed, detectors, input_ports,
-                  spec, part.partition, _canonical_hash(resolved))
+                  spec, mu, _canonical_hash(resolved))
 
 
 # ---------------------------------------------------------------------------

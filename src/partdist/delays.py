@@ -23,7 +23,6 @@ from .errors import DomainError
 
 __all__ = [
     "ArrivalSpec",
-    "DelayPartition",
     "delay_matrix",
     "delay_matrix_from_times",
     "discretize",
@@ -67,27 +66,6 @@ class ArrivalSpec:
         return len(self.taus)
 
 
-@dataclass(frozen=True)
-class DelayPartition:
-    """Bin-occupancy pattern of the arrival times: the sorted tallies of how
-    many particles share each occupied bin, plus the total bin count."""
-
-    partition: tuple[int, ...]
-    bins: int
-
-    def __post_init__(self):
-        if any(p <= 0 for p in self.partition) or any(
-            a < b for a, b in zip(self.partition, self.partition[1:])
-        ):
-            raise DomainError(f"not a valid occupancy partition: {self.partition}")
-        if len(self.partition) > self.bins:
-            raise DomainError("more occupied bins than bins available")
-
-    @property
-    def n(self) -> int:
-        return sum(self.partition)
-
-
 def delay_matrix_from_times(taus, delta_omega: float) -> np.ndarray:
     """Pairwise Gaussian overlaps for raw (continuous) arrival times: an
     n x n matrix for n times, or a stack (..., n, n) for times (..., n),
@@ -103,16 +81,16 @@ def delay_matrix(spec: ArrivalSpec) -> np.ndarray:
     return delay_matrix_from_times(spec.taus, spec.delta_omega)
 
 
-def discretize(spec: ArrivalSpec) -> tuple[tuple[int, ...], DelayPartition]:
+def discretize(spec: ArrivalSpec) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Assign each arrival to its time bin.
 
     Bin c (1-based) covers [(c-1) T/b, c T/b); returns the per-particle bin
-    indices together with the resulting delay partition.
+    indices together with the delay partition: how many particles share
+    each occupied bin, largest first.
     """
     b, T = spec.bins, spec.window
     indices = tuple(min(int(t * b / T) + 1, b) for t in spec.taus)
-    tallies = tuple(sorted(Counter(indices).values(), reverse=True))
-    return indices, DelayPartition(tallies, b)
+    return indices, tuple(sorted(Counter(indices).values(), reverse=True))
 
 
 def snapped_times(bin_indices: tuple[int, ...], spec: ArrivalSpec) -> tuple[float, ...]:
@@ -133,11 +111,10 @@ def snapped_delay_matrix(bin_indices: tuple[int, ...], spec: ArrivalSpec) -> np.
     return delay_matrix_from_times(snapped_times(bin_indices, spec), spec.delta_omega)
 
 
-def occupancy(partition, bins: int) -> tuple[int, ...]:
-    """Counts (b_0, b_1, ..., b_n): b_i = number of bins holding exactly i
-    particles; b_0 counts the empty bins."""
-    mu = partition.partition if isinstance(partition, DelayPartition) else tuple(partition)
-    if any(p <= 0 for p in mu):
+def occupancy(mu: tuple[int, ...], bins: int) -> tuple[int, ...]:
+    """Counts (b_0, b_1, ..., b_n) of the delay partition mu: b_i = number
+    of bins holding exactly i particles; b_0 counts the empty bins."""
+    if any(p <= 0 for p in mu) or any(a < b for a, b in zip(mu, mu[1:])):
         raise DomainError(f"invalid partition {mu}")
     if bins < len(mu):
         raise DomainError(f"{len(mu)} occupied bins cannot fit into {bins} bins")

@@ -36,7 +36,7 @@ MAX_OUTPUT_ENUMERATION = 10**6
 UNITARITY_TOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Interferometer:
     """An m-channel unitary: every entry of U^dag U - I is within
     UNITARITY_TOL = 1e-10 in modulus, absolute (a Haar unitary drawn by QR
@@ -146,7 +146,7 @@ def submatrix(
     return A[0] if single else A
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MonomialVector:
     """v[gamma] = A[gamma(1),1] * ... * A[gamma(n),n] over a group ordering;
     ``values`` has shape (n!,), or (K, n!) for a stack of K submatrices."""

@@ -68,7 +68,6 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .delays import DelayPartition
 from .errors import ClampWarning, DomainError, NumericalError, SizeLimitError
 from .interferometer import MonomialVector, monomial_vector
 from .matfun import _glynn, permanent
@@ -170,7 +169,7 @@ def _composition_rows(ordering: GroupOrdering):
         yield range(start, stop), lut[(Q[start:stop] @ invT).astype(np.int32)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RateMatrix:
     """Dense rate matrix over a fixed group ordering."""
 
@@ -641,7 +640,7 @@ def build_transform(ordering: GroupOrdering) -> BlockTransform:
     return BlockTransform(ordering, tuple(layout))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlockDecomposition:
     """Per-partition blocks and projected vectors of one rate computation,
     or of a batch of them.
@@ -873,13 +872,9 @@ def _kept_labels(decomp: BlockDecomposition, mu: tuple[int, ...]):
     return {lam: dominates(conjugate(lam), mu) for lam in decomp.blocks}
 
 
-def _as_partition(mu) -> tuple[int, ...]:
-    return mu.partition if isinstance(mu, DelayPartition) else tuple(mu)
-
-
 def rate_truncated(decomp: BlockDecomposition, mu):
     """Rate summing only the blocks whose label survives for the partition
-    mu (a tuple or a :class:`~partdist.delays.DelayPartition`).
+    mu, a descending tuple.
 
     Exact when mu is :func:`gamas_partition` of the blocks' delay matrix,
     as :func:`engine_rates` takes it: every dropped block then vanishes
@@ -889,7 +884,6 @@ def rate_truncated(decomp: BlockDecomposition, mu):
     decided once per call, for a whole batch; the result is a float or an
     array as for :func:`rate_blocked`.
     """
-    mu = _as_partition(mu)
     kept = _kept_labels(decomp, mu)
     total = sum(decomp.term(lam) for lam, keep in kept.items() if keep)
     return _finalize_rate(total)
@@ -904,7 +898,6 @@ class TruncationEntry:
 
 
 def truncation_report(decomp: BlockDecomposition, mu) -> tuple[TruncationEntry, ...]:
-    mu = _as_partition(mu)
     kept = _kept_labels(decomp, mu)
     return tuple(
         TruncationEntry(
@@ -940,14 +933,14 @@ def gamas_vanishes(lam: tuple[int, ...], mu) -> bool:
     """True iff the block labelled lam is identically zero for bin partition
     mu: the lam-immanant of the snapped Gram matrix vanishes exactly when lam
     fails to dominate mu."""
-    return not dominates(lam, _as_partition(mu))
+    return not dominates(lam, mu)
 
 
 # ---------------------------------------------------------------------------
 # One entry point for every engine
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EngineRates:
     """Rates from :func:`engine_rates` and the health figures of their route.
 
@@ -1003,6 +996,8 @@ def engine_rates(A, r, species: str, engine: str) -> EngineRates:
 
     Every route but the streaming one refuses n > MAX_DENSE_DEGREE with
     :class:`SizeLimitError` before it enumerates S_n.
+    An empty stack, of no strings or no delay matrices, gives empty rates
+    (and empty bounds on ``streaming``) and no health figures.
 
     Determinism: the dense and block routes take their rates from BLAS
     matrix products: R v per string; the weighted monomials of the delay
@@ -1023,6 +1018,14 @@ def engine_rates(A, r, species: str, engine: str) -> EngineRates:
     one_string = np.ndim(A) == 2
     if np.ndim(A) not in (2, 3) or np.ndim(r) not in (2, 3) or not (one_string or np.ndim(r) == 2):
         raise DomainError("engine rates take one string or a stack of strings under one delay matrix")
+    if engine not in ("direct", "streaming", "blocked", "truncated"):
+        raise DomainError(f"unknown engine {engine!r}")
+    if engine != "streaming":
+        _check_dense_degree(n)
+    if 0 in np.shape(A)[:-2] + np.shape(r)[:-2]:
+        _check_species(species)
+        _check_delay_matrix(r, n, batch=True)
+        return EngineRates(np.zeros(0), bounds=np.zeros(0) if engine == "streaming" else None)
     if engine == "streaming":
         if one_string:
             return rate_direct_streaming(A, r, species)
@@ -1031,9 +1034,6 @@ def engine_rates(A, r, species: str, engine: str) -> EngineRates:
         return EngineRates(np.concatenate([s.rates for s in streams]),
                            bounds=np.concatenate([s.bounds for s in streams]),
                            cancellation=max(s.cancellation for s in streams))
-    if engine not in ("direct", "blocked", "truncated"):
-        raise DomainError(f"unknown engine {engine!r}")
-    _check_dense_degree(n)
     if engine == "truncated":
         partitions = set(map(gamas_partition, _check_delay_matrix(r, n, batch=True).reshape(-1, n, n)))
         if len(partitions) > 1:

@@ -420,7 +420,7 @@ def standard_tableaux(lam: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...]
     return tuple(out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IrrepMatrixSet:
     """Orthogonal irrep matrices for one partition over a full group ordering.
 
@@ -441,43 +441,42 @@ class IrrepMatrixSet:
         return self.matrices[self.ordering.index(p)]
 
 
-def _adjacent_transposition_matrices(lam: tuple[int, ...]) -> list[np.ndarray]:
+@cache
+def _adjacent_transposition_matrices(lam: tuple[int, ...]) -> tuple[np.ndarray, ...]:
     """Young's orthogonal matrices for s_k = (k, k+1), k = 1..n-1.
 
     Diagonal entries are 1/d with d the axial distance from k to k+1; when
     swapping k and k+1 keeps the tableau standard the two tableaux couple
-    with off-diagonal sqrt(1 - 1/d^2).
+    with off-diagonal sqrt(1 - 1/d^2).  A tableau is found by its row word
+    (the row of each value), so its partner is the word with entries k and
+    k+1 swapped.
     """
     n = sum(lam)
     basis = standard_tableaux(lam)
     dim = len(basis)
-    pos = []  # pos[t][v] = (row, col) of value v in tableau t
+    words, contents = [], []  # [t][v - 1]: row, and column - row, of value v
     for tab in basis:
-        p = {}
+        word, content = [0] * n, [0] * n
         for i, row in enumerate(tab):
             for j, v in enumerate(row):
-                p[v] = (i, j)
-        pos.append(p)
-    index = {tab: t for t, tab in enumerate(basis)}
-
-    def swapped(tab, a, b):
-        return tuple(
-            tuple(b if v == a else a if v == b else v for v in row) for row in tab
-        )
+                word[v - 1], content[v - 1] = i, j - i
+        words.append(tuple(word))
+        contents.append(content)
+    index = {word: t for t, word in enumerate(words)}
 
     mats = []
     for k in range(1, n):
         m = np.zeros((dim, dim))
-        for t, tab in enumerate(basis):
-            (ri, ci), (rj, cj) = pos[t][k], pos[t][k + 1]
-            d = (cj - rj) - (ci - ri)  # axial distance, never 0
+        for t, word in enumerate(words):
+            d = contents[t][k] - contents[t][k - 1]  # axial distance, never 0
             m[t, t] = 1.0 / d
-            other = index.get(swapped(tab, k, k + 1))
+            other = index.get(word[: k - 1] + (word[k], word[k - 1]) + word[k + 1 :])
             if other is not None and other > t:
                 coupling = math.sqrt(1.0 - 1.0 / d**2)
                 m[t, other] = m[other, t] = coupling
+        m.setflags(write=False)
         mats.append(m)
-    return mats
+    return tuple(mats)
 
 
 @cache

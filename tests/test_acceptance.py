@@ -179,7 +179,7 @@ def test_engines_agree_on_random_binned_cases():
             taus = tuple((int(c) - 0.5) * window / bins for c in idx)
             spec = pd.ArrivalSpec(taus, dw, window, bins)
             r = pd.delay_matrix(spec)
-            mu = pd.discretize(spec)[1].partition
+            mu = pd.discretize(spec)[1]
             dets = tuple(sorted(int(x) + 1 for x in rng.choice(m, n, replace=False)))
             ins = tuple(sorted(int(x) + 1 for x in rng.choice(m, n, replace=False)))
             s = pd.OutputString.from_detectors(m, dets)

@@ -14,7 +14,6 @@ from partdist.analysis import (
     witness_probability,
     witness_report,
 )
-from partdist.delays import DelayPartition
 from partdist.errors import DomainError, SizeLimitError
 from partdist.symgroup import conjugate, dominates, partitions_of
 
@@ -37,7 +36,10 @@ def test_requires_witness_examples():
     assert requires_witness((3, 3), 6)
     assert not requires_witness((4, 2), 6)
     assert requires_witness((2, 2, 2), 6)
-    assert requires_witness(DelayPartition((2, 2, 1), 8))
+    assert requires_witness((2, 2, 1))
+    for bad in ((1, 2), (2, 0)):  # not sorted descending, an empty part
+        with pytest.raises(DomainError):
+            requires_witness(bad)
 
 
 def _dominated_by_prefix_sums(mu, w):

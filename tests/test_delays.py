@@ -5,7 +5,6 @@ import pytest
 
 from partdist.delays import (
     ArrivalSpec,
-    DelayPartition,
     delay_matrix,
     delay_matrix_from_times,
     discretize,
@@ -62,7 +61,7 @@ def test_discretize_bins_and_partition():
     spec = ArrivalSpec((0.05, 0.05, 0.34, 0.61), 2.0, 1.0, 3)
     bins, part = discretize(spec)
     assert bins == (1, 1, 2, 2)
-    assert part == DelayPartition((2, 2), 3)
+    assert part == (2, 2)
 
 
 def test_discretize_boundary_goes_to_upper_bin():
@@ -89,9 +88,11 @@ def test_snapped_delay_matrix_equal_bins_give_unit_overlap():
 
 def test_delay_partition_validation():
     with pytest.raises(DomainError):
-        DelayPartition((1, 2), 4)  # not sorted descending
+        occupancy((1, 2), 4)  # not sorted descending
     with pytest.raises(DomainError):
-        DelayPartition((2, 1), 0)
+        occupancy((2, 0), 4)  # an empty part
+    with pytest.raises(DomainError):
+        occupancy((2, 1), 0)
 
 
 def test_occupancy_counts_bins_by_load():

@@ -9,7 +9,7 @@ import types
 import partdist
 
 PUBLIC = {
-    "ArrivalSpec", "DelayPartition", "DomainError", "GroupOrdering", "Interferometer",
+    "ArrivalSpec", "DomainError", "GroupOrdering", "Interferometer",
     "NumericalError", "OutputDistribution", "OutputString", "PartdistError", "Permutation",
     "SizeLimitError", "all_permutations", "analyze_report", "block_decompose",
     "build_distribution", "build_transform", "burgisser_cost", "catalan", "character",

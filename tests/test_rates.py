@@ -1015,7 +1015,7 @@ def _snapped_setup(n, taus, bins, seed=11):
     itf = haar_unitary(2 * n, seed=seed)
     s = OutputString.from_detectors(2 * n, tuple(range(1, n + 1)))
     A = submatrix(itf, s)
-    return A, r, part.partition
+    return A, r, part
 
 
 @pytest.mark.parametrize("species", ["boson", "fermion"])
@@ -1050,7 +1050,7 @@ def test_vanishing_blocks_match_immanant_vanishing():
     for mu, taus in spec_times.items():
         spec = ArrivalSpec(taus, 2.0, 1.0, 4)
         idx, part = discretize(spec)
-        assert part.partition == mu
+        assert part == mu
         r = snapped_delay_matrix(idx, spec)
         blocks, _ = decompose_rate_matrix(rate_matrix(r, "boson", ordering), T)
         for lam in partitions_of(4):
@@ -1085,7 +1085,7 @@ def test_gamas_dropped_blocks_vanish_on_random_bins(assignment, bins, seed, spec
     v = monomial_vector(submatrix(haar_unitary(m, seed=seed), s), ordering)
     decomp = attach_vector(v, fourier_blocks(snapped_delay_matrix(idx, spec), species, T), T, species)
     tol = block_rounding(n)
-    dropped = [lam for lam, keep in rates._kept_labels(decomp, part.partition).items() if not keep]
+    dropped = [lam for lam, keep in rates._kept_labels(decomp, part).items() if not keep]
     for lam in dropped:
         assert np.max(np.abs(decomp.blocks[lam])) <= tol, lam
     # |term| <= ‖K‖_2 ‖w‖² <= s max|K| ‖w‖², ‖w‖ <= (1 + δ) ‖v‖
@@ -1113,7 +1113,7 @@ def test_gamas_partition_is_the_bin_partition_on_binned_specs(indices, bins, win
     assert bins_of == idx
     r = delay_matrix(spec)
     assert r.tobytes() == snapped_delay_matrix(idx, spec).tobytes()
-    assert gamas_partition(r) == part.partition
+    assert gamas_partition(r) == part
 
 
 @settings(max_examples=30, deadline=None)
@@ -1502,7 +1502,7 @@ def test_engine_rates_match_the_dispatch_it_replaced(n, bins_of, m, strings, poi
     # matrix has the same bin partition, so truncation is exact
     taus = (np.array(bins_of) - 0.5) / 8
     stack = delay_matrix_from_times(np.array([rng.permutation(taus) for _ in range(points)]), 1.5)
-    mu = discretize(ArrivalSpec(tuple(taus), 1.5, 1.0, 8))[1].partition
+    mu = discretize(ArrivalSpec(tuple(taus), 1.5, 1.0, 8))[1]
     for a, r in ((A[0], stack[0]), (A[0], stack), (A, stack[0])):
         want, residual, cancellation, decomp = dispatch_before_engine_rates(
             a, r, species, engine, mu, chunk)
@@ -1526,6 +1526,24 @@ def test_engine_rates_refuses_an_unknown_engine():
     for engine in ("dense", "Streaming", ""):
         with pytest.raises(DomainError, match="unknown engine"):
             rates.engine_rates(A, r, "boson", engine)
+
+
+@pytest.mark.parametrize("engine", ["direct", "streaming", "blocked", "truncated"])
+@pytest.mark.parametrize("empty", ["strings", "delay matrices"])
+def test_engine_rates_of_an_empty_stack_are_empty(engine, empty):
+    # K = 0 strings under one delay matrix, or one string under P = 0
+    A, r = _random_case(3, 5)
+    if empty == "strings":
+        A = A[None][:0]
+    else:
+        r = r[None][:0]
+    for species in ("boson", "fermion"):
+        got = rates.engine_rates(A, r, species, engine)
+        assert got.rates.shape == (0,)
+        if engine == "streaming":
+            assert got.bounds.shape == (0,)
+        else:
+            assert got.bounds is None
 
 
 def test_no_engine_route_builds_permutation_objects(monkeypatch):
