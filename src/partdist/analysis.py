@@ -35,6 +35,7 @@ from fractions import Fraction
 from .delays import occupancy
 from .errors import DomainError, PartdistError, SizeLimitError
 from .symgroup import (
+    _check_partition,
     conjugate,
     dominates,
     gl_dimension,
@@ -70,8 +71,7 @@ def witness_partition(n: int) -> tuple[int, ...]:
 
 def _as_partition(mu) -> tuple[int, ...]:
     mu = tuple(int(p) for p in mu)
-    if any(p <= 0 for p in mu) or list(mu) != sorted(mu, reverse=True):
-        raise DomainError(f"{mu} is not a partition (positive, sorted descending)")
+    _check_partition(mu)
     return mu
 
 

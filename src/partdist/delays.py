@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
+from .symgroup import _check_partition
 
 __all__ = [
     "ArrivalSpec",
@@ -114,8 +115,7 @@ def snapped_delay_matrix(bin_indices: tuple[int, ...], spec: ArrivalSpec) -> np.
 def occupancy(mu: tuple[int, ...], bins: int) -> tuple[int, ...]:
     """Counts (b_0, b_1, ..., b_n) of the delay partition mu: b_i = number
     of bins holding exactly i particles; b_0 counts the empty bins."""
-    if any(p <= 0 for p in mu) or any(a < b for a, b in zip(mu, mu[1:])):
-        raise DomainError(f"invalid partition {mu}")
+    _check_partition(mu)
     if bins < len(mu):
         raise DomainError(f"{len(mu)} occupied bins cannot fit into {bins} bins")
     n = sum(mu)

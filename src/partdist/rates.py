@@ -1023,6 +1023,8 @@ def engine_rates(A, r, species: str, engine: str) -> EngineRates:
     if engine != "streaming":
         _check_dense_degree(n)
     if 0 in np.shape(A)[:-2] + np.shape(r)[:-2]:
+        if np.shape(A)[-2:] != (n, n):
+            raise DomainError(f"scattering submatrices must be square, got shape {np.shape(A)}")
         _check_species(species)
         _check_delay_matrix(r, n, batch=True)
         return EngineRates(np.zeros(0), bounds=np.zeros(0) if engine == "streaming" else None)

@@ -441,8 +441,7 @@ class IrrepMatrixSet:
         return self.matrices[self.ordering.index(p)]
 
 
-@cache
-def _adjacent_transposition_matrices(lam: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+def _adjacent_transposition_matrices(lam: tuple[int, ...]) -> list[np.ndarray]:
     """Young's orthogonal matrices for s_k = (k, k+1), k = 1..n-1.
 
     Diagonal entries are 1/d with d the axial distance from k to k+1; when
@@ -474,9 +473,8 @@ def _adjacent_transposition_matrices(lam: tuple[int, ...]) -> tuple[np.ndarray, 
             if other is not None and other > t:
                 coupling = math.sqrt(1.0 - 1.0 / d**2)
                 m[t, other] = m[other, t] = coupling
-        m.setflags(write=False)
         mats.append(m)
-    return tuple(mats)
+    return mats
 
 
 @cache

@@ -1544,6 +1544,10 @@ def test_engine_rates_of_an_empty_stack_are_empty(engine, empty):
             assert got.bounds.shape == (0,)
         else:
             assert got.bounds is None
+    # a non-square A is refused as on a nonempty stack
+    bad = (np.zeros((0, 2, 3)), r) if empty == "strings" else (A[:2], r)
+    with pytest.raises(DomainError):
+        rates.engine_rates(*bad, "boson", engine)
 
 
 def test_no_engine_route_builds_permutation_objects(monkeypatch):
