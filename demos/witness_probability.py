@@ -47,7 +47,7 @@ def main():
     print(f"{'n':>3} {'shape':>22} {'dim':>9} {'operations':>14}")
     for n in range(4, 13, 2):
         shape = conjugate(witness_partition(n))
-        cost = burgisser_cost(shape, n)
+        cost = burgisser_cost(shape)
         print(f"{n:>3} {str(shape):>22} {cost.d_lam:>9} {cost.operations:>14.3e}")
 
 

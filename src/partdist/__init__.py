@@ -81,7 +81,6 @@ from .analysis import (
     requires_witness,
     catalan,
     burgisser_cost,
-    witness_report,
     delay_partition_probability,
     witness_probability,
     analyze_report,

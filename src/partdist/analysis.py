@@ -7,11 +7,15 @@ probability.  Whenever that partition is dominated by the witness partition
 particles — the blocked fermion rate keeps contributions from the widest
 irrep blocks, the ones whose evaluation the cost model prices exponentially.
 Everything here is exact big-integer arithmetic except the closed-form tail
-estimate, which is the point of comparison.
+estimate, which is the point of comparison.  A pattern's probability takes
+the bins' share as a falling factorial of b, never b!, so any b >= 2 is
+exact at the cost of integers of about n log2(b) bits, and an ``analyze``
+report walks the partitions of n once.
 
 The tail P(some bin holds more than ceil(n/2) particles) equals
 b P(Bin(n, 1/b) >= ceil(n/2) + 1) exactly, because no two bins can both
-overflow.  For even n its leading term at large b is C(n, n/2 + 1) b^-(n/2).
+overflow; the sum over partitions is kept so that this identity stays an
+independent check (acceptance criterion 7).  For even n its leading term at large b is C(n, n/2 + 1) b^-(n/2).
 The closed form sqrt(2/(n pi)) (4/b)^(n/2) has that order in b, replaces the
 binomial coefficient by 2^n sqrt(2/(n pi)) and drops the factor
 (1 - 1/b)^(n/2 - 1); the union bound on the binomial tail gives the bracket
@@ -29,10 +33,11 @@ meant to be covered; the formula is kept as is and serves as a reference.
 from __future__ import annotations
 
 import math
+import operator
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .delays import occupancy
 from .errors import DomainError, PartdistError, SizeLimitError
 from .symgroup import (
     _check_partition,
@@ -49,8 +54,6 @@ __all__ = [
     "catalan",
     "CostEstimate",
     "burgisser_cost",
-    "WitnessReport",
-    "witness_report",
     "delay_partition_probability",
     "WitnessProbability",
     "witness_probability",
@@ -70,22 +73,24 @@ def witness_partition(n: int) -> tuple[int, ...]:
 
 
 def _as_partition(mu) -> tuple[int, ...]:
-    mu = tuple(int(p) for p in mu)
+    """mu as a tuple of ints, refusing parts that are not integers (2.7 is
+    not read as 2) and tuples that are not partitions."""
+    try:
+        mu = tuple(operator.index(p) for p in mu)
+    except TypeError as exc:
+        raise DomainError(f"partition parts must be integers: {mu!r}") from exc
     _check_partition(mu)
     return mu
 
 
-def requires_witness(mu, n: int | None = None) -> bool:
-    """True iff a bin-occupancy pattern mu (a descending tuple, as
-    :func:`~partdist.delays.discretize` returns) forces the witness-class
-    blocks into the kept set: iff mu is dominated by the witness partition,
-    which is iff no bin holds more than ceil(n/2) particles."""
+def requires_witness(mu) -> bool:
+    """True iff a bin-occupancy pattern mu (a descending tuple of integers,
+    as :func:`~partdist.delays.discretize` returns) forces the
+    witness-class blocks into the kept set: iff mu is dominated by the
+    witness partition of n = sum(mu), which is iff no bin holds more than
+    ceil(n/2) particles."""
     mu = _as_partition(mu)
-    if n is None:
-        n = sum(mu)
-    elif sum(mu) != n:
-        raise DomainError(f"{mu} is not a partition of {n}")
-    return dominates(witness_partition(n), mu)
+    return dominates(witness_partition(sum(mu)), mu)
 
 
 def catalan(k: int) -> int:
@@ -104,79 +109,56 @@ class CostEstimate:
     n: int
     s_lam: int
     d_lam: int
-    mult_estimate: int
     operations: float
     is_column_pair_shape: bool  # lam = (2, 2, ..., 2): Catalan closed forms apply
 
 
-def burgisser_cost(lam, n: int | None = None) -> CostEstimate:
-    """Cost-model the evaluation of the lam-labelled group-function block.
+def burgisser_cost(lam) -> CostEstimate:
+    """Cost-model the evaluation of the block labelled by the partition lam
+    (a descending tuple of integers) of n = sum(lam), in GL(n).
 
     For the all-twos column shape (2^k) the tableau count is the Catalan
     number C_k and the GL(2k) dimension is C_k * binom(2k+1, k); both closed
     forms are asserted against the hook formulas on every such call.
     """
     lam = _as_partition(lam)
-    if n is None:
-        n = sum(lam)
-    elif sum(lam) != n:
-        raise DomainError(f"{lam} is not a partition of {n}")
+    n = sum(lam)
     s = standard_tableau_count(lam)
     d = gl_dimension(lam, n)
     pair_shape = set(lam) == {2}
     if pair_shape:
         k = len(lam)
-        if s != catalan(k) or (n == 2 * k and d != catalan(k) * math.comb(n + 1, k)):
+        if s != catalan(k) or d != catalan(k) * math.comb(n + 1, k):
             raise PartdistError(f"Catalan closed form failed for {lam}")
     ops = (s + math.log2(n)) * n**2 * s * d
-    return CostEstimate(lam, n, s, d, s, float(ops), pair_shape)
-
-
-@dataclass(frozen=True)
-class WitnessReport:
-    n: int
-    witness: tuple[int, ...]
-    witness_conjugate: tuple[int, ...]
-    mu: tuple[int, ...] | None
-    forces_witness: bool | None
-    dominant_cost: CostEstimate
-
-
-def witness_report(n: int, mu=None) -> WitnessReport:
-    """Witness partition, its conjugate column shape, whether a given bin
-    pattern mu (a descending tuple) forces it, and the cost estimate for the
-    dominant block — the one labelled by the conjugate shape."""
-    w = witness_partition(n)
-    wc = conjugate(w)
-    forces = None if mu is None else requires_witness(mu, n)
-    return WitnessReport(n, w, wc, None if mu is None else _as_partition(mu),
-                         forces, burgisser_cost(wc, n))
+    return CostEstimate(lam, n, s, d, float(ops), pair_shape)
 
 
 # ---------------------------------------------------------------------------
 # Uniform-arrival bin statistics (exact rationals throughout)
 
 
-def delay_partition_probability(mu, b: int, n: int | None = None) -> Fraction:
-    """Probability that n uniform arrivals into b bins produce occupancy
-    pattern mu (a descending tuple): multinomial(n; mu) * multinomial(b;
-    bin tallies) / b^n, and exactly 0 whenever mu has more parts than there
-    are bins."""
+def delay_partition_probability(mu, b: int) -> Fraction:
+    """Probability that n = sum(mu) uniform arrivals into b bins produce the
+    occupancy pattern mu (a descending tuple of integers):
+    multinomial(n; mu) * b!/((b - k)! prod_t t!) / b^n, where k = len(mu)
+    and t runs over how many parts share each size, and exactly 0 whenever
+    mu has more parts than there are bins.  The bins' factor is the falling
+    factorial b (b-1) ... (b-k+1) over the tallies, so b! is never formed
+    and any b is exact.
+    """
     mu = _as_partition(mu)
-    if n is None:
-        n = sum(mu)
-    elif sum(mu) != n:
-        raise DomainError(f"{mu} is not a partition of {n}")
     if b < 1:
         raise DomainError("need at least one bin")
     if b < len(mu):
         return Fraction(0)
+    n = sum(mu)
     ways_particles = math.factorial(n)
     for part in mu:
         ways_particles //= math.factorial(part)
-    ways_bins = math.factorial(b)
-    for count in occupancy(mu, b):
-        ways_bins //= math.factorial(count)
+    ways_bins = math.perm(b, len(mu))
+    for tally in Counter(mu).values():
+        ways_bins //= math.factorial(tally)
     return Fraction(ways_particles * ways_bins, b**n)
 
 
@@ -209,6 +191,19 @@ class WitnessProbability:
         return self.n % 2 == 0
 
 
+def _witness_rows(n: int, b: int):
+    """One pass over the partitions of n: each as (mu, probability under b
+    bins, whether it forces the witness), in :func:`partitions_of` order,
+    and the :class:`WitnessProbability` the forcing ones sum to."""
+    if n < 2 or b < 2:
+        raise DomainError("need n >= 2 and b >= 2")
+    rows = [(mu, delay_partition_probability(mu, b), requires_witness(mu))
+            for mu in partitions_of(n)]
+    exact = sum((p for _, p, forces in rows if forces), Fraction(0))
+    tail = math.sqrt(2 / (n * math.pi)) * (4 / b) ** (n / 2)
+    return rows, WitnessProbability(n, b, exact, 1 - exact, tail, decaying=b >= 5)
+
+
 def witness_probability(n: int, b: int) -> WitnessProbability:
     """Sum the exact bin-pattern probabilities over every witness-forcing
     partition of n, against the closed-form tail sqrt(2/(n pi)) (4/b)^(n/2).
@@ -218,43 +213,30 @@ def witness_probability(n: int, b: int) -> WitnessProbability:
     c_n = sqrt(2/(n pi)) 2^n / C(n, n/2 + 1).  For odd n the ratio grows like
     sqrt(b).
     """
-    if n < 2 or b < 2:
-        raise DomainError("need n >= 2 and b >= 2")
-    exact = Fraction(0)
-    for mu in partitions_of(n):
-        if requires_witness(mu, n):
-            exact += delay_partition_probability(mu, b, n)
-    tail = math.sqrt(2 / (n * math.pi)) * (4 / b) ** (n / 2)
-    return WitnessProbability(n, b, exact, 1 - exact, tail, decaying=b >= 5)
+    return _witness_rows(n, b)[1]
 
 
 def analyze_report(n: int, b: int) -> dict:
     """Full JSON-shaped report: witness data, per-partition probabilities,
     exact total, and the asymptotic tail, with
     ``tail_asymptotic_order_exact`` false for odd n, where the closed form
-    sits a factor growing like sqrt(b) above the exact tail."""
+    sits a factor growing like sqrt(b) above the exact tail.  Any b >= 2 is
+    exact; n is capped at ``MAX_ANALYZE_DEGREE``."""
     if n > MAX_ANALYZE_DEGREE:
         raise SizeLimitError(f"exact enumeration limited to n <= {MAX_ANALYZE_DEGREE}")
-    wp = witness_probability(n, b)
-    report = witness_report(n)
-    rows = []
-    for mu in partitions_of(n):
-        p = delay_partition_probability(mu, b, n)
-        rows.append(
-            {
-                "mu": list(mu),
-                "prob": str(p),
-                "prob_float": float(p),
-                "requires_witness": requires_witness(mu, n),
-            }
-        )
+    rows, wp = _witness_rows(n, b)
+    witness = witness_partition(n)
+    witness_conjugate = conjugate(witness)
     return {
         "n": n,
         "b": b,
-        "witness": list(report.witness),
-        "witness_conjugate": list(report.witness_conjugate),
-        "dominant_cost_operations": report.dominant_cost.operations,
-        "partitions": rows,
+        "witness": list(witness),
+        "witness_conjugate": list(witness_conjugate),
+        "dominant_cost_operations": burgisser_cost(witness_conjugate).operations,
+        "partitions": [
+            {"mu": list(mu), "prob": str(p), "prob_float": float(p), "requires_witness": forces}
+            for mu, p, forces in rows
+        ],
         "p_exact": str(wp.exact),
         "p_float": wp.exact_float,
         "tail_exact": float(wp.tail_exact),

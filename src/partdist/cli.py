@@ -3,12 +3,12 @@ gamas-table.
 
 Every run is deterministic given (config, seed): artifacts carry the config
 hash, and wall-clock timing goes to stderr so reruns with the same hash stay
-byte-identical.  ``direct`` with a chunk above 0 (config ``"chunk"``,
-``--threads-chunk``) runs the streaming engine, and :func:`load_config` is
-the one place that says so; the chunk's value is hashed but sizes nothing,
-since the engine sizes its own steps, and artifacts print the configured
-engine.  Exit codes: 0 success, 2 bad config/usage, 3 size guard, 4
-numerical failure.
+byte-identical; ``sample`` refuses a config with no seed (exit 2).
+``direct`` with a chunk above 0 (config ``"chunk"``, ``--threads-chunk``)
+runs the streaming engine, and :func:`load_config` is the one place that
+says so; the chunk's value is hashed but sizes nothing, since the engine
+sizes its own steps, and artifacts print the configured engine.  Exit
+codes: 0 success, 2 bad config/usage, 3 size guard, 4 numerical failure.
 
 Determinism under BLAS threading: the batch widths of the rate engines are
 fixed in :func:`partdist.rates.engine_rates`, and strings go in their
@@ -365,6 +365,8 @@ def cmd_distribution(args) -> None:
 
 def cmd_sample(args) -> None:
     cfg = load_config(args.config, args)
+    if cfg.seed is None:  # draws without a seed could not be reproduced
+        raise DomainError("sample needs a seed: set 'seed' in the config or pass --seed")
     _check_count(args.count)  # before the distribution is built
     with _Timer() as timer:
         dist = _build_dist(cfg)

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .symgroup import _check_partition
 
 __all__ = [
     "ArrivalSpec",
@@ -29,7 +28,6 @@ __all__ = [
     "discretize",
     "snapped_times",
     "snapped_delay_matrix",
-    "occupancy",
 ]
 
 
@@ -111,17 +109,3 @@ def snapped_delay_matrix(bin_indices: tuple[int, ...], spec: ArrivalSpec) -> np.
     """
     return delay_matrix_from_times(snapped_times(bin_indices, spec), spec.delta_omega)
 
-
-def occupancy(mu: tuple[int, ...], bins: int) -> tuple[int, ...]:
-    """Counts (b_0, b_1, ..., b_n) of the delay partition mu: b_i = number
-    of bins holding exactly i particles; b_0 counts the empty bins."""
-    _check_partition(mu)
-    if bins < len(mu):
-        raise DomainError(f"{len(mu)} occupied bins cannot fit into {bins} bins")
-    n = sum(mu)
-    counts = Counter(mu)
-    out = [0] * (n + 1)
-    out[0] = bins - len(mu)
-    for size, how_many in counts.items():
-        out[size] = how_many
-    return tuple(out)

@@ -29,10 +29,9 @@ __all__ = [
     "enumerate_outputs",
     "unitary_to_json",
     "unitary_from_json",
-    "MAX_OUTPUT_ENUMERATION",
+    "MAX_DISTRIBUTION_STRINGS",
 ]
 
-MAX_OUTPUT_ENUMERATION = 10**6
 UNITARITY_TOL = 1e-10
 
 
@@ -170,17 +169,20 @@ def monomial_vector(A, ordering: GroupOrdering) -> MonomialVector:
     return MonomialVector(ordering, values)
 
 
+MAX_DISTRIBUTION_STRINGS = 100_000
+
+
 @lru_cache(maxsize=1)
-def enumerate_outputs(
-    m: int, n: int, max_count: int = MAX_OUTPUT_ENUMERATION
-) -> tuple[OutputString, ...]:
+def enumerate_outputs(m: int, n: int) -> tuple[OutputString, ...]:
     """All C(m, n) collision-free strings, lexicographic in the 0/1 tuples;
-    the last tuple is kept, so a distribution and its references share it."""
+    the last tuple is kept, so a distribution and its references share it.
+    More than ``MAX_DISTRIBUTION_STRINGS`` strings raise
+    :class:`SizeLimitError` before any is built."""
     if not (0 <= n <= m):
         raise DomainError(f"cannot place {n} single clicks among {m} channels")
     count = math.comb(m, n)
-    if count > max_count:
-        raise SizeLimitError(f"C({m},{n}) = {count} exceeds the limit {max_count}")
+    if count > MAX_DISTRIBUTION_STRINGS:
+        raise SizeLimitError(f"C({m},{n}) = {count} exceeds the limit {MAX_DISTRIBUTION_STRINGS}")
     strings = [
         OutputString.from_detectors(m, tuple(d + 1 for d in combo))
         for combo in itertools.combinations(range(m), n)

@@ -18,7 +18,13 @@ import numpy as np
 
 from .delays import ArrivalSpec, delay_matrix
 from .errors import DomainError, NumericalError, SizeLimitError
-from .interferometer import Interferometer, OutputString, enumerate_outputs, submatrix
+from .interferometer import (
+    MAX_DISTRIBUTION_STRINGS,
+    Interferometer,
+    OutputString,
+    enumerate_outputs,
+    submatrix,
+)
 from .matfun import determinant, permanent
 from .rates import _batches, engine_rates
 
@@ -35,7 +41,6 @@ __all__ = [
     "MAX_SAMPLE_COUNT",
 ]
 
-MAX_DISTRIBUTION_STRINGS = 100_000
 MAX_SAMPLE_COUNT = 10**6  # 8-byte deviate and 8-byte index per draw: 16 MB at the cap
 
 
@@ -121,7 +126,7 @@ def build_distribution(
     if len(input_ports) != n:
         raise DomainError(f"need {n} input ports, got {len(input_ports)}")
 
-    strings = enumerate_outputs(m, n, MAX_DISTRIBUTION_STRINGS)
+    strings = enumerate_outputs(m, n)
     result = engine_rates(submatrix(interferometer, strings, input_ports), delay_matrix(spec),
                           species, engine)
     return _normalize(strings, result.rates, m, n, species, engine,
@@ -137,9 +142,10 @@ def _check_count(count: int) -> None:
         raise SizeLimitError(f"{count} draws exceed the limit {MAX_SAMPLE_COUNT}")
 
 
-def sample(dist: OutputDistribution, count: int, seed: int | None = None):
-    """``count`` i.i.d. draws by inverse CDF; deterministic given the seed.
-    The count passes :func:`_check_count` before any draw."""
+def sample(dist: OutputDistribution, count: int, seed: int):
+    """``count`` i.i.d. draws by inverse CDF; deterministic given the seed,
+    which is required, since draws without one cannot be reproduced.  The
+    count passes :func:`_check_count` before any draw."""
     _check_count(count)
     cdf = np.cumsum(dist.probabilities)
     cdf[-1] = 1.0  # guard the last bin against rounding
@@ -161,7 +167,7 @@ def _closed_form_distribution(interferometer, n, input_ports, per_batch,
     m = interferometer.m
     if input_ports is None:
         input_ports = tuple(range(1, n + 1))
-    strings = enumerate_outputs(m, n, MAX_DISTRIBUTION_STRINGS)
+    strings = enumerate_outputs(m, n)
     rates = np.concatenate([
         per_batch(submatrix(interferometer, batch, input_ports))
         for batch in _batches(strings, max(1, 2**17 >> n))

@@ -437,7 +437,7 @@ def test_witness_rule_equivalence_and_dimension_growth():
             if mu == w:
                 witness_ok = witness_ok and flag
 
-    dims = [pd.burgisser_cost((2,) * k, 2 * k).d_lam for k in range(1, 7)]
+    dims = [pd.burgisser_cost((2,) * k).d_lam for k in range(1, 7)]
     growth_ok = all(b >= 2 * a for a, b in zip(dims, dims[1:]))
     closed_form = 2 ** (2 * 12 + 3) / (12**2 * math.pi)
     ratio = dims[-1] / closed_form

@@ -12,7 +12,6 @@ from partdist.analysis import (
     requires_witness,
     witness_partition,
     witness_probability,
-    witness_report,
 )
 from partdist.errors import DomainError, SizeLimitError
 from partdist.symgroup import conjugate, dominates, partitions_of
@@ -33,9 +32,9 @@ def test_witness_partition_values():
 
 
 def test_requires_witness_examples():
-    assert requires_witness((3, 3), 6)
-    assert not requires_witness((4, 2), 6)
-    assert requires_witness((2, 2, 2), 6)
+    assert requires_witness((3, 3))
+    assert not requires_witness((4, 2))
+    assert requires_witness((2, 2, 2))
     assert requires_witness((2, 2, 1))
     for bad in ((1, 2), (2, 0)):  # not sorted descending, an empty part
         with pytest.raises(DomainError):
@@ -61,10 +60,23 @@ def test_requires_witness_equals_width_rule_everywhere():
     for n in range(2, 13):
         w = witness_partition(n)
         for mu in partitions_of(n):
-            got = requires_witness(mu, n)
+            got = requires_witness(mu)
             assert got == (mu[0] <= math.ceil(n / 2))
             assert got == dominates(w, mu)
             assert got == _dominated_by_prefix_sums(mu, w)
+
+
+@pytest.mark.parametrize("call", [
+    requires_witness,
+    burgisser_cost,
+    lambda mu: delay_partition_probability(mu, 4),
+], ids=["requires_witness", "burgisser_cost", "delay_partition_probability"])
+def test_non_integral_parts_are_refused(call):
+    # int() would read (2.7, 1) as (2, 1)
+    for bad in ((2.7, 1), (2.0, 1), ("2", "1")):
+        with pytest.raises(DomainError):
+            call(bad)
+    call((np.int64(2), 1))  # integer types other than int stand for themselves
 
 
 # ---------------------------------------------------------------------------
@@ -76,33 +88,24 @@ def test_catalan_numbers():
 
 
 def test_burgisser_cost_column_pairs():
-    est = burgisser_cost((2, 2, 2), 6)
+    est = burgisser_cost((2, 2, 2))
     assert est.s_lam == 5
     assert est.d_lam == 175
-    assert est.mult_estimate == 5
     assert est.is_column_pair_shape
     assert est.operations == pytest.approx((5 + math.log2(6)) * 36 * 5 * 175)
 
 
 def test_burgisser_cost_growth_matches_closed_form_estimate():
-    est = burgisser_cost((2,) * 6, 12)
+    est = burgisser_cost((2,) * 6)
     approx = 2 ** (2 * 12 + 3) / (12**2 * math.pi)
     assert abs(est.d_lam - approx) / approx < 0.25
 
 
 def test_burgisser_cost_exponential_growth():
-    dims = [burgisser_cost((2,) * (n // 2), n).d_lam for n in (4, 6, 8, 10, 12)]
+    dims = [burgisser_cost((2,) * (n // 2)).d_lam for n in (4, 6, 8, 10, 12)]
     ratios = [b / a for a, b in zip(dims, dims[1:])]
     assert all(r > 8 for r in ratios)  # ~16x per step, comfortably exponential
     assert dims == sorted(dims)
-
-
-def test_witness_report_bundles_everything():
-    rep = witness_report(6, (2, 2, 1, 1))
-    assert rep.witness == (3, 3)
-    assert rep.witness_conjugate == (2, 2, 2)
-    assert rep.forces_witness is True
-    assert rep.dominant_cost.lam == (2, 2, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +118,7 @@ def test_delay_partition_probability_known_value():
 
 @pytest.mark.parametrize("n,b", [(4, 6), (5, 8), (6, 8)])
 def test_delay_partition_probabilities_sum_to_one(n, b):
-    total = sum(delay_partition_probability(mu, b, n) for mu in partitions_of(n))
+    total = sum(delay_partition_probability(mu, b) for mu in partitions_of(n))
     assert total == 1
 
 
@@ -123,11 +126,19 @@ def test_no_collision_is_the_birthday_formula():
     for n, b in ((3, 5), (4, 6), (5, 9)):
         want = Fraction(math.factorial(b), math.factorial(b - n) * b**n)
         assert delay_partition_probability((1,) * n, b) == want
+    # at a billion bins, where b! could not be formed: the product of
+    # (b - i)/b over i < n
+    b = 10**9
+    for n in (2, 7, 12):
+        want = math.prod((Fraction(b - i, b) for i in range(n)), start=Fraction(1))
+        assert delay_partition_probability((1,) * n, b) == want
 
 
 def test_more_parts_than_bins_is_impossible():
     assert delay_partition_probability((1, 1, 1, 1), 3) == 0
     assert delay_partition_probability((2, 1, 1), 2) == 0
+    with pytest.raises(DomainError):
+        delay_partition_probability((2, 1), 0)
 
 
 def test_single_bin_forces_full_collision():

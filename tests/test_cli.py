@@ -9,9 +9,11 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +27,7 @@ import partdist.sampling
 import partdist.symgroup
 from partdist import analysis
 from partdist.cli import main
-from partdist.interferometer import OutputString, haar_unitary, submatrix
+from partdist.interferometer import OutputString, haar_unitary, submatrix, unitary_to_json
 from partdist.rates import gamas_vanishes, rate_direct_streaming
 from partdist.symgroup import partitions_of
 
@@ -635,6 +637,45 @@ def test_sample_is_seed_deterministic(tmp_path, capsys):
         assert len(line) == 6 and line.count("1") == 3 and set(line) <= {"0", "1"}
 
 
+def test_every_subcommand_reruns_byte_identically(tmp_path, capsys):
+    # the cli module's contract: the same (config, seed) gives the same
+    # bytes on stdout and in the artifact; only wall_time_s may differ
+    cfg = write_config(tmp_path)
+    runs = [("analyze", "--n", "6", "--b", "8"), ("gamas-table", "--n", "6")]
+    for command, extra in (("rate", ()), ("distribution", ()), ("sample", ("--count", "20")),
+                           ("landscape", ("--steps", "5"))):
+        engines = ("direct", "blocked") if command == "landscape" else ("direct", "blocked", "truncated")
+        for choice in [("--engine", e) for e in engines] + [("--threads-chunk", "8")]:
+            runs.append((command, "--config", cfg, *choice, *extra))
+    artifact = tmp_path / "artifact.out"
+    for argv in runs:
+        for to_file in (False, True):
+            seen = []
+            for _ in range(2):
+                code, out, err = run_cli(capsys, *argv, *(("--out", str(artifact)) if to_file else ()))
+                assert code == 0, (argv, err)
+                assert err.count("wall_time_s=") == 1
+                written = artifact.read_bytes() if to_file else None
+                seen.append((out, re.sub(r"wall_time_s=\S+", "wall_time_s=", err), written))
+            assert seen[0] == seen[1], argv
+            assert seen[0][2] if to_file else seen[0][0]
+
+    # draws with no seed anywhere could not be reproduced: refused before
+    # anything is built, whether the unitary is a file or a seeded Haar draw
+    unitary = tmp_path / "unitary.json"
+    unitary_to_json(haar_unitary(6, seed=5), unitary)
+    seedless = {k: v for k, v in BASE.items() if k != "seed"}
+    for name, uni in (("file.json", {"type": "file", "path": str(unitary)}),
+                      ("haar.json", {"type": "haar", "seed": 5})):
+        path = tmp_path / name
+        path.write_text(json.dumps({**seedless, "unitary": uni}))
+        code, out, err = run_cli(capsys, "sample", "--config", str(path), "--count", "8")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "--seed" in err
+        assert run_cli(capsys, "sample", "--config", str(path), "--count", "8", "--seed", "3")[0] == 0
+        assert run_cli(capsys, "rate", "--config", str(path))[0] == 0
+
+
 def test_sample_count_above_the_cap_exits_3_before_drawing(tmp_path, capsys):
     # 10^15 uniform deviates would need 8 PB: only a refusal before the
     # draw gets out with exit 3
@@ -810,6 +851,17 @@ def test_analyze_matches_library_report(capsys):
     got.pop("config_hash")
     want = json.loads(json.dumps(analysis.analyze_report(6, 8)))
     assert got == want
+
+
+def test_analyze_takes_any_bin_count_exactly(capsys):
+    # b! is never formed: a trillion bins cost no more than eight
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "analyze", "--n", "12", "--b", str(10**12))
+    assert time.perf_counter() - start < 1.0
+    assert code == 0, err
+    report = json.loads(out)
+    assert sum(Fraction(row["prob"]) for row in report["partitions"]) == 1
+    assert Fraction(report["p_exact"]) == analysis.witness_probability(12, 10**12).exact
 
 
 def test_gamas_table_matches_vanishing_predicate(capsys):

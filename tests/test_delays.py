@@ -8,7 +8,6 @@ from partdist.delays import (
     delay_matrix,
     delay_matrix_from_times,
     discretize,
-    occupancy,
     snapped_delay_matrix,
     snapped_times,
 )
@@ -84,23 +83,6 @@ def test_snapped_delay_matrix_equal_bins_give_unit_overlap():
     assert bins[0] == bins[1]
     assert r[0, 1] == 1.0
     assert 0 < r[0, 2] < 1
-
-
-def test_delay_partition_validation():
-    with pytest.raises(DomainError):
-        occupancy((1, 2), 4)  # not sorted descending
-    with pytest.raises(DomainError):
-        occupancy((2, 0), 4)  # an empty part
-    with pytest.raises(DomainError):
-        occupancy((2, 1), 0)
-
-
-def test_occupancy_counts_bins_by_load():
-    # partition (2,2,1) in 8 bins: five empty, one single, two doubles
-    assert occupancy((2, 2, 1), 8) == (5, 1, 2, 0, 0, 0)
-    assert occupancy((3,), 4) == (3, 0, 0, 1)
-    with pytest.raises(DomainError):
-        occupancy((1, 1, 1), 2)
 
 
 def test_stacked_times_give_bit_equal_delay_matrices():

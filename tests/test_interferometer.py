@@ -123,15 +123,15 @@ def test_monomial_vector_sum_is_permanent():
 
 
 def test_enumerate_outputs_counts_and_order():
-    outs = enumerate_outputs(4, 2, 100)
-    assert enumerate_outputs(4, 2, 100) is outs  # a distribution and its references share it
+    outs = enumerate_outputs(4, 2)
+    assert enumerate_outputs(4, 2) is outs  # a distribution and its references share it
     assert len(outs) == 6
     assert [str(s) for s in outs[:3]] == ["0011", "0101", "0110"]
     assert all(o.n == 2 for o in outs)
     with pytest.raises(SizeLimitError):
-        enumerate_outputs(40, 20, 1000)
+        enumerate_outputs(40, 20)
     with pytest.raises(DomainError):
-        enumerate_outputs(3, 4, 100)
+        enumerate_outputs(3, 4)
 
 
 def test_unitary_json_round_trip(tmp_path):

@@ -22,7 +22,6 @@ PUBLIC = {
     "requires_witness", "sample", "snapped_delay_matrix", "snapped_times",
     "standard_tableau_count", "submatrix", "to_jsonl", "total_variation", "truncation_report",
     "unitary_from_json", "unitary_to_json", "witness_partition", "witness_probability",
-    "witness_report",
 }
 
 

@@ -539,7 +539,7 @@ def test_shared_subsets_give_each_string_the_bits_of_its_own_call(n, monkeypatch
     # bound, and the largest cancellation, still has the bits of the
     # strings' own calls
     m = n + 2
-    A = submatrix(haar_unitary(m, seed=80 + n), enumerate_outputs(m, n, 10**6))
+    A = submatrix(haar_unitary(m, seed=80 + n), enumerate_outputs(m, n))
     rng = np.random.default_rng(90 + n)
     spec = ArrivalSpec(tuple(rng.uniform(0, 1, size=n)), 2.0, 1.0, 3)
     for r in (delay_matrix_from_times(spec.taus, spec.delta_omega),
@@ -556,7 +556,7 @@ def test_shared_subsets_with_repeated_reordered_and_stacked_rows(monkeypatch):
     n = 4
     U = np.array(haar_unitary(7, seed=31).matrix)
     U[5] = U[2]  # detectors 3 and 6 have equal rows
-    strings = enumerate_outputs(7, n, 10**6)
+    strings = enumerate_outputs(7, n)
     A = U[np.array([s.detectors for s in strings]) - 1][:, :, :n]
     rng = np.random.default_rng(32)
     swapped = rng.permuted(np.broadcast_to(np.arange(n), (len(A), n)), axis=1)
@@ -630,7 +630,7 @@ def test_streaming_peak_stays_under_its_memory_guard(n, species, monkeypatch):
     # one engine_rates batch of m = 12 strings: the subset codes, the table
     # of distinct subsets and each step stay inside _streaming_bytes, with
     # one, 64 and 4096 subset matrices per step
-    A = submatrix(haar_unitary(12, seed=n), enumerate_outputs(12, n, 10**6))[: rates.BATCH_ENTRIES >> n]
+    A = submatrix(haar_unitary(12, seed=n), enumerate_outputs(12, n))[: rates.BATCH_ENTRIES >> n]
     r = delay_matrix_from_times(np.linspace(0.0, 2.0, n), 1.0)
     for budget in _step_budgets(n, species, 64, 4096)[:-1]:
         monkeypatch.setattr(rates, "STREAMING_STEP_BYTES", budget)
@@ -642,7 +642,7 @@ def test_streaming_guard_admits_a_boson_batch_at_n8():
     # the 256 strings of one m = 12, n = 8 batch: sized by the default step
     # budget, not by one matrix per (string, subset) pair, the call fits the
     # guard and its peak stays inside what it was sized at
-    A = submatrix(haar_unitary(12, seed=8), enumerate_outputs(12, 8, 10**6))[: rates.BATCH_ENTRIES >> 8]
+    A = submatrix(haar_unitary(12, seed=8), enumerate_outputs(12, 8))[: rates.BATCH_ENTRIES >> 8]
     assert len(A) == 256
     r = delay_matrix_from_times(np.linspace(0.0, 2.0, 8), 1.0)
     peak, guard = _streaming_peak(A, r, "boson")
@@ -780,7 +780,7 @@ def test_stacked_streaming_matches_stacked_dense_within_bounds(n, seed, species,
     # plus the dense form's 2 gamma_2N ||v||_1^2
     rng = np.random.default_rng(seed)
     m = int(rng.integers(n + 1, 10))
-    A = submatrix(haar_unitary(m, seed=seed), enumerate_outputs(m, n, 10**6))
+    A = submatrix(haar_unitary(m, seed=seed), enumerate_outputs(m, n))
     spec = ArrivalSpec(tuple(rng.uniform(0, 1, size=n)), float(rng.uniform(0.5, 4.0)), 1.0, 3)
     r = (snapped_delay_matrix(discretize(spec)[0], spec) if snapped
          else delay_matrix_from_times(spec.taus, spec.delta_omega))
@@ -1351,7 +1351,7 @@ def test_streaming_rates_meet_the_shared_verdict(monkeypatch):
     # test_clamped_rates_are_counted_on_stderr does on the CLI), so each raw
     # rate is the value given to its full set; _finalize_rate judges it
     # against the string's own rounding bound
-    A = submatrix(haar_unitary(4, seed=3), enumerate_outputs(4, 3, 10**6))
+    A = submatrix(haar_unitary(4, seed=3), enumerate_outputs(4, 3))
     r = delay_matrix_from_times([0.1, 0.5, 0.7], 1.5)
     distinct, codes, full_values = rates._distinct_subsets, [], []
 
