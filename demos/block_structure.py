@@ -10,7 +10,6 @@ and reassembles the coincidence rate from per-block contributions.
 import numpy as np
 
 from partdist import (
-    OutputString,
     all_permutations,
     block_decompose,
     build_transform,
@@ -23,6 +22,7 @@ from partdist import (
     standard_tableau_count,
     submatrix,
 )
+from partdist.interferometer import output_text
 
 
 def main():
@@ -39,8 +39,8 @@ def main():
     print(f"orthogonality defect: {ortho:.2e}")
 
     itf = haar_unitary(5, seed=42)
-    s = OutputString.from_detectors(5, (1, 3, 4))
-    A = submatrix(itf, s, (1, 2, 3))
+    detectors = (1, 3, 4)
+    A = submatrix(itf, detectors, (1, 2, 3))
     v = monomial_vector(A, ordering)
     r = delay_matrix_from_times([0.0, 0.35, 0.9], 1.2)
 
@@ -48,7 +48,7 @@ def main():
         R = rate_matrix(r, species, ordering)
         direct = rate_direct(v, R)
         decomp = block_decompose(v, R, T)
-        print(f"\n{species}: rate for output {s}")
+        print(f"\n{species}: rate for output {output_text(detectors, 5)}")
         total = 0.0
         for lam in sorted(decomp.blocks, reverse=True):
             term = decomp.term(lam)

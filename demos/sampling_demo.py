@@ -18,6 +18,7 @@ from partdist import (
     sample,
     total_variation,
 )
+from partdist.interferometer import output_text
 
 
 def main():
@@ -25,16 +26,17 @@ def main():
     spec = ArrivalSpec((0.10, 0.22, 0.55), delta_omega=3.0, window=1.0, bins=8)
     dist = build_distribution(itf, spec, species="boson", engine="blocked")
 
-    print(f"{len(dist.entries)} collision-free outputs, "
+    print(f"{len(dist.strings)} collision-free outputs, "
           f"entropy {entropy_bits(dist):.3f} bits")
     ref_i = reference_indistinguishable(itf, 3, "boson")
     ref_d = reference_distinguishable(itf, 3, "boson")
     print(f"total variation from indistinguishable: {total_variation(dist, ref_i):.4f}")
     print(f"total variation from distinguishable:   {total_variation(dist, ref_d):.4f}")
 
-    draws = sample(dist, 20_000, seed=5)
-    freq = Counter(str(s) for s in draws)
-    exact = {str(s): p for s, _, p in dist.entries}
+    draws = sample(dist, 20_000, seed=5)  # indices into dist.strings
+    text = output_text(dist.strings, dist.m)
+    freq = Counter(text[i] for i in draws)
+    exact = dict(zip(text, dist.probabilities.tolist()))
 
     print("\ntop outputs by probability (20000 draws):")
     print(f"{'output':>9} {'exact':>9} {'empirical':>10}")

@@ -8,8 +8,8 @@ The building blocks, bottom to top:
 - :mod:`partdist.matfun` — batched permanents (Glynn) and determinants,
   immanants, and the irrep-transformed matrix functions whose entries fill
   the diagonal blocks;
-- :mod:`partdist.interferometer` — unitaries, Haar samples, output strings,
-  scattering submatrices;
+- :mod:`partdist.interferometer` — unitaries, Haar samples, output strings
+  as rows of clicked detectors, scattering submatrices;
 - :mod:`partdist.delays` — arrival-time specs, Gaussian-overlap delay
   matrices, time-bin discretization;
 - :mod:`partdist.rates` — the n! x n! rate quadratic form, its streaming
@@ -38,7 +38,6 @@ from .symgroup import (
 from .matfun import determinant, permanent, immanant, dfunction_direct
 from .interferometer import (
     Interferometer,
-    OutputString,
     haar_unitary,
     submatrix,
     monomial_vector,

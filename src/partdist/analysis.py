@@ -83,6 +83,15 @@ def _as_partition(mu) -> tuple[int, ...]:
     return mu
 
 
+def _as_bins(b) -> int:
+    """b as an int, refusing a bin count that is not an integer (4.0 is not
+    read as 4)."""
+    try:
+        return operator.index(b)
+    except TypeError as exc:
+        raise DomainError(f"the bin count must be an integer: {b!r}") from exc
+
+
 def requires_witness(mu) -> bool:
     """True iff a bin-occupancy pattern mu (a descending tuple of integers,
     as :func:`~partdist.delays.discretize` returns) forces the
@@ -148,6 +157,7 @@ def delay_partition_probability(mu, b: int) -> Fraction:
     and any b is exact.
     """
     mu = _as_partition(mu)
+    b = _as_bins(b)
     if b < 1:
         raise DomainError("need at least one bin")
     if b < len(mu):
@@ -195,6 +205,7 @@ def _witness_rows(n: int, b: int):
     """One pass over the partitions of n: each as (mu, probability under b
     bins, whether it forces the witness), in :func:`partitions_of` order,
     and the :class:`WitnessProbability` the forcing ones sum to."""
+    b = _as_bins(b)
     if n < 2 or b < 2:
         raise DomainError("need n >= 2 and b >= 2")
     rows = [(mu, delay_partition_probability(mu, b), requires_witness(mu))

@@ -10,6 +10,9 @@ says so; the chunk's value is hashed but sizes nothing, since the engine
 sizes its own steps, and artifacts print the configured engine.  Exit
 codes: 0 success, 2 bad config/usage, 3 size guard, 4 numerical failure.
 
+Output strings print as 0/1 text ("10110") through one helper,
+:func:`partdist.interferometer.output_text`, in every subcommand.
+
 Determinism under BLAS threading: the batch widths of the rate engines are
 fixed in :func:`partdist.rates.engine_rates`, and strings go in their
 enumeration order and grid points in grid order; the references take
@@ -46,8 +49,8 @@ from .delays import ArrivalSpec, delay_matrix, delay_matrix_from_times, discreti
 from .errors import ClampWarning, DomainError, NumericalError, SizeLimitError
 from .interferometer import (
     Interferometer,
-    OutputString,
     haar_unitary,
+    output_text,
     submatrix,
     unitary_from_json,
 )
@@ -291,8 +294,8 @@ class _Timer:
 def cmd_rate(args) -> None:
     cfg = load_config(args.config, args)
     with _Timer() as timer:
-        s = OutputString.from_detectors(cfg.m, cfg.detectors)
-        A = submatrix(cfg.interferometer, s, cfg.input_ports)
+        detectors = sorted(cfg.detectors)  # A's rows in channel order
+        A = submatrix(cfg.interferometer, detectors, cfg.input_ports)
         r = delay_matrix(cfg.spec)
         result = engine_rates(A, r, cfg.species, cfg.rate_engine)
         timer.parseval_residual = result.parseval_residual
@@ -318,7 +321,7 @@ def cmd_rate(args) -> None:
             "species": cfg.species,
             "engine": cfg.engine,
             "detectors": list(cfg.detectors),
-            "output_string": str(s),
+            "output_string": output_text(detectors, cfg.m),
             "bin_partition": list(cfg.mu),
             "rate": float(result.rates),
             "blocks": blocks_out,
@@ -350,7 +353,7 @@ def cmd_distribution(args) -> None:
             "strings": len(dist.strings),
             "total_rate": dist.total_rate,
             "entropy_bits": entropy_bits(dist),
-            "max_prob_string": str(dist.strings[best]),
+            "max_prob_string": output_text(dist.strings[best], cfg.m),
             "max_prob": float(dist.probabilities[best]),
             "tv_from_indistinguishable": total_variation(dist, ref_i),
             "tv_from_distinguishable": total_variation(dist, ref_d),
@@ -373,7 +376,7 @@ def cmd_sample(args) -> None:
         timer.parseval_residual = dist.parseval_residual
         timer.cancellation = dist.cancellation
         draws = sample(dist, args.count, cfg.seed)
-    lines = {s: f"{s}\n" for s in dist.strings}  # each string formatted once, not once per draw
+    lines = [f"{s}\n" for s in output_text(dist.strings, cfg.m)]  # once per string, not per draw
     _emit(map(lines.__getitem__, draws), args.out)  # line by line: no second copy of the artifact
     print(
         json.dumps({"config_hash": cfg.config_hash, "count": args.count, "seed": cfg.seed}),
@@ -410,8 +413,7 @@ def cmd_landscape(args) -> None:
         points = [{axes[0]: float(d)} for d in grid]
     else:
         points = [{2: float(d2), 3: float(d3)} for d2 in grid for d3 in grid]
-    s = OutputString.from_detectors(cfg.m, cfg.detectors)
-    A = submatrix(cfg.interferometer, s, cfg.input_ports)
+    A = submatrix(cfg.interferometer, sorted(cfg.detectors), cfg.input_ports)
 
     taus = np.full((len(points), cfg.n), args.shift, dtype=float)
     for i, p in enumerate(points):

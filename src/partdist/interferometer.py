@@ -4,6 +4,9 @@ An m-channel interferometer is a unitary U; feeding one particle into each of
 the first n input ports and post-selecting on a collision-free detector
 pattern s picks out the n x n submatrix A(s) whose rows are the detector
 ports and whose columns are the occupied input ports.
+
+An output string is the row of its n clicked detectors, 1-based and
+ascending, and many strings are one (K, n) array of rows.
 """
 
 from __future__ import annotations
@@ -21,9 +24,9 @@ from .symgroup import GroupOrdering, monomials
 
 __all__ = [
     "Interferometer",
-    "OutputString",
     "haar_unitary",
     "submatrix",
+    "output_text",
     "monomial_vector",
     "MonomialVector",
     "enumerate_outputs",
@@ -70,79 +73,57 @@ def haar_unitary(m: int, seed: int | None = None) -> Interferometer:
     return Interferometer(q * phases)
 
 
-@dataclass(frozen=True)
-class OutputString:
-    """Collision-free detection pattern: s[k] in {0, 1} for each channel."""
-
-    s: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(x not in (0, 1) for x in self.s):
-            raise DomainError(f"output string must be 0/1 valued, got {self.s}")
-
-    @staticmethod
-    def from_detectors(m: int, detectors: tuple[int, ...]) -> "OutputString":
-        """Build from 1-based detector positions."""
-        if any(not (1 <= d <= m) for d in detectors):
-            raise DomainError(f"detector positions {detectors} outside 1..{m}")
-        if len(set(detectors)) != len(detectors):
-            raise DomainError("repeated detector position")
-        s = [0] * m
-        for d in detectors:
-            s[d - 1] = 1
-        return OutputString(tuple(s))
-
-    @property
-    def m(self) -> int:
-        return len(self.s)
-
-    @property
-    def n(self) -> int:
-        return sum(self.s)
-
-    @property
-    def detectors(self) -> tuple[int, ...]:
-        """1-based positions of the clicked detectors, ascending."""
-        return tuple(k + 1 for k, x in enumerate(self.s) if x)
-
-    def __str__(self) -> str:
-        return "".join(map(str, self.s))
+def _detector_rows(detectors, m: int) -> np.ndarray:
+    """``detectors`` as one row (n,) or a stack (K, n) of 1-based detector
+    positions, refusing positions that are not integers in 1..m and rows
+    that repeat one."""
+    try:
+        rows = np.asarray(detectors)
+    except ValueError as exc:  # rows of different lengths
+        raise DomainError(f"detector rows differ in length: {exc}") from exc
+    if rows.ndim not in (1, 2) or rows.dtype.kind not in "iu" or rows.size == 0:
+        raise DomainError(f"need a row or a stack of rows of detectors, got {rows.dtype} {rows.shape}")
+    if ((rows < 1) | (rows > m)).any():
+        raise DomainError(f"detector positions outside 1..{m}")
+    if (np.diff(np.sort(rows, axis=-1), axis=-1) == 0).any():
+        raise DomainError("repeated detector position")
+    return rows
 
 
 def submatrix(
     interferometer: Interferometer,
-    s,
+    detectors,
     input_ports: tuple[int, ...] | None = None,
 ) -> np.ndarray:
-    """Scattering submatrix A(s): rows = clicked detectors, columns = occupied
-    input ports (1-based; defaults to ports 1..n).
+    """Scattering submatrix A: rows = the clicked detectors in the order
+    given, columns = occupied input ports (1-based; defaults to ports 1..n).
 
-    ``s`` is one :class:`OutputString`, or a sequence of K strings with the
-    same number of clicks, whose submatrices come as a stack (K, n, n) from
-    one gather."""
+    ``detectors`` is one row (n,) or a stack (K, n) of rows, such as
+    :func:`enumerate_outputs` returns, whose submatrices come as a stack
+    (K, n, n) from one gather (:func:`_detector_rows` checks them)."""
     U = interferometer.matrix
-    single = isinstance(s, OutputString)
-    strings = (s,) if single else tuple(s)
-    if not strings:
-        raise DomainError("need at least one output string")
-    for x in strings:
-        if x.m != interferometer.m:
-            raise DomainError(f"output string length {x.m} != channel count {interferometer.m}")
-    clicks = np.array([x.s for x in strings], dtype=bool)  # (K, m)
-    counts = clicks.sum(axis=1)
-    n = int(counts[0])
-    if (counts != n).any():
-        raise DomainError("output strings click different numbers of detectors")
+    m = interferometer.m
+    rows = _detector_rows(detectors, m)
+    n = rows.shape[-1]
     if input_ports is None:
         input_ports = tuple(range(1, n + 1))
     if len(input_ports) != n:
         raise DomainError(f"{n} detectors clicked but {len(input_ports)} input ports given")
-    if any(not (1 <= p <= interferometer.m) for p in input_ports):
+    if any(not (1 <= p <= m) for p in input_ports):
         raise DomainError("input port outside 1..m")
-    rows = np.nonzero(clicks)[1].reshape(len(strings), n)  # ascending per string
     cols = np.array(input_ports, dtype=np.intp) - 1
-    A = U[rows[:, :, None], cols]
-    return A[0] if single else A
+    return U[(rows - 1)[..., None], cols]
+
+
+def output_text(detectors, m: int):
+    """0/1 text of strings over m channels, "10110" for detectors (1, 3, 4)
+    at m = 5: one str for a row, a list for a stack, cut from the text of
+    one (K, m) byte array; rows are checked as by :func:`submatrix`."""
+    rows = _detector_rows(detectors, m)
+    chars = np.full(rows.shape[:-1] + (m,), ord("0"), dtype=np.uint8)
+    np.put_along_axis(chars, rows - 1, ord("1"), axis=-1)
+    text = chars.tobytes().decode("ascii")
+    return text if rows.ndim == 1 else [text[k : k + m] for k in range(0, len(text), m)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,22 +154,21 @@ MAX_DISTRIBUTION_STRINGS = 100_000
 
 
 @lru_cache(maxsize=1)
-def enumerate_outputs(m: int, n: int) -> tuple[OutputString, ...]:
-    """All C(m, n) collision-free strings, lexicographic in the 0/1 tuples;
-    the last tuple is kept, so a distribution and its references share it.
-    More than ``MAX_DISTRIBUTION_STRINGS`` strings raise
-    :class:`SizeLimitError` before any is built."""
+def enumerate_outputs(m: int, n: int) -> np.ndarray:
+    """All C(m, n) collision-free strings as a read-only (C(m, n), n) array,
+    in ascending order of their 0/1 text (:func:`itertools.combinations`
+    order reversed); the last array is kept, so a distribution and its
+    references share it.  More than ``MAX_DISTRIBUTION_STRINGS`` strings
+    raise :class:`SizeLimitError` before any is built."""
     if not (0 <= n <= m):
         raise DomainError(f"cannot place {n} single clicks among {m} channels")
     count = math.comb(m, n)
     if count > MAX_DISTRIBUTION_STRINGS:
         raise SizeLimitError(f"C({m},{n}) = {count} exceeds the limit {MAX_DISTRIBUTION_STRINGS}")
-    strings = [
-        OutputString.from_detectors(m, tuple(d + 1 for d in combo))
-        for combo in itertools.combinations(range(m), n)
-    ]
-    strings.sort(key=lambda x: x.s)
-    return tuple(strings)
+    combos = itertools.chain.from_iterable(itertools.combinations(range(1, m + 1), n))
+    rows = np.fromiter(combos, dtype=np.intp, count=count * n).reshape(count, n)[::-1].copy()
+    rows.setflags(write=False)
+    return rows
 
 
 def unitary_to_json(interferometer: Interferometer, path) -> None:

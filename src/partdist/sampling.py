@@ -6,12 +6,13 @@ coincidence rate (a detection probability), and renormalizes over the
 collision-free set (post-selection: runs where some detector saw two
 particles are discarded).
 Sampling is exact inverse-CDF over the enumerated table — no Markov chain,
-no approximation.
+no approximation — and returns indices into the distribution's strings.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,8 +22,8 @@ from .errors import DomainError, NumericalError, SizeLimitError
 from .interferometer import (
     MAX_DISTRIBUTION_STRINGS,
     Interferometer,
-    OutputString,
     enumerate_outputs,
+    output_text,
     submatrix,
 )
 from .matfun import determinant, permanent
@@ -48,12 +49,12 @@ MAX_SAMPLE_COUNT = 10**6  # 8-byte deviate and 8-byte index per draw: 16 MB at t
 class OutputDistribution:
     """Normalized distribution over the collision-free strings G_{m,n}.
 
-    ``strings`` are the output strings in their fixed enumeration order;
+    ``strings`` is the read-only array of
+    :func:`~partdist.interferometer.enumerate_outputs`, one string per row;
     ``rates`` (raw) and ``probabilities`` are read-only float arrays in the
-    same order, and ``entries`` zips the three into (string, rate,
-    probability) triples.  ``parseval_residual`` is the largest
-    |‖T v‖² - ‖v‖²| over the strings on the blocked and truncated engines,
-    and None on the others; ``cancellation`` is the largest
+    same order.  ``parseval_residual`` is the largest |‖T v‖² - ‖v‖²| over
+    the strings on the blocked and truncated engines, and None on the
+    others; ``cancellation`` is the largest
     sum_S |f(P_S)| / rate of the streaming engine
     (:func:`~partdist.rates.rate_direct_streaming`), and None on the others.
     """
@@ -62,7 +63,7 @@ class OutputDistribution:
     n: int
     species: str
     engine: str
-    strings: tuple[OutputString, ...]
+    strings: np.ndarray
     rates: np.ndarray
     probabilities: np.ndarray
     total_rate: float
@@ -82,10 +83,6 @@ class OutputDistribution:
         if abs(probs.sum() - 1.0) > 1e-9:
             raise DomainError(f"probabilities sum to {probs.sum()}, not 1")
 
-    @property
-    def entries(self) -> tuple[tuple[OutputString, float, float], ...]:
-        return tuple(zip(self.strings, self.rates.tolist(), self.probabilities.tolist()))
-
 
 def _normalize(strings, rates, m, n, species, engine, parseval_residual=None,
                cancellation=None) -> OutputDistribution:
@@ -94,7 +91,7 @@ def _normalize(strings, rates, m, n, species, engine, parseval_residual=None,
     if not total > 0.0:
         raise NumericalError("every collision-free rate vanished; cannot normalize")
     return OutputDistribution(
-        m, n, species, engine, tuple(strings), rates, rates / total, total,
+        m, n, species, engine, strings, rates, rates / total, total,
         parseval_residual, cancellation,
     )
 
@@ -142,17 +139,19 @@ def _check_count(count: int) -> None:
         raise SizeLimitError(f"{count} draws exceed the limit {MAX_SAMPLE_COUNT}")
 
 
-def sample(dist: OutputDistribution, count: int, seed: int):
-    """``count`` i.i.d. draws by inverse CDF; deterministic given the seed,
-    which is required, since draws without one cannot be reproduced.  The
-    count passes :func:`_check_count` before any draw."""
+def sample(dist: OutputDistribution, count: int, seed: int) -> np.ndarray:
+    """``count`` i.i.d. draws by inverse CDF, as a (count,) index array into
+    ``dist.strings``; deterministic given the seed, which is required, since
+    draws without one cannot be reproduced.  The seed must be a
+    non-negative integer, not a bool, and the count pass
+    :func:`_check_count`, before any draw."""
+    if isinstance(seed, bool) or not hasattr(seed, "__index__") or operator.index(seed) < 0:
+        raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
     _check_count(count)
     cdf = np.cumsum(dist.probabilities)
     cdf[-1] = 1.0  # guard the last bin against rounding
     rng = np.random.default_rng(seed)
-    idx = np.searchsorted(cdf, rng.random(count), side="right")
-    strings = dist.strings
-    return [strings[i] for i in idx]
+    return np.searchsorted(cdf, rng.random(count), side="right")
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +212,9 @@ def reference_distinguishable(
 def to_jsonl(dist: OutputDistribution, path) -> None:
     """One record per string, {"s": "01101", "rate": x, "prob": p}, to the
     file at ``path``, or to ``path`` itself when it is a text stream."""
-    text = "".join(json.dumps({"s": str(s), "rate": rate, "prob": prob}) + "\n"
-                   for s, rate, prob in dist.entries)
+    text = "".join(json.dumps({"s": s, "rate": rate, "prob": prob}) + "\n"
+                   for s, rate, prob in zip(output_text(dist.strings, dist.m),
+                                            dist.rates.tolist(), dist.probabilities.tolist()))
     if hasattr(path, "write"):
         path.write(text)
         return
@@ -229,6 +229,6 @@ def entropy_bits(dist: OutputDistribution) -> float:
 
 
 def total_variation(a: OutputDistribution, b: OutputDistribution) -> float:
-    if a.strings != b.strings:
+    if not np.array_equal(a.strings, b.strings):
         raise DomainError("distributions enumerate different output strings")
     return float(0.5 * np.abs(a.probabilities - b.probabilities).sum())

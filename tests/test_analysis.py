@@ -79,6 +79,17 @@ def test_non_integral_parts_are_refused(call):
     call((np.int64(2), 1))  # integer types other than int stand for themselves
 
 
+def test_non_integral_bin_counts_are_refused():
+    # math.perm raised a bare TypeError on 4.0; "8" failed the b < 2 check
+    for bad in (4.0, 8.5, "8", None):
+        with pytest.raises(DomainError, match="bin count"):
+            delay_partition_probability((2, 1), bad)
+        with pytest.raises(DomainError, match="bin count"):
+            witness_probability(6, bad)
+    assert delay_partition_probability((2, 1), np.int64(4)) == delay_partition_probability((2, 1), 4)
+    assert witness_probability(6, np.int64(8)).exact == witness_probability(6, 8).exact
+
+
 # ---------------------------------------------------------------------------
 # Cost model
 

@@ -6,6 +6,7 @@ lines go to stderr by design, so stdout comparisons can be byte-exact.
 """
 
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -27,7 +28,7 @@ import partdist.sampling
 import partdist.symgroup
 from partdist import analysis
 from partdist.cli import main
-from partdist.interferometer import OutputString, haar_unitary, submatrix, unitary_to_json
+from partdist.interferometer import haar_unitary, output_text, submatrix, unitary_to_json
 from partdist.rates import gamas_vanishes, rate_direct_streaming
 from partdist.symgroup import partitions_of
 
@@ -536,7 +537,7 @@ def test_streaming_fermion_rate_at_n12(tmp_path, capsys):
     assert code == 0, err
     assert time.perf_counter() - start < 30
     rate = json.loads(out)["rate"]
-    A = submatrix(haar_unitary(14, seed=5), OutputString.from_detectors(14, tuple(range(1, 13))))
+    A = submatrix(haar_unitary(14, seed=5), tuple(range(1, 13)))
     own = rate_direct_streaming(A, np.ones((12, 12)), "fermion")
     assert rate == float(own.rates) > 0.0
 
@@ -676,6 +677,24 @@ def test_every_subcommand_reruns_byte_identically(tmp_path, capsys):
         assert run_cli(capsys, "rate", "--config", str(path))[0] == 0
 
 
+def test_output_strings_print_as_sorted_0_1_text(tmp_path, capsys):
+    # distribution rows in ascending text order, rate's string from its
+    # detectors whatever their order, and every draw one of the rows
+    code, out, err = run_cli(capsys, "distribution", "--config", write_config(tmp_path))
+    assert code == 0, err
+    texts = ["".join("1" if k in c else "0" for k in range(6))
+             for c in itertools.combinations(range(6), 3)]
+    assert [json.loads(line)["s"] for line in out.splitlines()] == sorted(texts)
+    for detectors in ([1, 3, 4], [4, 1, 3]):
+        cfg = write_config(tmp_path, "rate.json", m=5, detectors=detectors)
+        code, rate_out, err = run_cli(capsys, "rate", "--config", cfg)
+        assert code == 0, err
+        assert json.loads(rate_out)["output_string"] == "10110"
+    code, drawn, err = run_cli(capsys, "sample", "--config", write_config(tmp_path), "--count", "200")
+    assert code == 0, err
+    assert len(drawn.splitlines()) == 200 and set(drawn.splitlines()) <= set(texts)
+
+
 def test_sample_count_above_the_cap_exits_3_before_drawing(tmp_path, capsys):
     # 10^15 uniform deviates would need 8 PB: only a refusal before the
     # draw gets out with exit 3
@@ -704,8 +723,10 @@ def test_sample_artifact_written_line_by_line_keeps_its_bytes(tmp_path, capsys):
     out = tmp_path / "draws.txt"
     assert run_cli(capsys, *argv, "--out", str(out))[0] == 0
     config = partdist.cli.load_config(cfg, partdist.cli.build_parser().parse_args(argv))
-    draws = partdist.sampling.sample(partdist.cli._build_dist(config), 50, config.seed)
-    assert printed == out.read_text() == "".join(f"{s}\n" for s in draws)
+    dist = partdist.cli._build_dist(config)
+    text = output_text(dist.strings, dist.m)
+    draws = partdist.sampling.sample(dist, 50, config.seed)
+    assert printed == out.read_text() == "".join(f"{text[i]}\n" for i in draws)
 
 
 def test_channel_count_above_the_cap_exits_3_before_any_unitary(tmp_path, capsys, monkeypatch):

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -7,10 +8,10 @@ import pytest
 from partdist.errors import DomainError, SizeLimitError
 from partdist.interferometer import (
     Interferometer,
-    OutputString,
     enumerate_outputs,
     haar_unitary,
     monomial_vector,
+    output_text,
     submatrix,
     unitary_from_json,
     unitary_to_json,
@@ -78,32 +79,39 @@ def test_haar_first_entry_moment():
 
 
 def test_output_string_round_trip():
-    s = OutputString.from_detectors(5, (1, 3, 4))
-    assert s.s == (1, 0, 1, 1, 0)
-    assert str(s) == "10110"
-    assert s.detectors == (1, 3, 4)
-    assert s.m == 5 and s.n == 3
+    # a string is the row of its clicked detectors; its text marks them
+    assert output_text((1, 3, 4), 5) == "10110"
+    assert output_text(np.array([[1, 3, 4], [2, 3, 5]]), 5) == ["10110", "01101"]
+    assert output_text(enumerate_outputs(5, 5), 5) == ["11111"]
+    with pytest.raises(DomainError):
+        output_text((0, 2), 5)  # not read as (5, 2)
 
 
 def test_output_string_validation():
-    with pytest.raises(DomainError):
-        OutputString((1, 0, 2))
-    with pytest.raises(DomainError):
-        OutputString.from_detectors(3, (1, 1))
-    with pytest.raises(DomainError):
-        OutputString.from_detectors(3, (0, 2))
+    # submatrix refuses rows that are not strings: detectors that are not
+    # integers, repeated within a row, or outside 1..m
+    itf = haar_unitary(3, seed=0)
+    for bad in ((1, 2.5), (True, False), ("1", "2"), (1, 1), (0, 2), (2, 4),
+                [[1, 2], [3, 3]], [[1, 2], [1, 2, 3]], np.zeros((0, 2), dtype=int)):
+        with pytest.raises(DomainError):
+            submatrix(itf, bad)
+    assert submatrix(itf, np.array([3, 1], dtype=np.uint8)).shape == (2, 2)
 
 
 def test_submatrix_rows_and_columns():
     m = 5
     U = haar_unitary(m, seed=2).matrix
     itf = Interferometer(U)
-    s = OutputString.from_detectors(m, (2, 4, 5))
-    A = submatrix(itf, s)
+    A = submatrix(itf, (2, 4, 5))
     assert A.shape == (3, 3)
     assert np.array_equal(A, U[np.ix_([1, 3, 4], [0, 1, 2])])
-    B = submatrix(itf, s, input_ports=(1, 3, 5))
+    B = submatrix(itf, (2, 4, 5), input_ports=(1, 3, 5))
     assert np.array_equal(B, U[np.ix_([1, 3, 4], [0, 2, 4])])
+    # rows in the order given; a stack gives one gather of the same bits
+    assert np.array_equal(submatrix(itf, (5, 2, 4)), U[np.ix_([4, 1, 3], [0, 1, 2])])
+    stack = submatrix(itf, enumerate_outputs(m, 3), (1, 3, 5))
+    assert stack.shape == (10, 3, 3)
+    assert np.array_equal(stack[4], submatrix(itf, enumerate_outputs(m, 3)[4], (1, 3, 5)))
 
 
 def test_monomial_vector_n2():
@@ -125,9 +133,16 @@ def test_monomial_vector_sum_is_permanent():
 def test_enumerate_outputs_counts_and_order():
     outs = enumerate_outputs(4, 2)
     assert enumerate_outputs(4, 2) is outs  # a distribution and its references share it
-    assert len(outs) == 6
-    assert [str(s) for s in outs[:3]] == ["0011", "0101", "0110"]
-    assert all(o.n == 2 for o in outs)
+    assert outs.shape == (6, 2) and outs.dtype == np.intp
+    assert not outs.flags.writeable
+    assert output_text(outs[:3], 4) == ["0011", "0101", "0110"]
+    # ascending 0/1 text is itertools.combinations order reversed
+    for m, n in ((1, 1), (4, 2), (5, 1), (6, 3), (7, 7), (9, 4)):
+        outs = enumerate_outputs(m, n)
+        combos = list(itertools.combinations(range(1, m + 1), n))[::-1]
+        assert outs.tolist() == [list(c) for c in combos]
+        text = output_text(outs, m)
+        assert text == sorted(text) and len(set(text)) == math.comb(m, n)
     with pytest.raises(SizeLimitError):
         enumerate_outputs(40, 20)
     with pytest.raises(DomainError):

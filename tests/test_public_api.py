@@ -10,7 +10,7 @@ import partdist
 
 PUBLIC = {
     "ArrivalSpec", "DomainError", "GroupOrdering", "Interferometer",
-    "NumericalError", "OutputDistribution", "OutputString", "PartdistError", "Permutation",
+    "NumericalError", "OutputDistribution", "PartdistError", "Permutation",
     "SizeLimitError", "all_permutations", "analyze_report", "block_decompose",
     "build_distribution", "build_transform", "burgisser_cost", "catalan", "character",
     "conjugate", "delay_matrix", "delay_matrix_from_times", "delay_partition_probability",

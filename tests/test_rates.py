@@ -22,7 +22,6 @@ from partdist.delays import (
 )
 from partdist.errors import ClampWarning, DomainError, NumericalError, SizeLimitError
 from partdist.interferometer import (
-    OutputString,
     enumerate_outputs,
     haar_unitary,
     monomial_vector,
@@ -146,7 +145,7 @@ def autocorrelation_rounding(A, ordering):
 def _random_case(n, seed):
     rng = np.random.default_rng(seed)
     itf = haar_unitary(2 * n, seed=seed)
-    s = OutputString.from_detectors(2 * n, tuple(sorted(rng.choice(2 * n, n, replace=False) + 1)))
+    s = tuple(sorted(rng.choice(2 * n, n, replace=False) + 1))
     A = submatrix(itf, s)
     taus = rng.uniform(0, 1, size=n)
     r = delay_matrix_from_times(taus, rng.uniform(0.5, 3.0))
@@ -242,7 +241,7 @@ def test_autocorrelation_rate_matches_rate_direct_within_derived_bound(n):
     delays = (delay_matrix_from_times(spec.taus, spec.delta_omega),
               snapped_delay_matrix(discretize(spec)[0], spec))
     itf = haar_unitary(n + 3, seed=n)
-    A = submatrix(itf, OutputString.from_detectors(n + 3, tuple(range(2, n + 2))))
+    A = submatrix(itf, tuple(range(2, n + 2)))
     for convention in ("lex", "cycle"):
         ordering = ordering_of(n, convention)
         v = monomial_vector(A, ordering)
@@ -277,7 +276,7 @@ def test_autocorrelation_rate_matches_rate_direct_within_derived_bound(n):
 def test_autocorrelation_rate_shift_invariance_and_limits(n, seed, species, convention):
     rng = np.random.default_rng(seed)
     m = n + int(rng.integers(0, 3))
-    s = OutputString.from_detectors(m, tuple(sorted(rng.choice(m, n, replace=False) + 1)))
+    s = tuple(sorted(rng.choice(m, n, replace=False) + 1))
     A = submatrix(haar_unitary(m, seed=seed), s)
     ordering = ordering_of(n, convention)
     v = monomial_vector(A, ordering)
@@ -557,7 +556,7 @@ def test_shared_subsets_with_repeated_reordered_and_stacked_rows(monkeypatch):
     U = np.array(haar_unitary(7, seed=31).matrix)
     U[5] = U[2]  # detectors 3 and 6 have equal rows
     strings = enumerate_outputs(7, n)
-    A = U[np.array([s.detectors for s in strings]) - 1][:, :, :n]
+    A = U[strings - 1][:, :, :n]
     rng = np.random.default_rng(32)
     swapped = rng.permuted(np.broadcast_to(np.arange(n), (len(A), n)), axis=1)
     repeated = A.copy()
@@ -661,7 +660,7 @@ def test_streaming_matches_direct_within_derived_bound(n, species, snapped):
     else:
         r = delay_matrix_from_times(spec.taus, spec.delta_omega)
     itf = haar_unitary(n + 3, seed=n)
-    A = submatrix(itf, OutputString.from_detectors(n + 3, tuple(range(2, n + 2))))
+    A = submatrix(itf, tuple(range(2, n + 2)))
     ordering = all_permutations(n)
     v = monomial_vector(A, ordering)
     direct = rate_direct(v, rate_matrix(r, species, ordering))
@@ -711,7 +710,7 @@ def test_streaming_matches_internal_mode_sum(n, species):
     Phi = np.stack([np.cos(angles), np.sin(angles)])
     r = Phi.T @ Phi
     itf = haar_unitary(n + 2, seed=300 + n)
-    A = submatrix(itf, OutputString.from_detectors(n + 2, tuple(range(1, n + 1))))
+    A = submatrix(itf, tuple(range(1, n + 1)))
     modes = np.array(list(itertools.product(range(2), repeat=n)))  # (2^n, n)
     M = A[None, :, :] * Phi[modes, :]  # M[j, k, i] = A[k, i] Phi[j_k, i]
     want, err = squared_sum(glynn_reference if species == "boson" else det_reference, M)
@@ -748,7 +747,7 @@ def test_streaming_limits_up_to_n10(n):
 def test_streaming_shift_invariant_and_relabelling_covariant(n, seed, species):
     rng = np.random.default_rng(seed)
     m = n + int(rng.integers(0, 3))
-    s = OutputString.from_detectors(m, tuple(sorted(rng.choice(m, n, replace=False) + 1)))
+    s = tuple(sorted(rng.choice(m, n, replace=False) + 1))
     A = submatrix(haar_unitary(m, seed=seed), s)
     taus = rng.uniform(0, 2, size=n)
     width = float(rng.uniform(0.5, 3.0))
@@ -915,7 +914,7 @@ def test_fourier_blocks_match_dense_reference(n, species, convention, snapped):
     ordering = ordering_of(n, convention)
     T = build_transform(ordering)
     itf = haar_unitary(2 * n, seed=n)
-    A = submatrix(itf, OutputString.from_detectors(2 * n, tuple(range(1, n + 1))))
+    A = submatrix(itf, tuple(range(1, n + 1)))
     v = monomial_vector(A, ordering)
     reference = block_decompose(v, rate_matrix(r, species, ordering), T)
     decomp = attach_vector(v, fourier_blocks(r, species, T), T, species)
@@ -943,7 +942,7 @@ def test_block_engines_equal_direct_property(n, seed, species, convention):
     idx, part = discretize(spec)
     m = n + int(rng.integers(0, 3))
     itf = haar_unitary(m, seed=seed)
-    s = OutputString.from_detectors(m, tuple(sorted(rng.choice(m, n, replace=False) + 1)))
+    s = tuple(sorted(rng.choice(m, n, replace=False) + 1))
     ordering = ordering_of(n, convention)
     T = build_transform(ordering)
     v = monomial_vector(submatrix(itf, s), ordering)
@@ -1013,7 +1012,7 @@ def _snapped_setup(n, taus, bins, seed=11):
     idx, part = discretize(spec)
     r = snapped_delay_matrix(idx, spec)
     itf = haar_unitary(2 * n, seed=seed)
-    s = OutputString.from_detectors(2 * n, tuple(range(1, n + 1)))
+    s = tuple(range(1, n + 1))
     A = submatrix(itf, s)
     return A, r, part
 
@@ -1079,7 +1078,7 @@ def test_gamas_dropped_blocks_vanish_on_random_bins(assignment, bins, seed, spec
     idx, part = discretize(spec)
     assert idx == tuple(x % bins + 1 for x in assignment)
     m = n + int(rng.integers(0, 3))
-    s = OutputString.from_detectors(m, tuple(sorted(rng.choice(m, n, replace=False) + 1)))
+    s = tuple(sorted(rng.choice(m, n, replace=False) + 1))
     ordering = all_permutations(n)
     T = build_transform(ordering)
     v = monomial_vector(submatrix(haar_unitary(m, seed=seed), s), ordering)
@@ -1130,7 +1129,7 @@ def test_truncated_matches_direct_on_tied_continuous_times(n, seed, species):
     r = delay_matrix_from_times(rng.uniform(0, 1, size=n - 1)[slots], float(rng.uniform(0.5, 4.0)))
     assert gamas_partition(r) == tuple(sorted(np.bincount(slots)[np.bincount(slots) > 0], reverse=True))
     m = n + int(rng.integers(0, 3))
-    s = OutputString.from_detectors(m, tuple(sorted(rng.choice(m, n, replace=False) + 1)))
+    s = tuple(sorted(rng.choice(m, n, replace=False) + 1))
     A = submatrix(haar_unitary(m, seed=seed), s)
     got = rates.engine_rates(A, r, species, "truncated")
     kept = rates._kept_labels(got.decomposition, gamas_partition(r))
@@ -1410,7 +1409,7 @@ def test_batched_landscape_matches_per_point_rates(tmp_path, capsys, n, steps):
 
     ordering = all_permutations(n)
     T = build_transform(ordering)
-    A = submatrix(haar_unitary(m, seed=5), OutputString.from_detectors(m, tuple(ports)))
+    A = submatrix(haar_unitary(m, seed=5), tuple(ports))
     v = monomial_vector(A, ordering)
     projected = attach_vector(v, {}, T, "boson")
     tol = batch_agreement_bound(n, float(np.vdot(v.values, v.values).real), blocks_differ=True)

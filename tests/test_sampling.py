@@ -9,7 +9,13 @@ from scipy import stats
 import partdist.sampling
 from partdist.delays import ArrivalSpec, delay_matrix, discretize, snapped_delay_matrix, snapped_times
 from partdist.errors import DomainError, SizeLimitError
-from partdist.interferometer import enumerate_outputs, haar_unitary, monomial_vector, submatrix
+from partdist.interferometer import (
+    enumerate_outputs,
+    haar_unitary,
+    monomial_vector,
+    output_text,
+    submatrix,
+)
 from partdist.matfun import determinant, permanent
 from partdist.rates import (
     _fft_rounding,
@@ -53,8 +59,8 @@ def itf():
 
 def test_distribution_normalization_and_coverage(itf):
     dist = build_distribution(itf, SPEC, "boson", "direct")
-    assert len(dist.entries) == math.comb(6, 3)
-    assert len(set(dist.strings)) == len(dist.entries)
+    assert dist.strings.shape == (math.comb(6, 3), 3)
+    assert len(set(output_text(dist.strings, 6))) == len(dist.strings)
     assert dist.probabilities.sum() == pytest.approx(1.0, abs=1e-12)
     assert dist.probabilities.min() >= 0
     assert dist.total_rate == pytest.approx(dist.rates.sum())
@@ -85,9 +91,8 @@ def test_truncated_on_continuous_times_equals_blocked(itf, species):
 def test_point_mass_when_channels_equal_particles():
     itf = haar_unitary(3, seed=1)
     dist = build_distribution(itf, SPEC, "boson", "direct")
-    assert len(dist.entries) == 1
-    s, rate, prob = dist.entries[0]
-    assert str(s) == "111" and prob == 1.0
+    assert dist.strings.tolist() == [[1, 2, 3]]
+    assert output_text(dist.strings, 3) == ["111"] and dist.probabilities.tolist() == [1.0]
 
 
 def test_sampling_is_deterministic_and_seed_sensitive(itf):
@@ -95,17 +100,30 @@ def test_sampling_is_deterministic_and_seed_sensitive(itf):
     a = sample(dist, 100, seed=5)
     b = sample(dist, 100, seed=5)
     c = sample(dist, 100, seed=6)
-    assert a == b
-    assert a != c
+    assert a.shape == (100,) and 0 <= a.min() and a.max() < len(dist.strings)
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
+    assert np.array_equal(sample(dist, 100, seed=np.int64(5)), a)
+
+
+def test_sampling_refuses_a_seed_that_is_not_a_non_negative_integer(itf, monkeypatch):
+    # without the refusal None drew from OS entropy, True was read as
+    # seed 1, and -1 and 2.5 raised NumPy's ValueError and TypeError
+    dist = build_distribution(itf, SPEC, "boson", "direct")
+
+    def no_draw(*args):
+        pytest.fail("a generator was made before the seed was checked")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    for seed in (None, True, False, 2.5, 5.0, -1, "5"):
+        with pytest.raises(DomainError, match="seed"):
+            sample(dist, 8, seed)
 
 
 def test_sampling_goodness_of_fit(itf):
     dist = build_distribution(itf, SPEC, "boson", "direct")
     draws = sample(dist, 10_000, seed=0)
-    index = {s: i for i, s in enumerate(dist.strings)}
-    counts = np.zeros(len(dist.entries))
-    for s in draws:
-        counts[index[s]] += 1
+    counts = np.bincount(draws, minlength=len(dist.strings))
     # pool tiny-expectation cells to keep the chi-square approximation honest
     expected = dist.probabilities * len(draws)
     keep = expected >= 5
@@ -122,7 +140,7 @@ def test_two_seeds_same_marginals(itf):
     emp = []
     for seed in (1, 2):
         draws = sample(dist, 5000, seed=seed)
-        emp.append(np.array([draws.count(s) for s in dist.strings]) / 5000)
+        emp.append(np.bincount(draws, minlength=len(dist.strings)) / 5000)
     assert np.abs(emp[0] - emp[1]).max() < 0.05
 
 
@@ -137,7 +155,7 @@ def test_single_particle_distribution_is_column_weights():
     spec = ArrivalSpec((0.2,), 1.0, 1.0, 4)
     dist = build_distribution(itf, spec, "fermion", "direct")
     weights = np.abs(itf.matrix[:, 0]) ** 2
-    by_detector = {entry[0].detectors[0]: entry[2] for entry in dist.entries}
+    by_detector = dict(zip(dist.strings[:, 0].tolist(), dist.probabilities.tolist()))
     probs = [by_detector[k] for k in range(1, 5)]
     assert np.allclose(probs, weights / weights.sum(), atol=1e-12)
 
@@ -148,8 +166,8 @@ def test_hom_fermions_antibunch_completely():
     itf = haar_unitary(2, seed=2)
     spec = ArrivalSpec((0.5, 0.5), 1.0, 1.0, 4)
     dist = build_distribution(itf, spec, "fermion", "direct")
-    assert len(dist.entries) == 1
-    assert dist.entries[0][2] == 1.0
+    assert dist.strings.tolist() == [[1, 2]]
+    assert dist.probabilities.tolist() == [1.0]
 
 
 def test_boson_equal_times_matches_permanent_reference(itf):
@@ -198,12 +216,12 @@ def test_exports(tmp_path, itf):
     assert set(lines[0]) == {"s", "rate", "prob"}
     assert sum(line["prob"] for line in lines) == pytest.approx(1.0, abs=1e-9)
     # JSON writes floats by repr, which round-trips them exactly
-    assert lines[0]["prob"] == dist.entries[0][2]
+    assert lines[0]["prob"] == dist.probabilities[0]
 
 
 def test_entropy_and_tv_basics(itf):
     dist = build_distribution(itf, SPEC, "boson", "direct")
-    assert 0 < entropy_bits(dist) <= math.log2(len(dist.entries)) + 1e-12
+    assert 0 < entropy_bits(dist) <= math.log2(len(dist.strings)) + 1e-12
     assert total_variation(dist, dist) == 0
     other = reference_distinguishable(itf, 3)
     tv = total_variation(dist, other)
@@ -341,7 +359,7 @@ def test_batched_references_equal_per_string_values(m, n, monkeypatch):
         calls.clear()
         ref = reference_indistinguishable(itf_m, n, species)
         assert calls == widths
-        assert ref.strings == strings
+        assert ref.strings is strings
         assert ref.rates.tolist() == [np.abs(fn(A)) ** 2 for A in As]
     calls.clear()
     ref = reference_distinguishable(itf_m, n)
@@ -355,7 +373,7 @@ def test_distribution_holds_read_only_arrays(itf):
         assert values.dtype == float and values.shape == (len(dist.strings),)
         assert not values.flags.writeable
     assert dist.probabilities.tolist() == (dist.rates / dist.total_rate).tolist()
-    assert dist.entries == tuple(zip(dist.strings, dist.rates.tolist(), dist.probabilities.tolist()))
+    assert not dist.strings.flags.writeable
     with pytest.raises(DomainError):
         partdist.sampling.OutputDistribution(
             6, 3, "boson", "direct", dist.strings, dist.rates[:-1], dist.probabilities[:-1], 1.0
