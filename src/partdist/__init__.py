@@ -20,7 +20,12 @@ The building blocks, bottom to top:
   JSONL export;
 - :mod:`partdist.analysis` — bin-collision probabilities, the witness
   partition, and the evaluation-cost model.
+
+``import partdist`` loads the first five; the last two load when one of
+their names is first looked up here, or when they are imported.
 """
+
+import importlib
 
 from .errors import DomainError, NumericalError, PartdistError, SizeLimitError
 from .symgroup import (
@@ -65,24 +70,44 @@ from .rates import (
     gamas_vanishes,
     rate_fully_distinguishable,
 )
-from .sampling import (
-    OutputDistribution,
-    build_distribution,
-    sample,
-    reference_indistinguishable,
-    reference_distinguishable,
-    to_jsonl,
-    entropy_bits,
-    total_variation,
-)
-from .analysis import (
-    witness_partition,
-    requires_witness,
-    catalan,
-    burgisser_cost,
-    delay_partition_probability,
-    witness_probability,
-    analyze_report,
-)
+
+# The names of ``sampling`` and ``analysis`` load their module on first
+# access (PEP 562), so ``import partdist``, ``rate`` and ``landscape``
+# compile neither module and never import ``fractions``.
+_LAZY = {
+    "sampling": (
+        "OutputDistribution",
+        "build_distribution",
+        "sample",
+        "reference_indistinguishable",
+        "reference_distinguishable",
+        "to_jsonl",
+        "entropy_bits",
+        "total_variation",
+    ),
+    "analysis": (
+        "witness_partition",
+        "requires_witness",
+        "catalan",
+        "burgisser_cost",
+        "delay_partition_probability",
+        "witness_probability",
+        "analyze_report",
+    ),
+}
+_LAZY_MODULE = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY_MODULE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY_MODULE[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | _LAZY_MODULE.keys())
+
 
 __version__ = "0.1.0"

@@ -38,7 +38,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError, PartdistError, SizeLimitError
+from .errors import DomainError, PartdistError, SizeLimitError, _as_count
 from .symgroup import (
     _check_partition,
     conjugate,
@@ -67,6 +67,7 @@ MAX_ANALYZE_DEGREE = 12
 def witness_partition(n: int) -> tuple[int, ...]:
     """The two-row partition (ceil(n/2), floor(n/2)); its conjugate is the
     column shape (2, 2, ..., 2[, 1])."""
+    n = _as_count(n, "particle")
     if n < 2:
         raise DomainError("witness partition needs n >= 2")
     return (math.ceil(n / 2), n // 2)
@@ -81,15 +82,6 @@ def _as_partition(mu) -> tuple[int, ...]:
         raise DomainError(f"partition parts must be integers: {mu!r}") from exc
     _check_partition(mu)
     return mu
-
-
-def _as_bins(b) -> int:
-    """b as an int, refusing a bin count that is not an integer (4.0 is not
-    read as 4)."""
-    try:
-        return operator.index(b)
-    except TypeError as exc:
-        raise DomainError(f"the bin count must be an integer: {b!r}") from exc
 
 
 def requires_witness(mu) -> bool:
@@ -157,7 +149,7 @@ def delay_partition_probability(mu, b: int) -> Fraction:
     and any b is exact.
     """
     mu = _as_partition(mu)
-    b = _as_bins(b)
+    b = _as_count(b, "bin")
     if b < 1:
         raise DomainError("need at least one bin")
     if b < len(mu):
@@ -205,7 +197,7 @@ def _witness_rows(n: int, b: int):
     """One pass over the partitions of n: each as (mu, probability under b
     bins, whether it forces the witness), in :func:`partitions_of` order,
     and the :class:`WitnessProbability` the forcing ones sum to."""
-    b = _as_bins(b)
+    n, b = _as_count(n, "particle"), _as_count(b, "bin")
     if n < 2 or b < 2:
         raise DomainError("need n >= 2 and b >= 2")
     rows = [(mu, delay_partition_probability(mu, b), requires_witness(mu))
@@ -233,6 +225,7 @@ def analyze_report(n: int, b: int) -> dict:
     ``tail_asymptotic_order_exact`` false for odd n, where the closed form
     sits a factor growing like sqrt(b) above the exact tail.  Any b >= 2 is
     exact; n is capped at ``MAX_ANALYZE_DEGREE``."""
+    n = _as_count(n, "particle")
     if n > MAX_ANALYZE_DEGREE:
         raise SizeLimitError(f"exact enumeration limited to n <= {MAX_ANALYZE_DEGREE}")
     rows, wp = _witness_rows(n, b)

@@ -13,6 +13,10 @@ codes: 0 success, 2 bad config/usage, 3 size guard, 4 numerical failure.
 Output strings print as 0/1 text ("10110") through one helper,
 :func:`partdist.interferometer.output_text`, in every subcommand.
 
+Each subcommand imports what it runs: ``distribution`` and ``sample``
+import :mod:`partdist.sampling`, and ``analyze`` :mod:`partdist.analysis`,
+when they run, so ``rate`` and ``landscape`` load neither.
+
 Determinism under BLAS threading: the batch widths of the rate engines are
 fixed in :func:`partdist.rates.engine_rates`, and strings go in their
 enumeration order and grid points in grid order; the references take
@@ -44,7 +48,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import analysis
 from .delays import ArrivalSpec, delay_matrix, delay_matrix_from_times, discretize
 from .errors import ClampWarning, DomainError, NumericalError, SizeLimitError
 from .interferometer import (
@@ -55,16 +58,6 @@ from .interferometer import (
     unitary_from_json,
 )
 from .rates import engine_rates, gamas_partition, gamas_vanishes, truncation_report
-from .sampling import (
-    _check_count,
-    build_distribution,
-    entropy_bits,
-    reference_distinguishable,
-    reference_indistinguishable,
-    sample,
-    to_jsonl,
-    total_variation,
-)
 from .symgroup import partitions_of
 
 MAX_GRID_POINTS = 20_000
@@ -330,12 +323,22 @@ def cmd_rate(args) -> None:
 
 
 def _build_dist(cfg: Config):
+    from .sampling import build_distribution
+
     return build_distribution(
         cfg.interferometer, cfg.spec, cfg.species, cfg.rate_engine, input_ports=cfg.input_ports
     )
 
 
 def cmd_distribution(args) -> None:
+    from .sampling import (
+        entropy_bits,
+        reference_distinguishable,
+        reference_indistinguishable,
+        to_jsonl,
+        total_variation,
+    )
+
     cfg = load_config(args.config, args)
     with _Timer() as timer:
         dist = _build_dist(cfg)
@@ -367,6 +370,8 @@ def cmd_distribution(args) -> None:
 
 
 def cmd_sample(args) -> None:
+    from .sampling import _check_count, sample
+
     cfg = load_config(args.config, args)
     if cfg.seed is None:  # draws without a seed could not be reproduced
         raise DomainError("sample needs a seed: set 'seed' in the config or pass --seed")
@@ -436,6 +441,8 @@ def cmd_landscape(args) -> None:
 
 
 def cmd_analyze(args) -> None:
+    from . import analysis
+
     with _Timer():
         report = analysis.analyze_report(args.n, args.b)
         report["config_hash"] = _canonical_hash({"analyze": {"n": args.n, "b": args.b}})

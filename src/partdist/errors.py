@@ -5,6 +5,8 @@ codes) can tell bad input, refused problem sizes, and numerical breakdown
 apart.
 """
 
+import operator
+
 __all__ = ["PartdistError", "DomainError", "SizeLimitError", "NumericalError", "ClampWarning"]
 
 
@@ -32,3 +34,13 @@ class ClampWarning(UserWarning):
         super().__init__(f"clamping {count} slightly negative rate(s), down to {lowest}, to 0")
         self.count = count
         self.lowest = lowest
+
+
+def _as_count(value, what: str) -> int:
+    """A count (of particles, bins, channels, ...) as an int, refusing one
+    that is not an integer with :class:`DomainError`: 4.0 is not read as 4,
+    nor 6.5 as a partition of 7.  NumPy integers are accepted."""
+    try:
+        return operator.index(value)
+    except TypeError as exc:
+        raise DomainError(f"the {what} count must be an integer: {value!r}") from exc

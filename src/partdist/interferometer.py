@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, SizeLimitError
+from .errors import DomainError, SizeLimitError, _as_count
 from .symgroup import GroupOrdering, monomials
 
 __all__ = [
@@ -63,6 +63,7 @@ class Interferometer:
 def haar_unitary(m: int, seed: int | None = None) -> Interferometer:
     """Haar-random unitary: QR of a complex Ginibre matrix with the phases of
     diag(R) absorbed so the distribution is exactly uniform."""
+    m = _as_count(m, "channel")
     if m < 1:
         raise DomainError("need at least one channel")
     rng = np.random.default_rng(seed)
@@ -153,13 +154,17 @@ def monomial_vector(A, ordering: GroupOrdering) -> MonomialVector:
 MAX_DISTRIBUTION_STRINGS = 100_000
 
 
-@lru_cache(maxsize=1)
 def enumerate_outputs(m: int, n: int) -> np.ndarray:
     """All C(m, n) collision-free strings as a read-only (C(m, n), n) array,
     in ascending order of their 0/1 text (:func:`itertools.combinations`
     order reversed); the last array is kept, so a distribution and its
     references share it.  More than ``MAX_DISTRIBUTION_STRINGS`` strings
     raise :class:`SizeLimitError` before any is built."""
+    return _enumerate_outputs(_as_count(m, "channel"), _as_count(n, "particle"))
+
+
+@lru_cache(maxsize=1)  # keyed by ints, so 5.0 cannot hit the array of 5
+def _enumerate_outputs(m: int, n: int) -> np.ndarray:
     if not (0 <= n <= m):
         raise DomainError(f"cannot place {n} single clicks among {m} channels")
     count = math.comb(m, n)

@@ -14,14 +14,16 @@ R is the group matrix of the one function f on S_n, so the same sum is
 with S_v the autocorrelation of v over the group, an n!-vector.  One string
 and one or more delay matrices (``rate``, ``landscape``) take that form
 (:func:`autocorrelation`, :func:`rate_from_autocorrelation`): each S_v(c)
-is one permanent, so S_v costs one batched Glynn call, O(n! 2^(n-1) n),
-once per string, then one dot product per delay matrix, with no monomial
-vector and no n! x n! object.  One delay matrix and many strings
-(``distribution``) keep R (:func:`rate_matrix`) and take v^dag R v per
-string (:func:`rate_direct`), rounding by 2 γ_2N max|f| ‖v‖_1² (N = n!);
-R is filled 64 rows at a time by looking f up through the rows of the
-composition table (:func:`_composition_rows`), each block of rows one
-exact float64 product of base-n codes, so the table is never held whole.
+is one permanent and S_v(c^-1) = conj S_v(c), so S_v costs one batched
+Glynn call of (n! + I_n)/2 permanents, one per pair {c, c^-1} and one per
+involution (I_n of them), O(n! 2^(n-2) n), once per string, then one dot
+product per delay matrix, with no monomial vector and no n! x n! object.
+One delay matrix and many strings (``distribution``) keep R
+(:func:`rate_matrix`) and take v^dag R v per string (:func:`rate_direct`),
+rounding by 2 γ_2N max|f| ‖v‖_1² (N = n!); R is filled 64 rows at a time
+by looking f up through the rows of the composition table
+(:func:`_composition_rows`), each block of rows one exact float64 product
+of base-n codes, so the table is never held whole.
 
 The streaming route (:func:`rate_direct_streaming`) needs no group at all:
 with P_k = diag(conj A[k, :]) r diag(A[k, :]) for detector k,
@@ -140,29 +142,36 @@ def _check_delay_matrix(r, n: int, batch: bool = False) -> np.ndarray:
     return r
 
 
+def _code_lookup(ordering: GroupOrdering) -> tuple[np.ndarray, np.ndarray]:
+    """(lut, powers): a permutation h has the code h @ powers = sum_v h(v)
+    n^v, below n^n, and lut[code] is its position in ``ordering`` (int32,
+    4 n^n bytes, 3.3 MB at n = 7)."""
+    n = ordering.n
+    powers = n ** np.arange(n, dtype=np.int64)
+    lut = np.empty(n**n, dtype=np.int32)
+    lut[ordering.images_array @ powers] = np.arange(len(ordering))
+    return lut, powers
+
+
 def _composition_rows(ordering: GroupOrdering):
     """The composition table comp[i, j] = ordering.index(gj^-1 gi), with no
     table kept: yields (indices, rows), rows[a] = comp[indices[a]] (int32),
     W = TABLE_ROWS = 64 rows at a time in ordering order.
 
     A permutation h has the code sum_v h(v) n^v, below n^n, and a table of
-    n^n entries turns a code into its index.  With inv[j] the one-line
-    images of gj^-1, (gj^-1 gi)(v) = inv[j, gi(v)]; putting u = gi(v), the
-    code of gj^-1 gi is sum_u inv[j, u] n^(inv[i, u]) = (Q inv^t)[i, j] with
-    Q[i, u] = n^(inv[i, u]).  So a block of rows is one float64 product, exact
-    because every partial sum is an integer below n^n <= 7^7 < 2^53, and one
-    lookup.  The call holds the 4 n^n-byte lookup table, inv, Q and a float
-    copy of inv (24 n N bytes) and, for a block of W rows, the 8 N W-byte
-    product and its 4 N W bytes of codes, then the 4 N W bytes of rows:
-    8 MB at n = 7, the same for any ordering.
+    n^n entries turns a code into its index (:func:`_code_lookup`).  With
+    inv[j] the one-line images of gj^-1, (gj^-1 gi)(v) = inv[j, gi(v)];
+    putting u = gi(v), the code of gj^-1 gi is sum_u inv[j, u] n^(inv[i, u])
+    = (Q inv^t)[i, j] with Q[i, u] = n^(inv[i, u]).  So a block of rows is
+    one float64 product, exact because every partial sum is an integer below
+    n^n <= 7^7 < 2^53, and one lookup.  The call holds the 4 n^n-byte
+    lookup table, inv, Q and a float copy of inv (24 n N bytes) and, for a
+    block of W rows, the 8 N W-byte product and its 4 N W bytes of codes,
+    then the 4 N W bytes of rows: 8 MB at n = 7, the same for any ordering.
     """
-    n = ordering.n
     N = len(ordering)
-    P = ordering.images_array
-    powers = n ** np.arange(n, dtype=np.int64)
-    lut = np.empty(n**n, dtype=np.int32)
-    lut[P @ powers] = np.arange(N)
-    inv = np.argsort(P, axis=1)
+    lut, powers = _code_lookup(ordering)
+    inv = np.argsort(ordering.images_array, axis=1)
     Q, invT = powers[inv].astype(float), inv.T.astype(float)
     for start in range(0, N, TABLE_ROWS):
         stop = min(start + TABLE_ROWS, N)
@@ -237,22 +246,42 @@ def autocorrelation(A, ordering: GroupOrdering) -> np.ndarray:
 
         S_v(c) = sum_h prod_k A[h(k), k] conj(A[h(k), c^-1(k)]) = per(A ∘ conj(A)[:, c^-1]),
 
-    so one batched Glynn :func:`~partdist.matfun.permanent` call takes all
-    of S_v at O(n! 2^(n-1) n), holding the 16 n! n²-byte stack and one Glynn
-    step, about 9 MB at n = 7.  Each entry of the stack rounds by √2 γ_2 <=
-    γ_3 relative, which moves its permanent by at most γ_3n prod_i a_i(c),
+    and S_v(c^-1) = conj S_v(c) (put h -> h c^-1 in the sum), so S_v is
+    real on involutions.  One batched Glynn :func:`~partdist.matfun.permanent`
+    call takes one permanent per pair {c, c^-1}, the one of c earlier in
+    the ordering, and one per involution (the real part kept): (n! + I_n)/2
+    permanents, I_n the number of involutions (2636 of 5040 at n = 7), at
+    O(2^(n-1) n) each; the partner entry is the exact conjugate, its index
+    read off the base-n codes of the ordering's rows (:func:`_code_lookup`).
+    The call holds the lookup table, then the 8 n² (n! + I_n)-byte Hadamard
+    stack of the evaluated permanents and one Glynn step, 6.6 MB traced at
+    n = 7 (8.2 MB when all n! were evaluated).  Each entry of the stack
+    rounds by √2 γ_2 <= γ_3 relative, which moves its permanent by at most γ_3n prod_i a_i(c),
     a_i(c) = sum_j |A_ij| |A_(i, c^-1(j))|; with Glynn's γ_(K+5n) prod_i a_i
     (K = 2^(n-1)) on the rounded entries, |fl S(c) - S_v(c)| <= γ_(K+8n)
-    prod_i a_i(c).
+    prod_i a_i(c).  The bound carries over unchanged to the partner entries,
+    since conjugation is exact and a_i(c^-1) = a_i(c) (put j -> c(j) in the
+    sum), and to the involutions, since dropping the imaginary part of a
+    real quantity's approximation moves it no further from it.
     """
     n = ordering.n
     _check_dense_degree(n)
     A = np.asarray(A, dtype=complex)
     if A.shape != (n, n):
         raise DomainError(f"autocorrelation takes one {n}x{n} submatrix, got shape {A.shape}")
-    M = A.conj()[np.arange(n)[:, None], np.argsort(ordering.images_array, axis=1)[:, None, :]]
-    M *= A  # M[c] = A ∘ conj(A)[:, c^-1]: row c of the gather holds the images of c^-1
-    S = permanent(M)
+    inverse_images = np.argsort(ordering.images_array, axis=1)  # row c: the images of c^-1
+    lut, powers = _code_lookup(ordering)
+    partner = lut[inverse_images @ powers]  # partner[c] = position of c^-1
+    del lut
+    first = np.flatnonzero(np.arange(len(ordering)) <= partner)
+    M = A.conj()[np.arange(n)[:, None], inverse_images[first, None, :]]
+    M *= A  # M[k] = A ∘ conj(A)[:, c^-1] for c = first[k]
+    values = permanent(M)
+    involution = partner[first] == first
+    values[involution] = values[involution].real
+    S = np.empty(len(ordering), dtype=complex)
+    S[partner[first]] = values.conj()
+    S[first] = values
     S.setflags(write=False)
     return S
 

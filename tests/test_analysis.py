@@ -90,6 +90,21 @@ def test_non_integral_bin_counts_are_refused():
     assert witness_probability(6, np.int64(8)).exact == witness_probability(6, 8).exact
 
 
+def test_non_integral_particle_counts_are_refused():
+    # witness_partition(6.5) returned (4, 3.0), a partition of 7 with a float
+    # part; witness_probability(6.0, 8) raised a bare TypeError
+    for bad in (6.5, 6.0, "6", None):
+        with pytest.raises(DomainError, match="particle count"):
+            witness_partition(bad)
+        with pytest.raises(DomainError, match="particle count"):
+            witness_probability(bad, 8)
+        with pytest.raises(DomainError, match="particle count"):
+            analyze_report(bad, 8)
+    assert witness_partition(np.int64(7)) == (4, 3)
+    assert witness_probability(np.int64(6), 8).exact == witness_probability(6, 8).exact
+    assert analyze_report(np.int64(6), 8) == analyze_report(6, 8)
+
+
 # ---------------------------------------------------------------------------
 # Cost model
 

@@ -418,19 +418,48 @@ def test_direct_engine_one_string_builds_no_walk_and_no_monomial_vector(tmp_path
         assert out
 
 
-def run_process(*argv, threads=None):
-    """One CLI run in a fresh interpreter, which inherits this process's
-    BLAS thread settings unless ``threads`` sets OPENBLAS_NUM_THREADS for
-    the child alone."""
+def run_process(*argv, threads=None, flags=()):
+    """One CLI run in a fresh interpreter started with ``flags``, which
+    inherits this process's BLAS thread settings unless ``threads`` sets
+    OPENBLAS_NUM_THREADS for the child alone."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
     if threads is not None:
         env["OPENBLAS_NUM_THREADS"] = str(threads)
     return subprocess.run(
-        [sys.executable, "-m", "partdist.cli", *argv],
+        [sys.executable, *flags, "-m", "partdist.cli", *argv],
         capture_output=True, text=True, env=env, timeout=120,
     )
+
+
+def test_each_subcommand_imports_only_what_it_runs(tmp_path):
+    # rate and landscape compile neither partdist.sampling nor
+    # partdist.analysis and never import fractions; the other subcommands
+    # import what they use when they run
+    cfg = write_config(tmp_path)
+
+    def imported(*argv):
+        done = run_process(*argv, flags=("-X", "importtime"))
+        assert done.returncode == 0 and done.stdout, done.stderr
+        return {line.rsplit("|", 1)[1].strip() for line in done.stderr.splitlines()
+                if line.startswith("import time:")}
+
+    lazy = {"partdist.sampling", "partdist.analysis", "fractions"}
+    for argv in (
+        ("rate",), ("rate", "--engine", "blocked"), ("rate", "--engine", "truncated"),
+        ("rate", "--threads-chunk", "4"),
+        ("landscape", "--steps", "5"), ("landscape", "--steps", "5", "--engine", "blocked"),
+    ):
+        loaded = imported(*argv, "--config", cfg)
+        assert "partdist.rates" in loaded and not loaded & lazy, (argv, loaded & lazy)
+    for argv, used in (
+        (("distribution", "--config", cfg), {"partdist.sampling"}),
+        (("sample", "--config", cfg, "--count", "5"), {"partdist.sampling"}),
+        (("analyze", "--n", "6", "--b", "8"), {"partdist.analysis", "fractions"}),
+        (("gamas-table", "--n", "5"), set()),
+    ):
+        assert used <= imported(*argv), argv
 
 
 def test_block_engine_reruns_are_byte_identical_across_processes(tmp_path):
@@ -708,7 +737,7 @@ def test_sample_count_is_refused_before_the_distribution_is_built(tmp_path, caps
     def refuse(*args, **kwargs):
         pytest.fail("the distribution was built for a refused count")
 
-    monkeypatch.setattr(partdist.cli, "build_distribution", refuse)
+    monkeypatch.setattr(partdist.sampling, "build_distribution", refuse)  # cli imports it on use
     cfg = write_config(tmp_path)
     for count, want in ((partdist.sampling.MAX_SAMPLE_COUNT + 1, 3), (-1, 2)):
         code, out, err = run_cli(capsys, "sample", "--config", cfg, "--count", str(count))

@@ -149,6 +149,20 @@ def test_enumerate_outputs_counts_and_order():
         enumerate_outputs(3, 4)
 
 
+def test_non_integral_channel_and_particle_counts_are_refused():
+    # math.comb and NumPy raised a bare TypeError on these; 5.0 must not
+    # reach the array kept for (5, 2) either
+    outs = enumerate_outputs(5, 2)
+    for m, n in ((5.0, 2), (5, 2.0), (5.5, 2), ("5", 2), (None, 2)):
+        with pytest.raises(DomainError, match="count must be an integer"):
+            enumerate_outputs(m, n)
+    for m in (3.5, 3.0, "3", None):
+        with pytest.raises(DomainError, match="channel count must be an integer"):
+            haar_unitary(m)
+    assert enumerate_outputs(np.int64(5), np.int64(2)) is outs
+    assert np.array_equal(haar_unitary(np.int64(3), seed=1).matrix, haar_unitary(3, seed=1).matrix)
+
+
 def test_unitary_json_round_trip(tmp_path):
     itf = haar_unitary(4, seed=9)
     path = tmp_path / "u.json"

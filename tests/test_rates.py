@@ -266,6 +266,42 @@ def test_autocorrelation_rate_matches_rate_direct_within_derived_bound(n):
                 assert abs(got - from_walk) <= own + walk_rounding
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+def test_autocorrelation_pairs_are_exact_conjugates_within_the_bound_of_every_permanent(n):
+    # one permanent per pair {c, c^-1} and per involution: S(c^-1) is the
+    # conjugate of S(c) bit for bit, and S is real on involutions
+    A = submatrix(haar_unitary(n + 2, seed=40 + n), tuple(range(1, n + 1)))
+    L = np.asarray(A, dtype=np.clongdouble)
+    # all n! permanents per(A ∘ conj(A)[:, c^-1]) in long double: with
+    # unit roundoff ratio * u, they lie within 4 ratio beta(c) of S_v(c)
+    # (glynn_reference's bound plus the Hadamard products' gamma_3n)
+    ratio = float(np.finfo(np.longdouble).eps / np.finfo(float).eps)  # 2^-11 on x86-64
+    for convention in ("lex", "cycle"):
+        ordering = ordering_of(n, convention)
+        S = autocorrelation(A, ordering)
+        inverse = np.array([ordering.index(p.inverse()) for p in ordering])
+        assert np.array_equal(S[inverse], S.conj())
+        assert (S[inverse == np.arange(len(ordering))].imag == 0).all()
+        columns = np.argsort(ordering.images_array, axis=1)
+        every, _ = glynn_reference(L * L.conj()[:, columns].transpose(1, 0, 2))
+        beta = autocorrelation_errors(A, ordering)
+        assert (np.abs(S - every) <= (1 + 4 * ratio) * beta).all(), convention
+
+
+@pytest.mark.parametrize("species", ["boson", "fermion"])
+def test_one_string_direct_meets_streaming_within_their_bounds_at_n7(species):
+    n = 7
+    A, r = _random_case(n, 70)
+    rng = np.random.default_rng(70)
+    rs = np.concatenate([np.stack([r, np.ones((n, n)), np.eye(n)]),
+                         delay_matrix_from_times(rng.uniform(0, 1, size=(3, n)), 1.7)])
+    direct = rates.engine_rates(A, rs, species, "direct").rates
+    stream = rates.engine_rates(A, rs, species, "streaming")
+    # both rates are clamped to [0, inf) by a 1-Lipschitz map of their raw values
+    own = autocorrelation_rounding(A, all_permutations(n))
+    assert (np.abs(direct - stream.rates) <= own + stream.bounds).all()
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     n=st.integers(1, 5),
