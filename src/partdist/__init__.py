@@ -21,60 +21,60 @@ The building blocks, bottom to top:
 - :mod:`partdist.analysis` — bin-collision probabilities, the witness
   partition, and the evaluation-cost model.
 
-``import partdist`` loads the first five; the last two load when one of
-their names is first looked up here, or when they are imported.
+``import partdist`` loads none of them, nor NumPy: each name exported here,
+and each module's own name, imports its module when it is first looked up,
+and a module loads when it is imported.
 """
 
-import importlib
-
-from .errors import DomainError, NumericalError, PartdistError, SizeLimitError
-from .symgroup import (
-    Permutation,
-    GroupOrdering,
-    all_permutations,
-    partitions_of,
-    conjugate,
-    dominates,
-    character,
-    standard_tableau_count,
-    gl_dimension,
-    irrep_matrices,
-)
-from .matfun import determinant, permanent, immanant, dfunction_direct
-from .interferometer import (
-    Interferometer,
-    haar_unitary,
-    submatrix,
-    monomial_vector,
-    enumerate_outputs,
-    unitary_to_json,
-    unitary_from_json,
-)
-from .delays import (
-    ArrivalSpec,
-    delay_matrix,
-    delay_matrix_from_times,
-    discretize,
-    snapped_times,
-    snapped_delay_matrix,
-)
-from .rates import (
-    rate_matrix,
-    rate_direct,
-    rate_direct_streaming,
-    build_transform,
-    block_decompose,
-    rate_blocked,
-    rate_truncated,
-    truncation_report,
-    gamas_vanishes,
-    rate_fully_distinguishable,
-)
-
-# The names of ``sampling`` and ``analysis`` load their module on first
-# access (PEP 562), so ``import partdist``, ``rate`` and ``landscape``
-# compile neither module and never import ``fractions``.
+# Every public name, by the module that defines it. A name imports its
+# module on first access (PEP 562) and is then cached in this module's
+# globals, so ``import partdist`` runs this file alone: no NumPy, no engine.
+# A module name resolves the same way, so ``partdist.errors.ClampWarning``
+# works after a bare ``import partdist``.
 _LAZY = {
+    "errors": ("DomainError", "NumericalError", "PartdistError", "SizeLimitError"),
+    "symgroup": (
+        "Permutation",
+        "GroupOrdering",
+        "all_permutations",
+        "partitions_of",
+        "conjugate",
+        "dominates",
+        "character",
+        "standard_tableau_count",
+        "gl_dimension",
+        "irrep_matrices",
+    ),
+    "matfun": ("determinant", "permanent", "immanant", "dfunction_direct"),
+    "interferometer": (
+        "Interferometer",
+        "haar_unitary",
+        "submatrix",
+        "monomial_vector",
+        "enumerate_outputs",
+        "unitary_to_json",
+        "unitary_from_json",
+    ),
+    "delays": (
+        "ArrivalSpec",
+        "delay_matrix",
+        "delay_matrix_from_times",
+        "discretize",
+        "snapped_times",
+        "snapped_delay_matrix",
+    ),
+    "rates": (
+        "rate_matrix",
+        "rate_direct",
+        "rate_direct_streaming",
+        "build_transform",
+        "block_decompose",
+        "rate_blocked",
+        "rate_truncated",
+        "truncation_report",
+        "gamas_vanishes",
+        "rate_fully_distinguishable",
+    ),
     "sampling": (
         "OutputDistribution",
         "build_distribution",
@@ -96,18 +96,23 @@ _LAZY = {
     ),
 }
 _LAZY_MODULE = {name: module for module, names in _LAZY.items() for name in names}
+__all__ = list(_LAZY_MODULE)
 
 
 def __getattr__(name: str):
-    if name not in _LAZY_MODULE:
+    module = name if name in _LAZY else _LAZY_MODULE.get(name)
+    if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{_LAZY_MODULE[name]}", __name__), name)
-    globals()[name] = value
-    return value
+    # __import__ binds the submodule in this module's globals and, unlike
+    # importlib.import_module, shows in ``python -X importtime``
+    __import__(f"{__name__}.{module}")
+    if name != module:
+        globals()[name] = getattr(globals()[module], name)
+    return globals()[name]
 
 
 def __dir__() -> list[str]:
-    return sorted(globals().keys() | _LAZY_MODULE.keys())
+    return sorted(globals().keys() | _LAZY.keys() | _LAZY_MODULE.keys())
 
 
 __version__ = "0.1.0"

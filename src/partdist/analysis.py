@@ -95,6 +95,9 @@ def requires_witness(mu) -> bool:
 
 
 def catalan(k: int) -> int:
+    """The k-th Catalan number C(2k, k)/(k + 1), which counts the balanced
+    strings of k pairs of parentheses."""
+    k = _as_count(k, "pair")
     if k < 0:
         raise DomainError("Catalan numbers need k >= 0")
     return math.comb(2 * k, k) // (k + 1)

@@ -14,12 +14,18 @@ statement into an exact one.
 
 from __future__ import annotations
 
+import math
+import sys
 from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
+
+# The largest width whose square is a finite float: the delay matrix
+# squares it as a Python float, which raises OverflowError beyond this.
+_MAX_DELTA_OMEGA = math.sqrt(sys.float_info.max)
 
 __all__ = [
     "ArrivalSpec",
@@ -37,7 +43,8 @@ class ArrivalSpec:
 
     taus are absolute times in [0, window); delta_omega is the effective
     Gaussian width entering the overlap matrix; bins is the number of equal
-    time bins the window is divided into.
+    time bins the window is divided into.  delta_omega and window are
+    finite and positive, and delta_omega**2 is finite.
     """
 
     taus: tuple[float, ...]
@@ -50,10 +57,13 @@ class ArrivalSpec:
         object.__setattr__(self, "taus", taus)
         if len(taus) < 1:
             raise DomainError("need at least one particle")
-        if self.delta_omega <= 0:
-            raise DomainError("delta_omega must be positive")
-        if self.window <= 0:
-            raise DomainError("window must be positive")
+        if not 0 < self.delta_omega <= _MAX_DELTA_OMEGA:  # False for NaN too
+            raise DomainError(
+                f"delta_omega must be finite and positive, at most {_MAX_DELTA_OMEGA:.4g}"
+                " so that its square is finite"
+            )
+        if not 0 < self.window < math.inf:
+            raise DomainError("window must be finite and positive")
         if int(self.bins) != self.bins or self.bins < 2:
             raise DomainError("bins must be an integer >= 2")
         object.__setattr__(self, "bins", int(self.bins))

@@ -121,8 +121,17 @@ TABLE_ROWS = 64  # composition-table rows per block of _composition_rows
 BATCH_ENTRIES = 2**16  # coefficients per batch: n! per string or delay matrix, 2^n per streamed string
 
 
+def _as_real(r) -> np.ndarray:
+    """r as floats.  A complex r is refused rather than cast, since the cast
+    would drop the imaginary parts that a Hermitian overlap matrix carries
+    and the rates depend on."""
+    if np.iscomplexobj(r):
+        raise DomainError("delay matrix must be real: complex overlaps are not supported")
+    return np.asarray(r, dtype=float)
+
+
 def _check_delay_matrix(r, n: int, batch: bool = False) -> np.ndarray:
-    """r as floats, after checking that it is an n x n symmetric matrix with
+    """r as floats, after checking that it is a real n x n symmetric matrix with
     unit diagonal whose entries are finite overlaps in [-1, 1]; with
     ``batch`` a stack (..., n, n) of them.  Each of the three holds to
     DELAY_MATRIX_TOL = 1e-12 absolute, as a normalised Gram matrix does by
@@ -130,7 +139,7 @@ def _check_delay_matrix(r, n: int, batch: bool = False) -> np.ndarray:
     since (t_i - t_j)^2 = (t_j - t_i)^2 in IEEE arithmetic and exp(0) = 1;
     the rounding bounds of the dense and block routes take |r_ij| <= 1.
     """
-    r = np.asarray(r, dtype=float)
+    r = _as_real(r)
     if r.shape[-2:] != (n, n) or (r.ndim != 2 and not batch):
         raise DomainError(f"delay matrix shape {r.shape} does not match degree {n}")
     if not (np.abs(r) <= 1.0 + DELAY_MATRIX_TOL).all():  # False for NaN and infinities too
@@ -951,7 +960,7 @@ def gamas_partition(r) -> tuple[int, ...]:
     vanishes for r as given.  Distinct times give (1,) * n and keep every
     block; times at bin centres give the bin partition.
     """
-    r = np.asarray(r, dtype=float)
+    r = _as_real(r)
     if r.ndim != 2 or r.shape[0] != r.shape[1]:
         raise DomainError(f"gamas_partition takes one square delay matrix, got shape {r.shape}")
     sizes = np.bincount(_bit_ids(r)[1])

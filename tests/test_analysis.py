@@ -100,7 +100,10 @@ def test_non_integral_particle_counts_are_refused():
             witness_probability(bad, 8)
         with pytest.raises(DomainError, match="particle count"):
             analyze_report(bad, 8)
+        with pytest.raises(DomainError, match="pair count"):
+            catalan(bad)  # math.comb raised a bare TypeError on 6.5
     assert witness_partition(np.int64(7)) == (4, 3)
+    assert catalan(np.int64(3)) == catalan(3) == 5
     assert witness_probability(np.int64(6), 8).exact == witness_probability(6, 8).exact
     assert analyze_report(np.int64(6), 8) == analyze_report(6, 8)
 

@@ -269,6 +269,22 @@ def test_missing_and_malformed_unitary_files_exit_2(tmp_path, capsys):
             assert err.startswith("error: ") and says in err and str(path) in err
 
 
+def test_a_width_or_window_that_is_not_finite_exits_2(tmp_path, capsys):
+    # json reads NaN and Infinity: a NaN width made an all-NaN delay matrix,
+    # and window Infinity put every particle in bin 1 while the delay
+    # matrix kept them apart, so rate printed "bin_partition": [3]
+    for arrival in (BASE["arrival"], BINNED):
+        for field, value in (("delta_omega", math.nan), ("delta_omega", math.inf),
+                             ("delta_omega", 1e200), ("window", math.nan), ("window", math.inf)):
+            cfg = write_config(tmp_path, arrival={**arrival, field: value})
+            if not math.isfinite(value):
+                assert ("NaN" if math.isnan(value) else "Infinity") in Path(cfg).read_text()
+            for argv in (("rate",), ("distribution",), ("landscape", "--steps", "3")):
+                code, out, err = run_cli(capsys, *argv, "--config", cfg)
+                assert code == 2 and out == "", (arrival["type"], field, value, argv)
+                assert err.startswith("error: ") and f"{field} must be finite and positive" in err
+
+
 def test_unitary_file_off_by_2e_6_exits_2(tmp_path, capsys):
     # one column of a Haar unitary scaled by 1 + 1e-6: the diagonal of
     # U^dag U is off by 2e-6, far above the stated 1e-10
@@ -418,19 +434,46 @@ def test_direct_engine_one_string_builds_no_walk_and_no_monomial_vector(tmp_path
         assert out
 
 
-def run_process(*argv, threads=None, flags=()):
-    """One CLI run in a fresh interpreter started with ``flags``, which
-    inherits this process's BLAS thread settings unless ``threads`` sets
-    OPENBLAS_NUM_THREADS for the child alone."""
+def run_python(*args, threads=None):
+    """A fresh interpreter run with ``args`` and this checkout's ``src`` on
+    its path, which inherits this process's BLAS thread settings unless
+    ``threads`` sets OPENBLAS_NUM_THREADS for the child alone."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
     if threads is not None:
         env["OPENBLAS_NUM_THREADS"] = str(threads)
-    return subprocess.run(
-        [sys.executable, *flags, "-m", "partdist.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                          timeout=120)
+
+
+def run_process(*argv, threads=None, flags=()):
+    """One CLI run in a fresh interpreter started with ``flags``."""
+    return run_python(*flags, "-m", "partdist.cli", *argv, threads=threads)
+
+
+def test_import_partdist_loads_no_numpy_and_no_submodule():
+    # every public name imports its module on first access, so the package
+    # alone runs only its __init__, and dir() lists the names unloaded
+    done = run_python("-X", "importtime", "-c", "import partdist; assert len(dir(partdist)) > 56")
+    assert done.returncode == 0, done.stderr
+    loaded = {line.rsplit("|", 1)[1].strip() for line in done.stderr.splitlines()
+              if line.startswith("import time:")}
+    assert "partdist" in loaded
+    assert not {name for name in loaded
+                if name == "numpy" or name.startswith(("numpy.", "partdist."))}, loaded
+    # sys.modules tells what a first access loads
+    done = run_python("-c", "import sys, partdist; partdist.permanent; print(*sys.modules)")
+    assert done.returncode == 0, done.stderr
+    touched = set(done.stdout.split())
+    assert {"numpy", "partdist.matfun", "partdist.symgroup"} <= touched
+    assert not touched & {"partdist.rates", "partdist.sampling", "partdist.cli"}
+    # a submodule resolves through the package as well, as it did when
+    # the package imported it eagerly
+    done = run_python("-c", "import partdist; partdist.errors.ClampWarning; "
+                      "partdist.rates.engine_rates; partdist.interferometer.output_text; "
+                      "partdist.rates.gamas_partition; partdist.sampling.sample")
+    assert done.returncode == 0, done.stderr
 
 
 def test_each_subcommand_imports_only_what_it_runs(tmp_path):

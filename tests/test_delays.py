@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -24,6 +25,18 @@ def test_arrival_spec_validation():
         ArrivalSpec((0.1, 0.5), -1.0, 1.0, 4)
     with pytest.raises(DomainError):
         ArrivalSpec((0.1, 0.5), 1.0, 1.0, 1)
+    # a NaN width gave an all-NaN delay matrix; window = inf put every
+    # particle in bin 1 while the delay matrix kept them distinct
+    for delta_omega, window, field in ((math.nan, 1.0, "delta_omega"), (math.inf, 1.0, "delta_omega"),
+                                       (1.0, math.nan, "window"), (1.0, math.inf, "window")):
+        with pytest.raises(DomainError, match=f"{field} must be finite and positive"):
+            ArrivalSpec((0.1, 0.5), delta_omega, window, 4)
+    # a finite width above sqrt(float max) made delta_omega**2 overflow
+    with pytest.raises(DomainError, match="its square is finite"):
+        ArrivalSpec((0.1, 0.5), 1e200, 1.0, 4)
+    widest = math.sqrt(sys.float_info.max)
+    r = delay_matrix(ArrivalSpec((0.1, 0.5), widest, 1.0, 4))
+    assert r[0, 0] == 1.0 and r[0, 1] == 0.0
 
 
 def test_delay_matrix_gaussian_form():

@@ -1564,6 +1564,28 @@ def test_engine_rates_refuses_an_unknown_engine():
 
 
 @pytest.mark.parametrize("engine", ["direct", "streaming", "blocked", "truncated"])
+def test_engine_rates_refuse_a_complex_delay_matrix(engine):
+    # the float cast dropped the imaginary parts behind a ComplexWarning, so
+    # a Hermitian r with r_12 = 0.5j gave the rate of r.real
+    A, r = _random_case(3, 5)
+    hermitian = r.astype(complex)
+    hermitian[0, 1], hermitian[1, 0] = 0.5j, -0.5j
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for species in ("boson", "fermion"):
+            for bad in (hermitian, hermitian[None], hermitian.tolist(), r.astype(complex)):
+                with pytest.raises(DomainError, match="must be real"):
+                    rates.engine_rates(A, bad, species, engine)
+            # a real r keeps its bits, whatever container holds it
+            want = rates.engine_rates(A, r, species, engine).rates
+            for same in (r.tolist(), np.asfortranarray(r), r[None]):
+                got = rates.engine_rates(A, same, species, engine).rates
+                assert got.tobytes() == np.reshape(want, np.shape(got)).tobytes()
+    with pytest.raises(DomainError, match="must be real"):
+        rates.gamas_partition(hermitian)
+
+
+@pytest.mark.parametrize("engine", ["direct", "streaming", "blocked", "truncated"])
 @pytest.mark.parametrize("empty", ["strings", "delay matrices"])
 def test_engine_rates_of_an_empty_stack_are_empty(engine, empty):
     # K = 0 strings under one delay matrix, or one string under P = 0
