@@ -10,20 +10,13 @@ truncated rate is exact.
 
 from partdist import (
     ArrivalSpec,
-    all_permutations,
-    block_decompose,
-    build_transform,
     discretize,
+    engine_rates,
     gamas_vanishes,
     haar_unitary,
-    monomial_vector,
     partitions_of,
-    rate_direct,
-    rate_matrix,
-    rate_truncated,
     snapped_delay_matrix,
     submatrix,
-    truncation_report,
 )
 
 
@@ -49,25 +42,20 @@ def main():
     idx, part = discretize(spec)
     print(f"\narrival times {spec.taus} in {spec.bins} bins -> occupancy {part}")
 
-    n = 4
-    ordering = all_permutations(n)
-    T = build_transform(ordering)
     itf = haar_unitary(6, seed=9)
-    v = monomial_vector(submatrix(itf, (1, 2, 4, 6), (1, 2, 3, 4)), ordering)
+    A = submatrix(itf, (1, 2, 4, 6), (1, 2, 3, 4))
     r = snapped_delay_matrix(idx, spec)
 
     for species in ("boson", "fermion"):
-        R = rate_matrix(r, species, ordering)
-        decomp = block_decompose(v, R, T)
+        truncated = engine_rates(A, r, species, "truncated")
         print(f"\n{species}:")
-        for entry in truncation_report(decomp, part):
-            tag = "keep" if entry.kept else "drop"
-            print(f"  {tag} {str(entry.lam):14} |block| = {entry.block_magnitude:.3e}"
-                  f"  term = {entry.term:+.3e}")
-        truncated = rate_truncated(decomp, part)
-        direct = rate_direct(v, R)
-        print(f"  truncated rate = {truncated:.12f}")
-        print(f"  direct rate    = {direct:.12f}")
+        for row in truncated.blocks:
+            tag = "keep" if row["kept"] else "drop"
+            print(f"  {tag} {str(row['lam']):14} |block| = {row['magnitude']:.3e}"
+                  f"  term = {row['term']:+.3e}")
+        direct = engine_rates(A, r, species, "direct")
+        print(f"  truncated rate = {float(truncated.rates):.12f}")
+        print(f"  direct rate    = {float(direct.rates):.12f}")
 
 
 if __name__ == "__main__":

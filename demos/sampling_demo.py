@@ -18,7 +18,6 @@ from partdist import (
     sample,
     total_variation,
 )
-from partdist.interferometer import output_text
 
 
 def main():
@@ -34,7 +33,8 @@ def main():
     print(f"total variation from distinguishable:   {total_variation(dist, ref_d):.4f}")
 
     draws = sample(dist, 20_000, seed=5)  # indices into dist.strings
-    text = output_text(dist.strings, dist.m)
+    # each string as 0/1 text over the channels: "1011000" for detectors 1, 3, 4
+    text = ["".join("1" if k in row else "0" for k in range(1, dist.m + 1)) for row in dist.strings]
     freq = Counter(text[i] for i in draws)
     exact = dict(zip(text, dist.probabilities.tolist()))
 

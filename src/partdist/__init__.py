@@ -14,7 +14,8 @@ The building blocks, bottom to top:
   matrices, time-bin discretization;
 - :mod:`partdist.rates` — the n! x n! rate quadratic form, its streaming
   inclusion-exclusion form and its exact block-diagonalized and truncated
-  equivalents, behind one entry point;
+  equivalents, behind one entry point, :func:`~partdist.rates.engine_rates`,
+  which returns the rates with the per-label block report;
 - :mod:`partdist.sampling` — normalized output distributions, their
   equal-time and distinguishable references, exact inverse-CDF sampling and
   JSONL export;
@@ -23,7 +24,10 @@ The building blocks, bottom to top:
 
 ``import partdist`` loads none of them, nor NumPy: each name exported here,
 and each module's own name, imports its module when it is first looked up,
-and a module loads when it is imported.
+and a module loads when it is imported.  The root exports each module's
+entry points; the per-route functions and dense references (``rate_matrix``,
+``rate_blocked``, ``irrep_matrices``, ...) stay in their modules, reached as
+``partdist.rates.rate_matrix`` and the like.
 """
 
 # Every public name, by the module that defines it. A name imports its
@@ -43,9 +47,8 @@ _LAZY = {
         "character",
         "standard_tableau_count",
         "gl_dimension",
-        "irrep_matrices",
     ),
-    "matfun": ("determinant", "permanent", "immanant", "dfunction_direct"),
+    "matfun": ("determinant", "permanent", "immanant"),
     "interferometer": (
         "Interferometer",
         "haar_unitary",
@@ -63,18 +66,7 @@ _LAZY = {
         "snapped_times",
         "snapped_delay_matrix",
     ),
-    "rates": (
-        "rate_matrix",
-        "rate_direct",
-        "rate_direct_streaming",
-        "build_transform",
-        "block_decompose",
-        "rate_blocked",
-        "rate_truncated",
-        "truncation_report",
-        "gamas_vanishes",
-        "rate_fully_distinguishable",
-    ),
+    "rates": ("engine_rates", "gamas_vanishes"),
     "sampling": (
         "OutputDistribution",
         "build_distribution",

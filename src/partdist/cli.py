@@ -4,14 +4,16 @@ gamas-table.
 Every run is deterministic given (config, seed): artifacts carry the config
 hash, and wall-clock timing goes to stderr so reruns with the same hash stay
 byte-identical; ``sample`` refuses a config with no seed (exit 2).
-``direct`` with a chunk above 0 (config ``"chunk"``, ``--threads-chunk``)
-runs the streaming engine, and :func:`load_config` is the one place that
-says so; the chunk's value is hashed but sizes nothing, since the engine
-sizes its own steps, and artifacts print the configured engine.  Exit
-codes: 0 success, 2 bad config/usage, 3 size guard, 4 numerical failure.
+``direct`` with a config ``"chunk"`` above 0 runs the streaming engine, and
+:func:`load_config` is the one place that says so; the chunk's value is
+hashed but sizes nothing, since the engine sizes its own steps, and
+artifacts print the configured engine.  No flag sets the chunk.  Exit codes:
+0 success, 2 bad config/usage, 3 size guard, 4 numerical failure.
 
 Output strings print as 0/1 text ("10110") through one helper,
-:func:`partdist.interferometer.output_text`, in every subcommand.
+:func:`partdist.interferometer.output_text`, in every subcommand.  ``rate``
+prints the rate and, on the block engines, the per-label block report that
+:func:`partdist.rates.engine_rates` returns with it (``EngineRates.blocks``).
 
 Each subcommand imports what it runs: ``distribution`` and ``sample``
 import :mod:`partdist.sampling`, and ``analyze`` :mod:`partdist.analysis`,
@@ -57,7 +59,7 @@ from .interferometer import (
     submatrix,
     unitary_from_json,
 )
-from .rates import engine_rates, gamas_partition, gamas_vanishes, truncation_report
+from .rates import engine_rates, gamas_vanishes
 from .symgroup import partitions_of
 
 MAX_GRID_POINTS = 20_000
@@ -179,8 +181,6 @@ def load_config(path: str, args: argparse.Namespace) -> Config:
         raise DomainError(f"config field 'engine': expected one of {ENGINES}, got {engine!r}")
 
     chunk = _cfg_get(raw, "chunk", int, default=0)
-    if getattr(args, "threads_chunk", None) is not None:
-        chunk = args.threads_chunk
     if chunk < 0:
         raise DomainError("config field 'chunk': must be >= 0 (0 = dense)")
 
@@ -293,20 +293,6 @@ def cmd_rate(args) -> None:
         result = engine_rates(A, r, cfg.species, cfg.rate_engine)
         timer.parseval_residual = result.parseval_residual
         timer.cancellation = result.cancellation
-        blocks_out = None
-        if result.decomposition is not None:
-            # against the all-singletons partition every label dominates, so
-            # the blocked report shows everything as kept
-            mu = gamas_partition(r) if cfg.engine == "truncated" else (1,) * cfg.n
-            blocks_out = [
-                {
-                    "lam": list(e.lam),
-                    "kept": e.kept,
-                    "magnitude": e.block_magnitude,
-                    "term": e.term,
-                }
-                for e in truncation_report(result.decomposition, mu)
-            ]
         report = {
             "config_hash": cfg.config_hash,
             "m": cfg.m,
@@ -317,7 +303,7 @@ def cmd_rate(args) -> None:
             "output_string": output_text(detectors, cfg.m),
             "bin_partition": list(cfg.mu),
             "rate": float(result.rates),
-            "blocks": blocks_out,
+            "blocks": result.blocks,
         }
     _emit_json(report, args.out)
 
@@ -481,11 +467,6 @@ def _add_common(p: argparse.ArgumentParser, config_required=True) -> None:
     p.add_argument("--engine", choices=ENGINES, default=None, help="override the config engine")
     p.add_argument("--species", choices=SPECIES, default=None, help="override the config species")
     p.add_argument("--out", default=None, help="write the artifact here instead of stdout")
-    p.add_argument(
-        "--threads-chunk", type=int, default=None,
-        help="> 0 selects the streaming engine for direct (0 = dense); the value "
-        "is hashed into config_hash but sizes nothing",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:

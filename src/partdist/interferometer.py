@@ -185,7 +185,10 @@ def unitary_to_json(interferometer: Interferometer, path) -> None:
 
 
 def unitary_from_json(path) -> Interferometer:
-    """Load a unitary written by :func:`unitary_to_json`; unitarity is
+    """Load a unitary written by :func:`unitary_to_json`: the file is read
+    as one (m, m, 2) array of real numbers, [re, im] per entry, and viewed
+    as complex.  Any other shape or content (strings, nulls, integers too
+    large for a float) raises :class:`DomainError`, and unitarity is
     re-validated so corrupted files are rejected."""
     try:
         with open(path) as fh:
@@ -195,7 +198,10 @@ def unitary_from_json(path) -> Interferometer:
     except ValueError as exc:  # JSONDecodeError, or bytes that are not text
         raise DomainError(f"unitary file {path} is not valid JSON: {exc}") from exc
     try:
-        U = np.array([[complex(re, im) for re, im in row] for row in data])
-    except (TypeError, ValueError) as exc:
+        pairs = np.array(data)
+    except ValueError as exc:  # rows of different lengths
         raise DomainError(f"malformed unitary file {path}: {exc}") from exc
-    return Interferometer(U)
+    if pairs.dtype.kind not in "iuf" or pairs.ndim != 3 or pairs.shape[1:] != (len(pairs), 2):
+        raise DomainError(f"malformed unitary file {path}: need an m x m array of [re, im] "
+                          f"number pairs, got {pairs.dtype} {pairs.shape}")
+    return Interferometer(np.ascontiguousarray(pairs, dtype=float).view(complex)[..., 0])

@@ -57,8 +57,15 @@ For fermions the sign weighting makes K_lam orthogonally equivalent to the
 boson block of the conjugate label lam'.  Particles whose rows of r agree
 bit for bit are identical wavepackets, and f is invariant under the Young
 subgroup of their classes; blocks whose label fails to dominate the class
-sizes (:func:`gamas_partition`) vanish identically (Gamas's theorem), which
-is what the truncated engine exploits.
+sizes (:func:`gamas_partition`) vanish identically (Gamas's theorem,
+:func:`gamas_vanishes`, through the conjugate label for fermions in
+:meth:`BlockDecomposition.vanishes`), which is what the truncated engine
+exploits.
+
+Every engine runs behind :func:`engine_rates`, the one entry point the CLI
+and :mod:`partdist.sampling` call.  On the block engines, one string under
+one delay matrix comes back with its per-label report (label, kept,
+magnitude and term of each block) in ``EngineRates.blocks``.
 """
 
 from __future__ import annotations
@@ -95,14 +102,11 @@ __all__ = [
     "BlockTransform",
     "build_transform",
     "BlockDecomposition",
-    "block_decompose",
     "decompose_rate_matrix",
     "fourier_blocks",
     "attach_vector",
     "rate_blocked",
     "rate_truncated",
-    "truncation_report",
-    "TruncationEntry",
     "gamas_vanishes",
     "gamas_partition",
     "rate_fully_distinguishable",
@@ -209,8 +213,8 @@ def _check_species(species: str) -> str:
 def _check_dense_degree(n: int) -> None:
     if n > MAX_DENSE_DEGREE:
         raise SizeLimitError(
-            f"routes over S_n limited to n <= {MAX_DENSE_DEGREE}; the streaming "
-            f"engine (engine 'streaming', or --threads-chunk > 0 with direct) goes further"
+            f"routes over S_n limited to n <= {MAX_DENSE_DEGREE}; the streaming engine "
+            f"goes further (in a config, engine 'direct' with \"chunk\" > 0)"
         )
 
 
@@ -712,6 +716,12 @@ class BlockDecomposition:
         total = np.einsum("...ab,...bd,...ad->...", vecs.conj(), self.blocks[lam], vecs).real
         return float(total) if total.ndim == 0 else total
 
+    def vanishes(self, lam: tuple[int, ...], mu) -> bool:
+        """Whether the block at label lam vanishes identically for the
+        partition mu (:func:`gamas_vanishes`): the block stored at lam is
+        K_lam for bosons and the conjugate boson block K_lam' for fermions."""
+        return gamas_vanishes(conjugate(lam) if self.species == "fermion" else lam, mu)
+
 
 def decompose_rate_matrix(
     R: RateMatrix, T: BlockTransform
@@ -858,15 +868,6 @@ def attach_vector(
     return BlockDecomposition(species, T, blocks, vectors, float(residuals.max()))
 
 
-def block_decompose(v: MonomialVector | np.ndarray, R: RateMatrix, T: BlockTransform) -> BlockDecomposition:
-    """Dense reference decomposition of one rate computation: blocks of
-    T R T^t (:func:`decompose_rate_matrix`) plus the projected vector
-    copies, of the species of R.  The engines use :func:`fourier_blocks`
-    instead."""
-    blocks, _ = decompose_rate_matrix(R, T)
-    return attach_vector(v, blocks, T, R.species)
-
-
 def rate_blocked(decomp: BlockDecomposition):
     """Rate assembled block by block; equals the direct rate exactly (the
     transform is orthogonal).  A float, or an array over the batch axes of
@@ -901,51 +902,19 @@ def rate_blocked(decomp: BlockDecomposition):
     return _finalize_rate(total)
 
 
-def _kept_labels(decomp: BlockDecomposition, mu: tuple[int, ...]):
-    # A block vanishes identically unless its own label dominates mu.  The
-    # block sitting at vector label lam is K_lam for bosons but the
-    # conjugate K_lam' for fermions, hence the conjugate test there.
-    if decomp.species == "boson":
-        return {lam: dominates(lam, mu) for lam in decomp.blocks}
-    return {lam: dominates(conjugate(lam), mu) for lam in decomp.blocks}
-
-
 def rate_truncated(decomp: BlockDecomposition, mu):
-    """Rate summing only the blocks whose label survives for the partition
-    mu, a descending tuple.
+    """Rate summing only the blocks that do not vanish for the partition mu,
+    a descending tuple (:meth:`BlockDecomposition.vanishes`).
 
     Exact when mu is :func:`gamas_partition` of the blocks' delay matrix,
     as :func:`engine_rates` takes it: every dropped block then vanishes
     identically, and so it is against a finer mu.  Against a coarser one,
     such as the bin partition of raw continuous times, a dropped block need
-    not vanish; :func:`truncation_report` shows what is discarded.  The kept labels are
-    decided once per call, for a whole batch; the result is a float or an
-    array as for :func:`rate_blocked`.
+    not vanish.  The kept labels are decided once per call, for a whole
+    batch; the result is a float or an array as for :func:`rate_blocked`.
     """
-    kept = _kept_labels(decomp, mu)
-    total = sum(decomp.term(lam) for lam, keep in kept.items() if keep)
+    total = sum(decomp.term(lam) for lam in decomp.blocks if not decomp.vanishes(lam, mu))
     return _finalize_rate(total)
-
-
-@dataclass(frozen=True)
-class TruncationEntry:
-    lam: tuple[int, ...]
-    kept: bool
-    block_magnitude: float  # max |entry| of the block
-    term: float  # contribution of all copies of this label
-
-
-def truncation_report(decomp: BlockDecomposition, mu) -> tuple[TruncationEntry, ...]:
-    kept = _kept_labels(decomp, mu)
-    return tuple(
-        TruncationEntry(
-            lam,
-            kept[lam],
-            float(np.max(np.abs(decomp.blocks[lam]))),
-            decomp.term(lam),
-        )
-        for lam in decomp.blocks
-    )
 
 
 def gamas_partition(r) -> tuple[int, ...]:
@@ -968,9 +937,11 @@ def gamas_partition(r) -> tuple[int, ...]:
 
 
 def gamas_vanishes(lam: tuple[int, ...], mu) -> bool:
-    """True iff the block labelled lam is identically zero for bin partition
-    mu: the lam-immanant of the snapped Gram matrix vanishes exactly when lam
-    fails to dominate mu."""
+    """Gamas's rule: True iff the boson block K_lam is identically zero for
+    the partition mu of identical particles, which holds exactly when lam
+    fails to dominate mu (as the lam-immanant of the snapped Gram matrix
+    vanishes).  The fermion block at lam is K_lam' and follows the conjugate
+    label (:meth:`BlockDecomposition.vanishes`)."""
     return not dominates(lam, mu)
 
 
@@ -985,17 +956,25 @@ class EngineRates:
     ``rates`` is 0-d for one string under one delay matrix, else one rate
     per string or per delay matrix.  ``parseval_residual`` (block engines)
     and ``cancellation`` (streaming engine: the largest sum_S |f(P_S)| /
-    rate) are None on the other routes; ``decomposition`` is the block
-    decomposition of one string under one delay matrix on the block
-    engines, and None otherwise.  ``bounds``, of the shape of ``rates``, is
-    the rounding bound of each raw rate that :func:`_finalize_rate` judged
-    it by, or None on a route that derives none yet (all but streaming).
+    rate) are None on the other routes.  ``bounds``, of the shape of
+    ``rates``, is the rounding bound of each raw rate that
+    :func:`_finalize_rate` judged it by, or None on a route that derives
+    none yet (all but streaming).
+
+    ``blocks`` is the per-label report of one string under one delay matrix
+    on the block engines, None otherwise: one row per partition label, in
+    the layout order of :func:`build_transform`, with the keys ``lam``
+    (the label), ``kept`` (whether the rate summed its term: every label on
+    ``blocked``, the labels that survive :func:`gamas_partition` of the
+    delay matrix on ``truncated``), ``magnitude`` (the largest |entry| of
+    the block) and ``term`` (:meth:`BlockDecomposition.term`).  The rate is
+    the sum of the kept terms in this order, clamped at 0.
     """
 
     rates: np.ndarray
     parseval_residual: float | None = None
     cancellation: float | None = None
-    decomposition: BlockDecomposition | None = None
+    blocks: tuple[dict, ...] | None = None
     bounds: np.ndarray | None = None
 
 
@@ -1030,7 +1009,9 @@ def engine_rates(A, r, species: str, engine: str) -> EngineRates:
       :func:`fourier_blocks` of each batch of its delay matrices; a stack of
       strings meets the blocks of its one delay matrix, projected batch by
       batch.  Each decomposition takes one :func:`rate_blocked` or
-      :func:`rate_truncated`, and only one batch is held at a time.
+      :func:`rate_truncated`, and only one batch is held at a time.  One
+      string under one delay matrix also gets the per-label report
+      ``EngineRates.blocks``.
 
     Every route but the streaming one refuses n > MAX_DENSE_DEGREE with
     :class:`SizeLimitError` before it enumerates S_n.
@@ -1074,6 +1055,7 @@ def engine_rates(A, r, species: str, engine: str) -> EngineRates:
         return EngineRates(np.concatenate([s.rates for s in streams]),
                            bounds=np.concatenate([s.bounds for s in streams]),
                            cancellation=max(s.cancellation for s in streams))
+    mu = (1,) * n  # every block survives: the blocked engine keeps them all
     if engine == "truncated":
         partitions = set(map(gamas_partition, _check_delay_matrix(r, n, batch=True).reshape(-1, n, n)))
         if len(partitions) > 1:
@@ -1095,8 +1077,8 @@ def engine_rates(A, r, species: str, engine: str) -> EngineRates:
     T = build_transform(ordering)
 
     def decompositions():
-        """(decomposition, kept): kept for one string under one delay
-        matrix, whose result carries its decomposition."""
+        """(decomposition, single): single for one string under one delay
+        matrix, whose result carries the block report."""
         if one_string:
             projected = attach_vector(monomial_vector(A, ordering), {}, T, species)
             for rs in [r] if np.ndim(r) == 2 else _batches(r, width):
@@ -1107,10 +1089,15 @@ def engine_rates(A, r, species: str, engine: str) -> EngineRates:
                 yield attach_vector(monomial_vector(a, ordering), blocks, T, species), False
 
     rates, residual = [], 0.0
-    for decomp, kept in decompositions():
+    for decomp, single in decompositions():
         rate = rate_truncated(decomp, mu) if engine == "truncated" else rate_blocked(decomp)
-        if kept:
-            return EngineRates(np.asarray(rate), decomp.parseval_residual, decomposition=decomp)
+        if single:
+            report = tuple(
+                {"lam": lam, "kept": not decomp.vanishes(lam, mu),
+                 "magnitude": float(np.max(np.abs(block))), "term": decomp.term(lam)}
+                for lam, block in decomp.blocks.items()
+            )
+            return EngineRates(np.asarray(rate), decomp.parseval_residual, blocks=report)
         residual = max(residual, decomp.parseval_residual)
         rates.append(rate)
     return EngineRates(np.concatenate(rates), residual)

@@ -68,7 +68,7 @@ def test_rate_monomials_three_particles():
         r12, r13, r23 = r[0, 1], r[0, 2], r[1, 2]
         triple = r12 * r23 * r13
         expected = np.array([1.0, r12**2, r13**2, r23**2, triple, triple])
-        col = pd.rate_matrix(r, "boson", ordering).matrix[:, 0]
+        col = pd.rates.rate_matrix(r, "boson", ordering).matrix[:, 0]
         worst = max(worst, np.max(np.abs(col - expected)))
     _gate(1, f"identity-column monomials {{1, r12^2, r13^2, r23^2, triple x2}}, "
              f"max err {worst:.1e}", worst < 1e-12, time.perf_counter() - t0, 1)
@@ -82,7 +82,7 @@ def test_block_entries_match_immanants_and_polynomials():
     t0 = time.perf_counter()
     rng = np.random.default_rng(RNG_SEED + 1)
     ordering = cycle_ordering(3)
-    irreps = {lam: pd.irrep_matrices(lam, ordering) for lam in pd.partitions_of(3)}
+    irreps = {lam: pd.symgroup.irrep_matrices(lam, ordering) for lam in pd.partitions_of(3)}
     root3 = math.sqrt(3)
 
     def rows(r, images):
@@ -94,9 +94,9 @@ def test_block_entries_match_immanants_and_polynomials():
         r12, r13, r23 = r[0, 1], r[0, 2], r[1, 2]
         triple = r12 * r23 * r13
 
-        per_entry = pd.dfunction_direct((3,), r, irreps[(3,)])[0, 0]
-        det_entry = pd.dfunction_direct((1, 1, 1), r, irreps[(1, 1, 1)])[0, 0]
-        blk = pd.dfunction_direct((2, 1), r, irreps[(2, 1)])
+        per_entry = pd.matfun.dfunction_direct((3,), r, irreps[(3,)])[0, 0]
+        det_entry = pd.matfun.dfunction_direct((1, 1, 1), r, irreps[(1, 1, 1)])[0, 0]
+        blk = pd.matfun.dfunction_direct((2, 1), r, irreps[(2, 1)])
 
         imm_e = pd.immanant((2, 1), r)
         imm_12 = pd.immanant((2, 1), rows(r, (1, 0, 2)))
@@ -168,7 +168,7 @@ def test_engines_agree_on_random_binned_cases():
     worst = 0.0
     for n in (2, 3, 4, 5):
         ordering = pd.all_permutations(n)
-        T = pd.build_transform(ordering)
+        T = pd.rates.build_transform(ordering)
         for _ in range(25):
             m = n + int(rng.integers(0, 3))
             itf = pd.haar_unitary(m, seed=int(rng.integers(0, 2**31)))
@@ -184,11 +184,11 @@ def test_engines_agree_on_random_binned_cases():
             ins = tuple(sorted(int(x) + 1 for x in rng.choice(m, n, replace=False)))
             v = pd.monomial_vector(pd.submatrix(itf, dets, ins), ordering)
             for species in ("boson", "fermion"):
-                R = pd.rate_matrix(r, species, ordering)
-                direct = pd.rate_direct(v, R)
-                decomp = pd.block_decompose(v, R, T)
-                blocked = pd.rate_blocked(decomp)
-                truncated = pd.rate_truncated(decomp, mu)
+                R = pd.rates.rate_matrix(r, species, ordering)
+                direct = pd.rates.rate_direct(v, R)
+                decomp = pd.rates.attach_vector(v, pd.rates.decompose_rate_matrix(R, T)[0], T, species)
+                blocked = pd.rates.rate_blocked(decomp)
+                truncated = pd.rates.rate_truncated(decomp, mu)
                 scale = max(abs(direct), abs(blocked), abs(truncated))
                 worst = max(worst, abs(direct - blocked) / scale,
                             abs(direct - truncated) / scale)
@@ -216,9 +216,9 @@ def _permutation_rates(species):
     certain to reach its own detector and the rate must be exactly 1."""
     for n in range(2, 7):
         ordering = pd.all_permutations(n)
-        J = pd.rate_matrix(np.ones((n, n)), species, ordering)
+        J = pd.rates.rate_matrix(np.ones((n, n)), species, ordering)
         for A in (np.eye(n), np.roll(np.eye(n), 1, axis=0)):
-            yield pd.rate_direct(pd.monomial_vector(A, ordering), J)
+            yield pd.rates.rate_direct(pd.monomial_vector(A, ordering), J)
 
 
 def test_equal_time_boson_rate_with_stated_factorial_scale():
@@ -227,7 +227,7 @@ def test_equal_time_boson_rate_with_stated_factorial_scale():
     worst = 0.0
     for n in range(2, 7):
         ordering, A, v = _indistinguishable_setup(n)
-        rate = pd.rate_direct(v, pd.rate_matrix(np.ones((n, n)), "boson", ordering))
+        rate = pd.rates.rate_direct(v, pd.rates.rate_matrix(np.ones((n, n)), "boson", ordering))
         target = abs(pd.permanent(A)) ** 2
         worst = max(worst, abs(rate - target) / target)
     unit_ok = all(rate == 1.0 for rate in _permutation_rates("boson"))
@@ -243,7 +243,7 @@ def test_equal_time_fermion_rate_with_stated_factorial_scale():
     worst = 0.0
     for n in range(2, 7):
         ordering, A, v = _indistinguishable_setup(n)
-        rate = pd.rate_direct(v, pd.rate_matrix(np.ones((n, n)), "fermion", ordering))
+        rate = pd.rates.rate_direct(v, pd.rates.rate_matrix(np.ones((n, n)), "fermion", ordering))
         target = abs(np.linalg.det(A)) ** 2
         worst = max(worst, abs(rate - target) / target)
     unit_ok = all(rate == 1.0 for rate in _permutation_rates("fermion"))
@@ -259,10 +259,10 @@ def test_fully_distinguishable_limit_both_species():
     for n in range(2, 7):
         ordering, A, v = _indistinguishable_setup(n)
         r_far = pd.delay_matrix_from_times(np.arange(n) * 100.0, 5.0)
-        ref = pd.rate_fully_distinguishable(A)
+        ref = pd.rates.rate_fully_distinguishable(A)
         assert abs(ref - pd.permanent(np.abs(A) ** 2)) <= 1e-12 * ref
         for species in ("boson", "fermion"):
-            rate = pd.rate_direct(v, pd.rate_matrix(r_far, species, ordering))
+            rate = pd.rates.rate_direct(v, pd.rates.rate_matrix(r_far, species, ordering))
             worst = max(worst, abs(rate - ref) / ref)
     _gate("5c", f"fully distinguishable rate = per(|A_ij|^2), both species "
                 f"(n <= 6), worst rel {worst:.1e}", worst < 1e-9,
@@ -364,7 +364,7 @@ def test_two_port_interference_and_shift_invariance():
 
     def coincidence(delay, species):
         r = pd.delay_matrix_from_times([0.0, delay], 1.0)
-        return pd.rate_direct(v, pd.rate_matrix(r, species, ordering))
+        return pd.rates.rate_direct(v, pd.rates.rate_matrix(r, species, ordering))
 
     delays = np.linspace(0.0, 3.0, 31)
     boson = np.array([coincidence(d, "boson") for d in delays])
@@ -379,9 +379,9 @@ def test_two_port_interference_and_shift_invariance():
     for d2 in np.linspace(-1, 1, 5):
         for d3 in np.linspace(-1, 1, 5):
             for species in ("boson", "fermion"):
-                base = pd.rate_direct(v3, pd.rate_matrix(
+                base = pd.rates.rate_direct(v3, pd.rates.rate_matrix(
                     pd.delay_matrix_from_times([0.0, d2, d3], 1.3), species, ordering3))
-                moved = pd.rate_direct(v3, pd.rate_matrix(
+                moved = pd.rates.rate_direct(v3, pd.rates.rate_matrix(
                     pd.delay_matrix_from_times([5.0, 5.0 + d2, 5.0 + d3], 1.3),
                     species, ordering3))
                 worst_shift = max(worst_shift, abs(base - moved))
@@ -401,15 +401,15 @@ def test_trace_and_homomorphism_identities():
     for n in range(1, 5):
         ordering = pd.all_permutations(n)
         for lam in pd.partitions_of(n):
-            irreps = pd.irrep_matrices(lam, ordering)
+            irreps = pd.symgroup.irrep_matrices(lam, ordering)
             for _ in range(20):
                 M = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
                 sigma = ordering[int(rng.integers(math.factorial(n)))]
                 P = sigma.matrix()
-                DM = pd.dfunction_direct(lam, M, irreps)
+                DM = pd.matfun.dfunction_direct(lam, M, irreps)
                 worst = max(worst, abs(np.trace(DM) - pd.immanant(lam, M)))
-                DP = pd.dfunction_direct(lam, P, irreps)
-                DPM = pd.dfunction_direct(lam, P @ M, irreps)
+                DP = pd.matfun.dfunction_direct(lam, P, irreps)
+                DPM = pd.matfun.dfunction_direct(lam, P @ M, irreps)
                 worst = max(worst, float(np.max(np.abs(DP @ DM - DPM))))
     _gate(10, f"trace equals immanant and permutations act homomorphically, "
               f"all shapes with n <= 4, worst err {worst:.1e}", worst < 1e-8,

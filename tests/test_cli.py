@@ -147,6 +147,35 @@ def test_truncated_on_continuous_times_keeps_every_block(tmp_path, capsys, speci
         assert outs[0][1] == outs[1][1]
 
 
+REPORT_ARRIVALS = {
+    "continuous": BASE["arrival"],
+    "mixed bins": {**BINNED, "bin_indices": [2, 7, 2]},
+    "one bin": {**BINNED, "bin_indices": [5, 5, 5]},
+}
+
+
+@pytest.mark.parametrize("arrival", sorted(REPORT_ARRIVALS))
+@pytest.mark.parametrize("species", ["boson", "fermion"])
+@pytest.mark.parametrize("engine", ["blocked", "truncated"])
+def test_rate_report_terms_sum_to_the_printed_rate(tmp_path, capsys, engine, species, arrival):
+    # the report is the one the engine summed: the kept terms, added in
+    # report order, give the printed rate bit for bit unless that sum is
+    # below 0 and clamped; blocked keeps every label, and on one bin
+    # truncated keeps one
+    cfg = write_config(tmp_path, engine=engine, species=species, arrival=REPORT_ARRIVALS[arrival])
+    code, out, err = run_cli(capsys, "rate", "--config", cfg)
+    assert code == 0, err
+    report = json.loads(out)
+    assert [tuple(b["lam"]) for b in report["blocks"]] == list(partitions_of(3))
+    kept = [tuple(b["lam"]) for b in report["blocks"] if b["kept"]]
+    total = sum(b["term"] for b in report["blocks"] if b["kept"])
+    assert report["rate"] == (total if total >= 0 else 0.0)
+    if engine == "blocked":
+        assert kept == list(partitions_of(3))
+    elif arrival == "one bin":
+        assert kept == [(3,) if species == "boson" else (1, 1, 1)]
+
+
 def test_retired_approximate_truncation_key_is_ignored(tmp_path, capsys):
     # a config that still carries the key loads as one without it, like any
     # unknown key, and the hash is that of the resolved config, which has no
@@ -176,13 +205,28 @@ def test_rate_rerun_is_byte_identical(tmp_path, capsys):
 
 def test_engine_and_chunk_overrides_change_hash_not_rate(tmp_path, capsys):
     cfg = write_config(tmp_path)
+    chunked_cfg = write_config(tmp_path, "chunked.json", chunk=3)
     _, base_out, _ = run_cli(capsys, "rate", "--config", cfg)
     _, blocked_out, _ = run_cli(capsys, "rate", "--config", cfg, "--engine", "blocked")
-    _, chunk_out, _ = run_cli(capsys, "rate", "--config", cfg, "--threads-chunk", "3")
+    _, chunk_out, _ = run_cli(capsys, "rate", "--config", chunked_cfg)
     base, blocked, chunked = map(json.loads, (base_out, blocked_out, chunk_out))
     assert blocked["rate"] == pytest.approx(base["rate"], rel=1e-9)
     assert chunked["rate"] == pytest.approx(base["rate"], rel=1e-12)
     assert len({base["config_hash"], blocked["config_hash"], chunked["config_hash"]}) == 3
+
+
+def test_chunk_is_a_config_key_and_the_flag_is_gone(tmp_path, capsys):
+    # "chunk" alone selects the streaming engine for direct and is hashed
+    # as resolved; the retired --threads-chunk flag is an unknown argument
+    cfg = write_config(tmp_path, chunk=3)
+    code, out, err = run_cli(capsys, "rate", "--config", cfg)
+    assert code == 0 and "cancellation=" in err
+    resolved = json.dumps({**BASE, "chunk": 3}, sort_keys=True, separators=(",", ":"))
+    assert json.loads(out)["config_hash"] == hashlib.sha256(resolved.encode()).hexdigest()
+    with pytest.raises(SystemExit) as exited:
+        main(["rate", "--config", cfg, "--threads-chunk", "3"])
+    assert exited.value.code == 2
+    assert "unrecognized arguments: --threads-chunk" in capsys.readouterr().err
 
 
 def test_seed_override_changes_unitary_and_hash(tmp_path, capsys):
@@ -267,6 +311,29 @@ def test_missing_and_malformed_unitary_files_exit_2(tmp_path, capsys):
             code, out, err = run_cli(capsys, *argv, "--config", cfg)
             assert code == 2 and out == ""
             assert err.startswith("error: ") and says in err and str(path) in err
+
+
+MALFORMED_UNITARIES = {
+    "ragged row": "[[[1, 0], [0, 0]], [[0, 0]]]",
+    "triple": "[[[1, 0, 0]]]",
+    "string": '[[["1", 0]]]',
+    "null": "[[[null, 0]]]",
+    "huge integer": f"[[[{10**400}, 0]]]",  # too large for a float
+    "not square": "[[[1, 0], [0, 0]]]",
+}
+
+
+@pytest.mark.parametrize("content", sorted(MALFORMED_UNITARIES))
+def test_unitary_file_of_the_wrong_shape_or_content_exits_2(tmp_path, capsys, content):
+    path = tmp_path / "unitary.json"
+    path.write_text(MALFORMED_UNITARIES[content])
+    with pytest.raises(partdist.errors.DomainError, match="malformed unitary file"):
+        partdist.interferometer.unitary_from_json(path)
+    cfg = write_config(tmp_path, m=1, n=1, unitary={"type": "file", "path": str(path)},
+                       arrival={**BASE["arrival"], "taus": [0.0]}, detectors=[1], input_ports=[1])
+    code, out, err = run_cli(capsys, "rate", "--config", cfg)
+    assert code == 2 and out == ""
+    assert err.startswith("error: malformed unitary file") and str(path) in err
 
 
 def test_a_width_or_window_that_is_not_finite_exits_2(tmp_path, capsys):
@@ -481,6 +548,7 @@ def test_each_subcommand_imports_only_what_it_runs(tmp_path):
     # partdist.analysis and never import fractions; the other subcommands
     # import what they use when they run
     cfg = write_config(tmp_path)
+    chunked = write_config(tmp_path, "chunked.json", chunk=4)
 
     def imported(*argv):
         done = run_process(*argv, flags=("-X", "importtime"))
@@ -490,11 +558,12 @@ def test_each_subcommand_imports_only_what_it_runs(tmp_path):
 
     lazy = {"partdist.sampling", "partdist.analysis", "fractions"}
     for argv in (
-        ("rate",), ("rate", "--engine", "blocked"), ("rate", "--engine", "truncated"),
-        ("rate", "--threads-chunk", "4"),
-        ("landscape", "--steps", "5"), ("landscape", "--steps", "5", "--engine", "blocked"),
+        ("rate", "--config", cfg), ("rate", "--engine", "blocked", "--config", cfg),
+        ("rate", "--engine", "truncated", "--config", cfg), ("rate", "--config", chunked),
+        ("landscape", "--steps", "5", "--config", cfg),
+        ("landscape", "--steps", "5", "--engine", "blocked", "--config", cfg),
     ):
-        loaded = imported(*argv, "--config", cfg)
+        loaded = imported(*argv)
         assert "partdist.rates" in loaded and not loaded & lazy, (argv, loaded & lazy)
     for argv, used in (
         (("distribution", "--config", cfg), {"partdist.sampling"}),
@@ -546,13 +615,13 @@ def test_direct_engine_reruns_are_byte_identical_across_processes(tmp_path):
 def test_streaming_reruns_are_byte_identical_across_processes(tmp_path):
     # chunk > 0 takes the streaming engine: each subset value is computed on
     # its own, and the chunk's value is hashed but sizes nothing
-    cfg = write_config(tmp_path, "streaming.json", species="fermion")
     rows = []
-    for argv in (
-        ("landscape", "--steps", "9", "--threads-chunk", "2"),
-        ("landscape", "--steps", "9", "--threads-chunk", "1000"),
-        ("distribution", "--threads-chunk", "5"),
+    for chunk, argv in (
+        (2, ("landscape", "--steps", "9")),
+        (1000, ("landscape", "--steps", "9")),
+        (5, ("distribution",)),
     ):
+        cfg = write_config(tmp_path, f"streaming{chunk}.json", species="fermion", chunk=chunk)
         first, second = run_process(*argv, "--config", cfg), run_process(*argv, "--config", cfg)
         assert first.returncode == 0 and second.returncode == 0, first.stderr
         assert first.stdout and first.stdout == second.stdout
@@ -714,12 +783,13 @@ def test_every_subcommand_reruns_byte_identically(tmp_path, capsys):
     # the cli module's contract: the same (config, seed) gives the same
     # bytes on stdout and in the artifact; only wall_time_s may differ
     cfg = write_config(tmp_path)
+    chunked = write_config(tmp_path, "chunked.json", chunk=8)
     runs = [("analyze", "--n", "6", "--b", "8"), ("gamas-table", "--n", "6")]
     for command, extra in (("rate", ()), ("distribution", ()), ("sample", ("--count", "20")),
                            ("landscape", ("--steps", "5"))):
         engines = ("direct", "blocked") if command == "landscape" else ("direct", "blocked", "truncated")
-        for choice in [("--engine", e) for e in engines] + [("--threads-chunk", "8")]:
-            runs.append((command, "--config", cfg, *choice, *extra))
+        for choice in [("--config", cfg, "--engine", e) for e in engines] + [("--config", chunked)]:
+            runs.append((command, *choice, *extra))
     artifact = tmp_path / "artifact.out"
     for argv in runs:
         for to_file in (False, True):
@@ -853,9 +923,10 @@ def test_landscape_stacked_delay_matrices_change_no_bits(tmp_path, capsys, monke
     # the grid's delay matrices come from one stacked call; fed one point
     # at a time instead, every engine writes the same CSV byte for byte
     cfg = write_config(tmp_path, species=species)
-    runs = [("--engine", "direct"), ("--engine", "direct", "--threads-chunk", "3"),
-            ("--engine", "blocked")]
-    argv = ("landscape", "--config", cfg, "--range", "-1.5", "2", "--steps", "9", "--shift", "0.3")
+    chunked = write_config(tmp_path, "chunked.json", species=species, chunk=3)
+    runs = [("--config", cfg, "--engine", "direct"), ("--config", chunked, "--engine", "direct"),
+            ("--config", cfg, "--engine", "blocked")]
+    argv = ("landscape", "--range", "-1.5", "2", "--steps", "9", "--shift", "0.3")
     stacked = [run_cli(capsys, *argv, *extra) for extra in runs]
 
     one_at_a_time = partdist.cli.delay_matrix_from_times
@@ -980,11 +1051,14 @@ def test_gamas_table_rejects_large_n(capsys):
 
 def test_clamped_rates_are_counted_on_stderr(tmp_path, capsys, monkeypatch):
     binned = write_config(tmp_path, "binned.json", arrival=BINNED)
-    runs = (("distribution", "--engine", "blocked"), ("sample", "--engine", "truncated", "--count", "3"),
-            ("landscape", "--engine", "blocked", "--steps", "5"), ("distribution", "--threads-chunk", "8"))
+    chunked = write_config(tmp_path, "chunked.json", arrival=BINNED, chunk=8)
+    runs = (("distribution", "--engine", "blocked", "--config", binned),
+            ("sample", "--engine", "truncated", "--count", "3", "--config", binned),
+            ("landscape", "--engine", "blocked", "--steps", "5", "--config", binned),
+            ("distribution", "--config", chunked))
     clean = {}
     for argv in runs:
-        code, out, err = run_cli(capsys, *argv, "--config", binned)
+        code, out, err = run_cli(capsys, *argv)
         assert code == 0 and "clamped=" not in err
         clean[argv] = out
 
@@ -1033,7 +1107,7 @@ def test_clamped_rates_are_counted_on_stderr(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(partdist.rates, "STREAMING_STEP_BYTES", eight)
     for argv in runs:
         with pytest.warns(partdist.errors.ClampWarning) as caught:
-            code, out, err = run_cli(capsys, *argv, "--config", binned)
+            code, out, err = run_cli(capsys, *argv)
         assert code == 0, err
         timing = [line for line in err.splitlines() if line.startswith("wall_time_s=")]
         want = (2, -1e-12) if "--engine" in argv else (1, -1e-30)

@@ -173,6 +173,24 @@ def test_unitary_json_round_trip(tmp_path):
     assert len(payload) == 4 and len(payload[0][0]) == 2  # rows of [re, im] pairs
 
 
+def test_unitary_json_loads_the_bits_of_the_per_entry_reader(tmp_path):
+    # one array viewed as complex gives the matrix that complex(re, im) per
+    # entry gave, for the writer's floats and for hand-written integers and
+    # signed zeros
+    swap = "[[[0, -0.0], [1, 0]], [[1, 0], [-0.0, 0]]]"
+    for m, text in ((2, swap), (5, None), (16, None)):
+        path = tmp_path / f"u{m}.json"
+        if text is None:
+            unitary_to_json(haar_unitary(m, seed=m), path)
+        else:
+            path.write_text(text)
+        data = json.loads(path.read_text())
+        want = np.array([[complex(re, im) for re, im in row] for row in data])
+        got = unitary_from_json(path).matrix
+        assert got.dtype == want.dtype and got.shape == want.shape == (m, m)
+        assert got.tobytes() == want.tobytes()
+
+
 def test_unitary_json_bytes_match_the_per_entry_writer(tmp_path):
     # the file as json.dump of a per-entry list of [float(re), float(im)]
     # pairs wrote it

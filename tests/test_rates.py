@@ -36,7 +36,6 @@ from partdist.rates import (
     _parseval_tolerance,
     attach_vector,
     autocorrelation,
-    block_decompose,
     build_transform,
     decompose_rate_matrix,
     fourier_blocks,
@@ -49,7 +48,6 @@ from partdist.rates import (
     rate_fully_distinguishable,
     rate_matrix,
     rate_truncated,
-    truncation_report,
 )
 from partdist.sampling import build_distribution
 from partdist.symgroup import (
@@ -140,6 +138,12 @@ def autocorrelation_rounding(A, ordering):
     N = len(ordering)
     l1 = float(np.abs(monomial_vector(A, ordering).values).sum()) ** 2
     return (1 + gamma(N)) * float(autocorrelation_errors(A, ordering).sum()) + gamma(N) * l1
+
+
+def dense_decomposition(v, R, T):
+    """The dense reference decomposition of one rate: the blocks of T R T^t
+    (rates.decompose_rate_matrix) with v projected onto them."""
+    return attach_vector(v, decompose_rate_matrix(R, T)[0], T, R.species)
 
 
 def _random_case(n, seed):
@@ -518,7 +522,7 @@ def test_direct_streaming_blocked_agree(n, species):
     direct = rate_direct(v, R)
     stream = rate_direct_streaming(A, r, species)
     T = build_transform(ordering)
-    blocked = rate_blocked(block_decompose(v, R, T))
+    blocked = rate_blocked(dense_decomposition(v, R, T))
     scale = max(1.0, direct)
     assert abs(direct - float(stream.rates)) <= float(stream.bounds) + direct_rounding(v)
     assert abs(direct - blocked) < 1e-10 * scale
@@ -952,7 +956,7 @@ def test_fourier_blocks_match_dense_reference(n, species, convention, snapped):
     itf = haar_unitary(2 * n, seed=n)
     A = submatrix(itf, tuple(range(1, n + 1)))
     v = monomial_vector(A, ordering)
-    reference = block_decompose(v, rate_matrix(r, species, ordering), T)
+    reference = dense_decomposition(v, rate_matrix(r, species, ordering), T)
     decomp = attach_vector(v, fourier_blocks(r, species, T), T, species)
     tol = block_rounding(n)
     norm2 = float(np.vdot(v.values, v.values).real)
@@ -1060,14 +1064,18 @@ def test_truncation_exact_on_snapped_times(species):
     ordering = all_permutations(4)
     v = monomial_vector(A, ordering)
     R = rate_matrix(r, species, ordering)
-    decomp = block_decompose(v, R, build_transform(ordering))
+    decomp = dense_decomposition(v, R, build_transform(ordering))
     full = rate_direct(v, R)
     assert rate_truncated(decomp, mu) == pytest.approx(full, rel=1e-12, abs=1e-13)
-    for entry in truncation_report(decomp, mu):
-        label = entry.lam if species == "boson" else conjugate(entry.lam)
-        assert entry.kept == dominates(label, mu)
-        if not entry.kept:
-            assert entry.block_magnitude < 1e-12
+    got = rates.engine_rates(A, r, species, "truncated")
+    assert [row["lam"] for row in got.blocks] == list(decomp.blocks)
+    for row in got.blocks:
+        label = row["lam"] if species == "boson" else conjugate(row["lam"])
+        assert row["kept"] == dominates(label, mu)
+        dense = np.max(np.abs(decomp.blocks[row["lam"]]))
+        assert abs(row["magnitude"] - dense) <= block_rounding(4)
+        if not row["kept"]:
+            assert row["magnitude"] < 1e-12
 
 
 def test_vanishing_blocks_match_immanant_vanishing():
@@ -1103,7 +1111,7 @@ def test_vanishing_blocks_match_immanant_vanishing():
 )
 def test_gamas_dropped_blocks_vanish_on_random_bins(assignment, bins, seed, species):
     # Gamas's theorem on snapped times: each block at a label that
-    # _kept_labels drops is zero within block_rounding, so dropping them
+    # rate_truncated drops is zero within block_rounding, so dropping them
     # moves the rate by at most those blocks' terms and two evaluations'
     # rounding (rates.rate_blocked)
     n = len(assignment)
@@ -1120,7 +1128,7 @@ def test_gamas_dropped_blocks_vanish_on_random_bins(assignment, bins, seed, spec
     v = monomial_vector(submatrix(haar_unitary(m, seed=seed), s), ordering)
     decomp = attach_vector(v, fourier_blocks(snapped_delay_matrix(idx, spec), species, T), T, species)
     tol = block_rounding(n)
-    dropped = [lam for lam, keep in rates._kept_labels(decomp, part).items() if not keep]
+    dropped = [lam for lam in decomp.blocks if decomp.vanishes(lam, part)]
     for lam in dropped:
         assert np.max(np.abs(decomp.blocks[lam])) <= tol, lam
     # |term| <= ‖K‖_2 ‖w‖² <= s max|K| ‖w‖², ‖w‖ <= (1 + δ) ‖v‖
@@ -1168,8 +1176,7 @@ def test_truncated_matches_direct_on_tied_continuous_times(n, seed, species):
     s = tuple(sorted(rng.choice(m, n, replace=False) + 1))
     A = submatrix(haar_unitary(m, seed=seed), s)
     got = rates.engine_rates(A, r, species, "truncated")
-    kept = rates._kept_labels(got.decomposition, gamas_partition(r))
-    assert not all(kept.values())
+    assert not all(row["kept"] for row in got.blocks)
     ordering = all_permutations(n)
     v = monomial_vector(A, ordering)
     direct = rate_direct(v, rate_matrix(r, species, ordering))
@@ -1188,6 +1195,43 @@ def test_truncated_stack_needs_one_gamas_partition():
     # a stack of one partition runs; with every block kept it is blocked's
     assert np.array_equal(rates.engine_rates(A, np.stack([distinct, distinct]), "boson",
                                              "truncated").rates, blocked[[1, 1]])
+
+
+REPORT_TIMES = {  # arrival times of four particles, and their Gamas partition
+    "continuous": ((0.1, 0.42, 0.77, 0.93), (1, 1, 1, 1)),
+    "mixed bins": ((0.125, 0.375, 0.125, 0.875), (2, 1, 1)),
+    "one bin": ((0.625,) * 4, (4,)),
+}
+
+
+@pytest.mark.parametrize("times", sorted(REPORT_TIMES))
+@pytest.mark.parametrize("species", ["boson", "fermion"])
+@pytest.mark.parametrize("engine", ["blocked", "truncated"])
+def test_block_report_sums_to_the_rate(engine, species, times):
+    # the rate is the sum of the kept terms in report order, bit for bit,
+    # unless that sum is below 0 and clamped; blocked keeps every label and
+    # one bin leaves one block, (n,) for bosons and (1^n) for fermions
+    taus, mu = REPORT_TIMES[times]
+    r = delay_matrix_from_times(taus, 1.5)
+    assert gamas_partition(r) == mu
+    for seed in range(4):
+        A = submatrix(haar_unitary(7, seed=seed), (1, 3, 4, 6), (2, 3, 5, 7))
+        got = rates.engine_rates(A, r, species, engine)
+        assert [row["lam"] for row in got.blocks] == list(partitions_of(4))
+        kept = [row["lam"] for row in got.blocks if row["kept"]]
+        total = sum(row["term"] for row in got.blocks if row["kept"])
+        if total >= 0:
+            assert float(got.rates) == total
+        else:
+            assert float(got.rates) == 0.0
+        if engine == "blocked":
+            assert kept == list(partitions_of(4))
+        elif times == "one bin":
+            assert kept == [(4,) if species == "boson" else (1, 1, 1, 1)]
+        # on a partition without ties the truncated report is the blocked one
+        if times == "continuous":
+            other = rates.engine_rates(A, r, species, "truncated" if engine == "blocked" else "blocked")
+            assert other.blocks == got.blocks
 
 
 def test_gamas_vanishes_examples():
@@ -1462,7 +1506,8 @@ def dispatch_before_engine_rates(A, r, species, engine, mu, chunk):
     """The route choice as ``rate``, ``landscape`` and ``build_distribution``
     each spelled it out before :func:`rates.engine_rates`, when ``direct``
     with ``chunk > 0`` selected the streaming engine: (rates, Parseval
-    residual, cancellation, decomposition)."""
+    residual, cancellation, decomposition of one string under one delay
+    matrix on the block engines)."""
     n = A.shape[-1]
     if A.ndim == 3:  # build_distribution: strings in batches, one delay matrix
         if engine == "direct" and chunk > 0:
@@ -1499,7 +1544,7 @@ def dispatch_before_engine_rates(A, r, species, engine, mu, chunk):
         return np.asarray(rate_from_autocorrelation(S, r, species, ordering)), None, None, None
     T = build_transform(ordering)
     rate = (lambda d: rate_truncated(d, mu)) if engine == "truncated" else rate_blocked
-    if r.ndim == 2:  # rate: the block report's decomposition
+    if r.ndim == 2:  # rate: the decomposition behind the block report
         decomp = attach_vector(monomial_vector(A, ordering), fourier_blocks(r, species, T), T, species)
         return np.asarray(rate(decomp)), decomp.parseval_residual, None, decomp
     projected = attach_vector(monomial_vector(A, ordering), {}, T, species)
@@ -1546,12 +1591,15 @@ def test_engine_rates_match_the_dispatch_it_replaced(n, bins_of, m, strings, poi
         assert np.array_equal(got.rates, want)
         assert got.parseval_residual == residual
         assert got.cancellation == cancellation
-        assert (got.decomposition is None) == (decomp is None)
-        if decomp is not None:
-            assert got.decomposition.blocks.keys() == decomp.blocks.keys()
-            for lam in decomp.blocks:
-                assert np.array_equal(got.decomposition.blocks[lam], decomp.blocks[lam])
-                assert np.array_equal(got.decomposition.vectors[lam], decomp.vectors[lam])
+        assert (got.blocks is None) == (decomp is None)
+        if decomp is not None:  # the report rate printed from the decomposition
+            assert [row["lam"] for row in got.blocks] == list(decomp.blocks)
+            for row in got.blocks:
+                lam = row["lam"]
+                label = lam if species == "boson" else conjugate(lam)
+                assert row["kept"] == (engine == "blocked" or dominates(label, mu))
+                assert row["magnitude"] == float(np.max(np.abs(decomp.blocks[lam])))
+                assert row["term"] == decomp.term(lam)
     with pytest.raises(DomainError, match="one delay matrix"):
         rates.engine_rates(A, stack, species, named)
 

@@ -284,7 +284,7 @@ def _record_streaming(monkeypatch):
 
 
 def test_streaming_distribution_n7_is_light_and_matches_dense(monkeypatch):
-    # `distribution --threads-chunk 512` at m = 10, n = 7: one streaming call
+    # `distribution` with `"chunk": 512` at m = 10, n = 7: one streaming call
     # for all 120 strings, no group ordering, a few MiB at peak, against the
     # dense engine's 5040 x 5040 rate matrix (about 815 MB of peak RSS)
     spec = ArrivalSpec((0.1, 0.5, 0.9, 1.3, 1.7, 2.2, 3.0), 1.0, 4.0, 4)
