@@ -3,8 +3,9 @@ distinguishable bosons and fermions in linear interferometers.
 
 The building blocks, bottom to top:
 
-- :mod:`partdist.symgroup` — permutations, partitions, characters, and the
-  orthogonal irreducible matrices of the symmetric group;
+- :mod:`partdist.symgroup` — the symmetric group as one array of one-line
+  images, partitions, characters per cycle class, and the orthogonal
+  irreducible matrices as one array per label;
 - :mod:`partdist.matfun` — batched permanents (Glynn) and determinants,
   immanants, and the irrep-transformed matrix functions whose entries fill
   the diagonal blocks;
@@ -38,7 +39,6 @@ entry points; the per-route functions and dense references (``rate_matrix``,
 _LAZY = {
     "errors": ("DomainError", "NumericalError", "PartdistError", "SizeLimitError"),
     "symgroup": (
-        "Permutation",
         "GroupOrdering",
         "all_permutations",
         "partitions_of",

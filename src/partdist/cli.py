@@ -8,7 +8,7 @@ byte-identical; ``sample`` refuses a config with no seed (exit 2).
 :func:`load_config` is the one place that says so; the chunk's value is
 hashed but sizes nothing, since the engine sizes its own steps, and
 artifacts print the configured engine.  No flag sets the chunk.  Exit codes:
-0 success, 2 bad config/usage, 3 size guard, 4 numerical failure.
+0 success, 2 bad config/usage or unwritable --out, 3 size guard, 4 numerical failure.
 
 Output strings print as 0/1 text ("10110") through one helper,
 :func:`partdist.interferometer.output_text`, in every subcommand.  ``rate``
@@ -39,6 +39,7 @@ rate call also warns once with its own count.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import io
@@ -233,14 +234,26 @@ def load_config(path: str, args: argparse.Namespace) -> Config:
 # Output plumbing
 
 
+@contextlib.contextmanager
+def _output(out: str | None):
+    """The file ``out`` opened for writing, or stdout when ``out`` is empty.
+    Every artifact is written through here, so a path that cannot be
+    written is a :class:`DomainError` (exit 2) in every subcommand."""
+    if not out:
+        yield sys.stdout
+        return
+    try:
+        with open(out, "w") as fh:
+            yield fh
+    except OSError as exc:
+        raise DomainError(f"cannot write {out}: {exc}") from exc
+
+
 def _emit(pieces, out: str | None) -> None:
     """Write the strings ``pieces`` in order to the file ``out``, or to
     stdout when ``out`` is empty."""
-    if out:
-        with open(out, "w") as fh:
-            fh.writelines(pieces)
-    else:
-        sys.stdout.writelines(pieces)
+    with _output(out) as fh:
+        fh.writelines(pieces)
 
 
 def _emit_json(obj, out: str | None) -> None:
@@ -348,7 +361,8 @@ def cmd_distribution(args) -> None:
             "tv_from_distinguishable": total_variation(dist, ref_d),
             "out": args.out,
         }
-    to_jsonl(dist, args.out or sys.stdout)
+    with _output(args.out) as fh:
+        to_jsonl(dist, fh)
     if args.out:
         _emit_json(summary, None)
     else:
@@ -406,7 +420,7 @@ def cmd_landscape(args) -> None:
         points = [{2: float(d2), 3: float(d3)} for d2 in grid for d3 in grid]
     A = submatrix(cfg.interferometer, sorted(cfg.detectors), cfg.input_ports)
 
-    taus = np.full((len(points), cfg.n), args.shift, dtype=float)
+    taus = np.zeros((len(points), cfg.n))
     for i, p in enumerate(points):
         for axis, d in p.items():
             taus[i, axis - 1] += d
@@ -497,8 +511,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=41, help="grid points per axis")
     p.add_argument("--axis", type=int, default=None,
                    help="particle index (2..n) for a 1-D slice at any n")
-    p.add_argument("--shift", type=float, default=0.0,
-                   help="constant added to every arrival time (invariance probe)")
     p.set_defaults(func=cmd_landscape)
 
     p = sub.add_parser("analyze", help="witness partition + bin-collision probabilities")

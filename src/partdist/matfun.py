@@ -1,14 +1,15 @@
 """Permanents, determinants and immanants.
 
 The permanent and determinant are the extreme cases of the immanant family
-imm_lam(B) = sum_sigma chi_lam(sigma) * B[sigma(1),1] * ... * B[sigma(n),n].
+imm_lam(B) = sum_sigma chi_lam(sigma) * B[sigma(1),1] * ... * B[sigma(n),n],
+where chi_lam is computed once per cycle class of S_n.
 :func:`permanent` and :func:`determinant` take one matrix or a stack
 (..., n, n) of them, so a whole batch of output strings costs one call.
 
 Beyond scalars, each partition lam yields a matrix-valued function
 D_lam(M) = sum_gamma D_lam(gamma) * M[gamma(1),1] * ... * M[gamma(n),n]
 (the block of the GL irrep lam acting on the weight-(1,...,1) subspace),
-whose trace is the immanant (:func:`dfunction_direct`).
+whose trace is the immanant (:func:`dfunction_direct`, over an ordering).
 """
 
 from __future__ import annotations
@@ -19,7 +20,14 @@ from functools import cache
 import numpy as np
 
 from .errors import DomainError, SizeLimitError
-from .symgroup import GroupOrdering, IrrepMatrixSet, all_permutations, character, monomials
+from .symgroup import (
+    GroupOrdering,
+    all_permutations,
+    character,
+    irrep_matrices,
+    monomials,
+    partitions_of,
+)
 
 __all__ = [
     "determinant",
@@ -27,11 +35,9 @@ __all__ = [
     "immanant",
     "dfunction_direct",
     "MAX_PERMANENT_SIZE",
-    "MAX_IMMANANT_DEGREE",
 ]
 
 MAX_PERMANENT_SIZE = 20
-MAX_IMMANANT_DEGREE = 10
 GLYNN_PRODUCTS = 2**16  # Glynn products held per step of permanent(), 1 MiB of complex
 
 
@@ -113,32 +119,26 @@ def permanent(M):
     return complex(values[0]) if M.ndim == 2 else values.reshape(M.shape[:-2])
 
 
-def immanant(lam: tuple[int, ...], M, ordering: GroupOrdering | None = None) -> complex:
-    """Character-weighted sum over all n! permutation monomials."""
+def immanant(lam: tuple[int, ...], M) -> complex:
+    """Character-weighted sum over all n! permutation monomials, the
+    characters read per cycle class; n <= 10 like the group itself."""
     M = _square(M)
     n = M.shape[0]
     if sum(lam) != n:
         raise DomainError(f"partition {lam} does not match matrix size {n}")
-    if n > MAX_IMMANANT_DEGREE:
-        raise SizeLimitError(f"immanant limited to n <= {MAX_IMMANANT_DEGREE}, got {n}")
-    if ordering is None:
-        ordering = all_permutations(n)
-    chars = np.array([character(lam, p) for p in ordering], dtype=np.float64)
-    return complex(chars @ monomials(M, ordering))
+    ordering = all_permutations(n)
+    table = np.array([character(lam, rho) for rho in partitions_of(n)], dtype=np.float64)
+    return complex(table[ordering.cycle_classes] @ monomials(M, ordering))
 
 
-def dfunction_direct(
-    lam: tuple[int, ...], M, irreps: IrrepMatrixSet
-) -> np.ndarray:
-    """D_lam(M) evaluated directly as sum_gamma D_lam(gamma) * monomial(M, gamma).
+def dfunction_direct(lam: tuple[int, ...], M, ordering: GroupOrdering) -> np.ndarray:
+    """D_lam(M) evaluated directly as sum_gamma D_lam(gamma) * monomial(M, gamma)
+    over ``ordering``.
 
     Tests compare it with immanants, polynomial closed forms and the blocks
     of the rate engines.
     """
     M = _square(M)
-    ordering = irreps.ordering
     if M.shape[0] != ordering.n:
         raise DomainError("matrix size does not match irrep degree")
-    mono = monomials(M, ordering)
-    stack = np.stack(irreps.matrices)  # (n!, s, s)
-    return np.tensordot(mono, stack, axes=(0, 0))
+    return np.tensordot(monomials(M, ordering), irrep_matrices(lam, ordering), axes=(0, 0))

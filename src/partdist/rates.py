@@ -167,9 +167,10 @@ def _code_lookup(ordering: GroupOrdering) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _composition_rows(ordering: GroupOrdering):
-    """The composition table comp[i, j] = ordering.index(gj^-1 gi), with no
-    table kept: yields (indices, rows), rows[a] = comp[indices[a]] (int32),
-    W = TABLE_ROWS = 64 rows at a time in ordering order.
+    """The composition table comp[i, j] = the position of gj^-1 gi in the
+    ordering, with no table kept: yields (indices, rows), rows[a] =
+    comp[indices[a]] (int32), W = TABLE_ROWS = 64 rows at a time in
+    ordering order.
 
     A permutation h has the code sum_v h(v) n^v, below n^n, and a table of
     n^n entries turns a code into its index (:func:`_code_lookup`).  With
@@ -641,7 +642,7 @@ class BlockTransform:
     lam in row-major (copy a, component b) order; row (lam, a, b) holds
     sqrt(s_lam/n!) D_lam(gamma)[a, b] as gamma runs along the ordering.  The
     engines apply it with :func:`~partdist.symgroup.fourier_transform`;
-    ``matrix`` is the dense n! x n! form, stacked from
+    ``matrix`` is the dense n! x n! form, read from
     :func:`~partdist.symgroup.irrep_matrices` on first use, for the dense
     reference only.
     """
@@ -658,7 +659,7 @@ class BlockTransform:
         N = len(self.ordering)
         T = np.empty((N, N))
         for lam, offset, s in self.layout:
-            stack = np.stack(irrep_matrices(lam, self.ordering).matrices)  # (N, s, s)
+            stack = irrep_matrices(lam, self.ordering)  # (N, s, s)
             T[offset : offset + s * s] = (
                 math.sqrt(s / N) * stack.transpose(1, 2, 0).reshape(s * s, N)
             )

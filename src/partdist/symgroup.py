@@ -1,9 +1,11 @@
-"""Symmetric-group machinery: permutations, partitions, characters, irreps.
+"""Symmetric-group machinery: the group as an array, partitions,
+characters, irreps.
 
 Everything downstream (rate matrices, block transforms, immanants) is built
-on top of the objects in this module.  Permutations use 0-based one-line
-notation internally; cycle notation in constructors and reprs is 1-based to
-match the usual (12), (123) shorthand.
+on top of this module.  A group element is a row of 0-based one-line images
+in the (n!, n) array of a :class:`GroupOrdering`; its sign and cycle class
+are entries of arrays over the rows, and its irrep matrix a slice of one
+(n!, s, s) array, so no per-element object is ever built.
 
 Irreducible representations are realised in Young's orthogonal form, so every
 representation matrix is real orthogonal and traces give the characters.
@@ -23,7 +25,6 @@ import numpy as np
 from .errors import DomainError, SizeLimitError
 
 __all__ = [
-    "Permutation",
     "GroupOrdering",
     "monomials",
     "all_permutations",
@@ -35,100 +36,11 @@ __all__ = [
     "gl_dimension",
     "standard_tableaux",
     "irrep_matrices",
-    "IrrepMatrixSet",
     "fourier_transform",
     "distinct_block_functions",
 ]
 
 MAX_GROUP_DEGREE = 10  # 10! = 3.6M elements is the largest group we enumerate
-
-
-@dataclass(frozen=True)
-class Permutation:
-    """A permutation of {1..n} stored as 0-based one-line images.
-
-    ``images[i]`` is the (0-based) image of position ``i``.  Composition
-    follows the function convention ``(p * q)(i) = p(q(i))``.
-    """
-
-    images: tuple[int, ...]
-
-    def __post_init__(self):
-        n = len(self.images)
-        if sorted(self.images) != list(range(n)):
-            raise DomainError(f"not a bijection on 0..{n - 1}: {self.images}")
-
-    @staticmethod
-    def identity(n: int) -> "Permutation":
-        return Permutation(tuple(range(n)))
-
-    @staticmethod
-    def from_cycles(n: int, *cycles: tuple[int, ...]) -> "Permutation":
-        """Build from 1-based cycles, e.g. ``from_cycles(3, (1, 2))``."""
-        images = list(range(n))
-        for cyc in cycles:
-            if len(set(cyc)) != len(cyc):
-                raise DomainError(f"repeated element in cycle {cyc}")
-            for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-                if not (1 <= a <= n):
-                    raise DomainError(f"cycle entry {a} outside 1..{n}")
-                images[a - 1] = b - 1
-        return Permutation(tuple(images))
-
-    @property
-    def n(self) -> int:
-        return len(self.images)
-
-    def __call__(self, i: int) -> int:
-        return self.images[i]
-
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        if other.n != self.n:
-            raise DomainError("cannot compose permutations of different degree")
-        return Permutation(tuple(self.images[j] for j in other.images))
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.n
-        for i, j in enumerate(self.images):
-            inv[j] = i
-        return Permutation(tuple(inv))
-
-    def cycles(self) -> tuple[tuple[int, ...], ...]:
-        """Non-trivial cycles, 1-based, smallest element first."""
-        seen = [False] * self.n
-        out = []
-        for start in range(self.n):
-            if seen[start] or self.images[start] == start:
-                seen[start] = True
-                continue
-            cyc = []
-            i = start
-            while not seen[i]:
-                seen[i] = True
-                cyc.append(i + 1)
-                i = self.images[i]
-            out.append(tuple(cyc))
-        return tuple(out)
-
-    def cycle_type(self) -> tuple[int, ...]:
-        """Cycle lengths including fixed points, sorted descending."""
-        lengths = [len(c) for c in self.cycles()]
-        lengths += [1] * (self.n - sum(lengths))
-        return tuple(sorted(lengths, reverse=True))
-
-    @cached_property
-    def sign(self) -> int:
-        return -1 if (self.n - len(self.cycle_type())) % 2 else 1
-
-    def matrix(self) -> np.ndarray:
-        """Row-selection matrix P with (P @ M)[i] = M[images[i]]."""
-        return np.eye(self.n)[list(self.images)]
-
-    def __repr__(self) -> str:
-        cycs = self.cycles()
-        if not cycs:
-            return f"e{self.n}"
-        return "".join("(" + " ".join(map(str, c)) + ")" for c in cycs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,9 +49,9 @@ class GroupOrdering:
     the read-only (n!, n) ``images_array`` holds the one-line images of the
     k-th permutation, and each row must be a bijection on 0..n-1.
 
-    ``ordering[k]`` and iteration make :class:`Permutation` objects on
-    demand; :meth:`index` is a permutation's position.  Orderings compare
-    and hash by identity, and :func:`all_permutations` keeps one per degree.
+    Signs, cycle classes and coset positions are arrays over the rows.
+    Orderings compare and hash by identity, and :func:`all_permutations`
+    keeps one per degree.
     """
 
     n: int
@@ -162,19 +74,6 @@ class GroupOrdering:
     def __len__(self) -> int:
         return len(self.images_array)
 
-    def __getitem__(self, i: int) -> Permutation:
-        return Permutation(tuple(self.images_array[i].tolist()))
-
-    def __iter__(self):
-        return map(Permutation, map(tuple, self.images_array.tolist()))
-
-    def index(self, p: Permutation) -> int:
-        return self._index[p.images]
-
-    @cached_property
-    def _index(self) -> dict[tuple[int, ...], int]:
-        return {images: k for k, images in enumerate(map(tuple, self.images_array.tolist()))}
-
     @cached_property
     def signs(self) -> np.ndarray:
         """(n!,) float signs, (-1)^(number of inversions) of each row of
@@ -185,6 +84,32 @@ class GroupOrdering:
         arr = 1.0 - 2.0 * (inversions % 2)
         arr.setflags(write=False)
         return arr
+
+    @cached_property
+    def cycle_classes(self) -> np.ndarray:
+        """(n!,) read-only positions in :func:`partitions_of` (n) of each
+        row's cycle type, fixed points included.
+
+        Following the images from point i, the first step that comes back
+        to i is the length L_i of its cycle.  A type with c_k cycles of
+        length k puts k c_k <= n points on k-cycles, so the key
+        sum_i (n+1)^(L_i - 1) = sum_k k c_k (n+1)^(k-1) tells types apart.
+        """
+        n = self.n
+        P = self.images_array
+        rows = np.arange(len(P))
+        keys = np.zeros(len(P), dtype=np.int64)
+        for i in range(n):
+            point, length = P[:, i], np.zeros(len(P), dtype=np.int64)
+            for step in range(1, n + 1):
+                length[(point == i) & (length == 0)] = step
+                point = P[rows, point]
+            keys += (n + 1) ** (length - 1)
+        types = np.array([sum(k * (n + 1) ** (k - 1) for k in rho) for rho in partitions_of(n)])
+        order = np.argsort(types)
+        classes = order[np.searchsorted(types[order], keys)]
+        classes.setflags(write=False)
+        return classes
 
     @cached_property
     def coset_gather(self) -> np.ndarray:
@@ -299,15 +224,14 @@ def _check_partition(lam) -> None:
 # Characters via the Murnaghan–Nakayama rule
 
 
-def character(lam: tuple[int, ...], sigma) -> int:
-    """Irreducible character chi_lam evaluated on a permutation or on a cycle
-    type given as a partition tuple."""
-    rho = sigma.cycle_type() if isinstance(sigma, Permutation) else tuple(sigma)
+def character(lam: tuple[int, ...], rho: tuple[int, ...]) -> int:
+    """Irreducible character chi_lam on the class of cycle type rho, a
+    partition of the same integer (see :attr:`GroupOrdering.cycle_classes`)."""
     _check_partition(lam)
     _check_partition(rho)
     if sum(lam) != sum(rho):
         raise DomainError(f"character: |{lam}| != |{rho}|")
-    return _mn(tuple(lam), tuple(sorted(rho, reverse=True)))
+    return _mn(tuple(lam), tuple(rho))
 
 
 @cache
@@ -420,27 +344,6 @@ def standard_tableaux(lam: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...]
     return tuple(out)
 
 
-@dataclass(frozen=True, eq=False)
-class IrrepMatrixSet:
-    """Orthogonal irrep matrices for one partition over a full group ordering.
-
-    ``matrices[k]`` represents ``ordering[k]``; ``matrix(p)`` is the matrix
-    at ``ordering.index(p)``.  Matrices are real orthogonal and satisfy
-    D(p * q) = D(p) @ D(q).
-    """
-
-    lam: tuple[int, ...]
-    ordering: GroupOrdering
-    matrices: tuple[np.ndarray, ...]
-
-    @property
-    def dim(self) -> int:
-        return int(self.matrices[0].shape[0])
-
-    def matrix(self, p: Permutation) -> np.ndarray:
-        return self.matrices[self.ordering.index(p)]
-
-
 def _adjacent_transposition_matrices(lam: tuple[int, ...]) -> list[np.ndarray]:
     """Young's orthogonal matrices for s_k = (k, k+1), k = 1..n-1.
 
@@ -477,39 +380,56 @@ def _adjacent_transposition_matrices(lam: tuple[int, ...]) -> list[np.ndarray]:
     return mats
 
 
+def _lex_rank(images: np.ndarray) -> np.ndarray:
+    """Positions in :func:`all_permutations` of the rows of ``images`` (..., n):
+    the counts d_i = #{j > i : images[j] < images[i]} read in the mixed
+    radix (n-1)!, (n-2)!, ..., 1!."""
+    n = images.shape[-1]
+    rank = np.zeros(images.shape[:-1], dtype=np.intp)
+    for i in range(n - 1):
+        rank = rank * (n - i) + (images[..., i + 1 :] < images[..., i, None]).sum(axis=-1)
+    return rank
+
+
 @cache
-def irrep_matrices(lam: tuple[int, ...], ordering: GroupOrdering) -> IrrepMatrixSet:
-    """Young's orthogonal representation of the whole group.
+def irrep_matrices(lam: tuple[int, ...], ordering: GroupOrdering) -> np.ndarray:
+    """Young's orthogonal representation of the whole group: a read-only
+    (n!, s_lam, s_lam) array whose k-th matrix represents row k of the
+    ordering.  The matrices are real orthogonal, D(p q) = D(p) @ D(q).
 
     Built by breadth-first search along right-multiplication by adjacent
     transpositions, so only n-1 generator matrices are ever constructed
-    explicitly.
+    explicitly.  A level's children sigma s_k run sigma-major, k-minor, and
+    each new one is D(sigma) @ D(s_k) of the first sigma that reaches it.
     """
     n = ordering.n
     if sum(lam) != n:
         raise DomainError(f"partition {lam} does not match group degree {n}")
     gens = _adjacent_transposition_matrices(lam)
-    dim = len(standard_tableaux(lam))
-    identity = tuple(range(n))
-    by_images: dict[tuple[int, ...], np.ndarray] = {identity: np.eye(dim)}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for images in frontier:
-            mat = by_images[images]
-            for k in range(n - 1):
-                # images of sigma * s_k: swap positions k, k+1
-                child = list(images)
-                child[k], child[k + 1] = child[k + 1], child[k]
-                child = tuple(child)
-                if child not in by_images:
-                    by_images[child] = mat @ gens[k]
-                    nxt.append(child)
-        frontier = nxt
-    for m in by_images.values():
-        m.setflags(write=False)
-    matrices = tuple(by_images[images] for images in map(tuple, ordering.images_array.tolist()))
-    return IrrepMatrixSet(lam, ordering, matrices)
+    s = len(standard_tableaux(lam))
+    D = np.empty((len(ordering), s, s))  # in lexicographic order, the identity first
+    D[0] = np.eye(s)
+    reached = np.zeros(len(ordering), dtype=bool)
+    reached[0] = True
+    frontier, frontier_rank = np.arange(n)[None], np.zeros(1, dtype=np.intp)
+    k = np.arange(n - 1)
+    while len(frontier):
+        # images of sigma * s_k: positions k and k+1 swapped
+        children = np.repeat(frontier[:, None], n - 1, axis=1)
+        children[:, k, k], children[:, k, k + 1] = frontier[:, k + 1], frontier[:, k]
+        children = children.reshape(-1, n)
+        rank = _lex_rank(children)
+        _, first = np.unique(rank, return_index=True)
+        new = np.sort(first[~reached[rank[first]]])
+        reached[rank[new]] = True
+        parent, gen = np.divmod(new, n - 1)
+        for j in range(n - 1):
+            pick = gen == j
+            D[rank[new[pick]]] = D[frontier_rank[parent[pick]]] @ gens[j]
+        frontier, frontier_rank = children[new], rank[new]
+    D = D[_lex_rank(ordering.images_array)]
+    D.setflags(write=False)
+    return D
 
 
 # ---------------------------------------------------------------------------

@@ -82,7 +82,6 @@ def test_block_entries_match_immanants_and_polynomials():
     t0 = time.perf_counter()
     rng = np.random.default_rng(RNG_SEED + 1)
     ordering = cycle_ordering(3)
-    irreps = {lam: pd.symgroup.irrep_matrices(lam, ordering) for lam in pd.partitions_of(3)}
     root3 = math.sqrt(3)
 
     def rows(r, images):
@@ -94,9 +93,9 @@ def test_block_entries_match_immanants_and_polynomials():
         r12, r13, r23 = r[0, 1], r[0, 2], r[1, 2]
         triple = r12 * r23 * r13
 
-        per_entry = pd.matfun.dfunction_direct((3,), r, irreps[(3,)])[0, 0]
-        det_entry = pd.matfun.dfunction_direct((1, 1, 1), r, irreps[(1, 1, 1)])[0, 0]
-        blk = pd.matfun.dfunction_direct((2, 1), r, irreps[(2, 1)])
+        per_entry = pd.matfun.dfunction_direct((3,), r, ordering)[0, 0]
+        det_entry = pd.matfun.dfunction_direct((1, 1, 1), r, ordering)[0, 0]
+        blk = pd.matfun.dfunction_direct((2, 1), r, ordering)
 
         imm_e = pd.immanant((2, 1), r)
         imm_12 = pd.immanant((2, 1), rows(r, (1, 0, 2)))
@@ -401,15 +400,13 @@ def test_trace_and_homomorphism_identities():
     for n in range(1, 5):
         ordering = pd.all_permutations(n)
         for lam in pd.partitions_of(n):
-            irreps = pd.symgroup.irrep_matrices(lam, ordering)
             for _ in range(20):
                 M = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-                sigma = ordering[int(rng.integers(math.factorial(n)))]
-                P = sigma.matrix()
-                DM = pd.matfun.dfunction_direct(lam, M, irreps)
+                P = np.eye(n)[ordering.images_array[int(rng.integers(math.factorial(n)))]]
+                DM = pd.matfun.dfunction_direct(lam, M, ordering)
                 worst = max(worst, abs(np.trace(DM) - pd.immanant(lam, M)))
-                DP = pd.matfun.dfunction_direct(lam, P, irreps)
-                DPM = pd.matfun.dfunction_direct(lam, P @ M, irreps)
+                DP = pd.matfun.dfunction_direct(lam, P, ordering)
+                DPM = pd.matfun.dfunction_direct(lam, P @ M, ordering)
                 worst = max(worst, float(np.max(np.abs(DP @ DM - DPM))))
     _gate(10, f"trace equals immanant and permutations act homomorphically, "
               f"all shapes with n <= 4, worst err {worst:.1e}", worst < 1e-8,

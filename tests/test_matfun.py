@@ -12,12 +12,9 @@ from partdist.matfun import (
     immanant,
     permanent,
 )
-from partdist.symgroup import (
-    all_permutations,
-    character,
-    irrep_matrices,
-    partitions_of,
-)
+from partdist.symgroup import all_permutations, character, partitions_of
+
+from orderings import cycle_type
 
 
 UNIT_ROUNDOFF = np.finfo(float).eps / 2
@@ -165,8 +162,8 @@ def test_immanant_from_character_sum():
     ordering = all_permutations(4)
     for lam in partitions_of(4):
         want = sum(
-            character(lam, p) * math.prod(M[p(k), k] for k in range(4))
-            for p in ordering
+            character(lam, cycle_type(row)) * math.prod(M[row[k], k] for k in range(4))
+            for row in ordering.images_array.tolist()
         )
         assert immanant(lam, M) == pytest.approx(want, rel=1e-12)
 
@@ -191,7 +188,7 @@ def test_dfunction_trace_is_immanant():
         ordering = all_permutations(n)
         M = rng.normal(size=(n, n))
         for lam in partitions_of(n):
-            block = dfunction_direct(lam, M, irrep_matrices(lam, ordering))
+            block = dfunction_direct(lam, M, ordering)
             assert np.trace(block) == pytest.approx(immanant(lam, M), rel=1e-10)
 
 
@@ -201,21 +198,19 @@ def test_dfunction_multiplicativity_on_permutations():
     ordering = all_permutations(n)
     M = rng.normal(size=(n, n))
     for lam in [(3, 1), (2, 2), (2, 1, 1)]:
-        irreps = irrep_matrices(lam, ordering)
         for _ in range(5):
-            sigma = ordering[rng.integers(len(ordering))]
-            left = dfunction_direct(lam, sigma.matrix(), irreps)
-            right = dfunction_direct(lam, M, irreps)
-            combined = dfunction_direct(lam, sigma.matrix() @ M, irreps)
+            P = np.eye(n)[ordering.images_array[rng.integers(len(ordering))]]
+            left = dfunction_direct(lam, P, ordering)
+            right = dfunction_direct(lam, M, ordering)
+            combined = dfunction_direct(lam, P @ M, ordering)
             assert np.allclose(left @ right, combined, atol=1e-10)
 
 
 def test_dfunction_of_identity_is_identity():
     ordering = all_permutations(3)
     for lam in partitions_of(3):
-        irreps = irrep_matrices(lam, ordering)
-        block = dfunction_direct(lam, np.eye(3), irreps)
-        assert np.allclose(block, np.eye(irreps.dim), atol=1e-14)
+        block = dfunction_direct(lam, np.eye(3), ordering)
+        assert np.allclose(block, np.eye(len(block)), atol=1e-14)
 
 
 def test_dfunction_21_general_matrix_polynomials():
@@ -226,7 +221,7 @@ def test_dfunction_21_general_matrix_polynomials():
     d, e, f = Z[1]
     g, h, i = Z[2]
     ordering = all_permutations(3)
-    block = dfunction_direct((2, 1), Z, irrep_matrices((2, 1), ordering))
+    block = dfunction_direct((2, 1), Z, ordering)
     s3 = math.sqrt(3)
     want = np.array(
         [

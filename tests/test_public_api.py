@@ -12,7 +12,7 @@ import partdist
 
 PUBLIC = {
     "ArrivalSpec", "DomainError", "GroupOrdering", "Interferometer",
-    "NumericalError", "OutputDistribution", "PartdistError", "Permutation",
+    "NumericalError", "OutputDistribution", "PartdistError",
     "SizeLimitError", "all_permutations", "analyze_report", "build_distribution",
     "burgisser_cost", "catalan", "character", "conjugate", "delay_matrix",
     "delay_matrix_from_times", "delay_partition_probability", "determinant", "discretize",

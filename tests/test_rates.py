@@ -60,7 +60,7 @@ from partdist.symgroup import (
     standard_tableau_count,
 )
 
-from orderings import cycle_ordering, ordering_of
+from orderings import cycle_ordering, ordering_of, positions
 
 
 UNIT_ROUNDOFF = np.finfo(float).eps / 2
@@ -113,7 +113,7 @@ def walked_autocorrelation(v):
     S_v(c), sigma(c) = sum_h |v(h c)| |v(h)|, the walked sum of |v|."""
     ordering = v.ordering
     values = np.asarray(v.values)
-    inverses = [ordering.index(p.inverse()) for p in ordering]
+    inverses = positions(ordering, np.argsort(ordering.images_array, axis=1))
     conj, w = values.conj(), values[inverses]
     S = np.empty(len(ordering), dtype=np.result_type(values, complex))
     for indices, rows in _composition_rows(ordering):
@@ -283,7 +283,7 @@ def test_autocorrelation_pairs_are_exact_conjugates_within_the_bound_of_every_pe
     for convention in ("lex", "cycle"):
         ordering = ordering_of(n, convention)
         S = autocorrelation(A, ordering)
-        inverse = np.array([ordering.index(p.inverse()) for p in ordering])
+        inverse = positions(ordering, np.argsort(ordering.images_array, axis=1))
         assert np.array_equal(S[inverse], S.conj())
         assert (S[inverse == np.arange(len(ordering))].imag == 0).all()
         columns = np.argsort(ordering.images_array, axis=1)
@@ -865,7 +865,7 @@ def test_transform_is_orthogonal():
 
 @pytest.mark.parametrize("convention", ["lex", "cycle"])
 def test_fourier_transform_matches_irreps_built_transform(convention, monkeypatch):
-    # the reference T is stacked from irrep_matrices, independently of the
+    # the reference T is read from irrep_matrices, independently of the
     # FFT; at n = 7 the irreps and T take about 400 MB, so they are built
     # uncached here and freed with the test
     monkeypatch.setattr(rates, "irrep_matrices", irrep_matrices.__wrapped__)
@@ -909,7 +909,7 @@ def test_boson_blocks_equal_transformed_gram_functions():
     blocks, offblock = decompose_rate_matrix(R, T)
     assert offblock < 1e-10
     for lam in partitions_of(4):
-        want = dfunction_direct(lam, r, irrep_matrices(lam, ordering))
+        want = dfunction_direct(lam, r, ordering)
         assert np.allclose(blocks[lam], want, atol=1e-10)
 
 
@@ -919,7 +919,7 @@ def test_fermion_blocks_have_conjugate_spectra():
     T = build_transform(ordering)
     blocks, _ = decompose_rate_matrix(rate_matrix(r, "fermion", ordering), T)
     for lam in partitions_of(4):
-        conj_block = dfunction_direct(conjugate(lam), r, irrep_matrices(conjugate(lam), ordering))
+        conj_block = dfunction_direct(conjugate(lam), r, ordering)
         assert np.allclose(
             np.sort(np.linalg.eigvalsh(blocks[lam])),
             np.sort(np.linalg.eigvalsh(conj_block)),
@@ -1653,24 +1653,3 @@ def test_engine_rates_of_an_empty_stack_are_empty(engine, empty):
     bad = (np.zeros((0, 2, 3)), r) if empty == "strings" else (A[:2], r)
     with pytest.raises(DomainError):
         rates.engine_rates(*bad, "boson", engine)
-
-
-def test_no_engine_route_builds_permutation_objects(monkeypatch):
-    # every engine reads S_n as one image array: not even enumerating the
-    # group makes a Permutation per element
-    built = []
-    validate = symgroup.Permutation.__post_init__
-
-    def counted(p):
-        built.append(p.images)
-        validate(p)
-
-    monkeypatch.setattr(symgroup.Permutation, "__post_init__", counted)
-    all_permutations.cache_clear()
-    n = 6
-    A = submatrix(haar_unitary(8, seed=6), enumerate_outputs(8, n)[:3])
-    r = delay_matrix_from_times(np.linspace(0.0, 1.0, n), 1.5)
-    for engine in ("direct", "streaming", "blocked", "truncated"):
-        for strings in (A[0], A):
-            rates.engine_rates(strings, r, "fermion", engine)
-    assert built == []

@@ -12,7 +12,7 @@ import numpy as np
 import partdist
 from partdist.interferometer import haar_unitary, monomial_vector
 from partdist.rates import attach_vector, build_transform, engine_rates, fourier_blocks, rate_matrix
-from partdist.symgroup import all_permutations, irrep_matrices
+from partdist.symgroup import all_permutations
 
 
 def _dataclasses():
@@ -45,7 +45,7 @@ def test_array_records_hash_and_compare_by_identity():
     records = [
         haar_unitary(4, seed=2),
         v,
-        irrep_matrices((2, 1), ordering),
+        ordering,
         rate_matrix(r, "boson", ordering),
         attach_vector(v, fourier_blocks(r, "boson", T), T, "boson"),
         engine_rates(A, r, "boson", "direct"),

@@ -7,7 +7,6 @@ import pytest
 from partdist.errors import DomainError, SizeLimitError
 from partdist.symgroup import (
     GroupOrdering,
-    Permutation,
     all_permutations,
     character,
     conjugate,
@@ -15,81 +14,80 @@ from partdist.symgroup import (
     dominates,
     gl_dimension,
     irrep_matrices,
+    monomials,
     partitions_of,
     standard_tableau_count,
     standard_tableaux,
 )
 
-from orderings import cycle_ordering
-
-
-# ---------------------------------------------------------------------------
-# Permutations
-
-
-def test_permutation_composition_and_inverse():
-    p = Permutation.from_cycles(4, (1, 2, 3))
-    q = Permutation.from_cycles(4, (3, 4))
-    pq = p * q
-    for i in range(4):
-        assert pq(i) == p(q(i))
-    assert (p * p.inverse()) == Permutation.identity(4)
-    assert (p.inverse() * p) == Permutation.identity(4)
-
-
-def test_permutation_rejects_non_bijections():
-    with pytest.raises(DomainError):
-        Permutation((0, 0, 1))
-    with pytest.raises(DomainError):
-        Permutation((0, 3, 1))
-
-
-def test_cycle_notation_round_trip():
-    p = Permutation.from_cycles(5, (1, 3), (2, 5, 4))
-    assert p.cycles() == ((1, 3), (2, 5, 4))
-    assert Permutation.from_cycles(5, *p.cycles()) == p
-
-
-def test_cycle_type_includes_fixed_points():
-    p = Permutation.from_cycles(6, (1, 2, 3), (4, 5))
-    assert p.cycle_type() == (3, 2, 1)
-    assert Permutation.identity(4).cycle_type() == (1, 1, 1, 1)
-
-
-def test_sign_matches_permutation_matrix_determinant():
-    rng = np.random.default_rng(0)
-    for n in (2, 3, 4, 5, 6):
-        for _ in range(10):
-            images = tuple(rng.permutation(n).tolist())
-            p = Permutation(images)
-            assert p.sign == round(np.linalg.det(p.matrix()))
-
-
-def test_permutation_matrix_is_row_selection():
-    # left multiplication permutes rows: (P @ M)[i] = M[p(i)]
-    p = Permutation.from_cycles(3, (1, 2, 3))
-    rng = np.random.default_rng(11)
-    M = rng.normal(size=(3, 3))
-    assert np.array_equal(p.matrix() @ M, M[list(p.images)])
-    # and the monomial of P_sigma is supported on sigma inverse alone, which
-    # is what makes the transformed block of P_sigma equal D(sigma) transpose
-    assert np.array_equal(p.matrix() @ p.inverse().matrix(), np.eye(3))
+from orderings import cycle_ordering, cycle_type, cycles, positions
 
 
 # ---------------------------------------------------------------------------
 # Group orderings
 
 
+def test_permutation_rejects_non_bijections():
+    # a row of an ordering is a permutation only when it hits every point
+    for row in ((0, 0, 1), (0, 3, 1)):
+        images = np.array(list(itertools.permutations(range(3))))
+        images[3] = row
+        with pytest.raises(DomainError):
+            GroupOrdering(3, images)
+
+
+def test_cycle_type_includes_fixed_points():
+    # cycle classes index partitions_of(n), fixed points counted as 1-cycles
+    ordering = all_permutations(6)
+    for images, want in (((1, 2, 0, 4, 3, 5), (3, 2, 1)),   # (123)(45)
+                         ((0, 1, 2, 3, 4, 5), (1,) * 6),
+                         ((1, 0, 2, 3, 4, 5), (2, 1, 1, 1, 1))):
+        k = ordering.images_array.tolist().index(list(images))
+        assert partitions_of(6)[ordering.cycle_classes[k]] == want
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_cycle_classes_match_a_cycle_walk(n):
+    parts = partitions_of(n)
+    for ordering in (all_permutations(n), cycle_ordering(n)):
+        classes = ordering.cycle_classes
+        assert classes.shape == (len(ordering),) and not classes.flags.writeable
+        want = [cycle_type(row) for row in ordering.images_array.tolist()]
+        assert [parts[c] for c in classes.tolist()] == want
+
+
+def test_sign_matches_permutation_matrix_determinant():
+    for n in (2, 3, 4, 5, 6):
+        for ordering in (all_permutations(n), cycle_ordering(n)):
+            for row, sign in zip(ordering.images_array, ordering.signs):
+                assert sign == round(np.linalg.det(np.eye(n)[row]))
+
+
+def test_permutation_matrix_is_row_selection():
+    # left multiplication by P = eye[images] permutes rows, (P @ M)[i] =
+    # M[g(i)]; the monomial vector of P is supported on g inverse alone,
+    # which is what makes the transformed block of P equal D(g) transpose
+    ordering = all_permutations(4)
+    rng = np.random.default_rng(11)
+    M = rng.normal(size=(4, 4))
+    inverse = positions(ordering, np.argsort(ordering.images_array, axis=1))
+    for k, row in enumerate(ordering.images_array):
+        P = np.eye(4)[row]
+        assert np.array_equal(P @ M, M[row])
+        mono = monomials(P, ordering)
+        assert mono[inverse[k]] == 1 and np.count_nonzero(mono) == 1
+
+
 def test_lex_ordering_n3():
     ordering = all_permutations(3)
-    assert [p.images for p in ordering] == [
-        (0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0),
+    assert ordering.images_array.tolist() == [
+        [0, 1, 2], [0, 2, 1], [1, 0, 2], [1, 2, 0], [2, 0, 1], [2, 1, 0],
     ]
 
 
 def test_cycle_ordering_n3_groups_by_class():
     ordering = cycle_ordering(3)
-    assert [p.cycles() for p in ordering] == [
+    assert [cycles(row) for row in ordering.images_array.tolist()] == [
         (), ((1, 2),), ((1, 3),), ((2, 3),), ((1, 2, 3),), ((1, 3, 2),),
     ]
 
@@ -106,21 +104,27 @@ def test_ordering_index_and_arrays_agree():
         for images in (broken, want[1:]):
             with pytest.raises(DomainError):
                 GroupOrdering(n, images)
+        # every ordering holds each permutation once: the rows' positions
+        # in it are 0..n!-1
         for ordering in (lex, cycle_ordering(n)):
-            for k, p in enumerate(ordering):
-                assert ordering.index(ordering[k]) == k
-                assert tuple(ordering.images_array[k]) == p.images
-                assert ordering.signs[k] == p.sign
+            assert len(ordering) == math.factorial(n)
+            assert np.array_equal(positions(ordering, ordering.images_array),
+                                  np.arange(len(ordering)))
 
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_signs_and_inverse_images_from_the_image_array(n):
     # signs by inversion parity and inverse images by argsort, as the rate
-    # layer takes them, against the permutation objects
+    # layer takes them, against the parity of a cycle walk and the inverse
+    # images written out point by point
     for ordering in (all_permutations(n), cycle_ordering(n)):
-        want = np.array([p.sign for p in ordering], dtype=np.float64)
+        rows = ordering.images_array.tolist()
+        want = np.array([(-1.0) ** (n - len(cycle_type(row))) for row in rows])
         assert ordering.signs.dtype == want.dtype and ordering.signs.tobytes() == want.tobytes()
-        inverse = np.array([p.inverse().images for p in ordering], dtype=np.intp)
+        inverse = np.zeros((len(rows), n), dtype=np.intp)
+        for k, row in enumerate(rows):
+            for i, image in enumerate(row):
+                inverse[k, image] = i
         assert np.array_equal(np.argsort(ordering.images_array, axis=1), inverse)
 
 
@@ -214,34 +218,42 @@ CHARACTER_TABLES = {
 }
 
 
-def _representative(n, cycle_type):
-    cycles, start = [], 1
-    for length in cycle_type:
-        if length > 1:
-            cycles.append(tuple(range(start, start + length)))
+def _representative(rho):
+    """Images of the permutation with one cycle on each run of consecutive
+    points, of the lengths in rho."""
+    images, start = [], 0
+    for length in rho:
+        images += [start + (j + 1) % length for j in range(length)]
         start += length
-    return Permutation.from_cycles(n, *cycles)
+    return images
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_character_tables(n):
-    for cycle_type, row in CHARACTER_TABLES[n].items():
-        sigma = _representative(n, cycle_type)
-        assert sigma.cycle_type() == cycle_type
-        for lam, value in row.items():
-            assert character(lam, sigma) == value
+    ordering = all_permutations(n)
+    rows = ordering.images_array.tolist()
+    for rho, table in CHARACTER_TABLES[n].items():
+        k = rows.index(_representative(rho))
+        assert partitions_of(n)[ordering.cycle_classes[k]] == rho
+        for lam, value in table.items():
+            assert character(lam, rho) == value
 
 
 def test_character_is_a_class_function():
-    sigma = Permutation.from_cycles(4, (1, 3), (2, 4))
-    tau = Permutation.from_cycles(4, (1, 2), (3, 4))
-    for lam in partitions_of(4):
-        assert character(lam, sigma) == character(lam, tau)
+    # h g h^-1 lies in the class of g, and the irrep traces agree on it
+    ordering = all_permutations(4)
+    P = ordering.images_array
+    for h, h_inv in zip(P, np.argsort(P, axis=1)):
+        conjugates = positions(ordering, h[P[:, h_inv]])
+        assert np.array_equal(ordering.cycle_classes[conjugates], ordering.cycle_classes)
+        for lam in partitions_of(4):
+            traces = np.trace(irrep_matrices(lam, ordering), axis1=1, axis2=2)
+            assert np.allclose(traces[conjugates], traces, atol=1e-12)
 
 
 def test_character_column_orthogonality_identity_class():
     for n in range(2, 7):
-        assert sum(character(lam, Permutation.identity(n)) ** 2
+        assert sum(character(lam, (1,) * n) ** 2
                    for lam in partitions_of(n)) == math.factorial(n)
 
 
@@ -261,9 +273,8 @@ def test_standard_tableau_counts():
 
 def test_tableau_count_equals_character_degree():
     for n in range(2, 8):
-        e = Permutation.identity(n)
         for lam in partitions_of(n):
-            assert standard_tableau_count(lam) == character(lam, e)
+            assert standard_tableau_count(lam) == character(lam, (1,) * n)
 
 
 def test_gl_dimensions():
@@ -296,35 +307,40 @@ def test_irrep_matrices_are_orthogonal():
     ordering = all_permutations(4)
     for lam in partitions_of(4):
         rep = irrep_matrices(lam, ordering)
-        for D in rep.matrices:
-            assert np.allclose(D @ D.T, np.eye(rep.dim), atol=1e-12)
+        s = standard_tableau_count(lam)
+        assert rep.shape == (24, s, s) and not rep.flags.writeable
+        for D in rep:
+            assert np.allclose(D @ D.T, np.eye(s), atol=1e-12)
 
 
 def test_irrep_homomorphism_property():
+    # D(p q) = D(p) D(q), with (p q)(i) = p(q(i)) on the image rows
     rng = np.random.default_rng(3)
-    ordering = all_permutations(5)
-    for lam in [(3, 2), (2, 2, 1), (4, 1)]:
-        rep = irrep_matrices(lam, ordering)
-        for _ in range(20):
-            p, q = (ordering[rng.integers(len(ordering))] for _ in range(2))
-            assert np.allclose(rep.matrix(p * q), rep.matrix(p) @ rep.matrix(q),
-                               atol=1e-12)
+    for ordering in (all_permutations(5), cycle_ordering(5)):
+        P = ordering.images_array
+        for lam in [(3, 2), (2, 2, 1), (4, 1)]:
+            rep = irrep_matrices(lam, ordering)
+            for _ in range(20):
+                a, b = rng.integers(len(ordering), size=2)
+                ab = positions(ordering, P[a][P[b]])
+                assert np.allclose(rep[ab], rep[a] @ rep[b], atol=1e-12)
 
 
 def test_irrep_traces_are_characters():
-    ordering = all_permutations(5)
-    for lam in partitions_of(5):
-        rep = irrep_matrices(lam, ordering)
-        for p, D in zip(ordering, rep.matrices):
-            assert abs(np.trace(D) - character(lam, p)) < 1e-12
+    for n in range(1, 7):
+        for ordering in (all_permutations(n), cycle_ordering(n)):
+            types = [cycle_type(row) for row in ordering.images_array.tolist()]
+            for lam in partitions_of(n):
+                traces = np.trace(irrep_matrices(lam, ordering), axis1=1, axis2=2)
+                want = np.array([character(lam, rho) for rho in types], dtype=float)
+                assert np.abs(traces - want).max() < 1e-12
 
 
 def test_irrep_adjacent_transposition_n3():
     # the two-dimensional standard module in the orthogonal (Young) basis
     ordering = all_permutations(3)
     rep = irrep_matrices((2, 1), ordering)
-    s12 = rep.matrix(Permutation.from_cycles(3, (1, 2)))
-    s23 = rep.matrix(Permutation.from_cycles(3, (2, 3)))
+    s12, s23 = rep[positions(ordering, [[1, 0, 2], [0, 2, 1]])]
     assert np.allclose(s12, np.diag([1.0, -1.0]), atol=1e-15)
     half = np.array([[-0.5, math.sqrt(3) / 2], [math.sqrt(3) / 2, 0.5]])
     assert np.allclose(s23, half, atol=1e-15)
@@ -339,5 +355,4 @@ def test_sum_of_squared_dimensions_is_group_order():
 def test_sign_representation_matches_sign():
     ordering = all_permutations(4)
     rep = irrep_matrices((1, 1, 1, 1), ordering)
-    for p, D in zip(ordering, rep.matrices):
-        assert D.shape == (1, 1) and abs(D[0, 0] - p.sign) < 1e-15
+    assert rep.shape == (24, 1, 1) and np.abs(rep[:, 0, 0] - ordering.signs).max() < 1e-15
