@@ -39,7 +39,6 @@ entry points; the per-route functions and dense references (``rate_matrix``,
 _LAZY = {
     "errors": ("DomainError", "NumericalError", "PartdistError", "SizeLimitError"),
     "symgroup": (
-        "GroupOrdering",
         "all_permutations",
         "partitions_of",
         "conjugate",

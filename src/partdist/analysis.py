@@ -33,7 +33,6 @@ meant to be covered; the formula is kept as is and serves as a reference.
 from __future__ import annotations
 
 import math
-import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -73,24 +72,13 @@ def witness_partition(n: int) -> tuple[int, ...]:
     return (math.ceil(n / 2), n // 2)
 
 
-def _as_partition(mu) -> tuple[int, ...]:
-    """mu as a tuple of ints, refusing parts that are not integers (2.7 is
-    not read as 2) and tuples that are not partitions."""
-    try:
-        mu = tuple(operator.index(p) for p in mu)
-    except TypeError as exc:
-        raise DomainError(f"partition parts must be integers: {mu!r}") from exc
-    _check_partition(mu)
-    return mu
-
-
 def requires_witness(mu) -> bool:
     """True iff a bin-occupancy pattern mu (a descending tuple of integers,
     as :func:`~partdist.delays.discretize` returns) forces the
     witness-class blocks into the kept set: iff mu is dominated by the
     witness partition of n = sum(mu), which is iff no bin holds more than
     ceil(n/2) particles."""
-    mu = _as_partition(mu)
+    mu = _check_partition(mu)
     return dominates(witness_partition(sum(mu)), mu)
 
 
@@ -125,7 +113,7 @@ def burgisser_cost(lam) -> CostEstimate:
     number C_k and the GL(2k) dimension is C_k * binom(2k+1, k); both closed
     forms are asserted against the hook formulas on every such call.
     """
-    lam = _as_partition(lam)
+    lam = _check_partition(lam)
     n = sum(lam)
     s = standard_tableau_count(lam)
     d = gl_dimension(lam, n)
@@ -151,7 +139,7 @@ def delay_partition_probability(mu, b: int) -> Fraction:
     factorial b (b-1) ... (b-k+1) over the tallies, so b! is never formed
     and any b is exact.
     """
-    mu = _as_partition(mu)
+    mu = _check_partition(mu)
     b = _as_count(b, "bin")
     if b < 1:
         raise DomainError("need at least one bin")

@@ -44,6 +44,7 @@ import csv
 import hashlib
 import io
 import json
+import os
 import sys
 import time
 import warnings
@@ -234,11 +235,32 @@ def load_config(path: str, args: argparse.Namespace) -> Config:
 # Output plumbing
 
 
+def _check_out(out: str | None) -> None:
+    """Refuse an ``--out`` path that cannot be written, before any work
+    runs: a directory, a path whose parent directory is missing, or one
+    without write access is a :class:`DomainError` (exit 2).  Nothing is
+    created or truncated here; :func:`_output` opens the file at the end."""
+    if not out:
+        return
+    parent = os.path.dirname(os.path.abspath(out))
+    if os.path.isdir(out):
+        problem = "it is a directory"
+    elif not os.path.isdir(parent):
+        problem = f"no directory {parent}"
+    elif not os.access(out if os.path.exists(out) else parent, os.W_OK):
+        problem = "no write permission"
+    else:
+        return
+    raise DomainError(f"cannot write {out}: {problem}")
+
+
 @contextlib.contextmanager
 def _output(out: str | None):
     """The file ``out`` opened for writing, or stdout when ``out`` is empty.
     Every artifact is written through here, so a path that cannot be
-    written is a :class:`DomainError` (exit 2) in every subcommand."""
+    written is a :class:`DomainError` (exit 2) in every subcommand; main
+    refuses the paths that :func:`_check_out` can tell apart before the
+    subcommand runs."""
     if not out:
         yield sys.stdout
         return
@@ -531,6 +553,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_out(args.out)
         args.func(args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)

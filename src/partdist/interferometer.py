@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, SizeLimitError, _as_count
-from .symgroup import GroupOrdering, monomials
+from .symgroup import monomials
 
 __all__ = [
     "Interferometer",
@@ -28,7 +28,6 @@ __all__ = [
     "submatrix",
     "output_text",
     "monomial_vector",
-    "MonomialVector",
     "enumerate_outputs",
     "unitary_to_json",
     "unitary_from_json",
@@ -127,28 +126,18 @@ def output_text(detectors, m: int):
     return text if rows.ndim == 1 else [text[k : k + m] for k in range(0, len(text), m)]
 
 
-@dataclass(frozen=True, eq=False)
-class MonomialVector:
-    """v[gamma] = A[gamma(1),1] * ... * A[gamma(n),n] over a group ordering;
-    ``values`` has shape (n!,), or (K, n!) for a stack of K submatrices."""
-
-    ordering: GroupOrdering
-    values: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
-def monomial_vector(A, ordering: GroupOrdering) -> MonomialVector:
-    """Monomial vector of an n x n submatrix, or of every matrix of a stack
-    (K, n, n) (:func:`~partdist.symgroup.monomials`)."""
+def monomial_vector(A) -> np.ndarray:
+    """Monomial vector v[gamma] = A[gamma(1),1] * ... * A[gamma(n),n] of an
+    n x n submatrix, over the rows of
+    :func:`~partdist.symgroup.all_permutations` (n): a read-only (n!,)
+    array, or (K, n!) for a stack (K, n, n) of submatrices
+    (:func:`~partdist.symgroup.monomials`)."""
     A = np.asarray(A)
-    n = ordering.n
-    if A.shape[-2:] != (n, n) or A.ndim not in (2, 3):
-        raise DomainError(f"expected a {n}x{n} submatrix or a stack of them, got {A.shape}")
-    values = monomials(A, ordering)
+    if A.ndim not in (2, 3) or A.shape[-1] != A.shape[-2]:
+        raise DomainError(f"expected a square submatrix or a stack of them, got {A.shape}")
+    values = monomials(A)
     values.setflags(write=False)
-    return MonomialVector(ordering, values)
+    return values
 
 
 MAX_DISTRIBUTION_STRINGS = 100_000

@@ -9,7 +9,8 @@ where chi_lam is computed once per cycle class of S_n.
 Beyond scalars, each partition lam yields a matrix-valued function
 D_lam(M) = sum_gamma D_lam(gamma) * M[gamma(1),1] * ... * M[gamma(n),n]
 (the block of the GL irrep lam acting on the weight-(1,...,1) subspace),
-whose trace is the immanant (:func:`dfunction_direct`, over an ordering).
+whose trace is the immanant (:func:`dfunction_direct`, summed along the
+rows of :func:`~partdist.symgroup.all_permutations`).
 """
 
 from __future__ import annotations
@@ -20,14 +21,7 @@ from functools import cache
 import numpy as np
 
 from .errors import DomainError, SizeLimitError
-from .symgroup import (
-    GroupOrdering,
-    all_permutations,
-    character,
-    irrep_matrices,
-    monomials,
-    partitions_of,
-)
+from .symgroup import character, cycle_classes, irrep_matrices, monomials, partitions_of
 
 __all__ = [
     "determinant",
@@ -126,19 +120,19 @@ def immanant(lam: tuple[int, ...], M) -> complex:
     n = M.shape[0]
     if sum(lam) != n:
         raise DomainError(f"partition {lam} does not match matrix size {n}")
-    ordering = all_permutations(n)
+    classes = cycle_classes(n)  # refuses n > 10 before any character is taken
     table = np.array([character(lam, rho) for rho in partitions_of(n)], dtype=np.float64)
-    return complex(table[ordering.cycle_classes] @ monomials(M, ordering))
+    return complex(table[classes] @ monomials(M))
 
 
-def dfunction_direct(lam: tuple[int, ...], M, ordering: GroupOrdering) -> np.ndarray:
+def dfunction_direct(lam: tuple[int, ...], M) -> np.ndarray:
     """D_lam(M) evaluated directly as sum_gamma D_lam(gamma) * monomial(M, gamma)
-    over ``ordering``.
+    over S_n, n = |lam|.
 
     Tests compare it with immanants, polynomial closed forms and the blocks
     of the rate engines.
     """
     M = _square(M)
-    if M.shape[0] != ordering.n:
+    if M.shape[0] != sum(lam):
         raise DomainError("matrix size does not match irrep degree")
-    return np.tensordot(monomials(M, ordering), irrep_matrices(lam, ordering), axes=(0, 0))
+    return np.tensordot(monomials(M), irrep_matrices(lam), axes=(0, 0))

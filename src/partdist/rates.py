@@ -2,7 +2,8 @@
 form and block-diagonalized form.
 
 The direct route is the literal rate v^dag R v, v the scattering monomial
-vector and R the rate matrix over a group ordering,
+vector and R the rate matrix, both over the rows gi of
+:func:`~partdist.symgroup.all_permutations`,
 
     R[i, j] = f(gj^-1 gi),   f(c) = w(c) prod_k r[c(k), k],
 
@@ -78,10 +79,9 @@ from functools import cache, cached_property
 import numpy as np
 
 from .errors import ClampWarning, DomainError, NumericalError, SizeLimitError
-from .interferometer import MonomialVector, monomial_vector
+from .interferometer import monomial_vector
 from .matfun import _glynn, permanent
 from .symgroup import (
-    GroupOrdering,
     all_permutations,
     conjugate,
     dominates,
@@ -89,6 +89,7 @@ from .symgroup import (
     irrep_matrices,
     monomials,
     partitions_of,
+    signs,
     standard_tableau_count,
 )
 
@@ -134,16 +135,19 @@ def _as_real(r) -> np.ndarray:
     return np.asarray(r, dtype=float)
 
 
-def _check_delay_matrix(r, n: int, batch: bool = False) -> np.ndarray:
+def _check_delay_matrix(r, n: int | None = None, batch: bool = False) -> np.ndarray:
     """r as floats, after checking that it is a real n x n symmetric matrix with
     unit diagonal whose entries are finite overlaps in [-1, 1]; with
-    ``batch`` a stack (..., n, n) of them.  Each of the three holds to
+    ``batch`` a stack (..., n, n) of them, and n by default the size of
+    r's last axis.  Each of the three holds to
     DELAY_MATRIX_TOL = 1e-12 absolute, as a normalised Gram matrix does by
     rounding.  Every delay matrix of :mod:`partdist.delays` passes exactly,
     since (t_i - t_j)^2 = (t_j - t_i)^2 in IEEE arithmetic and exp(0) = 1;
     the rounding bounds of the dense and block routes take |r_ij| <= 1.
     """
     r = _as_real(r)
+    if n is None:
+        n = r.shape[-1] if r.ndim else 0
     if r.shape[-2:] != (n, n) or (r.ndim != 2 and not batch):
         raise DomainError(f"delay matrix shape {r.shape} does not match degree {n}")
     if not (np.abs(r) <= 1.0 + DELAY_MATRIX_TOL).all():  # False for NaN and infinities too
@@ -155,22 +159,22 @@ def _check_delay_matrix(r, n: int, batch: bool = False) -> np.ndarray:
     return r
 
 
-def _code_lookup(ordering: GroupOrdering) -> tuple[np.ndarray, np.ndarray]:
+def _code_lookup(n: int) -> tuple[np.ndarray, np.ndarray]:
     """(lut, powers): a permutation h has the code h @ powers = sum_v h(v)
-    n^v, below n^n, and lut[code] is its position in ``ordering`` (int32,
-    4 n^n bytes, 3.3 MB at n = 7)."""
-    n = ordering.n
+    n^v, below n^n, and lut[code] is its row in :func:`all_permutations`
+    (int32, 4 n^n bytes, 3.3 MB at n = 7)."""
+    P = all_permutations(n)
     powers = n ** np.arange(n, dtype=np.int64)
     lut = np.empty(n**n, dtype=np.int32)
-    lut[ordering.images_array @ powers] = np.arange(len(ordering))
+    lut[P @ powers] = np.arange(len(P))
     return lut, powers
 
 
-def _composition_rows(ordering: GroupOrdering):
-    """The composition table comp[i, j] = the position of gj^-1 gi in the
-    ordering, with no table kept: yields (indices, rows), rows[a] =
-    comp[indices[a]] (int32), W = TABLE_ROWS = 64 rows at a time in
-    ordering order.
+def _composition_rows(n: int):
+    """The composition table comp[i, j] = the row of gj^-1 gi in
+    :func:`all_permutations` (n), with no table kept: yields (indices,
+    rows), rows[a] = comp[indices[a]] (int32), W = TABLE_ROWS = 64 rows at
+    a time in row order.
 
     A permutation h has the code sum_v h(v) n^v, below n^n, and a table of
     n^n entries turns a code into its index (:func:`_code_lookup`).  With
@@ -181,11 +185,11 @@ def _composition_rows(ordering: GroupOrdering):
     n^n <= 7^7 < 2^53, and one lookup.  The call holds the 4 n^n-byte
     lookup table, inv, Q and a float copy of inv (24 n N bytes) and, for a
     block of W rows, the 8 N W-byte product and its 4 N W bytes of codes,
-    then the 4 N W bytes of rows: 8 MB at n = 7, the same for any ordering.
+    then the 4 N W bytes of rows: 8 MB at n = 7.
     """
-    N = len(ordering)
-    lut, powers = _code_lookup(ordering)
-    inv = np.argsort(ordering.images_array, axis=1)
+    lut, powers = _code_lookup(n)
+    inv = np.argsort(all_permutations(n), axis=1)
+    N = len(inv)
     Q, invT = powers[inv].astype(float), inv.T.astype(float)
     for start in range(0, N, TABLE_ROWS):
         stop = min(start + TABLE_ROWS, N)
@@ -194,15 +198,11 @@ def _composition_rows(ordering: GroupOrdering):
 
 @dataclass(frozen=True, eq=False)
 class RateMatrix:
-    """Dense rate matrix over a fixed group ordering."""
+    """Dense n! x n! rate matrix over the rows of :func:`all_permutations` (n)."""
 
     species: str
-    ordering: GroupOrdering
+    n: int
     matrix: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.ordering.n
 
 
 def _check_species(species: str) -> str:
@@ -219,14 +219,14 @@ def _check_dense_degree(n: int) -> None:
         )
 
 
-def _weighted_monomials(r: np.ndarray, species: str, ordering: GroupOrdering) -> np.ndarray:
-    """f(g) = w(g) mono_r(g) over the ordering, w = sgn for fermions; r may
-    be a stack (..., n, n)."""
-    f = monomials(r, ordering)
-    return f * ordering.signs if species == "fermion" else f
+def _weighted_monomials(r: np.ndarray, species: str) -> np.ndarray:
+    """f(g) = w(g) mono_r(g) over the rows g of :func:`all_permutations`,
+    w = sgn for fermions; r may be a stack (..., n, n)."""
+    f = monomials(r)
+    return f * signs(r.shape[-1]) if species == "fermion" else f
 
 
-def rate_matrix(r, species: str, ordering: GroupOrdering) -> RateMatrix:
+def rate_matrix(r, species: str) -> RateMatrix:
     """Dense n! x n! rate matrix from a delay matrix: R[i, j] = f(gj^-1 gi)
     with f = w mono_r, filled 64 rows at a time by a lookup of f through the
     rows of the composition table (:func:`_composition_rows`).  Beyond R
@@ -238,21 +238,22 @@ def rate_matrix(r, species: str, ordering: GroupOrdering) -> RateMatrix:
     and multiplying by +-1 is exact.
     """
     _check_species(species)
-    n = ordering.n
+    r = _check_delay_matrix(r)
+    n = len(r)
     _check_dense_degree(n)
-    r = _check_delay_matrix(r, n)
-    f = _weighted_monomials(r, species, ordering)
-    R = np.empty((len(ordering), len(ordering)))
-    for indices, rows in _composition_rows(ordering):
+    f = _weighted_monomials(r, species)
+    R = np.empty((len(f), len(f)))
+    for indices, rows in _composition_rows(n):
         R[indices] = f[rows]
     R.setflags(write=False)
-    return RateMatrix(species, ordering, R)
+    return RateMatrix(species, n, R)
 
 
-def autocorrelation(A, ordering: GroupOrdering) -> np.ndarray:
-    """Group autocorrelation S_v(c) = sum_h conj(v(h c)) v(h) over
-    ``ordering``, an n!-vector (complex), of the monomial vector
-    v(h) = prod_j A[h(j), j] of an n x n submatrix A, which is never built.
+def autocorrelation(A) -> np.ndarray:
+    """Group autocorrelation S_v(c) = sum_h conj(v(h c)) v(h) over S_n, an
+    n!-vector (complex) along the rows of :func:`all_permutations`, of the
+    monomial vector v(h) = prod_j A[h(j), j] of an n x n submatrix A, which
+    is never built.
 
     With R[i, j] = f(gj^-1 gi), v^dag R v = sum_c f(c) S_v(c): the rate of
     one string for any delay matrix is one dot product with S_v
@@ -262,11 +263,11 @@ def autocorrelation(A, ordering: GroupOrdering) -> np.ndarray:
 
     and S_v(c^-1) = conj S_v(c) (put h -> h c^-1 in the sum), so S_v is
     real on involutions.  One batched Glynn :func:`~partdist.matfun.permanent`
-    call takes one permanent per pair {c, c^-1}, the one of c earlier in
-    the ordering, and one per involution (the real part kept): (n! + I_n)/2
+    call takes one permanent per pair {c, c^-1}, the one of c in the earlier
+    row, and one per involution (the real part kept): (n! + I_n)/2
     permanents, I_n the number of involutions (2636 of 5040 at n = 7), at
     O(2^(n-1) n) each; the partner entry is the exact conjugate, its index
-    read off the base-n codes of the ordering's rows (:func:`_code_lookup`).
+    read off the base-n codes of the rows (:func:`_code_lookup`).
     The call holds the lookup table, then the 8 n² (n! + I_n)-byte Hadamard
     stack of the evaluated permanents and one Glynn step, 6.6 MB traced at
     n = 7 (8.2 MB when all n! were evaluated).  Each entry of the stack
@@ -278,32 +279,33 @@ def autocorrelation(A, ordering: GroupOrdering) -> np.ndarray:
     sum), and to the involutions, since dropping the imaginary part of a
     real quantity's approximation moves it no further from it.
     """
-    n = ordering.n
-    _check_dense_degree(n)
     A = np.asarray(A, dtype=complex)
-    if A.shape != (n, n):
-        raise DomainError(f"autocorrelation takes one {n}x{n} submatrix, got shape {A.shape}")
-    inverse_images = np.argsort(ordering.images_array, axis=1)  # row c: the images of c^-1
-    lut, powers = _code_lookup(ordering)
-    partner = lut[inverse_images @ powers]  # partner[c] = position of c^-1
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise DomainError(f"autocorrelation takes one square submatrix, got shape {A.shape}")
+    n = len(A)
+    _check_dense_degree(n)
+    inverse_images = np.argsort(all_permutations(n), axis=1)  # row c: the images of c^-1
+    lut, powers = _code_lookup(n)
+    partner = lut[inverse_images @ powers]  # partner[c] = row of c^-1
     del lut
-    first = np.flatnonzero(np.arange(len(ordering)) <= partner)
+    N = len(partner)
+    first = np.flatnonzero(np.arange(N) <= partner)
     M = A.conj()[np.arange(n)[:, None], inverse_images[first, None, :]]
     M *= A  # M[k] = A ∘ conj(A)[:, c^-1] for c = first[k]
     values = permanent(M)
     involution = partner[first] == first
     values[involution] = values[involution].real
-    S = np.empty(len(ordering), dtype=complex)
+    S = np.empty(N, dtype=complex)
     S[partner[first]] = values.conj()
     S[first] = values
     S.setflags(write=False)
     return S
 
 
-def rate_from_autocorrelation(S, r, species: str, ordering: GroupOrdering):
+def rate_from_autocorrelation(S, r, species: str):
     """Rates sum_c f(c) S(c), f = w mono_r, from the autocorrelation S of a
-    monomial vector over ``ordering`` (:func:`autocorrelation`): a float
-    for one delay matrix, an array for a stack (..., n, n) of them.
+    monomial vector (:func:`autocorrelation`): a float for one delay
+    matrix, an array for a stack (..., n, n) of them.
 
     No n! x n! object is built: each delay matrix costs its n! weighted
     monomials and one real product against the real and imaginary parts of
@@ -319,17 +321,17 @@ def rate_from_autocorrelation(S, r, species: str, ordering: GroupOrdering):
     γ_(K+8n) about γ_N / 40, so the bound stays near γ_4N max|f| ‖v‖_1².
     """
     _check_species(species)
-    n = ordering.n
+    r = _check_delay_matrix(r, batch=True)
+    n = r.shape[-1]
     _check_dense_degree(n)
     S = np.asarray(S, dtype=complex)
-    if S.shape != (len(ordering),):
-        raise DomainError("autocorrelation length does not match the ordering")
-    r = _check_delay_matrix(r, n, batch=True)
+    if S.shape != (math.factorial(n),):
+        raise DomainError(f"autocorrelation length {S.shape} does not match n! = {math.factorial(n)}")
     parts = np.ascontiguousarray(S).view(float).reshape(-1, 2)  # columns Re S, Im S
     flat = r.reshape(-1, n, n)
-    width = max(1, BATCH_ENTRIES // len(ordering))
+    width = max(1, BATCH_ENTRIES // len(S))
     raw = np.concatenate([
-        _weighted_monomials(flat[i : i + width], species, ordering) @ parts
+        _weighted_monomials(flat[i : i + width], species) @ parts
         for i in range(0, len(flat), width)
     ])
     return _finalize_rate((raw[:, 0] + 1j * raw[:, 1]).reshape(r.shape[:-2]))
@@ -364,7 +366,7 @@ def _finalize_rate(value, bounds=None):
     return float(rates) if rates.ndim == 0 else rates
 
 
-def rate_direct(v: MonomialVector | np.ndarray, R: RateMatrix) -> float:
+def rate_direct(v, R: RateMatrix) -> float:
     """Coincidence rate v^dag R v (real, non-negative).
 
     The value is the probability that the n particles leave on the given
@@ -373,10 +375,6 @@ def rate_direct(v: MonomialVector | np.ndarray, R: RateMatrix) -> float:
     particles.  Only :mod:`partdist.sampling` renormalises, over the
     collision-free set.
     """
-    if isinstance(v, MonomialVector):
-        if v.ordering is not R.ordering:
-            raise DomainError("monomial vector and rate matrix use different orderings")
-        v = v.values
     values = np.asarray(v)
     if values.shape != (len(R.matrix),):
         raise DomainError("monomial vector length does not match rate matrix")
@@ -636,30 +634,27 @@ def rate_direct_streaming(A, r, species: str) -> EngineRates:
 @dataclass(frozen=True)
 class BlockTransform:
     """Orthogonal change of basis that block-diagonalizes every rate matrix
-    over the same ordering.
+    of degree n.
 
     Rows are grouped per partition lam (reverse-lexicographic), and within
     lam in row-major (copy a, component b) order; row (lam, a, b) holds
-    sqrt(s_lam/n!) D_lam(gamma)[a, b] as gamma runs along the ordering.  The
+    sqrt(s_lam/n!) D_lam(gamma)[a, b] as gamma runs along the rows of
+    :func:`~partdist.symgroup.all_permutations` (n).  The
     engines apply it with :func:`~partdist.symgroup.fourier_transform`;
     ``matrix`` is the dense n! x n! form, read from
     :func:`~partdist.symgroup.irrep_matrices` on first use, for the dense
     reference only.
     """
 
-    ordering: GroupOrdering
+    n: int
     layout: tuple[tuple[tuple[int, ...], int, int], ...]  # (lam, offset, dim)
-
-    @property
-    def n(self) -> int:
-        return self.ordering.n
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        N = len(self.ordering)
+        N = math.factorial(self.n)
         T = np.empty((N, N))
         for lam, offset, s in self.layout:
-            stack = irrep_matrices(lam, self.ordering)  # (N, s, s)
+            stack = irrep_matrices(lam)  # (N, s, s)
             T[offset : offset + s * s] = (
                 math.sqrt(s / N) * stack.transpose(1, 2, 0).reshape(s * s, N)
             )
@@ -667,12 +662,10 @@ class BlockTransform:
         return T
 
 
-def build_transform(ordering: GroupOrdering) -> BlockTransform:
-    """The group-Fourier transform T over ``ordering``: its ordering and
-    block layout.  T is orthogonal: conjugating a boson rate matrix gives
-    s_lam identical copies of the symmetric block K_lam for every partition
-    lam."""
-    n = ordering.n
+def build_transform(n: int) -> BlockTransform:
+    """The group-Fourier transform T of degree n: its block layout.  T is
+    orthogonal: conjugating a boson rate matrix gives s_lam identical
+    copies of the symmetric block K_lam for every partition lam."""
     _check_dense_degree(n)
     layout = []
     offset = 0
@@ -680,7 +673,7 @@ def build_transform(ordering: GroupOrdering) -> BlockTransform:
         s = standard_tableau_count(lam)
         layout.append((lam, offset, s))
         offset += s * s
-    return BlockTransform(ordering, tuple(layout))
+    return BlockTransform(n, tuple(layout))
 
 
 @dataclass(frozen=True, eq=False)
@@ -734,8 +727,6 @@ def decompose_rate_matrix(
     blocks plus the largest entry found outside the predicted block-diagonal
     positions (a structural health check: it should sit at rounding level).
     """
-    if R.ordering is not T.ordering:
-        raise DomainError("rate matrix and transform use different orderings")
     M = T.matrix @ R.matrix @ T.matrix.T
     blocks = {}
     mask = np.ones_like(M, dtype=bool)
@@ -753,7 +744,7 @@ def decompose_rate_matrix(
     if offblock > 1e-6 * scale:
         raise NumericalError(
             f"transform failed to block-diagonalize the rate matrix "
-            f"(stray entry {offblock:.3e}); orderings probably disagree"
+            f"(stray entry {offblock:.3e})"
         )
     return blocks, offblock
 
@@ -769,10 +760,9 @@ def fourier_blocks(r, species: str, T: BlockTransform) -> dict[tuple[int, ...], 
     one transform with a column per delay matrix.
     """
     _check_species(species)
-    ordering = T.ordering
-    r = _check_delay_matrix(r, ordering.n, batch=True)
-    weighted = _weighted_monomials(r, species, ordering).reshape(-1, len(ordering))
-    y = np.ascontiguousarray(fourier_transform(weighted.T, ordering).T)
+    r = _check_delay_matrix(r, T.n, batch=True)
+    weighted = _weighted_monomials(r, species).reshape(-1, math.factorial(T.n))
+    y = np.ascontiguousarray(fourier_transform(weighted.T, T.n).T)
     y.setflags(write=False)
     batch = r.shape[:-2]
     return {
@@ -807,7 +797,7 @@ def _parseval_tolerance(n: int) -> float:
 
 
 def attach_vector(
-    v: MonomialVector | np.ndarray,
+    v,
     blocks: dict[tuple[int, ...], np.ndarray],
     T: BlockTransform,
     species: str,
@@ -824,8 +814,7 @@ def attach_vector(
     :func:`rate_truncated` give K rates.  Every vector passes its own
     Parseval check.
 
-    Raises :class:`DomainError` when v was built over another ordering than
-    T, and :class:`NumericalError` when the Parseval residual
+    Raises :class:`NumericalError` when the Parseval residual
     |‖T v‖² - ‖v‖²| exceeds (2δ + δ² + 2γ_2N (1 + δ)²) ‖v‖², with
     1 + δ = (1 + γ_3) prod_k (1 + √k (k-1) √(2s) γ_{s+3}) (1 + √(ks) γ_ks),
     k = 2..n, γ_k = k u / (1 - k u), u = 2^-53, N = n! and s the largest
@@ -841,17 +830,13 @@ def attach_vector(
     sqrt(s_lam/n!) adds γ_3, and each squared norm γ_2N (N complex terms).
     """
     _check_species(species)
-    if isinstance(v, MonomialVector):
-        if v.ordering is not T.ordering:
-            raise DomainError("monomial vector and transform use different orderings")
-        v = v.values
     V = np.asarray(v)
-    N = len(T.ordering)
+    N = math.factorial(T.n)
     if V.ndim not in (1, 2) or V.shape[-1] != N:
         raise DomainError("monomial vector length does not match transform")
     rows = V.reshape(-1, N)
     scale = np.concatenate([np.full(s * s, math.sqrt(s / N)) for _, _, s in T.layout])
-    W = np.ascontiguousarray((fourier_transform(rows.T, T.ordering) * scale[:, None]).T)
+    W = np.ascontiguousarray((fourier_transform(rows.T, T.n) * scale[:, None]).T)
     W.setflags(write=False)
     norm2 = np.einsum("ij,ij->i", rows.conj(), rows).real
     residuals = np.abs(np.einsum("ij,ij->i", W.conj(), W).real - norm2)
@@ -1063,31 +1048,29 @@ def engine_rates(A, r, species: str, engine: str) -> EngineRates:
             raise DomainError(f"truncated rates need one Gamas partition for the stack of "
                               f"delay matrices, got {sorted(partitions)}")
         (mu,) = partitions
-    ordering = all_permutations(n)
-    width = max(1, BATCH_ENTRIES // len(ordering))
+    width = max(1, BATCH_ENTRIES // math.factorial(n))
     if engine == "direct" and one_string:
-        S = autocorrelation(A, ordering)
-        return EngineRates(np.asarray(rate_from_autocorrelation(S, r, species, ordering)))
+        S = autocorrelation(A)
+        return EngineRates(np.asarray(rate_from_autocorrelation(S, r, species)))
     if engine == "direct":
-        R = rate_matrix(r, species, ordering)
+        R = rate_matrix(r, species)
         return EngineRates(np.concatenate([
-            [rate_direct(v, R) for v in monomial_vector(a, ordering).values]
-            for a in _batches(A, width)
+            [rate_direct(v, R) for v in monomial_vector(a)] for a in _batches(A, width)
         ]))
 
-    T = build_transform(ordering)
+    T = build_transform(n)
 
     def decompositions():
         """(decomposition, single): single for one string under one delay
         matrix, whose result carries the block report."""
         if one_string:
-            projected = attach_vector(monomial_vector(A, ordering), {}, T, species)
+            projected = attach_vector(monomial_vector(A), {}, T, species)
             for rs in [r] if np.ndim(r) == 2 else _batches(r, width):
                 yield replace(projected, blocks=fourier_blocks(rs, species, T)), np.ndim(rs) == 2
         else:
             blocks = fourier_blocks(r, species, T)
             for a in _batches(A, width):
-                yield attach_vector(monomial_vector(a, ordering), blocks, T, species), False
+                yield attach_vector(monomial_vector(a), blocks, T, species), False
 
     rates, residual = [], 0.0
     for decomp, single in decompositions():

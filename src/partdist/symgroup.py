@@ -2,10 +2,12 @@
 characters, irreps.
 
 Everything downstream (rate matrices, block transforms, immanants) is built
-on top of this module.  A group element is a row of 0-based one-line images
-in the (n!, n) array of a :class:`GroupOrdering`; its sign and cycle class
-are entries of arrays over the rows, and its irrep matrix a slice of one
-(n!, s, s) array, so no per-element object is ever built.
+on top of this module.  S_n has one enumeration, the lexicographic one of
+:func:`all_permutations`: a group element is a row of 0-based one-line
+images in its read-only (n!, n) array, and every n!-vector of the package
+runs along those rows.  The signs and cycle classes are cached arrays over
+the rows (:func:`signs`, :func:`cycle_classes`), and an irrep matrix is a
+slice of one (n!, s, s) array, so no per-element object is ever built.
 
 Irreducible representations are realised in Young's orthogonal form, so every
 representation matrix is real orthogonal and traces give the characters.
@@ -17,17 +19,18 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from functools import cache, cached_property
+import operator
+from functools import cache
 
 import numpy as np
 
 from .errors import DomainError, SizeLimitError
 
 __all__ = [
-    "GroupOrdering",
-    "monomials",
     "all_permutations",
+    "signs",
+    "cycle_classes",
+    "monomials",
     "partitions_of",
     "conjugate",
     "dominates",
@@ -43,121 +46,15 @@ __all__ = [
 MAX_GROUP_DEGREE = 10  # 10! = 3.6M elements is the largest group we enumerate
 
 
-@dataclass(frozen=True, eq=False)
-class GroupOrdering:
-    """An enumeration of the full symmetric group in a fixed order: row k of
-    the read-only (n!, n) ``images_array`` holds the one-line images of the
-    k-th permutation, and each row must be a bijection on 0..n-1.
-
-    Signs, cycle classes and coset positions are arrays over the rows.
-    Orderings compare and hash by identity, and :func:`all_permutations`
-    keeps one per degree.
-    """
-
-    n: int
-    images_array: np.ndarray
-
-    def __post_init__(self):
-        n = self.n
-        P = np.asarray(self.images_array)
-        if P.dtype != np.intp or P.flags.writeable:  # else kept: 290 MB at n = 10
-            P = np.array(P, dtype=np.intp)
-            P.setflags(write=False)
-        if n < 1 or P.shape != (math.factorial(n), n) or P.min() < 0 or P.max() >= n:
-            raise DomainError(f"need an (n!, n) array of images in 0..{n - 1}, got {P.shape}")
-        hit = np.zeros(P.shape, dtype=bool)
-        hit[np.arange(len(P))[:, None], P] = True
-        if not hit.all():
-            raise DomainError(f"row {hit.all(axis=1).argmin()} is not a bijection on 0..{n - 1}")
-        object.__setattr__(self, "images_array", P)
-
-    def __len__(self) -> int:
-        return len(self.images_array)
-
-    @cached_property
-    def signs(self) -> np.ndarray:
-        """(n!,) float signs, (-1)^(number of inversions) of each row of
-        ``images_array``."""
-        P = self.images_array
-        i, j = np.triu_indices(self.n, 1)
-        inversions = (P[:, i] > P[:, j]).sum(axis=1)  # 0 for n = 1: no pairs
-        arr = 1.0 - 2.0 * (inversions % 2)
-        arr.setflags(write=False)
-        return arr
-
-    @cached_property
-    def cycle_classes(self) -> np.ndarray:
-        """(n!,) read-only positions in :func:`partitions_of` (n) of each
-        row's cycle type, fixed points included.
-
-        Following the images from point i, the first step that comes back
-        to i is the length L_i of its cycle.  A type with c_k cycles of
-        length k puts k c_k <= n points on k-cycles, so the key
-        sum_i (n+1)^(L_i - 1) = sum_k k c_k (n+1)^(k-1) tells types apart.
-        """
-        n = self.n
-        P = self.images_array
-        rows = np.arange(len(P))
-        keys = np.zeros(len(P), dtype=np.int64)
-        for i in range(n):
-            point, length = P[:, i], np.zeros(len(P), dtype=np.int64)
-            for step in range(1, n + 1):
-                length[(point == i) & (length == 0)] = step
-                point = P[rows, point]
-            keys += (n + 1) ** (length - 1)
-        types = np.array([sum(k * (n + 1) ** (k - 1) for k in rho) for rho in partitions_of(n)])
-        order = np.argsort(types)
-        classes = order[np.searchsorted(types[order], keys)]
-        classes.setflags(write=False)
-        return classes
-
-    @cached_property
-    def coset_gather(self) -> np.ndarray:
-        """Indices that put a function on this ordering into the coset-digit
-        order of :func:`fourier_transform`.
-
-        Every g factors uniquely as c_{j_n} c_{j_(n-1)} ... c_{j_2}, where the
-        level-k coset representative c_j = s_j s_(j+1) ... s_(k-2) of S_(k-1)
-        in S_k maps k-1 to j (0-based, s_i swapping i and i+1).  So j_n is
-        the last one-line image, and the S_(n-1) part has the other images,
-        those above j_n decremented.  Position sum_k j_k n!/k! of the digit
-        order holds g.
-        """
-        n = self.n
-        P = self.images_array
-        position = np.zeros(len(self), dtype=np.intp)
-        stride = 1
-        for k in range(n, 1, -1):
-            j = P[:, k - 1]
-            position += stride * j
-            P = P[:, : k - 1] - (P[:, : k - 1] > j[:, None])
-            stride *= k
-        gather = np.empty_like(position)
-        gather[position] = np.arange(len(self))
-        gather.setflags(write=False)
-        return gather
-
-
-def monomials(M, ordering: GroupOrdering) -> np.ndarray:
-    """The permutation monomials prod_k M[g(k), k] for every g of the
-    ordering, in ordering order along the last axis; M may be a stack
-    (..., n, n).  They are gathered one column of M at a time,
-    ((M[g(0), 0] M[g(1), 1]) ...) M[g(n-1), n-1], by element-wise products,
-    so a stacked value has the bits of the matrix alone."""
-    M = np.asarray(M)
-    images = ordering.images_array
-    values = M[..., images[:, 0], 0]
-    for k in range(1, ordering.n):
-        values = values * M[..., images[:, k], k]
-    return values
-
-
 @cache
-def all_permutations(n: int) -> GroupOrdering:
-    """Enumerate the symmetric group on n symbols, one-line images in
-    lexicographic order, which puts the identity first.  Level k of the
-    image array runs f = 0..k-1 as first image, each followed by level k-1
-    on the other symbols, P_(k-1) + (P_(k-1) >= f)."""
+def all_permutations(n: int) -> np.ndarray:
+    """The symmetric group on n symbols as a read-only (n!, n) array: row k
+    holds the 0-based one-line images of the k-th permutation, in
+    lexicographic order, which puts the identity first.  This is the one
+    enumeration of S_n: every n!-vector and (n!, ...) array of the package
+    runs along its rows.  Level k of the array runs f = 0..k-1 as first
+    image, each followed by level k-1 on the other symbols,
+    P_(k-1) + (P_(k-1) >= f)."""
     if not (1 <= n <= MAX_GROUP_DEGREE):
         raise SizeLimitError(f"group degree n={n} outside 1..{MAX_GROUP_DEGREE}")
     P = np.zeros((1, 0), dtype=np.intp)
@@ -168,7 +65,85 @@ def all_permutations(n: int) -> GroupOrdering:
             level[f, :, 1:] = P + (P >= f)
         P = level.reshape(-1, k)
     P.setflags(write=False)
-    return GroupOrdering(n, P)
+    return P
+
+
+@cache
+def signs(n: int) -> np.ndarray:
+    """(n!,) read-only float signs, (-1)^(number of inversions) of each row
+    of :func:`all_permutations` (n)."""
+    P = all_permutations(n)
+    i, j = np.triu_indices(n, 1)
+    inversions = (P[:, i] > P[:, j]).sum(axis=1)  # 0 for n = 1: no pairs
+    arr = 1.0 - 2.0 * (inversions % 2)
+    arr.setflags(write=False)
+    return arr
+
+
+@cache
+def cycle_classes(n: int) -> np.ndarray:
+    """(n!,) read-only positions in :func:`partitions_of` (n) of the cycle
+    type of each row of :func:`all_permutations` (n), fixed points included.
+
+    Following the images from point i, the first step that comes back to i
+    is the length L_i of its cycle.  A type with c_k cycles of length k puts
+    k c_k <= n points on k-cycles, so the key
+    sum_i (n+1)^(L_i - 1) = sum_k k c_k (n+1)^(k-1) tells types apart.
+    """
+    P = all_permutations(n)
+    rows = np.arange(len(P))
+    keys = np.zeros(len(P), dtype=np.int64)
+    for i in range(n):
+        point, length = P[:, i], np.zeros(len(P), dtype=np.int64)
+        for step in range(1, n + 1):
+            length[(point == i) & (length == 0)] = step
+            point = P[rows, point]
+        keys += (n + 1) ** (length - 1)
+    types = np.array([sum(k * (n + 1) ** (k - 1) for k in rho) for rho in partitions_of(n)])
+    order = np.argsort(types)
+    classes = order[np.searchsorted(types[order], keys)]
+    classes.setflags(write=False)
+    return classes
+
+
+@cache
+def _coset_gather(n: int) -> np.ndarray:
+    """Indices that put a function on :func:`all_permutations` (n) into the
+    coset-digit order of :func:`fourier_transform`.
+
+    Every g factors uniquely as c_{j_n} c_{j_(n-1)} ... c_{j_2}, where the
+    level-k coset representative c_j = s_j s_(j+1) ... s_(k-2) of S_(k-1)
+    in S_k maps k-1 to j (0-based, s_i swapping i and i+1).  So j_n is
+    the last one-line image, and the S_(n-1) part has the other images,
+    those above j_n decremented.  Position sum_k j_k n!/k! of the digit
+    order holds g.
+    """
+    P = all_permutations(n)
+    position = np.zeros(len(P), dtype=np.intp)
+    stride = 1
+    for k in range(n, 1, -1):
+        j = P[:, k - 1]
+        position += stride * j
+        P = P[:, : k - 1] - (P[:, : k - 1] > j[:, None])
+        stride *= k
+    gather = np.empty_like(position)
+    gather[position] = np.arange(len(position))
+    gather.setflags(write=False)
+    return gather
+
+
+def monomials(M) -> np.ndarray:
+    """The permutation monomials prod_k M[g(k), k] for every g of
+    :func:`all_permutations` (n), in its order along the last axis; M is
+    (n, n) or a stack (..., n, n).  They are gathered one column of M at a
+    time, ((M[g(0), 0] M[g(1), 1]) ...) M[g(n-1), n-1], by element-wise
+    products, so a stacked value has the bits of the matrix alone."""
+    M = np.asarray(M)
+    images = all_permutations(M.shape[-1])
+    values = M[..., images[:, 0], 0]
+    for k in range(1, images.shape[1]):
+        values = values * M[..., images[:, k], k]
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +168,7 @@ def partitions_of(n: int) -> tuple[tuple[int, ...], ...]:
 
 def conjugate(lam: tuple[int, ...]) -> tuple[int, ...]:
     """Transpose of the Young diagram."""
-    _check_partition(lam)
+    lam = _check_partition(lam)
     if not lam:
         return ()
     return tuple(sum(1 for part in lam if part > j) for j in range(lam[0]))
@@ -202,8 +177,7 @@ def conjugate(lam: tuple[int, ...]) -> tuple[int, ...]:
 def dominates(lam: tuple[int, ...], mu: tuple[int, ...]) -> bool:
     """True iff lam >= mu in dominance order (prefix sums of lam never fall
     behind).  Both partitions must be of the same integer."""
-    _check_partition(lam)
-    _check_partition(mu)
+    lam, mu = _check_partition(lam), _check_partition(mu)
     if sum(lam) != sum(mu):
         raise DomainError(f"{lam} and {mu} partition different integers")
     acc_l = acc_m = 0
@@ -215,9 +189,16 @@ def dominates(lam: tuple[int, ...], mu: tuple[int, ...]) -> bool:
     return True
 
 
-def _check_partition(lam) -> None:
-    if any(a <= 0 for a in lam) or any(a < b for a, b in zip(lam, lam[1:])):
+def _check_partition(lam) -> tuple[int, ...]:
+    """lam as a tuple of ints, refusing parts that are not integers (2.7 is
+    not read as 2, nor 2.0 as 2) and tuples that are not partitions."""
+    try:
+        parts = tuple(operator.index(a) for a in lam)
+    except TypeError as exc:
+        raise DomainError(f"partition parts must be integers: {lam!r}") from exc
+    if any(a <= 0 for a in parts) or any(a < b for a, b in zip(parts, parts[1:])):
         raise DomainError(f"not a partition (weakly decreasing, positive): {lam}")
+    return parts
 
 
 # ---------------------------------------------------------------------------
@@ -226,12 +207,11 @@ def _check_partition(lam) -> None:
 
 def character(lam: tuple[int, ...], rho: tuple[int, ...]) -> int:
     """Irreducible character chi_lam on the class of cycle type rho, a
-    partition of the same integer (see :attr:`GroupOrdering.cycle_classes`)."""
-    _check_partition(lam)
-    _check_partition(rho)
+    partition of the same integer (see :func:`cycle_classes`)."""
+    lam, rho = _check_partition(lam), _check_partition(rho)
     if sum(lam) != sum(rho):
         raise DomainError(f"character: |{lam}| != |{rho}|")
-    return _mn(tuple(lam), tuple(rho))
+    return _mn(lam, rho)
 
 
 @cache
@@ -277,7 +257,7 @@ def _hook_lengths(lam):
 def standard_tableau_count(lam: tuple[int, ...]) -> int:
     """Number of standard Young tableaux (hook length formula).  This is the
     multiplicity s_lam of the irrep lam inside the regular representation."""
-    _check_partition(lam)
+    lam = _check_partition(lam)
     n = sum(lam)
     hooks = _hook_lengths(lam)
     denom = math.prod(hooks.values())
@@ -287,7 +267,7 @@ def standard_tableau_count(lam: tuple[int, ...]) -> int:
 def gl_dimension(lam: tuple[int, ...], n: int) -> int:
     """Dimension of the GL(n) irrep with highest weight lam (hook content
     formula).  Returns 0 when lam has more than n parts: no such irrep."""
-    _check_partition(lam)
+    lam = _check_partition(lam)
     if n < 1:
         raise DomainError("gl_dimension expects n >= 1")
     if len(lam) > n:
@@ -318,7 +298,7 @@ def standard_tableaux(lam: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...]
     The sort pins the basis order used by the orthogonal representation; for
     shape (2,1) it lists [[1,2],[3]] before [[1,3],[2]].
     """
-    _check_partition(lam)
+    lam = _check_partition(lam)
     n = sum(lam)
     rows = len(lam)
     out = []
@@ -392,24 +372,24 @@ def _lex_rank(images: np.ndarray) -> np.ndarray:
 
 
 @cache
-def irrep_matrices(lam: tuple[int, ...], ordering: GroupOrdering) -> np.ndarray:
-    """Young's orthogonal representation of the whole group: a read-only
-    (n!, s_lam, s_lam) array whose k-th matrix represents row k of the
-    ordering.  The matrices are real orthogonal, D(p q) = D(p) @ D(q).
+def irrep_matrices(lam: tuple[int, ...]) -> np.ndarray:
+    """Young's orthogonal representation of S_n, n = |lam|: a read-only
+    (n!, s_lam, s_lam) array whose k-th matrix represents row k of
+    :func:`all_permutations` (n).  The matrices are real orthogonal,
+    D(p q) = D(p) @ D(q).
 
     Built by breadth-first search along right-multiplication by adjacent
     transpositions, so only n-1 generator matrices are ever constructed
     explicitly.  A level's children sigma s_k run sigma-major, k-minor, and
     each new one is D(sigma) @ D(s_k) of the first sigma that reaches it.
     """
-    n = ordering.n
-    if sum(lam) != n:
-        raise DomainError(f"partition {lam} does not match group degree {n}")
-    gens = _adjacent_transposition_matrices(lam)
     s = len(standard_tableaux(lam))
-    D = np.empty((len(ordering), s, s))  # in lexicographic order, the identity first
+    n = sum(lam)
+    N = len(all_permutations(n))
+    gens = _adjacent_transposition_matrices(lam)
+    D = np.empty((N, s, s))  # in lexicographic order, the identity first
     D[0] = np.eye(s)
-    reached = np.zeros(len(ordering), dtype=bool)
+    reached = np.zeros(N, dtype=bool)
     reached[0] = True
     frontier, frontier_rank = np.arange(n)[None], np.zeros(1, dtype=np.intp)
     k = np.arange(n - 1)
@@ -427,7 +407,6 @@ def irrep_matrices(lam: tuple[int, ...], ordering: GroupOrdering) -> np.ndarray:
             pick = gen == j
             D[rank[new[pick]]] = D[frontier_rank[parent[pick]]] @ gens[j]
         frontier, frontier_rank = children[new], rank[new]
-    D = D[_lex_rank(ordering.images_array)]
     D.setflags(write=False)
     return D
 
@@ -474,17 +453,17 @@ def _level_plan(k: int):
     return tuple(plan)
 
 
-def fourier_transform(f, ordering: GroupOrdering) -> np.ndarray:
+def fourier_transform(f, n: int) -> np.ndarray:
     """F(lam) = sum_g f(g) D_lam(g) for every partition lam of n at once.
 
-    ``f`` holds one value per element of ``ordering``, shape (n!,), or a batch
-    of columns, shape (n!, B); real or complex.  The result has the same
+    ``f`` holds one value per row of :func:`all_permutations` (n), shape
+    (n!,), or a batch of columns, shape (n!, B); real or complex.  The result has the same
     shape, and per column it holds, for lam in :func:`partitions_of` order,
     F(lam) flattened row-major in the basis of :func:`standard_tableaux`:
     the row layout of the orthogonal transform in :mod:`partdist.rates`.
 
     Clausen's algorithm: g = c_{j_n} h with h in S_(n-1) (see
-    :attr:`GroupOrdering.coset_gather`), so F(lam) = sum_j D_lam(c_j) (+)_mu
+    :func:`_coset_gather`), so F(lam) = sum_j D_lam(c_j) (+)_mu
     F_j(mu) over the branches mu of lam, with F_j the transform on S_(n-1)
     of f(c_j .).  Applied level by level from S_1 up, each level k is one
     matrix product per (lam, mu) branch with the coset and batch columns
@@ -494,7 +473,8 @@ def fourier_transform(f, ordering: GroupOrdering) -> np.ndarray:
     real and imaginary columns.
     """
     values = np.asarray(f)
-    N = len(ordering)
+    gather = _coset_gather(n)
+    N = len(gather)
     if values.ndim not in (1, 2) or values.shape[0] != N:
         raise DomainError(f"function shape {values.shape} does not match {N} group elements")
     columns = values.reshape(N, -1)
@@ -503,8 +483,8 @@ def fourier_transform(f, ordering: GroupOrdering) -> np.ndarray:
     width = columns.shape[1]
     # level[mu] is (s_mu, s_mu, cosets * width): F_c(mu) over the cosets c of
     # S_(k-1), whose leading digit j_k varies slowest
-    level = {(1,): np.asarray(columns, dtype=float)[ordering.coset_gather].reshape(1, 1, -1)}
-    for k in range(2, ordering.n + 1):
+    level = {(1,): np.asarray(columns, dtype=float)[gather].reshape(1, 1, -1)}
+    for k in range(2, n + 1):
         trailing = N // math.factorial(k) * width
         stacked = {}  # rows (j_k, a), columns (b, remaining cosets, batch)
         for mu, x in level.items():

@@ -34,7 +34,7 @@ import numpy as np
 
 import partdist as pd
 
-from orderings import cycle_ordering
+from cycles import cycle_order
 
 RNG_SEED = 20250815
 
@@ -61,14 +61,14 @@ def random_gram(rng, n):
 def test_rate_monomials_three_particles():
     t0 = time.perf_counter()
     rng = np.random.default_rng(RNG_SEED)
-    ordering = cycle_ordering(3)
+    p = cycle_order(3)  # e, (12), (13), (23), (123), (132)
     worst = 0.0
     for _ in range(50):
         r = random_gram(rng, 3)
         r12, r13, r23 = r[0, 1], r[0, 2], r[1, 2]
         triple = r12 * r23 * r13
         expected = np.array([1.0, r12**2, r13**2, r23**2, triple, triple])
-        col = pd.rates.rate_matrix(r, "boson", ordering).matrix[:, 0]
+        col = pd.rates.rate_matrix(r, "boson").matrix[p, 0]  # column e, rows in cycle order
         worst = max(worst, np.max(np.abs(col - expected)))
     _gate(1, f"identity-column monomials {{1, r12^2, r13^2, r23^2, triple x2}}, "
              f"max err {worst:.1e}", worst < 1e-12, time.perf_counter() - t0, 1)
@@ -81,7 +81,6 @@ def test_rate_monomials_three_particles():
 def test_block_entries_match_immanants_and_polynomials():
     t0 = time.perf_counter()
     rng = np.random.default_rng(RNG_SEED + 1)
-    ordering = cycle_ordering(3)
     root3 = math.sqrt(3)
 
     def rows(r, images):
@@ -93,9 +92,9 @@ def test_block_entries_match_immanants_and_polynomials():
         r12, r13, r23 = r[0, 1], r[0, 2], r[1, 2]
         triple = r12 * r23 * r13
 
-        per_entry = pd.matfun.dfunction_direct((3,), r, ordering)[0, 0]
-        det_entry = pd.matfun.dfunction_direct((1, 1, 1), r, ordering)[0, 0]
-        blk = pd.matfun.dfunction_direct((2, 1), r, ordering)
+        per_entry = pd.matfun.dfunction_direct((3,), r)[0, 0]
+        det_entry = pd.matfun.dfunction_direct((1, 1, 1), r)[0, 0]
+        blk = pd.matfun.dfunction_direct((2, 1), r)
 
         imm_e = pd.immanant((2, 1), r)
         imm_12 = pd.immanant((2, 1), rows(r, (1, 0, 2)))
@@ -166,8 +165,7 @@ def test_engines_agree_on_random_binned_cases():
     rng = np.random.default_rng(RNG_SEED)
     worst = 0.0
     for n in (2, 3, 4, 5):
-        ordering = pd.all_permutations(n)
-        T = pd.rates.build_transform(ordering)
+        T = pd.rates.build_transform(n)
         for _ in range(25):
             m = n + int(rng.integers(0, 3))
             itf = pd.haar_unitary(m, seed=int(rng.integers(0, 2**31)))
@@ -181,9 +179,9 @@ def test_engines_agree_on_random_binned_cases():
             mu = pd.discretize(spec)[1]
             dets = tuple(sorted(int(x) + 1 for x in rng.choice(m, n, replace=False)))
             ins = tuple(sorted(int(x) + 1 for x in rng.choice(m, n, replace=False)))
-            v = pd.monomial_vector(pd.submatrix(itf, dets, ins), ordering)
+            v = pd.monomial_vector(pd.submatrix(itf, dets, ins))
             for species in ("boson", "fermion"):
-                R = pd.rates.rate_matrix(r, species, ordering)
+                R = pd.rates.rate_matrix(r, species)
                 direct = pd.rates.rate_direct(v, R)
                 decomp = pd.rates.attach_vector(v, pd.rates.decompose_rate_matrix(R, T)[0], T, species)
                 blocked = pd.rates.rate_blocked(decomp)
@@ -203,9 +201,8 @@ def test_engines_agree_on_random_binned_cases():
 def _indistinguishable_setup(n):
     m = n + 1
     itf = pd.haar_unitary(m, seed=n)
-    ordering = pd.all_permutations(n)
     A = pd.submatrix(itf, tuple(range(1, n + 1)), tuple(range(1, n + 1)))
-    return ordering, A, pd.monomial_vector(A, ordering)
+    return A, pd.monomial_vector(A)
 
 
 def _permutation_rates(species):
@@ -214,10 +211,9 @@ def _permutation_rates(species):
     Each has exactly one nonzero monomial of modulus 1, so every particle is
     certain to reach its own detector and the rate must be exactly 1."""
     for n in range(2, 7):
-        ordering = pd.all_permutations(n)
-        J = pd.rates.rate_matrix(np.ones((n, n)), species, ordering)
+        J = pd.rates.rate_matrix(np.ones((n, n)), species)
         for A in (np.eye(n), np.roll(np.eye(n), 1, axis=0)):
-            yield pd.rates.rate_direct(pd.monomial_vector(A, ordering), J)
+            yield pd.rates.rate_direct(pd.monomial_vector(A), J)
 
 
 def test_equal_time_boson_rate_with_stated_factorial_scale():
@@ -225,8 +221,8 @@ def test_equal_time_boson_rate_with_stated_factorial_scale():
     t0 = time.perf_counter()
     worst = 0.0
     for n in range(2, 7):
-        ordering, A, v = _indistinguishable_setup(n)
-        rate = pd.rates.rate_direct(v, pd.rates.rate_matrix(np.ones((n, n)), "boson", ordering))
+        A, v = _indistinguishable_setup(n)
+        rate = pd.rates.rate_direct(v, pd.rates.rate_matrix(np.ones((n, n)), "boson"))
         target = abs(pd.permanent(A)) ** 2
         worst = max(worst, abs(rate - target) / target)
     unit_ok = all(rate == 1.0 for rate in _permutation_rates("boson"))
@@ -241,8 +237,8 @@ def test_equal_time_fermion_rate_with_stated_factorial_scale():
     t0 = time.perf_counter()
     worst = 0.0
     for n in range(2, 7):
-        ordering, A, v = _indistinguishable_setup(n)
-        rate = pd.rates.rate_direct(v, pd.rates.rate_matrix(np.ones((n, n)), "fermion", ordering))
+        A, v = _indistinguishable_setup(n)
+        rate = pd.rates.rate_direct(v, pd.rates.rate_matrix(np.ones((n, n)), "fermion"))
         target = abs(np.linalg.det(A)) ** 2
         worst = max(worst, abs(rate - target) / target)
     unit_ok = all(rate == 1.0 for rate in _permutation_rates("fermion"))
@@ -256,12 +252,12 @@ def test_fully_distinguishable_limit_both_species():
     t0 = time.perf_counter()
     worst = 0.0
     for n in range(2, 7):
-        ordering, A, v = _indistinguishable_setup(n)
+        A, v = _indistinguishable_setup(n)
         r_far = pd.delay_matrix_from_times(np.arange(n) * 100.0, 5.0)
         ref = pd.rates.rate_fully_distinguishable(A)
         assert abs(ref - pd.permanent(np.abs(A) ** 2)) <= 1e-12 * ref
         for species in ("boson", "fermion"):
-            rate = pd.rates.rate_direct(v, pd.rates.rate_matrix(r_far, species, ordering))
+            rate = pd.rates.rate_direct(v, pd.rates.rate_matrix(r_far, species))
             worst = max(worst, abs(rate - ref) / ref)
     _gate("5c", f"fully distinguishable rate = per(|A_ij|^2), both species "
                 f"(n <= 6), worst rel {worst:.1e}", worst < 1e-9,
@@ -357,13 +353,12 @@ def test_counting_identities():
 
 def test_two_port_interference_and_shift_invariance():
     t0 = time.perf_counter()
-    ordering = pd.all_permutations(2)
     A = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2)
-    v = pd.monomial_vector(A, ordering)
+    v = pd.monomial_vector(A)
 
     def coincidence(delay, species):
         r = pd.delay_matrix_from_times([0.0, delay], 1.0)
-        return pd.rates.rate_direct(v, pd.rates.rate_matrix(r, species, ordering))
+        return pd.rates.rate_direct(v, pd.rates.rate_matrix(r, species))
 
     delays = np.linspace(0.0, 3.0, 31)
     boson = np.array([coincidence(d, "boson") for d in delays])
@@ -371,18 +366,17 @@ def test_two_port_interference_and_shift_invariance():
     dip_ok = abs(boson[0]) < 1e-12 and bool(np.all(np.diff(boson) > 0))
     peak_ok = bool(np.all(fermion[0] >= fermion))
 
-    ordering3 = pd.all_permutations(3)
     itf = pd.haar_unitary(5, seed=1)
-    v3 = pd.monomial_vector(pd.submatrix(itf, (1, 2, 3), (1, 2, 3)), ordering3)
+    v3 = pd.monomial_vector(pd.submatrix(itf, (1, 2, 3), (1, 2, 3)))
     worst_shift = 0.0
     for d2 in np.linspace(-1, 1, 5):
         for d3 in np.linspace(-1, 1, 5):
             for species in ("boson", "fermion"):
                 base = pd.rates.rate_direct(v3, pd.rates.rate_matrix(
-                    pd.delay_matrix_from_times([0.0, d2, d3], 1.3), species, ordering3))
+                    pd.delay_matrix_from_times([0.0, d2, d3], 1.3), species))
                 moved = pd.rates.rate_direct(v3, pd.rates.rate_matrix(
                     pd.delay_matrix_from_times([5.0, 5.0 + d2, 5.0 + d3], 1.3),
-                    species, ordering3))
+                    species))
                 worst_shift = max(worst_shift, abs(base - moved))
     _gate(9, f"balanced two-port: boson dip at zero delay rising monotonically, "
              f"fermion peak at zero; global shift invariance {worst_shift:.1e}",
@@ -398,15 +392,14 @@ def test_trace_and_homomorphism_identities():
     rng = np.random.default_rng(RNG_SEED + 10)
     worst = 0.0
     for n in range(1, 5):
-        ordering = pd.all_permutations(n)
         for lam in pd.partitions_of(n):
             for _ in range(20):
                 M = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-                P = np.eye(n)[ordering.images_array[int(rng.integers(math.factorial(n)))]]
-                DM = pd.matfun.dfunction_direct(lam, M, ordering)
+                P = np.eye(n)[pd.all_permutations(n)[int(rng.integers(math.factorial(n)))]]
+                DM = pd.matfun.dfunction_direct(lam, M)
                 worst = max(worst, abs(np.trace(DM) - pd.immanant(lam, M)))
-                DP = pd.matfun.dfunction_direct(lam, P, ordering)
-                DPM = pd.matfun.dfunction_direct(lam, P @ M, ordering)
+                DP = pd.matfun.dfunction_direct(lam, P)
+                DPM = pd.matfun.dfunction_direct(lam, P @ M)
                 worst = max(worst, float(np.max(np.abs(DP @ DM - DPM))))
     _gate(10, f"trace equals immanant and permutations act homomorphically, "
               f"all shapes with n <= 4, worst err {worst:.1e}", worst < 1e-8,

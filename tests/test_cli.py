@@ -402,7 +402,7 @@ def test_size_guards_exit_3(tmp_path, capsys):
 
 def refuse_group_at_8(monkeypatch):
     """Make every enumeration of S_n from n = 8 on fail, in each module of
-    the CLI and rate layers that looks all_permutations up."""
+    the CLI, rate and group layers that looks all_permutations up."""
     enumerate_group = partdist.symgroup.all_permutations
 
     def all_permutations(n, *args, **kwargs):
@@ -410,7 +410,7 @@ def refuse_group_at_8(monkeypatch):
             pytest.fail(f"S_{n} was enumerated before the size guard")
         return enumerate_group(n, *args, **kwargs)
 
-    for module in (partdist.cli, partdist.sampling, partdist.rates):
+    for module in (partdist.cli, partdist.sampling, partdist.rates, partdist.symgroup):
         if hasattr(module, "all_permutations"):
             monkeypatch.setattr(module, "all_permutations", all_permutations)
 
@@ -547,6 +547,33 @@ def test_refused_runs_exit_with_a_documented_code_and_no_traceback(tmp_path, cas
     assert "Traceback" not in done.stderr and done.stderr.strip(), done.stderr
 
 
+@pytest.mark.parametrize("command", ["rate", "distribution"])
+def test_unwritable_out_is_refused_before_any_engine_runs(tmp_path, capsys, monkeypatch, command):
+    # a directory, a path in a missing directory and a file without write
+    # access exit 2 before the rates are computed, and nothing is written
+    def no_engine(*args, **kwargs):
+        pytest.fail("an engine ran for an --out path that cannot be written")
+
+    monkeypatch.setattr(partdist.cli, "engine_rates", no_engine)
+    monkeypatch.setattr(partdist.sampling, "engine_rates", no_engine)
+    cfg = write_config(tmp_path)
+    for out in (str(tmp_path), str(tmp_path / "no" / "x.json")):
+        code, stdout, err = run_cli(capsys, command, "--config", cfg, "--out", out)
+        assert code == 2 and stdout == "" and f"cannot write {out}" in err, err
+    assert not (tmp_path / "no").exists()
+    kept = tmp_path / "kept.json"
+    kept.write_text("kept")
+    access = os.access  # as a user without write permission on kept.json sees it
+
+    def no_write(path, mode):
+        return False if os.fspath(path) == str(kept) and mode & os.W_OK else access(path, mode)
+
+    monkeypatch.setattr(os, "access", no_write)
+    code, stdout, err = run_cli(capsys, command, "--config", cfg, "--out", str(kept))
+    assert code == 2 and stdout == "" and "no write permission" in err, err
+    assert kept.read_text() == "kept"
+
+
 def test_import_partdist_loads_no_numpy_and_no_submodule():
     # every public name imports its module on first access, so the package
     # alone runs only its __init__, and dir() lists the names unloaded
@@ -667,6 +694,7 @@ def test_streaming_routes_build_no_group(tmp_path, capsys, monkeypatch):
         pytest.fail("the streaming route enumerated the group")
 
     monkeypatch.setattr(partdist.rates, "all_permutations", no_group)
+    monkeypatch.setattr(partdist.symgroup, "all_permutations", no_group)
     monkeypatch.setattr(partdist.rates, "monomial_vector", no_group)
     cfg = write_config(tmp_path, chunk=4)
     for argv in (("rate",), ("distribution",), ("sample", "--count", "5"),

@@ -16,7 +16,6 @@ from partdist.interferometer import (
     unitary_from_json,
     unitary_to_json,
 )
-from partdist.symgroup import all_permutations
 
 
 def test_interferometer_rejects_nonunitary():
@@ -116,9 +115,10 @@ def test_submatrix_rows_and_columns():
 
 def test_monomial_vector_n2():
     A = np.array([[1.0, 2.0], [3.0, 4.0]])
-    v = monomial_vector(A, all_permutations(2))
+    v = monomial_vector(A)
     # lex order: identity then the swap
-    assert v.values == pytest.approx([1 * 4, 3 * 2])
+    assert v == pytest.approx([1 * 4, 3 * 2])
+    assert not v.flags.writeable
 
 
 def test_monomial_vector_sum_is_permanent():
@@ -126,8 +126,13 @@ def test_monomial_vector_sum_is_permanent():
 
     rng = np.random.default_rng(5)
     A = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    v = monomial_vector(A, all_permutations(4))
-    assert v.values.sum() == pytest.approx(permanent(A), rel=1e-12)
+    v = monomial_vector(A)
+    assert v.sum() == pytest.approx(permanent(A), rel=1e-12)
+    # a stack gives one row per matrix, and a matrix that is not square none
+    stack = monomial_vector(np.stack([A, 2 * A]))
+    assert stack.shape == (2, 24) and np.array_equal(stack[0], v)
+    with pytest.raises(DomainError):
+        monomial_vector(A[:, :3])
 
 
 def test_enumerate_outputs_counts_and_order():

@@ -14,7 +14,7 @@ from partdist.matfun import (
 )
 from partdist.symgroup import all_permutations, character, partitions_of
 
-from orderings import cycle_type
+from cycles import cycle_type
 
 
 UNIT_ROUNDOFF = np.finfo(float).eps / 2
@@ -159,11 +159,10 @@ def test_immanant_21_explicit():
 def test_immanant_from_character_sum():
     rng = np.random.default_rng(5)
     M = rng.normal(size=(4, 4))
-    ordering = all_permutations(4)
     for lam in partitions_of(4):
         want = sum(
             character(lam, cycle_type(row)) * math.prod(M[row[k], k] for k in range(4))
-            for row in ordering.images_array.tolist()
+            for row in all_permutations(4).tolist()
         )
         assert immanant(lam, M) == pytest.approx(want, rel=1e-12)
 
@@ -185,31 +184,28 @@ def test_immanant_shape_check():
 def test_dfunction_trace_is_immanant():
     rng = np.random.default_rng(7)
     for n in (2, 3, 4):
-        ordering = all_permutations(n)
         M = rng.normal(size=(n, n))
         for lam in partitions_of(n):
-            block = dfunction_direct(lam, M, ordering)
+            block = dfunction_direct(lam, M)
             assert np.trace(block) == pytest.approx(immanant(lam, M), rel=1e-10)
 
 
 def test_dfunction_multiplicativity_on_permutations():
     rng = np.random.default_rng(8)
     n = 4
-    ordering = all_permutations(n)
     M = rng.normal(size=(n, n))
     for lam in [(3, 1), (2, 2), (2, 1, 1)]:
         for _ in range(5):
-            P = np.eye(n)[ordering.images_array[rng.integers(len(ordering))]]
-            left = dfunction_direct(lam, P, ordering)
-            right = dfunction_direct(lam, M, ordering)
-            combined = dfunction_direct(lam, P @ M, ordering)
+            P = np.eye(n)[all_permutations(n)[rng.integers(math.factorial(n))]]
+            left = dfunction_direct(lam, P)
+            right = dfunction_direct(lam, M)
+            combined = dfunction_direct(lam, P @ M)
             assert np.allclose(left @ right, combined, atol=1e-10)
 
 
 def test_dfunction_of_identity_is_identity():
-    ordering = all_permutations(3)
     for lam in partitions_of(3):
-        block = dfunction_direct(lam, np.eye(3), ordering)
+        block = dfunction_direct(lam, np.eye(3))
         assert np.allclose(block, np.eye(len(block)), atol=1e-14)
 
 
@@ -220,8 +216,7 @@ def test_dfunction_21_general_matrix_polynomials():
     a, b, c = Z[0]
     d, e, f = Z[1]
     g, h, i = Z[2]
-    ordering = all_permutations(3)
-    block = dfunction_direct((2, 1), Z, ordering)
+    block = dfunction_direct((2, 1), Z)
     s3 = math.sqrt(3)
     want = np.array(
         [

@@ -4,6 +4,7 @@ too, so that it cannot come back unnoticed."""
 
 import ast
 import importlib
+import inspect
 import pkgutil
 import types
 from pathlib import Path
@@ -11,7 +12,7 @@ from pathlib import Path
 import partdist
 
 PUBLIC = {
-    "ArrivalSpec", "DomainError", "GroupOrdering", "Interferometer",
+    "ArrivalSpec", "DomainError", "Interferometer",
     "NumericalError", "OutputDistribution", "PartdistError",
     "SizeLimitError", "all_permutations", "analyze_report", "build_distribution",
     "burgisser_cost", "catalan", "character", "conjugate", "delay_matrix",
@@ -42,6 +43,24 @@ def test_every_module_export_resolves():
         module = importlib.import_module(f"partdist.{info.name}")
         missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
         assert not missing, (info.name, missing)
+
+
+def test_no_callable_takes_a_group_ordering():
+    # S_n has one enumeration, the rows of symgroup.all_permutations: no
+    # function or record of the package takes or holds another, and the
+    # types that carried one are gone
+    offenders = []
+    for info in pkgutil.iter_modules(partdist.__path__):
+        module = importlib.import_module(f"partdist.{info.name}")
+        for gone in ("GroupOrdering", "MonomialVector"):
+            assert not hasattr(module, gone), (info.name, gone)
+        for name, value in vars(module).items():
+            if not callable(value) or getattr(value, "__module__", None) != module.__name__:
+                continue
+            if not (isinstance(value, type) and issubclass(value, Exception)):  # no signature
+                if "ordering" in inspect.signature(value).parameters:
+                    offenders.append(f"{info.name}.{name}")
+    assert offenders == []
 
 
 def test_demos_import_public_root_names_only():

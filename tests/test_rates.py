@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import tracemalloc
+import types
 import warnings
 from unittest import mock
 
@@ -57,10 +58,11 @@ from partdist.symgroup import (
     fourier_transform,
     irrep_matrices,
     partitions_of,
+    signs,
     standard_tableau_count,
 )
 
-from orderings import cycle_ordering, ordering_of, positions
+from cycles import positions, relabelling
 
 
 UNIT_ROUNDOFF = np.finfo(float).eps / 2
@@ -101,43 +103,41 @@ def rate_rounding(n, norm2):
 def direct_rounding(v):
     """Bound on |rate_direct - v^dag R v|: |R_ij| <= 1, so the form rounds by
     at most 2 gamma_2N ||v||_1^2 (see rate_rounding)."""
-    values = v.values
-    return 2 * gamma(2 * len(values)) * float(np.abs(values).sum()) ** 2
+    return 2 * gamma(2 * len(v)) * float(np.abs(v).sum()) ** 2
 
 
-def walked_autocorrelation(v):
+def walked_autocorrelation(v, n):
     """S_v(c) = conj(v)[comp[c]] . v(h^-1), gathered row block by
     row block along rates._composition_rows: the O(n!^2) reference for
     rates.autocorrelation.  Its real and imaginary parts are real dot
     products of 2N terms, so it lies within sqrt(2) gamma_2N sigma(c) of
     S_v(c), sigma(c) = sum_h |v(h c)| |v(h)|, the walked sum of |v|."""
-    ordering = v.ordering
-    values = np.asarray(v.values)
-    inverses = positions(ordering, np.argsort(ordering.images_array, axis=1))
+    values = np.asarray(v)
+    inverses = positions(np.argsort(all_permutations(n), axis=1))
     conj, w = values.conj(), values[inverses]
-    S = np.empty(len(ordering), dtype=np.result_type(values, complex))
-    for indices, rows in _composition_rows(ordering):
+    S = np.empty(math.factorial(n), dtype=np.result_type(values, complex))
+    for indices, rows in _composition_rows(n):
         S[indices] = conj[rows] @ w
     return S
 
 
-def autocorrelation_errors(A, ordering):
+def autocorrelation_errors(A):
     """beta(c) = gamma_(K+8n) prod_i a_i(c), K = 2^(n-1) and a_i(c) =
     sum_j |A_ij| |A_(i, c^-1(j))|: the bound on |autocorrelation(A) - S_v|
     entry by entry (derived in rates.autocorrelation)."""
-    n = ordering.n
+    n = len(A)
     a = np.abs(np.asarray(A))
-    columns = np.argsort(ordering.images_array, axis=1)
+    columns = np.argsort(all_permutations(n), axis=1)
     return gamma(2 ** (n - 1) + 8 * n) * (a * a[:, columns].transpose(1, 0, 2)).sum(-1).prod(-1)
 
 
-def autocorrelation_rounding(A, ordering):
+def autocorrelation_rounding(A):
     """Bound on |rate_from_autocorrelation - v^dag R v| for |f| <= 1:
     (1 + gamma_N) sum_c beta(c) + gamma_N ||v||_1^2 (derived in
     rates.rate_from_autocorrelation)."""
-    N = len(ordering)
-    l1 = float(np.abs(monomial_vector(A, ordering).values).sum()) ** 2
-    return (1 + gamma(N)) * float(autocorrelation_errors(A, ordering).sum()) + gamma(N) * l1
+    N = math.factorial(len(A))
+    l1 = float(np.abs(monomial_vector(A)).sum()) ** 2
+    return (1 + gamma(N)) * float(autocorrelation_errors(A).sum()) + gamma(N) * l1
 
 
 def dense_decomposition(v, R, T):
@@ -161,11 +161,13 @@ def _random_case(n, seed):
 
 
 def test_rate_matrix_monomials_n3_cycle_ordering():
+    # R relabelled into the order of worked examples, e, (12), (13), (23),
+    # (123), (132): its column e holds the monomials of those elements
     rng = np.random.default_rng(0)
-    ordering = cycle_ordering(3)
+    p = relabelling(3, "cycle")
     taus = rng.uniform(0, 1, size=3)
     r = delay_matrix_from_times(taus, 1.8)
-    R = rate_matrix(r, "boson", ordering).matrix
+    R = rate_matrix(r, "boson").matrix[np.ix_(p, p)]
     triple = r[0, 1] * r[1, 2] * r[0, 2]
     want = [1.0, r[0, 1] ** 2, r[0, 2] ** 2, r[1, 2] ** 2, triple, triple]
     assert np.allclose(R[:, 0], want, atol=1e-14)
@@ -174,25 +176,23 @@ def test_rate_matrix_monomials_n3_cycle_ordering():
 
 def test_rate_matrix_is_symmetric_psd_boson():
     A, r = _random_case(4, 1)
-    R = rate_matrix(r, "boson", all_permutations(4)).matrix
+    R = rate_matrix(r, "boson").matrix
     assert np.allclose(R, R.T, atol=1e-13)
     assert np.linalg.eigvalsh(R).min() > -1e-10
 
 
 def test_fermion_rate_matrix_is_sign_twisted_boson():
     A, r = _random_case(3, 2)
-    ordering = all_permutations(3)
-    Rb = rate_matrix(r, "boson", ordering).matrix
-    Rf = rate_matrix(r, "fermion", ordering).matrix
-    signs = ordering.signs
-    assert np.allclose(Rf, Rb * np.outer(signs, signs), atol=1e-14)
+    Rb = rate_matrix(r, "boson").matrix
+    Rf = rate_matrix(r, "fermion").matrix
+    w = signs(3)
+    assert np.allclose(Rf, Rb * np.outer(w, w), atol=1e-14)
 
 
-def _composition_tables_by_columns(ordering):
-    # the composition table column by column: the reference for the row blocks
-    n = ordering.n
-    N = len(ordering)
-    P = ordering.images_array
+def _composition_tables_by_columns(P):
+    # the composition table column by column over the group enumerated by
+    # the rows of P: the reference for the row blocks
+    N, n = P.shape
     powers = n ** np.arange(n, dtype=np.int64)
     lut = np.full(n**n, -1, dtype=np.intp)
     lut[P @ powers] = np.arange(N)
@@ -207,17 +207,20 @@ def _composition_tables_by_columns(ordering):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_composition_table_matches_column_loop(n, convention):
     # the row blocks, stacked by their indices, are the whole table:
-    # every row exactly once, in blocks of at most 64 rows
-    ordering = ordering_of(n, convention)
-    N = len(ordering)
+    # every row exactly once, in blocks of at most 64 rows; relabelled into
+    # the convention's order, it is the column loop over the rows in that
+    # order
+    p = relabelling(n, convention)
+    N = math.factorial(n)
     table = np.full((N, N), -1, dtype=np.intp)
     visits = np.zeros(N, dtype=int)
-    for indices, rows in _composition_rows(ordering):
+    for indices, rows in _composition_rows(n):
         assert len(indices) <= rates.TABLE_ROWS and rows.shape == (len(indices), N)
         table[indices] = rows
         visits[indices] += 1
     assert (visits == 1).all()
-    assert np.array_equal(table, _composition_tables_by_columns(ordering))
+    want = _composition_tables_by_columns(all_permutations(n)[p])
+    assert np.array_equal(np.argsort(p)[table[np.ix_(p, p)]], want)
 
 
 @pytest.mark.parametrize("convention", ["lex", "cycle"])
@@ -226,15 +229,17 @@ def test_composition_table_matches_column_loop(n, convention):
 def test_rate_matrix_is_bit_identical_to_outer_product_form(n, species, convention):
     # rate_matrix fills R[i, j] = (w mono_r)(gj^-1 gi); the table form it
     # replaced took mono_r(gj^-1 gi) sgn(gi) sgn(gj): multiplying by +-1 is
-    # exact, so every bit agrees, signed zeros (r = I) included
-    ordering = ordering_of(n, convention)
-    table = _composition_tables_by_columns(ordering)
+    # exact, so every bit agrees, signed zeros (r = I) included, in the
+    # convention's order as in the package's
+    p = relabelling(n, convention)
+    table = _composition_tables_by_columns(all_permutations(n)[p])
     for r in (_random_case(n, 70 + n)[1], np.eye(n)):
-        want = rates.monomials(r, ordering)[table]
+        want = rates.monomials(r)[p][table]
         if species == "fermion":
-            want = want * np.outer(ordering.signs, ordering.signs)
-        R = rate_matrix(r, species, ordering).matrix
-        assert R.dtype == want.dtype and R.tobytes() == want.tobytes()
+            want = want * np.outer(signs(n)[p], signs(n)[p])
+        R = rate_matrix(r, species).matrix
+        got = R[np.ix_(p, p)]
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
         assert not R.flags.writeable
 
 
@@ -246,28 +251,26 @@ def test_autocorrelation_rate_matches_rate_direct_within_derived_bound(n):
               snapped_delay_matrix(discretize(spec)[0], spec))
     itf = haar_unitary(n + 3, seed=n)
     A = submatrix(itf, tuple(range(2, n + 2)))
-    for convention in ("lex", "cycle"):
-        ordering = ordering_of(n, convention)
-        v = monomial_vector(A, ordering)
-        S = autocorrelation(A, ordering)
-        assert S.shape == (len(ordering),) and not S.flags.writeable
-        # against the walked sum, entry by entry and rate by rate
-        walked = walked_autocorrelation(v)
-        sigma = walked_autocorrelation(dataclasses.replace(v, values=np.abs(v.values))).real
-        N = len(ordering)
-        walk_errors = math.sqrt(2) * gamma(2 * N) * sigma
-        assert (np.abs(S - walked) <= autocorrelation_errors(A, ordering) + walk_errors).all()
-        own = autocorrelation_rounding(A, ordering)
-        walk_rounding = gamma(4 * N) * float(np.abs(v.values).sum()) ** 2
-        tol = own + direct_rounding(v)
-        for species in ("boson", "fermion"):
-            for r in delays:
-                got = rate_from_autocorrelation(S, r, species, ordering)
-                want = rate_direct(v, rate_matrix(r, species, ordering))
-                assert isinstance(got, float)
-                assert abs(got - want) <= tol, (convention, species, got, want)
-                from_walk = rate_from_autocorrelation(walked, r, species, ordering)
-                assert abs(got - from_walk) <= own + walk_rounding
+    v = monomial_vector(A)
+    S = autocorrelation(A)
+    assert S.shape == (math.factorial(n),) and not S.flags.writeable
+    # against the walked sum, entry by entry and rate by rate
+    walked = walked_autocorrelation(v, n)
+    sigma = walked_autocorrelation(np.abs(v), n).real
+    N = math.factorial(n)
+    walk_errors = math.sqrt(2) * gamma(2 * N) * sigma
+    assert (np.abs(S - walked) <= autocorrelation_errors(A) + walk_errors).all()
+    own = autocorrelation_rounding(A)
+    walk_rounding = gamma(4 * N) * float(np.abs(v).sum()) ** 2
+    tol = own + direct_rounding(v)
+    for species in ("boson", "fermion"):
+        for r in delays:
+            got = rate_from_autocorrelation(S, r, species)
+            want = rate_direct(v, rate_matrix(r, species))
+            assert isinstance(got, float)
+            assert abs(got - want) <= tol, (species, got, want)
+            from_walk = rate_from_autocorrelation(walked, r, species)
+            assert abs(got - from_walk) <= own + walk_rounding
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
@@ -280,16 +283,14 @@ def test_autocorrelation_pairs_are_exact_conjugates_within_the_bound_of_every_pe
     # unit roundoff ratio * u, they lie within 4 ratio beta(c) of S_v(c)
     # (glynn_reference's bound plus the Hadamard products' gamma_3n)
     ratio = float(np.finfo(np.longdouble).eps / np.finfo(float).eps)  # 2^-11 on x86-64
-    for convention in ("lex", "cycle"):
-        ordering = ordering_of(n, convention)
-        S = autocorrelation(A, ordering)
-        inverse = positions(ordering, np.argsort(ordering.images_array, axis=1))
-        assert np.array_equal(S[inverse], S.conj())
-        assert (S[inverse == np.arange(len(ordering))].imag == 0).all()
-        columns = np.argsort(ordering.images_array, axis=1)
-        every, _ = glynn_reference(L * L.conj()[:, columns].transpose(1, 0, 2))
-        beta = autocorrelation_errors(A, ordering)
-        assert (np.abs(S - every) <= (1 + 4 * ratio) * beta).all(), convention
+    S = autocorrelation(A)
+    columns = np.argsort(all_permutations(n), axis=1)
+    inverse = positions(columns)
+    assert np.array_equal(S[inverse], S.conj())
+    assert (S[inverse == np.arange(math.factorial(n))].imag == 0).all()
+    every, _ = glynn_reference(L * L.conj()[:, columns].transpose(1, 0, 2))
+    beta = autocorrelation_errors(A)
+    assert (np.abs(S - every) <= (1 + 4 * ratio) * beta).all()
 
 
 @pytest.mark.parametrize("species", ["boson", "fermion"])
@@ -302,7 +303,7 @@ def test_one_string_direct_meets_streaming_within_their_bounds_at_n7(species):
     direct = rates.engine_rates(A, rs, species, "direct").rates
     stream = rates.engine_rates(A, rs, species, "streaming")
     # both rates are clamped to [0, inf) by a 1-Lipschitz map of their raw values
-    own = autocorrelation_rounding(A, all_permutations(n))
+    own = autocorrelation_rounding(A)
     assert (np.abs(direct - stream.rates) <= own + stream.bounds).all()
 
 
@@ -311,18 +312,16 @@ def test_one_string_direct_meets_streaming_within_their_bounds_at_n7(species):
     n=st.integers(1, 5),
     seed=st.integers(0, 2**32 - 1),
     species=st.sampled_from(["boson", "fermion"]),
-    convention=st.sampled_from(["lex", "cycle"]),
 )
-def test_autocorrelation_rate_shift_invariance_and_limits(n, seed, species, convention):
+def test_autocorrelation_rate_shift_invariance_and_limits(n, seed, species):
     rng = np.random.default_rng(seed)
     m = n + int(rng.integers(0, 3))
     s = tuple(sorted(rng.choice(m, n, replace=False) + 1))
     A = submatrix(haar_unitary(m, seed=seed), s)
-    ordering = ordering_of(n, convention)
-    v = monomial_vector(A, ordering)
-    S = autocorrelation(A, ordering)
-    l1 = float(np.abs(v.values).sum()) ** 2
-    own = autocorrelation_rounding(A, ordering)
+    v = monomial_vector(A)
+    S = autocorrelation(A)
+    l1 = float(np.abs(v).sum()) ** 2
+    own = autocorrelation_rounding(A)
 
     # a global time shift moves each overlap by rounding only; a product of
     # n overlaps in [0, 1] moves by at most n max|r - r'| plus its own
@@ -331,8 +330,8 @@ def test_autocorrelation_rate_shift_invariance_and_limits(n, seed, species, conv
     width = float(rng.uniform(0.5, 3.0))
     r = delay_matrix_from_times(taus, width)
     shifted = delay_matrix_from_times(taus + rng.uniform(-5, 5), width)
-    base = rate_from_autocorrelation(S, r, species, ordering)
-    moved = rate_from_autocorrelation(S, shifted, species, ordering)
+    base = rate_from_autocorrelation(S, r, species)
+    moved = rate_from_autocorrelation(S, shifted, species)
     drift = n * float(np.abs(r - shifted).max()) + 2 * gamma(n)
     assert abs(base - moved) <= drift * l1 + 2 * own
 
@@ -340,10 +339,10 @@ def test_autocorrelation_rate_shift_invariance_and_limits(n, seed, species, conv
     per, per_err = glynn_reference(A)
     det, det_err = det_reference(A)
     value, err = (per, per_err) if species == "boson" else (det, det_err)
-    equal = rate_from_autocorrelation(S, np.ones((n, n)), species, ordering)
+    equal = rate_from_autocorrelation(S, np.ones((n, n)), species)
     assert abs(equal - abs(value) ** 2) <= own + (2 * abs(value) + err) * err
     classical, classical_err = glynn_reference(np.abs(A) ** 2)
-    apart = rate_from_autocorrelation(S, np.eye(n), species, ordering)
+    apart = rate_from_autocorrelation(S, np.eye(n), species)
     assert abs(apart - classical.real) <= own + classical_err
 
 
@@ -351,15 +350,14 @@ def test_autocorrelation_rates_of_a_stack_match_one_at_a_time():
     # floor(2^16 / 4!) = 2730 delay matrices per product: 3000 take two
     n = 4
     A, _ = _random_case(n, 8)
-    ordering = all_permutations(n)
-    S = autocorrelation(A, ordering)
+    S = autocorrelation(A)
     rs = delay_matrix_from_times(np.random.default_rng(8).uniform(0, 2, size=(3, 1000, n)), 1.3)
     for species in ("boson", "fermion"):
-        got = rate_from_autocorrelation(S, rs, species, ordering)
+        got = rate_from_autocorrelation(S, rs, species)
         assert got.shape == (3, 1000)
         for idx in [(0, 0), (1, 729), (1, 730), (2, 999)]:
-            one = rate_from_autocorrelation(S, rs[idx], species, ordering)
-            assert abs(got[idx] - one) <= 2 * autocorrelation_rounding(A, ordering)
+            one = rate_from_autocorrelation(S, rs[idx], species)
+            assert abs(got[idx] - one) <= 2 * autocorrelation_rounding(A)
 
 
 def test_autocorrelation_route_at_n7_stays_within_its_working_set():
@@ -369,29 +367,15 @@ def test_autocorrelation_route_at_n7_stays_within_its_working_set():
     # products, with at most two temporaries at a time: under 5 * 16 * 2^16
     # bytes.  8.5 MB measured
     n, N = 7, 5040
-    ordering = all_permutations(n)
     A, r = _random_case(n, 12)
     tracemalloc.start()
     try:
-        S = autocorrelation(A, ordering)
-        rate_from_autocorrelation(S, r, "fermion", ordering)
+        S = autocorrelation(A)
+        rate_from_autocorrelation(S, r, "fermion")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 16 * N * n**2 + 16 * N + 5 * 16 * GLYNN_PRODUCTS  # 9.3 MB
-
-
-def test_rate_direct_rejects_mismatched_ordering():
-    # a lex rate matrix against a cycle-ordered vector pairs the wrong
-    # monomials: 0.1113 for 0.0883 on one n = 4 case, so it must refuse
-    A, r = _random_case(4, 3)
-    lex, cycle = all_permutations(4), cycle_ordering(4)
-    v = monomial_vector(A, cycle)
-    with pytest.raises(DomainError, match="orderings"):
-        rate_direct(v, rate_matrix(r, "boson", lex))
-    want = rate_direct(v, rate_matrix(r, "boson", cycle))
-    assert rate_direct(monomial_vector(A, lex), rate_matrix(r, "boson", lex)) == pytest.approx(want)
-    assert rate_from_autocorrelation(autocorrelation(A, cycle), r, "boson", cycle) == pytest.approx(want)
 
 
 def test_autocorrelation_route_refuses_degree_8_before_walking(monkeypatch):
@@ -405,18 +389,16 @@ def test_autocorrelation_route_refuses_degree_8_before_walking(monkeypatch):
 
     monkeypatch.setattr(rates, "_composition_rows", no_walk)
     monkeypatch.setattr(rates, "permanent", permanent_below_8)
-    ordering = all_permutations(8)
     with pytest.raises(SizeLimitError):
-        autocorrelation(np.eye(8), ordering)
+        autocorrelation(np.eye(8))
     with pytest.raises(SizeLimitError):
-        rate_from_autocorrelation(np.zeros(len(ordering), complex), np.eye(8), "boson", ordering)
+        rate_from_autocorrelation(np.zeros(math.factorial(8), complex), np.eye(8), "boson")
     with pytest.raises(SizeLimitError):
-        rate_matrix(np.eye(8), "boson", ordering)
-    # a submatrix that does not match the ordering's degree, or a stack
-    four = all_permutations(4)
-    for A in (np.eye(3), np.eye(5), np.ones((2, 4, 4)), np.ones((4, 3))):
+        rate_matrix(np.eye(8), "boson")
+    # a stack, a matrix that is not square, or no matrix at all
+    for A in (np.ones((2, 4, 4)), np.ones((4, 3)), np.ones(4)):
         with pytest.raises(DomainError, match="submatrix"):
-            autocorrelation(A, four)
+            autocorrelation(A)
 
 
 def test_delay_matrix_check_agrees_with_allclose():
@@ -479,17 +461,16 @@ def test_delay_matrix_check_agrees_with_allclose():
 
 
 def test_rate_matrix_input_validation():
-    ordering = all_permutations(3)
     with pytest.raises(DomainError):
-        rate_matrix(np.eye(3) * 2, "boson", ordering)  # diagonal not 1
+        rate_matrix(np.eye(3) * 2, "boson")  # diagonal not 1
     with pytest.raises(DomainError):
-        rate_matrix(np.eye(4), "boson", ordering)  # shape mismatch
+        rate_matrix(np.ones((3, 4)), "boson")  # not square
     with pytest.raises(DomainError):
-        rate_matrix(np.eye(3), "photon", ordering)
+        rate_matrix(np.eye(3), "photon")
     with pytest.raises(SizeLimitError):
-        rate_matrix(np.eye(8), "boson", all_permutations(8))
+        rate_matrix(np.eye(8), "boson")
     with pytest.raises(DomainError):  # an overlap of 3 is refused up front
-        rate_matrix([[1.0, 3.0], [3.0, 1.0]], "boson", all_permutations(2))
+        rate_matrix([[1.0, 3.0], [3.0, 1.0]], "boson")
 
 
 # ---------------------------------------------------------------------------
@@ -498,12 +479,11 @@ def test_rate_matrix_input_validation():
 
 @pytest.mark.parametrize("rho", [0.0, 0.25, 0.8, 1.0])
 def test_hom_two_port(rho):
-    ordering = all_permutations(2)
     A = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
     r = np.array([[1.0, rho], [rho, 1.0]])
-    v = monomial_vector(A, ordering)
-    boson = rate_direct(v, rate_matrix(r, "boson", ordering))
-    fermion = rate_direct(v, rate_matrix(r, "fermion", ordering))
+    v = monomial_vector(A)
+    boson = rate_direct(v, rate_matrix(r, "boson"))
+    fermion = rate_direct(v, rate_matrix(r, "fermion"))
     assert boson == pytest.approx(0.5 * (1 - rho**2), abs=1e-14)
     assert fermion == pytest.approx(0.5 * (1 + rho**2), abs=1e-14)
 
@@ -516,12 +496,11 @@ def test_hom_two_port(rho):
 @pytest.mark.parametrize("species", ["boson", "fermion"])
 def test_direct_streaming_blocked_agree(n, species):
     A, r = _random_case(n, 10 + n)
-    ordering = all_permutations(n)
-    v = monomial_vector(A, ordering)
-    R = rate_matrix(r, species, ordering)
+    v = monomial_vector(A)
+    R = rate_matrix(r, species)
     direct = rate_direct(v, R)
     stream = rate_direct_streaming(A, r, species)
-    T = build_transform(ordering)
+    T = build_transform(n)
     blocked = rate_blocked(dense_decomposition(v, R, T))
     scale = max(1.0, direct)
     assert abs(direct - float(stream.rates)) <= float(stream.bounds) + direct_rounding(v)
@@ -701,9 +680,8 @@ def test_streaming_matches_direct_within_derived_bound(n, species, snapped):
         r = delay_matrix_from_times(spec.taus, spec.delta_omega)
     itf = haar_unitary(n + 3, seed=n)
     A = submatrix(itf, tuple(range(2, n + 2)))
-    ordering = all_permutations(n)
-    v = monomial_vector(A, ordering)
-    direct = rate_direct(v, rate_matrix(r, species, ordering))
+    v = monomial_vector(A)
+    direct = rate_direct(v, rate_matrix(r, species))
     stream = rate_direct_streaming(A, r, species)
     assert abs(float(stream.rates) - direct) <= float(stream.bounds) + direct_rounding(v)
     assert stream.cancellation >= 1.0 and float(stream.rates) > 0.0
@@ -834,20 +812,9 @@ def test_stacked_streaming_matches_stacked_dense_within_bounds(n, seed, species,
     assert len(calls) == -(-len(A) // width) >= 2
     assert stream.bounds.shape == stream.rates.shape == dense.rates.shape == (len(A),)
     assert dense.bounds is None
-    values = monomial_vector(A, all_permutations(n)).values
+    values = monomial_vector(A)
     dense_rounding = 2 * gamma(2 * values.shape[1]) * np.abs(values).sum(axis=1) ** 2
     assert (np.abs(stream.rates - dense.rates) <= stream.bounds + dense_rounding).all()
-
-
-def test_rate_is_ordering_convention_independent():
-    A, r = _random_case(4, 4)
-    for species in ("boson", "fermion"):
-        vals = []
-        for convention in ("lex", "cycle"):
-            ordering = ordering_of(4, convention)
-            v = monomial_vector(A, ordering)
-            vals.append(rate_direct(v, rate_matrix(r, species, ordering)))
-        assert vals[0] == pytest.approx(vals[1], rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -856,7 +823,7 @@ def test_rate_is_ordering_convention_independent():
 
 def test_transform_is_orthogonal():
     for n in (2, 3, 4):
-        T = build_transform(all_permutations(n))
+        T = build_transform(n)
         N = math.factorial(n)
         assert T.matrix.shape == (N, N)
         assert np.allclose(T.matrix @ T.matrix.T, np.eye(N), atol=1e-12)
@@ -867,33 +834,34 @@ def test_transform_is_orthogonal():
 def test_fourier_transform_matches_irreps_built_transform(convention, monkeypatch):
     # the reference T is read from irrep_matrices, independently of the
     # FFT; at n = 7 the irreps and T take about 400 MB, so they are built
-    # uncached here and freed with the test
+    # uncached here and freed with the test.  f is drawn along the
+    # convention's order, and the reference product sums along it
     monkeypatch.setattr(rates, "irrep_matrices", irrep_matrices.__wrapped__)
     rng = np.random.default_rng(500)
     for n in range(1, 8):
-        ordering = ordering_of(n, convention)
-        T = build_transform(ordering)
-        N = len(ordering)
+        p = relabelling(n, convention)
+        T = build_transform(n)
+        Tp = T.matrix[:, p]
+        N = math.factorial(n)
         scale = np.concatenate([np.full(s * s, math.sqrt(s / N)) for _, _, s in T.layout])
         one = rng.normal(size=N) + 1j * rng.normal(size=N)
         batch = rng.normal(size=(N, 3)) + 1j * rng.normal(size=(N, 3))
         for f in (one, batch, batch.real):
-            got = fourier_transform(f, ordering)
+            got = fourier_transform(f[np.argsort(p)], n)
             assert got.shape == f.shape and got.dtype == f.dtype
             got = got * (scale if f.ndim == 1 else scale[:, None])
-            want = T.matrix @ f.real + 1j * (T.matrix @ f.imag)
+            want = Tp @ f.real + 1j * (Tp @ f.imag)
             err = np.linalg.norm(got - want, axis=0)
             bound = (_fft_rounding(n) + transform_rounding(n)) * np.linalg.norm(f, axis=0)
             assert np.all(err <= bound), (n, err, bound)
 
 
 def test_block_route_at_n7_allocates_no_dense_array():
-    ordering = all_permutations(7)
     A, r = _random_case(7, 12)
-    v = monomial_vector(A, ordering)
+    v = monomial_vector(A)
     tracemalloc.start()
     try:
-        T = build_transform(ordering)
+        T = build_transform(7)
         rate_blocked(attach_vector(v, fourier_blocks(r, "boson", T), T, "boson"))
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -903,23 +871,21 @@ def test_block_route_at_n7_allocates_no_dense_array():
 
 def test_boson_blocks_equal_transformed_gram_functions():
     _, r = _random_case(4, 5)
-    ordering = all_permutations(4)
-    T = build_transform(ordering)
-    R = rate_matrix(r, "boson", ordering)
+    T = build_transform(4)
+    R = rate_matrix(r, "boson")
     blocks, offblock = decompose_rate_matrix(R, T)
     assert offblock < 1e-10
     for lam in partitions_of(4):
-        want = dfunction_direct(lam, r, ordering)
+        want = dfunction_direct(lam, r)
         assert np.allclose(blocks[lam], want, atol=1e-10)
 
 
 def test_fermion_blocks_have_conjugate_spectra():
     _, r = _random_case(4, 6)
-    ordering = all_permutations(4)
-    T = build_transform(ordering)
-    blocks, _ = decompose_rate_matrix(rate_matrix(r, "fermion", ordering), T)
+    T = build_transform(4)
+    blocks, _ = decompose_rate_matrix(rate_matrix(r, "fermion"), T)
     for lam in partitions_of(4):
-        conj_block = dfunction_direct(conjugate(lam), r, ordering)
+        conj_block = dfunction_direct(conjugate(lam), r)
         assert np.allclose(
             np.sort(np.linalg.eigvalsh(blocks[lam])),
             np.sort(np.linalg.eigvalsh(conj_block)),
@@ -932,8 +898,7 @@ def test_block_traces_sum_to_group_order():
     # s_lam times, and the rate matrix has unit diagonal, so the copy-weighted
     # block traces add up to n!
     _, r = _random_case(4, 7)
-    ordering = all_permutations(4)
-    blocks, _ = decompose_rate_matrix(rate_matrix(r, "boson", ordering), build_transform(ordering))
+    blocks, _ = decompose_rate_matrix(rate_matrix(r, "boson"), build_transform(4))
     total = sum(
         standard_tableau_count(lam) * np.trace(blocks[lam]) for lam in partitions_of(4)
     )
@@ -951,15 +916,20 @@ def test_fourier_blocks_match_dense_reference(n, species, convention, snapped):
         r = snapped_delay_matrix(discretize(spec)[0], spec)
     else:
         r = delay_matrix_from_times(spec.taus, spec.delta_omega)
-    ordering = ordering_of(n, convention)
-    T = build_transform(ordering)
+    T = build_transform(n)
     itf = haar_unitary(2 * n, seed=n)
     A = submatrix(itf, tuple(range(1, n + 1)))
-    v = monomial_vector(A, ordering)
-    reference = dense_decomposition(v, rate_matrix(r, species, ordering), T)
+    v = monomial_vector(A)
+    # the dense reference with the group relabelled into the convention's
+    # order, so that T R T^t sums along that order
+    p = relabelling(n, convention)
+    R = rate_matrix(r, species)
+    Rp = dataclasses.replace(R, matrix=R.matrix[np.ix_(p, p)])
+    Tp = types.SimpleNamespace(matrix=T.matrix[:, p], layout=T.layout)
+    reference = attach_vector(v, decompose_rate_matrix(Rp, Tp)[0], T, species)
     decomp = attach_vector(v, fourier_blocks(r, species, T), T, species)
     tol = block_rounding(n)
-    norm2 = float(np.vdot(v.values, v.values).real)
+    norm2 = float(np.vdot(v, v).real)
     assert decomp.blocks.keys() == reference.blocks.keys()
     for lam, block in decomp.blocks.items():
         assert not block.flags.writeable
@@ -973,9 +943,8 @@ def test_fourier_blocks_match_dense_reference(n, species, convention, snapped):
     n=st.integers(2, 5),
     seed=st.integers(0, 2**32 - 1),
     species=st.sampled_from(["boson", "fermion"]),
-    convention=st.sampled_from(["lex", "cycle"]),
 )
-def test_block_engines_equal_direct_property(n, seed, species, convention):
+def test_block_engines_equal_direct_property(n, seed, species):
     rng = np.random.default_rng(seed)
     bins = int(rng.integers(2, n + 3))
     spec = ArrivalSpec(tuple(rng.uniform(0, 1, size=n)), float(rng.uniform(0.5, 4.0)), 1.0, bins)
@@ -983,16 +952,15 @@ def test_block_engines_equal_direct_property(n, seed, species, convention):
     m = n + int(rng.integers(0, 3))
     itf = haar_unitary(m, seed=seed)
     s = tuple(sorted(rng.choice(m, n, replace=False) + 1))
-    ordering = ordering_of(n, convention)
-    T = build_transform(ordering)
-    v = monomial_vector(submatrix(itf, s), ordering)
-    tol = rate_rounding(n, float(np.vdot(v.values, v.values).real))
+    T = build_transform(n)
+    v = monomial_vector(submatrix(itf, s))
+    tol = rate_rounding(n, float(np.vdot(v, v).real))
     # blocked on continuous times, truncated on the snapped ones
     for r, engine in (
         (delay_matrix_from_times(spec.taus, spec.delta_omega), "blocked"),
         (snapped_delay_matrix(idx, spec), "truncated"),
     ):
-        direct = rate_direct(v, rate_matrix(r, species, ordering))
+        direct = rate_direct(v, rate_matrix(r, species))
         decomp = attach_vector(v, fourier_blocks(r, species, T), T, species)
         got = rate_blocked(decomp) if engine == "blocked" else rate_truncated(decomp, part)
         assert abs(got - direct) <= tol, (engine, got, direct, tol)
@@ -1001,10 +969,9 @@ def test_block_engines_equal_direct_property(n, seed, species, convention):
 def test_attach_vector_rejects_perturbed_transform(monkeypatch):
     plan = symgroup._level_plan
     for n in (4, 7):
-        ordering = all_permutations(n)
-        T = build_transform(ordering)
+        T = build_transform(n)
         A, r = _random_case(n, 8)
-        v = monomial_vector(A, ordering)
+        v = monomial_vector(A)
         blocks = fourier_blocks(r, "boson", T)
         attach_vector(v, blocks, T, "boson")  # the true transform passes
 
@@ -1027,22 +994,6 @@ def test_attach_vector_rejects_perturbed_transform(monkeypatch):
         monkeypatch.setattr(symgroup, "_level_plan", plan)
 
 
-def test_attach_vector_rejects_mismatched_ordering():
-    A, r = _random_case(3, 9)
-    T = build_transform(all_permutations(3))
-    v = monomial_vector(A, cycle_ordering(3))
-    with pytest.raises(DomainError):
-        attach_vector(v, fourier_blocks(r, "boson", T), T, "boson")
-
-
-def test_decompose_rejects_mismatched_orderings():
-    r = delay_matrix_from_times((0.0, 0.3, 0.7), 1.5)
-    R = rate_matrix(r, "boson", cycle_ordering(3))
-    T = build_transform(all_permutations(3))
-    with pytest.raises((DomainError, NumericalError)):
-        decompose_rate_matrix(R, T)
-
-
 # ---------------------------------------------------------------------------
 # Truncation and vanishing
 
@@ -1061,10 +1012,9 @@ def _snapped_setup(n, taus, bins, seed=11):
 def test_truncation_exact_on_snapped_times(species):
     A, r, mu = _snapped_setup(4, (0.05, 0.07, 0.34, 0.61), 4)
     assert mu == (2, 1, 1)
-    ordering = all_permutations(4)
-    v = monomial_vector(A, ordering)
-    R = rate_matrix(r, species, ordering)
-    decomp = dense_decomposition(v, R, build_transform(ordering))
+    v = monomial_vector(A)
+    R = rate_matrix(r, species)
+    decomp = dense_decomposition(v, R, build_transform(4))
     full = rate_direct(v, R)
     assert rate_truncated(decomp, mu) == pytest.approx(full, rel=1e-12, abs=1e-13)
     got = rates.engine_rates(A, r, species, "truncated")
@@ -1088,14 +1038,13 @@ def test_vanishing_blocks_match_immanant_vanishing():
         (3, 1): (0.05, 0.07, 0.09, 0.55),
         (4,): (0.05, 0.07, 0.09, 0.11),
     }
-    ordering = all_permutations(4)
-    T = build_transform(ordering)
+    T = build_transform(4)
     for mu, taus in spec_times.items():
         spec = ArrivalSpec(taus, 2.0, 1.0, 4)
         idx, part = discretize(spec)
         assert part == mu
         r = snapped_delay_matrix(idx, spec)
-        blocks, _ = decompose_rate_matrix(rate_matrix(r, "boson", ordering), T)
+        blocks, _ = decompose_rate_matrix(rate_matrix(r, "boson"), T)
         for lam in partitions_of(4):
             vanishes = gamas_vanishes(lam, mu)
             assert vanishes == (np.max(np.abs(blocks[lam])) < 1e-12), (lam, mu)
@@ -1123,18 +1072,17 @@ def test_gamas_dropped_blocks_vanish_on_random_bins(assignment, bins, seed, spec
     assert idx == tuple(x % bins + 1 for x in assignment)
     m = n + int(rng.integers(0, 3))
     s = tuple(sorted(rng.choice(m, n, replace=False) + 1))
-    ordering = all_permutations(n)
-    T = build_transform(ordering)
-    v = monomial_vector(submatrix(haar_unitary(m, seed=seed), s), ordering)
+    T = build_transform(n)
+    v = monomial_vector(submatrix(haar_unitary(m, seed=seed), s))
     decomp = attach_vector(v, fourier_blocks(snapped_delay_matrix(idx, spec), species, T), T, species)
     tol = block_rounding(n)
     dropped = [lam for lam in decomp.blocks if decomp.vanishes(lam, part)]
     for lam in dropped:
         assert np.max(np.abs(decomp.blocks[lam])) <= tol, lam
     # |term| <= ‖K‖_2 ‖w‖² <= s max|K| ‖w‖², ‖w‖ <= (1 + δ) ‖v‖
-    N = len(ordering)
+    N = math.factorial(n)
     s_max = max(standard_tableau_count(lam) for lam in partitions_of(n))
-    w2 = float(np.vdot(v.values, v.values).real) * (1 + _fft_rounding(n)) ** 2
+    w2 = float(np.vdot(v, v).real) * (1 + _fft_rounding(n)) ** 2
     evaluation = (gamma(s_max**3 + 6) * math.sqrt(s_max) + gamma(len(decomp.blocks))) * N * w2
     bound = len(dropped) * s_max * tol * w2 + 2 * evaluation
     assert abs(rate_truncated(decomp, part) - rate_blocked(decomp)) <= bound
@@ -1177,10 +1125,9 @@ def test_truncated_matches_direct_on_tied_continuous_times(n, seed, species):
     A = submatrix(haar_unitary(m, seed=seed), s)
     got = rates.engine_rates(A, r, species, "truncated")
     assert not all(row["kept"] for row in got.blocks)
-    ordering = all_permutations(n)
-    v = monomial_vector(A, ordering)
-    direct = rate_direct(v, rate_matrix(r, species, ordering))
-    tol = rate_rounding(n, float(np.vdot(v.values, v.values).real))
+    v = monomial_vector(A)
+    direct = rate_direct(v, rate_matrix(r, species))
+    tol = rate_rounding(n, float(np.vdot(v, v).real))
     assert abs(float(got.rates) - direct) <= tol
 
 
@@ -1252,11 +1199,10 @@ def test_indistinguishable_limits_no_group_size_factor():
     # |det A|^2 (fermions) with no n! in front
     for n in (2, 3, 4):
         A, _ = _random_case(n, 20 + n)
-        ordering = all_permutations(n)
-        v = monomial_vector(A, ordering)
+        v = monomial_vector(A)
         ones = np.ones((n, n))
-        boson = rate_direct(v, rate_matrix(ones, "boson", ordering))
-        fermion = rate_direct(v, rate_matrix(ones, "fermion", ordering))
+        boson = rate_direct(v, rate_matrix(ones, "boson"))
+        fermion = rate_direct(v, rate_matrix(ones, "fermion"))
         assert boson == pytest.approx(abs(permanent(A)) ** 2, rel=1e-10, abs=1e-13)
         assert fermion == pytest.approx(abs(determinant(A)) ** 2, rel=1e-10, abs=1e-13)
 
@@ -1264,12 +1210,11 @@ def test_indistinguishable_limits_no_group_size_factor():
 def test_fully_distinguishable_limit_both_species():
     for n in (2, 3, 4):
         A, _ = _random_case(n, 30 + n)
-        ordering = all_permutations(n)
-        v = monomial_vector(A, ordering)
+        v = monomial_vector(A)
         want = rate_fully_distinguishable(A)
         assert want == pytest.approx(float(permanent(np.abs(A) ** 2).real), rel=1e-12)
         for species in ("boson", "fermion"):
-            got = rate_direct(v, rate_matrix(np.eye(n), species, ordering))
+            got = rate_direct(v, rate_matrix(np.eye(n), species))
             assert got == pytest.approx(want, rel=1e-10)
 
 
@@ -1278,9 +1223,8 @@ def test_rate_via_reduction_matches_direct(species):
     A, _ = _random_case(4, 40)
     r = delay_matrix_from_times((0.1, 0.13, 0.16, 4000.0), 2.0)
     assert np.abs(r[3, :3]).max() == 0.0
-    ordering = all_permutations(4)
-    v = monomial_vector(A, ordering)
-    direct = rate_direct(v, rate_matrix(r, species, ordering))
+    v = monomial_vector(A)
+    direct = rate_direct(v, rate_matrix(r, species))
     # particle 3 overlaps no other: it leaves by port q with weight
     # |A[q, 3]|^2, and the other three interfere among the remaining rows
     reduced = sum(
@@ -1338,28 +1282,27 @@ def test_batched_block_rates_match_per_string(n, species, snapped):
     spec = ArrivalSpec(tuple(rng.uniform(0, 1, size=n)), 2.0, 1.0, 3)
     idx, part = discretize(spec)
     r = snapped_delay_matrix(idx, spec) if snapped else delay_matrix_from_times(spec.taus, 2.0)
-    ordering = all_permutations(n)
-    T = build_transform(ordering)
+    T = build_transform(n)
     blocks = fourier_blocks(r, species, T)
     m = n + 2
     strings = enumerate_outputs(m, n)
-    V = monomial_vector(submatrix(haar_unitary(m, seed=n), strings), ordering)
-    norm2 = np.einsum("ij,ij->i", V.values.conj(), V.values).real
+    V = monomial_vector(submatrix(haar_unitary(m, seed=n), strings))
+    norm2 = np.einsum("ij,ij->i", V.conj(), V).real
     # on continuous times truncation drops blocks that are only nearly
     # zero; batched and per-string rates still drop the same ones
     engines = {"blocked": rate_blocked, "truncated": lambda d: rate_truncated(d, part)}
     for engine, rate in engines.items():
         single = []
-        for v in V.values:
+        for v in V:
             got = rate(attach_vector(v, blocks, T, species))
             assert isinstance(got, float)
             single.append(got)
-        for width in (1, 3, max(1, 2**16 // len(ordering))):  # the last as build_distribution
+        for width in (1, 3, max(1, 2**16 // math.factorial(n))):  # the last as build_distribution
             batched = []
             for start in range(0, len(strings), width):
-                decomp = attach_vector(V.values[start : start + width], blocks, T, species)
+                decomp = attach_vector(V[start : start + width], blocks, T, species)
                 got = rate(decomp)
-                assert got.shape == (len(V.values[start : start + width]),)
+                assert got.shape == (len(V[start : start + width]),)
                 batched.append(got)
             batched = np.concatenate(batched)
             tol = batch_agreement_bound(n, norm2, blocks_differ=False)
@@ -1368,23 +1311,20 @@ def test_batched_block_rates_match_per_string(n, species, snapped):
 
 def test_batched_decomposition_keeps_the_checks(monkeypatch):
     n = 4
-    ordering = all_permutations(n)
-    T = build_transform(ordering)
+    T = build_transform(n)
     A, r = _random_case(n, 31)
     blocks = fourier_blocks(r, "boson", T)
-    V = monomial_vector(np.stack([A, 2 * A, A.conj()]), ordering)
+    V = monomial_vector(np.stack([A, 2 * A, A.conj()]))
     decomp = attach_vector(V, blocks, T, "boson")
-    assert decomp.parseval_residual <= _parseval_tolerance(n) * 4 * np.vdot(V.values[0], V.values[0]).real
-    with pytest.raises(DomainError):  # another ordering than the transform's
-        attach_vector(monomial_vector(np.stack([A, A]), cycle_ordering(n)), blocks, T, "boson")
+    assert decomp.parseval_residual <= _parseval_tolerance(n) * 4 * np.vdot(V[0], V[0]).real
     with pytest.raises(DomainError):
-        attach_vector(V.values[:, :-1], blocks, T, "boson")
+        attach_vector(V[:, :-1], blocks, T, "boson")
     # one vector of the batch off the transform fails the whole batch
     calls = []
     transform = rates.fourier_transform
 
-    def skewed(f, ordering):
-        out = transform(f, ordering)
+    def skewed(f, n):
+        out = transform(f, n)
         calls.append(out.shape)
         out[0, 1] *= 1 + 1e-6
         return out
@@ -1487,12 +1427,11 @@ def test_batched_landscape_matches_per_point_rates(tmp_path, capsys, n, steps):
     rows = np.array([[float(x) for x in line.split(",")] for line in out.splitlines()[2:]])
     assert rows.shape == (steps ** len(axes), len(axes) + 1)
 
-    ordering = all_permutations(n)
-    T = build_transform(ordering)
+    T = build_transform(n)
     A = submatrix(haar_unitary(m, seed=5), tuple(ports))
-    v = monomial_vector(A, ordering)
+    v = monomial_vector(A)
     projected = attach_vector(v, {}, T, "boson")
-    tol = batch_agreement_bound(n, float(np.vdot(v.values, v.values).real), blocks_differ=True)
+    tol = batch_agreement_bound(n, float(np.vdot(v, v).real), blocks_differ=True)
     for row in rows:
         taus = np.zeros(n)
         for axis, d in zip(axes, row[:-1]):
@@ -1517,19 +1456,18 @@ def dispatch_before_engine_rates(A, r, species, engine, mu, chunk):
                 parts.append(streamed.rates)
                 cancellation = max(cancellation, streamed.cancellation)
             return np.concatenate(parts), None, cancellation, None
-        ordering = all_permutations(n)
-        width = max(1, 2**16 // len(ordering))
+        width = max(1, 2**16 // math.factorial(n))
         if engine == "direct":
-            R = rate_matrix(r, species, ordering)
+            R = rate_matrix(r, species)
         else:
-            T = build_transform(ordering)
+            T = build_transform(n)
             blocks = fourier_blocks(r, species, T)
             residual = 0.0
         parts = []
         for i in range(0, len(A), width):
-            vs = monomial_vector(A[i : i + width], ordering)
+            vs = monomial_vector(A[i : i + width])
             if engine == "direct":
-                parts.append([rate_direct(v, R) for v in vs.values])
+                parts.append([rate_direct(v, R) for v in vs])
             else:
                 decomp = attach_vector(vs, blocks, T, species)
                 residual = max(residual, decomp.parseval_residual)
@@ -1538,17 +1476,16 @@ def dispatch_before_engine_rates(A, r, species, engine, mu, chunk):
     if engine == "direct" and chunk > 0:  # rate and landscape: one string
         streamed = rate_direct_streaming(A, r, species)
         return streamed.rates, None, streamed.cancellation, None
-    ordering = all_permutations(n)
     if engine == "direct":
-        S = autocorrelation(A, ordering)
-        return np.asarray(rate_from_autocorrelation(S, r, species, ordering)), None, None, None
-    T = build_transform(ordering)
+        S = autocorrelation(A)
+        return np.asarray(rate_from_autocorrelation(S, r, species)), None, None, None
+    T = build_transform(n)
     rate = (lambda d: rate_truncated(d, mu)) if engine == "truncated" else rate_blocked
     if r.ndim == 2:  # rate: the decomposition behind the block report
-        decomp = attach_vector(monomial_vector(A, ordering), fourier_blocks(r, species, T), T, species)
+        decomp = attach_vector(monomial_vector(A), fourier_blocks(r, species, T), T, species)
         return np.asarray(rate(decomp)), decomp.parseval_residual, None, decomp
-    projected = attach_vector(monomial_vector(A, ordering), {}, T, species)
-    width = max(1, 2**16 // len(ordering))
+    projected = attach_vector(monomial_vector(A), {}, T, species)
+    width = max(1, 2**16 // math.factorial(n))
     parts = [rate(dataclasses.replace(projected, blocks=fourier_blocks(r[i : i + width], species, T)))
              for i in range(0, len(r), width)]
     return np.concatenate(parts), projected.parseval_residual, None, None

@@ -38,7 +38,6 @@ from partdist.sampling import (
     to_jsonl,
     total_variation,
 )
-from partdist.symgroup import all_permutations
 
 SPEC = ArrivalSpec((0.1, 0.42, 0.77), 1.5, 1.0, 8)
 EQUAL = ArrivalSpec((0.3, 0.3, 0.3), 1.5, 1.0, 8)
@@ -245,11 +244,10 @@ def test_batched_block_engines_match_per_string_projection(species, monkeypatch)
         return batched(vs, *args)
 
     monkeypatch.setattr(partdist.rates, "attach_vector", attach_vector)
-    ordering = all_permutations(6)
-    T = build_transform(ordering)
+    T = build_transform(6)
     idx, part = discretize(spec)
     blocks = fourier_blocks(snapped_delay_matrix(idx, spec), species, T)
-    N = len(ordering)
+    N = math.factorial(6)
     # both routes round T v within δ‖v‖ (rates.attach_vector), and the rate
     # moves by at most ‖K‖ (2 + 2δ) 2δ ‖v‖² with ‖K‖ <= ‖R‖ <= N
     delta = _fft_rounding(6)
@@ -260,10 +258,10 @@ def test_batched_block_engines_match_per_string_projection(species, monkeypatch)
         assert len(dist.strings) == 210
         norms = []
         for s, got in zip(dist.strings, dist.rates):
-            v = monomial_vector(submatrix(itf10, s), ordering)
+            v = monomial_vector(submatrix(itf10, s))
             decomp = attach_vector(v, blocks, T, species)
             want = rate_blocked(decomp) if engine == "blocked" else rate_truncated(decomp, part)
-            norm2 = float(np.vdot(v.values, v.values).real)
+            norm2 = float(np.vdot(v, v).real)
             norms.append(norm2)
             assert abs(got - want) <= 4 * N * delta * (1 + delta) * norm2, (s, got, want)
         assert 0.0 <= dist.parseval_residual <= _parseval_tolerance(6) * max(norms)
@@ -285,7 +283,7 @@ def _record_streaming(monkeypatch):
 
 def test_streaming_distribution_n7_is_light_and_matches_dense(monkeypatch):
     # `distribution` with `"chunk": 512` at m = 10, n = 7: one streaming call
-    # for all 120 strings, no group ordering, a few MiB at peak, against the
+    # for all 120 strings, no group enumerated, a few MiB at peak, against the
     # dense engine's 5040 x 5040 rate matrix (about 815 MB of peak RSS)
     spec = ArrivalSpec((0.1, 0.5, 0.9, 1.3, 1.7, 2.2, 3.0), 1.0, 4.0, 4)
     itf10 = haar_unitary(10, seed=3)
@@ -303,13 +301,12 @@ def test_streaming_distribution_n7_is_light_and_matches_dense(monkeypatch):
 
     # the dense engine is v^dag R v with its R; every string's form is taken
     # here with real products, and rate_direct itself on two strings
-    ordering = all_permutations(7)
-    R = rate_matrix(delay_matrix(spec), "boson", ordering)
-    V = np.stack([monomial_vector(submatrix(itf10, s), ordering).values for s in dist.strings])
+    R = rate_matrix(delay_matrix(spec), "boson")
+    V = monomial_vector(submatrix(itf10, dist.strings))
     RV = R.matrix @ V.real.T + 1j * (R.matrix @ V.imag.T)
     dense = np.einsum("ij,ji->i", V.conj(), RV).real
     # |R_ij| <= 1: the form rounds by at most 2 gamma_2N ||v||_1^2, N = 7!
-    N = len(ordering)
+    N = math.factorial(7)
     u = np.finfo(float).eps / 2
     dense_bounds = 2 * (2 * N * u / (1 - 2 * N * u)) * np.abs(V).sum(axis=1) ** 2
     assert np.all(np.abs(dist.rates - dense) <= bounds + dense_bounds)

@@ -6,88 +6,77 @@ import pytest
 
 from partdist.errors import DomainError, SizeLimitError
 from partdist.symgroup import (
-    GroupOrdering,
     all_permutations,
     character,
     conjugate,
+    cycle_classes,
     distinct_block_functions,
     dominates,
     gl_dimension,
     irrep_matrices,
     monomials,
     partitions_of,
+    signs,
     standard_tableau_count,
     standard_tableaux,
 )
 
-from orderings import cycle_ordering, cycle_type, cycles, positions
+from cycles import cycle_order, cycle_type, cycles, positions
 
 
 # ---------------------------------------------------------------------------
-# Group orderings
-
-
-def test_permutation_rejects_non_bijections():
-    # a row of an ordering is a permutation only when it hits every point
-    for row in ((0, 0, 1), (0, 3, 1)):
-        images = np.array(list(itertools.permutations(range(3))))
-        images[3] = row
-        with pytest.raises(DomainError):
-            GroupOrdering(3, images)
+# The enumeration of S_n
 
 
 def test_cycle_type_includes_fixed_points():
     # cycle classes index partitions_of(n), fixed points counted as 1-cycles
-    ordering = all_permutations(6)
     for images, want in (((1, 2, 0, 4, 3, 5), (3, 2, 1)),   # (123)(45)
                          ((0, 1, 2, 3, 4, 5), (1,) * 6),
                          ((1, 0, 2, 3, 4, 5), (2, 1, 1, 1, 1))):
-        k = ordering.images_array.tolist().index(list(images))
-        assert partitions_of(6)[ordering.cycle_classes[k]] == want
+        k = all_permutations(6).tolist().index(list(images))
+        assert partitions_of(6)[cycle_classes(6)[k]] == want
 
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_cycle_classes_match_a_cycle_walk(n):
     parts = partitions_of(n)
-    for ordering in (all_permutations(n), cycle_ordering(n)):
-        classes = ordering.cycle_classes
-        assert classes.shape == (len(ordering),) and not classes.flags.writeable
-        want = [cycle_type(row) for row in ordering.images_array.tolist()]
-        assert [parts[c] for c in classes.tolist()] == want
+    classes = cycle_classes(n)
+    assert classes.shape == (math.factorial(n),) and not classes.flags.writeable
+    want = [cycle_type(row) for row in all_permutations(n).tolist()]
+    assert [parts[c] for c in classes.tolist()] == want
 
 
 def test_sign_matches_permutation_matrix_determinant():
     for n in (2, 3, 4, 5, 6):
-        for ordering in (all_permutations(n), cycle_ordering(n)):
-            for row, sign in zip(ordering.images_array, ordering.signs):
-                assert sign == round(np.linalg.det(np.eye(n)[row]))
+        for row, sign in zip(all_permutations(n), signs(n)):
+            assert sign == round(np.linalg.det(np.eye(n)[row]))
 
 
 def test_permutation_matrix_is_row_selection():
     # left multiplication by P = eye[images] permutes rows, (P @ M)[i] =
     # M[g(i)]; the monomial vector of P is supported on g inverse alone,
     # which is what makes the transformed block of P equal D(g) transpose
-    ordering = all_permutations(4)
     rng = np.random.default_rng(11)
     M = rng.normal(size=(4, 4))
-    inverse = positions(ordering, np.argsort(ordering.images_array, axis=1))
-    for k, row in enumerate(ordering.images_array):
-        P = np.eye(4)[row]
-        assert np.array_equal(P @ M, M[row])
-        mono = monomials(P, ordering)
+    P = all_permutations(4)
+    inverse = positions(np.argsort(P, axis=1))
+    for k, row in enumerate(P):
+        E = np.eye(4)[row]
+        assert np.array_equal(E @ M, M[row])
+        mono = monomials(E)
         assert mono[inverse[k]] == 1 and np.count_nonzero(mono) == 1
 
 
 def test_lex_ordering_n3():
-    ordering = all_permutations(3)
-    assert ordering.images_array.tolist() == [
+    assert all_permutations(3).tolist() == [
         [0, 1, 2], [0, 2, 1], [1, 0, 2], [1, 2, 0], [2, 0, 1], [2, 1, 0],
     ]
 
 
 def test_cycle_ordering_n3_groups_by_class():
-    ordering = cycle_ordering(3)
-    assert [cycles(row) for row in ordering.images_array.tolist()] == [
+    # the order that some tests relabel into (tests/cycles.py)
+    rows = all_permutations(3)[cycle_order(3)].tolist()
+    assert [cycles(row) for row in rows] == [
         (), ((1, 2),), ((1, 3),), ((2, 3),), ((1, 2, 3),), ((1, 3, 2),),
     ]
 
@@ -96,20 +85,14 @@ def test_ordering_index_and_arrays_agree():
     for n in range(1, 9):
         lex = all_permutations(n)
         want = np.array(list(itertools.permutations(range(n))), dtype=np.intp).reshape(-1, n)
-        assert lex.images_array.dtype == want.dtype and np.array_equal(lex.images_array, want)
+        assert lex.dtype == want.dtype and np.array_equal(lex, want)
+        assert all_permutations(n) is lex  # one cached array per degree
         with pytest.raises(ValueError):
-            lex.images_array[0, 0] = 0
-        broken = want.copy()
-        broken[-1, 0] = broken[-1, -1] if n > 1 else 1
-        for images in (broken, want[1:]):
-            with pytest.raises(DomainError):
-                GroupOrdering(n, images)
-        # every ordering holds each permutation once: the rows' positions
-        # in it are 0..n!-1
-        for ordering in (lex, cycle_ordering(n)):
-            assert len(ordering) == math.factorial(n)
-            assert np.array_equal(positions(ordering, ordering.images_array),
-                                  np.arange(len(ordering)))
+            lex[0, 0] = 0
+        # each permutation once: the rows' positions are 0..n!-1
+        assert np.array_equal(positions(lex), np.arange(math.factorial(n)))
+        assert np.array_equal(cycle_order(n)[np.argsort(cycle_order(n))],
+                              np.arange(math.factorial(n)))
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -117,15 +100,15 @@ def test_signs_and_inverse_images_from_the_image_array(n):
     # signs by inversion parity and inverse images by argsort, as the rate
     # layer takes them, against the parity of a cycle walk and the inverse
     # images written out point by point
-    for ordering in (all_permutations(n), cycle_ordering(n)):
-        rows = ordering.images_array.tolist()
-        want = np.array([(-1.0) ** (n - len(cycle_type(row))) for row in rows])
-        assert ordering.signs.dtype == want.dtype and ordering.signs.tobytes() == want.tobytes()
-        inverse = np.zeros((len(rows), n), dtype=np.intp)
-        for k, row in enumerate(rows):
-            for i, image in enumerate(row):
-                inverse[k, image] = i
-        assert np.array_equal(np.argsort(ordering.images_array, axis=1), inverse)
+    rows = all_permutations(n).tolist()
+    want = np.array([(-1.0) ** (n - len(cycle_type(row))) for row in rows])
+    assert signs(n).dtype == want.dtype and signs(n).tobytes() == want.tobytes()
+    assert not signs(n).flags.writeable
+    inverse = np.zeros((len(rows), n), dtype=np.intp)
+    for k, row in enumerate(rows):
+        for i, image in enumerate(row):
+            inverse[k, image] = i
+    assert np.array_equal(np.argsort(all_permutations(n), axis=1), inverse)
 
 
 def test_group_degree_guard():
@@ -166,6 +149,29 @@ def test_dominance_basics():
     assert dominates((3, 2, 1), (3, 2, 1))
     with pytest.raises(DomainError):
         dominates((3, 1), (2, 2, 1))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: character((1.5, 1.5), (3,)),
+    lambda: dominates((2.5, 0.5), (2, 1)),
+    lambda: conjugate((2.5,)),
+    lambda: standard_tableau_count((1.5, 1.5)),
+    lambda: gl_dimension((2.0, 1), 3),
+    lambda: standard_tableaux((2, "1")),
+    lambda: conjugate(3),
+], ids=["character", "dominates", "conjugate", "tableau-count", "gl-dimension",
+        "tableaux", "not-a-tuple"])
+def test_partition_parts_must_be_integers(call):
+    # a part is read as an integer only if it is one: 1.5 + 1.5 is no
+    # partition of 3, and 2.0 is not taken for 2
+    with pytest.raises(DomainError, match="integers"):
+        call()
+
+
+def test_partition_parts_may_be_numpy_integers():
+    assert conjugate((np.int64(2), np.int64(1))) == (2, 1)
+    assert type(conjugate((np.int64(2),))[0]) is int
+    assert character((np.int64(2), 1), (3,)) == -1
 
 
 def test_dominance_incomparable_pairs_at_n6():
@@ -230,24 +236,22 @@ def _representative(rho):
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_character_tables(n):
-    ordering = all_permutations(n)
-    rows = ordering.images_array.tolist()
+    rows = all_permutations(n).tolist()
     for rho, table in CHARACTER_TABLES[n].items():
         k = rows.index(_representative(rho))
-        assert partitions_of(n)[ordering.cycle_classes[k]] == rho
+        assert partitions_of(n)[cycle_classes(n)[k]] == rho
         for lam, value in table.items():
             assert character(lam, rho) == value
 
 
 def test_character_is_a_class_function():
     # h g h^-1 lies in the class of g, and the irrep traces agree on it
-    ordering = all_permutations(4)
-    P = ordering.images_array
+    P = all_permutations(4)
     for h, h_inv in zip(P, np.argsort(P, axis=1)):
-        conjugates = positions(ordering, h[P[:, h_inv]])
-        assert np.array_equal(ordering.cycle_classes[conjugates], ordering.cycle_classes)
+        conjugates = positions(h[P[:, h_inv]])
+        assert np.array_equal(cycle_classes(4)[conjugates], cycle_classes(4))
         for lam in partitions_of(4):
-            traces = np.trace(irrep_matrices(lam, ordering), axis1=1, axis2=2)
+            traces = np.trace(irrep_matrices(lam), axis1=1, axis2=2)
             assert np.allclose(traces[conjugates], traces, atol=1e-12)
 
 
@@ -304,9 +308,8 @@ def test_standard_tableaux_explicit():
 
 
 def test_irrep_matrices_are_orthogonal():
-    ordering = all_permutations(4)
     for lam in partitions_of(4):
-        rep = irrep_matrices(lam, ordering)
+        rep = irrep_matrices(lam)
         s = standard_tableau_count(lam)
         assert rep.shape == (24, s, s) and not rep.flags.writeable
         for D in rep:
@@ -316,31 +319,28 @@ def test_irrep_matrices_are_orthogonal():
 def test_irrep_homomorphism_property():
     # D(p q) = D(p) D(q), with (p q)(i) = p(q(i)) on the image rows
     rng = np.random.default_rng(3)
-    for ordering in (all_permutations(5), cycle_ordering(5)):
-        P = ordering.images_array
-        for lam in [(3, 2), (2, 2, 1), (4, 1)]:
-            rep = irrep_matrices(lam, ordering)
-            for _ in range(20):
-                a, b = rng.integers(len(ordering), size=2)
-                ab = positions(ordering, P[a][P[b]])
-                assert np.allclose(rep[ab], rep[a] @ rep[b], atol=1e-12)
+    P = all_permutations(5)
+    for lam in [(3, 2), (2, 2, 1), (4, 1)]:
+        rep = irrep_matrices(lam)
+        for _ in range(40):
+            a, b = rng.integers(len(P), size=2)
+            ab = positions(P[a][P[b]])
+            assert np.allclose(rep[ab], rep[a] @ rep[b], atol=1e-12)
 
 
 def test_irrep_traces_are_characters():
     for n in range(1, 7):
-        for ordering in (all_permutations(n), cycle_ordering(n)):
-            types = [cycle_type(row) for row in ordering.images_array.tolist()]
-            for lam in partitions_of(n):
-                traces = np.trace(irrep_matrices(lam, ordering), axis1=1, axis2=2)
-                want = np.array([character(lam, rho) for rho in types], dtype=float)
-                assert np.abs(traces - want).max() < 1e-12
+        types = [cycle_type(row) for row in all_permutations(n).tolist()]
+        for lam in partitions_of(n):
+            traces = np.trace(irrep_matrices(lam), axis1=1, axis2=2)
+            want = np.array([character(lam, rho) for rho in types], dtype=float)
+            assert np.abs(traces - want).max() < 1e-12
 
 
 def test_irrep_adjacent_transposition_n3():
     # the two-dimensional standard module in the orthogonal (Young) basis
-    ordering = all_permutations(3)
-    rep = irrep_matrices((2, 1), ordering)
-    s12, s23 = rep[positions(ordering, [[1, 0, 2], [0, 2, 1]])]
+    rep = irrep_matrices((2, 1))
+    s12, s23 = rep[positions([[1, 0, 2], [0, 2, 1]])]
     assert np.allclose(s12, np.diag([1.0, -1.0]), atol=1e-15)
     half = np.array([[-0.5, math.sqrt(3) / 2], [math.sqrt(3) / 2, 0.5]])
     assert np.allclose(s23, half, atol=1e-15)
@@ -353,6 +353,5 @@ def test_sum_of_squared_dimensions_is_group_order():
 
 
 def test_sign_representation_matches_sign():
-    ordering = all_permutations(4)
-    rep = irrep_matrices((1, 1, 1, 1), ordering)
-    assert rep.shape == (24, 1, 1) and np.abs(rep[:, 0, 0] - ordering.signs).max() < 1e-15
+    rep = irrep_matrices((1, 1, 1, 1))
+    assert rep.shape == (24, 1, 1) and np.abs(rep[:, 0, 0] - signs(4)).max() < 1e-15
