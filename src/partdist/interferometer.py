@@ -6,7 +6,10 @@ pattern s picks out the n x n submatrix A(s) whose rows are the detector
 ports and whose columns are the occupied input ports.
 
 An output string is the row of its n clicked detectors, 1-based and
-ascending, and many strings are one (K, n) array of rows.
+ascending, and many strings are one (K, n) array of rows.  The monomial
+vector of a submatrix is a read-only n!-array along the rows of
+:func:`~partdist.symgroup.all_permutations`, one row per submatrix of a
+stack (:func:`monomial_vector`).
 """
 
 from __future__ import annotations
