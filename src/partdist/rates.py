@@ -51,7 +51,7 @@ s the largest irrep dimension: :func:`fourier_blocks` transforms w * mono_r
 of one delay matrix or of a stack of them, and :func:`attach_vector` one
 monomial vector or a batch of them, in one call each.  A batch stays batched through
 the rate step: :func:`rate_blocked` and :func:`rate_truncated` evaluate one
-broadcasting einsum per kept label for all of it.  No n! x n! object and no
+broadcasting matrix product and one einsum per kept label for all of it.  No n! x n! object and no
 irrep table is built on this route.  The dense T and the O((n!)^3)
 conjugation T R T^t stay in :func:`decompose_rate_matrix` as the reference.
 For fermions the sign weighting makes K_lam orthogonally equivalent to the
@@ -707,7 +707,7 @@ class BlockDecomposition:
         """Contribution of all copies of one partition label: a float, or an
         array over the broadcast batch axes."""
         vecs = self.vectors[lam]
-        total = np.einsum("...ab,...bd,...ad->...", vecs.conj(), self.blocks[lam], vecs).real
+        total = np.einsum("...ab,...ab->...", np.matmul(vecs.conj(), self.blocks[lam]), vecs).real
         return float(total) if total.ndim == 0 else total
 
     def vanishes(self, lam: tuple[int, ...], mu) -> bool:
@@ -857,9 +857,9 @@ def attach_vector(
 def rate_blocked(decomp: BlockDecomposition):
     """Rate assembled block by block; equals the direct rate exactly (the
     transform is orthogonal).  A float, or an array over the batch axes of
-    a batched decomposition: one broadcasting einsum per label for the whole
-    batch (:meth:`BlockDecomposition.term`), and the same checks and clamps
-    per element as for one string.
+    a batched decomposition: one broadcasting matrix product and one einsum
+    per label for the whole batch (:meth:`BlockDecomposition.term`), and the
+    same checks and clamps per element as for one string.
 
     A batch and its strings (or delay matrices) one at a time agree to a
     rounding bound; the batched transforms may round differently.  With
@@ -876,10 +876,13 @@ def rate_blocked(decomp: BlockDecomposition):
       at most (δ' ‖f‖)², δ' = δ + (1 + δ) γ_n, so ‖ΔK_lam‖_2 <= δ' N and
       the rate moves by at most δ' N ‖w‖²: two sets of blocks, by
       2 δ' N (1 + δ)² ‖v‖².
-    - One evaluation rounds each label's s^3 products of three factors
-      and their sum by γ_(s^3+6) sum |w| |K| |w| <= γ_(s^3+6) ‖K_lam‖_F
-      ‖w_lam‖² <= γ_(s^3+6) √s N ‖w_lam‖², and the sum over the p(n) labels
-      by γ_p(n) N ‖w‖², s the largest irrep dimension: E = (γ_(s^3+6) √s +
+    - One evaluation forms conj(w) K_lam by one matrix product per label,
+      each entry a complex sum of s products, within γ_(s+2) sum |w| |K|,
+      then sums its s² products with w, within γ_(s²+2) of the computed
+      terms (complex inner products, Higham Lemma 3.5): in all
+      γ_(s²+s+4) sum |w| |K| |w| <= γ_(s²+s+4) ‖K_lam‖_F ‖w_lam‖² <=
+      γ_(s²+s+4) √s N ‖w_lam‖².  The sum over the p(n) labels adds
+      γ_p(n) N ‖w‖², s the largest irrep dimension: E = (γ_(s²+s+4) √s +
       γ_p(n)) N (1 + δ)² ‖v‖² per evaluation, 2E between two.
 
     Clamping a negative raw rate to 0 moves it toward any non-negative
@@ -1008,8 +1011,9 @@ def engine_rates(A, r, species: str, engine: str) -> EngineRates:
     matrix products: R v per string; the weighted monomials of the delay
     matrices times the autocorrelation, whose entries come from element-wise
     Glynn permanents and so depend on no BLAS library, batch or thread count;
-    and the per-label products of each level of the fast Fourier transform
-    on S_n that yields T v and the blocks.  A BLAS library may split a
+    the per-label products of each level of the fast Fourier transform on
+    S_n that yields T v and the blocks; and the per-label products conj(w) K
+    of the block rate step.  A BLAS library may split a
     product's sums differently for another thread count or another number of
     rows or columns, and a batched einsum need not round like the same step
     on one string; so the batches are fixed.  Strings and delay matrices go

@@ -1270,7 +1270,7 @@ def batch_agreement_bound(n, norm2, blocks_differ):
     bound = 4 * N * delta * (1 + delta) * norm2
     if blocks_differ:
         bound += 2 * (delta + (1 + delta) * gamma(n)) * N * (1 + delta) ** 2 * norm2
-    evaluation = (gamma(s**3 + 6) * math.sqrt(s) + gamma(labels)) * N * (1 + delta) ** 2 * norm2
+    evaluation = (gamma(s * s + s + 4) * math.sqrt(s) + gamma(labels)) * N * (1 + delta) ** 2 * norm2
     return bound + 2 * evaluation
 
 
