@@ -49,10 +49,11 @@ T v come from the fast Fourier transform on S_n
 (:func:`~partdist.symgroup.fourier_transform`), at O(n! n^2 s) cost for
 s the largest irrep dimension: :func:`fourier_blocks` transforms w * mono_r
 of one delay matrix or of a stack of them, and :func:`attach_vector` one
-monomial vector or a batch of them, in one call each.  A batch stays batched through
-the rate step: :func:`rate_blocked` and :func:`rate_truncated` evaluate one
-broadcasting matrix product and one einsum per kept label for all of it.  No n! x n! object and no
-irrep table is built on this route.  The dense T and the O((n!)^3)
+monomial vector or a batch of them, in one call each.  A batch stays
+batched through the rate step: :func:`rate_blocked` and
+:func:`rate_truncated` evaluate one broadcasting matrix product and one
+einsum per kept label for all of it.  No n! x n! object and no irrep table
+is built on this route.  The dense T and the O((n!)^3)
 conjugation T R T^t stay in :func:`decompose_rate_matrix` as the reference.
 For fermions the sign weighting makes K_lam orthogonally equivalent to the
 boson block of the conjugate label lam'.  Particles whose rows of r agree
@@ -139,9 +140,8 @@ def _check_delay_matrix(r, n: int | None = None, batch: bool = False) -> np.ndar
     """r as floats, after checking that it is a real n x n symmetric matrix with
     unit diagonal whose entries are finite overlaps in [-1, 1]; with
     ``batch`` a stack (..., n, n) of them, and n by default the size of
-    r's last axis.  Each of the three holds to
-    DELAY_MATRIX_TOL = 1e-12 absolute, as a normalised Gram matrix does by
-    rounding.  Every delay matrix of :mod:`partdist.delays` passes exactly,
+    r's last axis.  Each of the three holds to DELAY_MATRIX_TOL = 1e-12
+    absolute, as a normalised Gram matrix does by rounding.  Every delay matrix of :mod:`partdist.delays` passes exactly,
     since (t_i - t_j)^2 = (t_j - t_i)^2 in IEEE arithmetic and exp(0) = 1;
     the rounding bounds of the dense and block routes take |r_ij| <= 1.
     """
@@ -326,7 +326,7 @@ def rate_from_autocorrelation(S, r, species: str):
     _check_dense_degree(n)
     S = np.asarray(S, dtype=complex)
     if S.shape != (math.factorial(n),):
-        raise DomainError(f"autocorrelation length {S.shape} does not match n! = {math.factorial(n)}")
+        raise DomainError(f"autocorrelation shape {S.shape} does not match n! for n = {n}")
     parts = np.ascontiguousarray(S).view(float).reshape(-1, 2)  # columns Re S, Im S
     flat = r.reshape(-1, n, n)
     width = max(1, BATCH_ENTRIES // len(S))

@@ -10,6 +10,7 @@ by the gather :func:`relabelling` returns, so the reference shares neither
 the order nor the summation order of the package.
 """
 
+import math
 from functools import cache
 
 import numpy as np
@@ -54,7 +55,7 @@ def relabelling(n: int, convention: str) -> np.ndarray:
     """Rows of :func:`all_permutations` (n) in the order of ``convention``:
     all of them in place for ``"lex"``, :func:`cycle_order` for ``"cycle"``.
     ``x[p]`` puts an n!-vector of the package into that order."""
-    return {"lex": lambda n: np.arange(len(all_permutations(n))), "cycle": cycle_order}[convention](n)
+    return cycle_order(n) if convention == "cycle" else np.arange(math.factorial(n))
 
 
 def positions(images) -> np.ndarray:

@@ -395,10 +395,13 @@ def test_autocorrelation_route_refuses_degree_8_before_walking(monkeypatch):
         rate_from_autocorrelation(np.zeros(math.factorial(8), complex), np.eye(8), "boson")
     with pytest.raises(SizeLimitError):
         rate_matrix(np.eye(8), "boson")
-    # a stack, a matrix that is not square, or no matrix at all
+    # a stack, a matrix that is not square, or no matrix at all; an
+    # autocorrelation whose length is not n! of the delay matrix
     for A in (np.ones((2, 4, 4)), np.ones((4, 3)), np.ones(4)):
         with pytest.raises(DomainError, match="submatrix"):
             autocorrelation(A)
+    with pytest.raises(DomainError, match="n!"):
+        rate_from_autocorrelation(autocorrelation(np.eye(4)), np.eye(3), "boson")
 
 
 def test_delay_matrix_check_agrees_with_allclose():
