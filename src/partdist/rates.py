@@ -141,8 +141,9 @@ def _check_delay_matrix(r, n: int | None = None, batch: bool = False) -> np.ndar
     unit diagonal whose entries are finite overlaps in [-1, 1]; with
     ``batch`` a stack (..., n, n) of them, and n by default the size of
     r's last axis.  Each of the three holds to DELAY_MATRIX_TOL = 1e-12
-    absolute, as a normalised Gram matrix does by rounding.  Every delay matrix of :mod:`partdist.delays` passes exactly,
-    since (t_i - t_j)^2 = (t_j - t_i)^2 in IEEE arithmetic and exp(0) = 1;
+    absolute, as a normalised Gram matrix does by rounding.  Every delay
+    matrix of :mod:`partdist.delays` passes exactly, since
+    (t_i - t_j)^2 = (t_j - t_i)^2 in IEEE arithmetic and exp(0) = 1;
     the rounding bounds of the dense and block routes take |r_ij| <= 1.
     """
     r = _as_real(r)
@@ -639,8 +640,8 @@ class BlockTransform:
     Rows are grouped per partition lam (reverse-lexicographic), and within
     lam in row-major (copy a, component b) order; row (lam, a, b) holds
     sqrt(s_lam/n!) D_lam(gamma)[a, b] as gamma runs along the rows of
-    :func:`~partdist.symgroup.all_permutations` (n).  The
-    engines apply it with :func:`~partdist.symgroup.fourier_transform`;
+    :func:`~partdist.symgroup.all_permutations` (n).  The engines apply it
+    with :func:`~partdist.symgroup.fourier_transform`;
     ``matrix`` is the dense n! x n! form, read from
     :func:`~partdist.symgroup.irrep_matrices` on first use, for the dense
     reference only.
@@ -1013,10 +1014,10 @@ def engine_rates(A, r, species: str, engine: str) -> EngineRates:
     Glynn permanents and so depend on no BLAS library, batch or thread count;
     the per-label products of each level of the fast Fourier transform on
     S_n that yields T v and the blocks; and the per-label products conj(w) K
-    of the block rate step.  A BLAS library may split a
-    product's sums differently for another thread count or another number of
-    rows or columns, and a batched einsum need not round like the same step
-    on one string; so the batches are fixed.  Strings and delay matrices go
+    of the block rate step.  A BLAS library may split a product's sums
+    differently for another thread count or another number of rows or
+    columns, and a batched einsum need not round like the same step on one
+    string; so the batches are fixed.  Strings and delay matrices go
     in their given order, floor(2^16 / n!) per batch, and batch widths depend
     on n and that order alone.  The streaming engine evaluates each subset
     matrix by element-wise operations or its own LAPACK determinant call,

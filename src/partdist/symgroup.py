@@ -457,10 +457,11 @@ def fourier_transform(f, n: int) -> np.ndarray:
     """F(lam) = sum_g f(g) D_lam(g) for every partition lam of n at once.
 
     ``f`` holds one value per row of :func:`all_permutations` (n), shape
-    (n!,), or a batch of columns, shape (n!, B); real or complex.  The result has the same
-    shape, and per column it holds, for lam in :func:`partitions_of` order,
-    F(lam) flattened row-major in the basis of :func:`standard_tableaux`:
-    the row layout of the orthogonal transform in :mod:`partdist.rates`.
+    (n!,), or a batch of columns, shape (n!, B); real or complex.  The
+    result has the same shape, and per column it holds, for lam in
+    :func:`partitions_of` order, F(lam) flattened row-major in the basis of
+    :func:`standard_tableaux`: the row layout of the orthogonal transform in
+    :mod:`partdist.rates`.
 
     Clausen's algorithm: g = c_{j_n} h with h in S_(n-1) (see
     :func:`_coset_gather`), so F(lam) = sum_j D_lam(c_j) (+)_mu
