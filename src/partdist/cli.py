@@ -21,12 +21,12 @@ when they run, so ``rate`` and ``landscape`` load neither.
 
 Determinism under BLAS threading: the batch widths of the rate engines are
 fixed in :func:`partdist.rates.engine_rates`, and strings go in their
-enumeration order and grid points in grid order; the references take
-floor(2^17 / 2^n) strings per permanent or determinant call.  Reruns are
-byte-identical on the same NumPy and BLAS build with the same thread count
-(OPENBLAS_NUM_THREADS, OMP_NUM_THREADS); across builds or thread counts the
-strings, their order and the config hash stay the same, and rates agree to
-rounding.
+enumeration order and grid points in grid order; the references take all
+strings in one permanent or determinant call, which evaluates each matrix
+on its own.  Reruns are byte-identical on the same NumPy and BLAS build
+with the same thread count (OPENBLAS_NUM_THREADS, OMP_NUM_THREADS); across
+builds or thread counts the strings, their order and the config hash stay
+the same, and rates agree to rounding.
 
 On stderr the block engines report, next to ``wall_time_s``, the largest
 Parseval residual |‖T v‖² - ‖v‖²| of the run (``parseval_residual``), and
@@ -283,14 +283,14 @@ def _emit_json(obj, out: str | None) -> None:
 
 
 class _Timer:
-    """Times a subcommand and writes its stderr report line; the warnings
-    raised inside are shown when it ends, and the clamps they count are
-    summed into ``clamped=``."""
+    """Times a subcommand and writes its stderr report line, with the
+    health figures of ``result``, the :class:`~partdist.rates.EngineRates`
+    of the run when it has one; the warnings raised inside are shown when it
+    ends, and the clamps they count are summed into ``clamped=``."""
 
     def __enter__(self):
         self.t0 = time.perf_counter()
-        self.parseval_residual = None
-        self.cancellation = None
+        self.result = None
         self._recorder = warnings.catch_warnings(record=True)
         self._caught = self._recorder.__enter__()
         warnings.simplefilter("always", ClampWarning)
@@ -305,10 +305,10 @@ class _Timer:
                 clamped += w.message.count
             warnings.showwarning(w.message, w.category, w.filename, w.lineno)
         line = f"wall_time_s={wall:.3f}"
-        if self.parseval_residual is not None:
-            line += f" parseval_residual={self.parseval_residual:.3e}"
-        if self.cancellation is not None:
-            line += f" cancellation={self.cancellation:.3e}"
+        for name in ("parseval_residual", "cancellation"):
+            value = getattr(self.result, name, None)
+            if value is not None:
+                line += f" {name}={value:.3e}"
         if clamped:
             line += f" clamped={clamped}"
         print(line, file=sys.stderr)
@@ -325,9 +325,7 @@ def cmd_rate(args) -> None:
         detectors = sorted(cfg.detectors)  # A's rows in channel order
         A = submatrix(cfg.interferometer, detectors, cfg.input_ports)
         r = delay_matrix(cfg.spec)
-        result = engine_rates(A, r, cfg.species, cfg.rate_engine)
-        timer.parseval_residual = result.parseval_residual
-        timer.cancellation = result.cancellation
+        timer.result = result = engine_rates(A, r, cfg.species, cfg.rate_engine)
         report = {
             "config_hash": cfg.config_hash,
             "m": cfg.m,
@@ -363,8 +361,7 @@ def cmd_distribution(args) -> None:
     cfg = load_config(args.config, args)
     with _Timer() as timer:
         dist = _build_dist(cfg)
-        timer.parseval_residual = dist.parseval_residual
-        timer.cancellation = dist.cancellation
+        timer.result = dist.result
         ref_i = reference_indistinguishable(cfg.interferometer, cfg.n, cfg.species, cfg.input_ports)
         ref_d = reference_distinguishable(cfg.interferometer, cfg.n, cfg.species, cfg.input_ports)
         best = int(np.argmax(dist.probabilities))  # the first of equal maxima
@@ -400,8 +397,7 @@ def cmd_sample(args) -> None:
     _check_count(args.count)  # before the distribution is built
     with _Timer() as timer:
         dist = _build_dist(cfg)
-        timer.parseval_residual = dist.parseval_residual
-        timer.cancellation = dist.cancellation
+        timer.result = dist.result
         draws = sample(dist, args.count, cfg.seed)
     lines = [f"{s}\n" for s in output_text(dist.strings, cfg.m)]  # once per string, not per draw
     _emit(map(lines.__getitem__, draws), args.out)  # line by line: no second copy of the artifact
@@ -449,9 +445,7 @@ def cmd_landscape(args) -> None:
 
     with _Timer() as timer:
         rs = delay_matrix_from_times(taus, cfg.spec.delta_omega)
-        result = engine_rates(A, rs, cfg.species, cfg.rate_engine)
-        timer.parseval_residual = result.parseval_residual
-        timer.cancellation = result.cancellation
+        timer.result = result = engine_rates(A, rs, cfg.species, cfg.rate_engine)
         rows = [[f"dtau_{a}" for a in axes] + ["rate"]]
         for p, rate in zip(points, result.rates.tolist()):
             rows.append([repr(d) for d in p.values()] + [repr(rate)])

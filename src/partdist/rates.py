@@ -83,6 +83,7 @@ from .errors import ClampWarning, DomainError, NumericalError, SizeLimitError
 from .interferometer import monomial_vector
 from .matfun import _glynn, permanent
 from .symgroup import (
+    _lex_rank,
     all_permutations,
     conjugate,
     dominates,
@@ -160,36 +161,28 @@ def _check_delay_matrix(r, n: int | None = None, batch: bool = False) -> np.ndar
     return r
 
 
-def _code_lookup(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(lut, powers): a permutation h has the code h @ powers = sum_v h(v)
-    n^v, below n^n, and lut[code] is its row in :func:`all_permutations`
-    (int32, 4 n^n bytes, 3.3 MB at n = 7)."""
-    P = all_permutations(n)
-    powers = n ** np.arange(n, dtype=np.int64)
-    lut = np.empty(n**n, dtype=np.int32)
-    lut[P @ powers] = np.arange(len(P))
-    return lut, powers
-
-
 def _composition_rows(n: int):
     """The composition table comp[i, j] = the row of gj^-1 gi in
     :func:`all_permutations` (n), with no table kept: yields (indices,
     rows), rows[a] = comp[indices[a]] (int32), W = TABLE_ROWS = 64 rows at
     a time in row order.
 
-    A permutation h has the code sum_v h(v) n^v, below n^n, and a table of
-    n^n entries turns a code into its index (:func:`_code_lookup`).  With
-    inv[j] the one-line images of gj^-1, (gj^-1 gi)(v) = inv[j, gi(v)];
-    putting u = gi(v), the code of gj^-1 gi is sum_u inv[j, u] n^(inv[i, u])
-    = (Q inv^t)[i, j] with Q[i, u] = n^(inv[i, u]).  So a block of rows is
-    one float64 product, exact because every partial sum is an integer below
-    n^n <= 7^7 < 2^53, and one lookup.  The call holds the 4 n^n-byte
-    lookup table, inv, Q and a float copy of inv (24 n N bytes) and, for a
-    block of W rows, the 8 N W-byte product and its 4 N W bytes of codes,
-    then the 4 N W bytes of rows: 8 MB at n = 7.
+    A permutation h has the code sum_v h(v) n^v, below n^n, and a lookup
+    table of n^n entries turns a code into its row (int32, 4 n^n bytes,
+    3.3 MB at n = 7).  With inv[j] the one-line images of gj^-1, (gj^-1
+    gi)(v) = inv[j, gi(v)]; putting u = gi(v), the code of gj^-1 gi is
+    sum_u inv[j, u] n^(inv[i, u]) = (Q inv^t)[i, j] with Q[i, u] =
+    n^(inv[i, u]).  So a block of rows is one float64 product, exact because
+    every partial sum is an integer below n^n <= 7^7 < 2^53, and one lookup.
+    The call holds the lookup table, inv, Q and a float copy of inv (24 n N
+    bytes) and, for a block of W rows, the 8 N W-byte product and its 4 N W
+    bytes of codes, then the 4 N W bytes of rows: 8 MB at n = 7.
     """
-    lut, powers = _code_lookup(n)
-    inv = np.argsort(all_permutations(n), axis=1)
+    P = all_permutations(n)
+    powers = n ** np.arange(n, dtype=np.int64)
+    lut = np.empty(n**n, dtype=np.int32)
+    lut[P @ powers] = np.arange(len(P))
+    inv = np.argsort(P, axis=1)
     N = len(inv)
     Q, invT = powers[inv].astype(float), inv.T.astype(float)
     for start in range(0, N, TABLE_ROWS):
@@ -199,11 +192,14 @@ def _composition_rows(n: int):
 
 @dataclass(frozen=True, eq=False)
 class RateMatrix:
-    """Dense n! x n! rate matrix over the rows of :func:`all_permutations` (n)."""
+    """Dense n! x n! rate matrix over the rows of :func:`all_permutations` (n),
+    with ``magnitude`` the largest |f| of its n! weighted monomials, which is
+    the largest |entry| of ``matrix``."""
 
     species: str
     n: int
     matrix: np.ndarray
+    magnitude: float
 
 
 def _check_species(species: str) -> str:
@@ -247,7 +243,7 @@ def rate_matrix(r, species: str) -> RateMatrix:
     for indices, rows in _composition_rows(n):
         R[indices] = f[rows]
     R.setflags(write=False)
-    return RateMatrix(species, n, R)
+    return RateMatrix(species, n, R, float(np.abs(f).max()))
 
 
 def autocorrelation(A) -> np.ndarray:
@@ -268,10 +264,11 @@ def autocorrelation(A) -> np.ndarray:
     row, and one per involution (the real part kept): (n! + I_n)/2
     permanents, I_n the number of involutions (2636 of 5040 at n = 7), at
     O(2^(n-1) n) each; the partner entry is the exact conjugate, its index
-    read off the base-n codes of the rows (:func:`_code_lookup`).
-    The call holds the lookup table, then the 8 n² (n! + I_n)-byte Hadamard
-    stack of the evaluated permanents and one Glynn step, 6.6 MB traced at
-    n = 7 (8.2 MB when all n! were evaluated).  Each entry of the stack
+    the lexicographic rank of the images of c^-1
+    (:func:`~partdist.symgroup._lex_rank`), with no n^n-entry table.
+    The call holds the 8 n² (n! + I_n)-byte Hadamard stack of the evaluated
+    permanents and one Glynn step, 6.6 MB traced at n = 7 (8.2 MB when all
+    n! were evaluated).  Each entry of the stack
     rounds by √2 γ_2 <= γ_3 relative, which moves its permanent by at most γ_3n prod_i a_i(c),
     a_i(c) = sum_j |A_ij| |A_(i, c^-1(j))|; with Glynn's γ_(K+5n) prod_i a_i
     (K = 2^(n-1)) on the rounded entries, |fl S(c) - S_v(c)| <= γ_(K+8n)
@@ -286,9 +283,7 @@ def autocorrelation(A) -> np.ndarray:
     n = len(A)
     _check_dense_degree(n)
     inverse_images = np.argsort(all_permutations(n), axis=1)  # row c: the images of c^-1
-    lut, powers = _code_lookup(n)
-    partner = lut[inverse_images @ powers]  # partner[c] = row of c^-1
-    del lut
+    partner = _lex_rank(inverse_images)  # partner[c] = row of c^-1
     N = len(partner)
     first = np.flatnonzero(np.arange(N) <= partner)
     M = A.conj()[np.arange(n)[:, None], inverse_images[first, None, :]]
@@ -367,6 +362,11 @@ def _finalize_rate(value, bounds=None):
     return float(rates) if rates.ndim == 0 else rates
 
 
+def _direct_bounds(V, R: RateMatrix) -> np.ndarray:
+    """The bound of :func:`rate_direct` for v, or for each row of a stack V."""
+    return 2 * _gamma(2 * len(R.matrix)) * R.magnitude * np.abs(V).sum(axis=-1) ** 2
+
+
 def rate_direct(v, R: RateMatrix) -> float:
     """Coincidence rate v^dag R v (real, non-negative).
 
@@ -375,11 +375,16 @@ def rate_direct(v, R: RateMatrix) -> float:
     (fermions) at equal times, per(|A|^2) for fully distinguishable
     particles.  Only :mod:`partdist.sampling` renormalises, over the
     collision-free set.
+
+    :func:`_finalize_rate` judges the raw value by 2 γ_2N max|f| ‖v‖_1² (N =
+    n!, max|f| = ``R.magnitude``): conj(v) R and its product with v are sums
+    of N terms, each at most max|f| |v_i| |v_j|, and the exact form of an R
+    not symmetric bit for bit has an imaginary part below γ_n max|f| ‖v‖_1².
     """
     values = np.asarray(v)
     if values.shape != (len(R.matrix),):
         raise DomainError("monomial vector length does not match rate matrix")
-    return _finalize_rate(complex(values.conj() @ R.matrix @ values))
+    return _finalize_rate(complex(values.conj() @ R.matrix @ values), _direct_bounds(values, R))
 
 
 def _streaming_cost(n: int, species: str) -> int:
@@ -695,14 +700,10 @@ class BlockDecomposition:
     """
 
     species: str
-    transform: BlockTransform
+    n: int
     blocks: dict[tuple[int, ...], np.ndarray]
     vectors: dict[tuple[int, ...], np.ndarray]  # (s_lam copies, s_lam)
     parseval_residual: float
-
-    @property
-    def n(self) -> int:
-        return self.transform.n
 
     def term(self, lam: tuple[int, ...]):
         """Contribution of all copies of one partition label: a float, or an
@@ -852,7 +853,7 @@ def attach_vector(
     vectors = {
         lam: W[:, offset : offset + s * s].reshape(batch + (s, s)) for lam, offset, s in T.layout
     }
-    return BlockDecomposition(species, T, blocks, vectors, float(residuals.max()))
+    return BlockDecomposition(species, T.n, blocks, vectors, float(residuals.max()))
 
 
 def rate_blocked(decomp: BlockDecomposition):
@@ -949,7 +950,7 @@ class EngineRates:
     rate) are None on the other routes.  ``bounds``, of the shape of
     ``rates``, is the rounding bound of each raw rate that
     :func:`_finalize_rate` judged it by, or None on a route that derives
-    none yet (all but streaming).
+    none yet (the block engines and one-string ``direct``).
 
     ``blocks`` is the per-label report of one string under one delay matrix
     on the block engines, None otherwise: one row per partition label, in
@@ -1059,9 +1060,12 @@ def engine_rates(A, r, species: str, engine: str) -> EngineRates:
         return EngineRates(np.asarray(rate_from_autocorrelation(S, r, species)))
     if engine == "direct":
         R = rate_matrix(r, species)
-        return EngineRates(np.concatenate([
-            [rate_direct(v, R) for v in monomial_vector(a)] for a in _batches(A, width)
-        ]))
+        rates, bounds = [], []
+        for a in _batches(A, width):
+            V = monomial_vector(a)
+            rates.extend(rate_direct(v, R) for v in V)
+            bounds.append(_direct_bounds(V, R))
+        return EngineRates(np.array(rates), bounds=np.concatenate(bounds))
 
     T = build_transform(n)
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -27,7 +28,7 @@ from .interferometer import (
     submatrix,
 )
 from .matfun import determinant, permanent
-from .rates import _batches, engine_rates
+from .rates import EngineRates, engine_rates
 
 __all__ = [
     "OutputDistribution",
@@ -50,50 +51,50 @@ class OutputDistribution:
     """Normalized distribution over the collision-free strings G_{m,n}.
 
     ``strings`` is the read-only array of
-    :func:`~partdist.interferometer.enumerate_outputs`, one string per row;
-    ``rates`` (raw) and ``probabilities`` are read-only float arrays in the
-    same order.  ``parseval_residual`` is the largest |‖T v‖² - ‖v‖²| over
-    the strings on the blocked and truncated engines, and None on the
-    others; ``cancellation`` is the largest
-    sum_S |f(P_S)| / rate of the streaming engine
-    (:func:`~partdist.rates.rate_direct_streaming`), and None on the others.
+    :func:`~partdist.interferometer.enumerate_outputs`, one string per row,
+    and ``result`` the :class:`~partdist.rates.EngineRates` their rates came
+    from, with its health figures (``parseval_residual``, ``cancellation``,
+    ``bounds``); the references carry ``EngineRates(rates)``.  ``rates``,
+    ``total_rate`` and ``probabilities`` = rates / total_rate are derived
+    from ``result`` once, as read-only float arrays in the order of
+    ``strings``.  There must be one rate per string, none negative
+    (:class:`DomainError`), and their total must be positive
+    (:class:`NumericalError`).
     """
 
     m: int
-    n: int
     species: str
     engine: str
     strings: np.ndarray
-    rates: np.ndarray
-    probabilities: np.ndarray
-    total_rate: float
-    parseval_residual: float | None = None
-    cancellation: float | None = None
+    result: EngineRates
 
     def __post_init__(self):
-        for name in ("rates", "probabilities"):
-            values = np.array(getattr(self, name), dtype=float)
-            if values.shape != (len(self.strings),):
-                raise DomainError(f"{name} must hold one value per output string")
-            values.setflags(write=False)
-            object.__setattr__(self, name, values)
-        probs = self.probabilities
-        if probs.min() < 0:
-            raise DomainError("probabilities must be non-negative")
-        if abs(probs.sum() - 1.0) > 1e-9:
-            raise DomainError(f"probabilities sum to {probs.sum()}, not 1")
+        if self.rates.shape != (len(self.strings),):
+            raise DomainError("rates must hold one value per output string")
+        if not self.total_rate > 0.0:
+            raise NumericalError("every collision-free rate vanished; cannot normalize")
+        if self.rates.min() < 0:
+            raise DomainError("rates must be non-negative")
 
+    @property
+    def n(self) -> int:
+        return self.strings.shape[1]
 
-def _normalize(strings, rates, m, n, species, engine, parseval_residual=None,
-               cancellation=None) -> OutputDistribution:
-    rates = np.asarray(rates, dtype=float)
-    total = float(rates.sum())
-    if not total > 0.0:
-        raise NumericalError("every collision-free rate vanished; cannot normalize")
-    return OutputDistribution(
-        m, n, species, engine, strings, rates, rates / total, total,
-        parseval_residual, cancellation,
-    )
+    @cached_property
+    def rates(self) -> np.ndarray:
+        rates = np.array(self.result.rates, dtype=float)
+        rates.setflags(write=False)
+        return rates
+
+    @cached_property
+    def total_rate(self) -> float:
+        return float(self.rates.sum())
+
+    @cached_property
+    def probabilities(self) -> np.ndarray:
+        probabilities = self.rates / self.total_rate
+        probabilities.setflags(write=False)
+        return probabilities
 
 
 def build_distribution(
@@ -126,8 +127,7 @@ def build_distribution(
     strings = enumerate_outputs(m, n)
     result = engine_rates(submatrix(interferometer, strings, input_ports), delay_matrix(spec),
                           species, engine)
-    return _normalize(strings, result.rates, m, n, species, engine,
-                      result.parseval_residual, result.cancellation)
+    return OutputDistribution(m, species, engine, strings, result)
 
 
 def _check_count(count: int) -> None:
@@ -158,20 +158,19 @@ def sample(dist: OutputDistribution, count: int, seed: int) -> np.ndarray:
 # Classical reference distributions
 
 
-def _closed_form_distribution(interferometer, n, input_ports, per_batch,
+def _closed_form_distribution(interferometer, n, input_ports, per_stack,
                               species) -> OutputDistribution:
-    """Distribution whose rates ``per_batch`` takes from a stack of
-    submatrices, in batches of floor(2^17 / 2^n) strings: 2^16 of Glynn's
-    products per permanent call."""
+    """Distribution whose rates ``per_stack`` takes from the submatrices of
+    all strings, gathered once: one permanent call, which steps by
+    ``GLYNN_PRODUCTS`` itself, or one determinant call, which factorises
+    each matrix alone, so every rate has the bits of its string's own
+    call."""
     m = interferometer.m
     if input_ports is None:
         input_ports = tuple(range(1, n + 1))
     strings = enumerate_outputs(m, n)
-    rates = np.concatenate([
-        per_batch(submatrix(interferometer, batch, input_ports))
-        for batch in _batches(strings, max(1, 2**17 >> n))
-    ])
-    return _normalize(strings, rates, m, n, species, "reference")
+    rates = per_stack(submatrix(interferometer, strings, input_ports))
+    return OutputDistribution(m, species, "reference", strings, EngineRates(rates))
 
 
 def reference_indistinguishable(
@@ -181,8 +180,8 @@ def reference_indistinguishable(
     input_ports: tuple[int, ...] | None = None,
 ) -> OutputDistribution:
     """All arrival times equal: probabilities proportional to |per A(s)|^2
-    for bosons and |det A(s)|^2 for fermions, one batched permanent or
-    determinant call per batch of strings."""
+    for bosons and |det A(s)|^2 for fermions, from one batched permanent or
+    determinant call over all strings."""
     if species == "boson":
         fn = lambda As: np.abs(permanent(As)) ** 2
     elif species == "fermion":
@@ -199,8 +198,8 @@ def reference_distinguishable(
     input_ports: tuple[int, ...] | None = None,
 ) -> OutputDistribution:
     """Fully distinguishable particles: probabilities proportional to
-    per(|A_ij(s)|^2) for either species, one batched permanent call per
-    batch of strings."""
+    per(|A_ij(s)|^2) for either species, from one batched permanent call
+    over all strings."""
     fn = lambda As: permanent(np.abs(As) ** 2).real
     return _closed_form_distribution(interferometer, n, input_ports, fn, species)
 

@@ -404,6 +404,32 @@ def test_autocorrelation_route_refuses_degree_8_before_walking(monkeypatch):
         rate_from_autocorrelation(autocorrelation(np.eye(4)), np.eye(3), "boson")
 
 
+@pytest.mark.parametrize("n", [4, 6])
+def test_one_string_direct_rate_builds_no_code_table(n, monkeypatch):
+    # the partner c^-1 of every c is the lexicographic rank of its images;
+    # the n^n-entry table of base-n codes is allocated only where R is
+    # filled (_composition_rows), and neither may happen here
+    A, r = _random_case(n, 40 + n)
+    v = monomial_vector(A)
+    want = {species: rate_direct(v, rate_matrix(r, species)) for species in ("boson", "fermion")}
+    empty = np.empty
+
+    def no_table(shape, *args, **kwargs):
+        if shape == n**n:
+            pytest.fail("an n^n-entry code table was allocated for one string")
+        return empty(shape, *args, **kwargs)
+
+    def no_walk(*args, **kwargs):
+        pytest.fail("the composition table was walked for one string")
+
+    monkeypatch.setattr(np, "empty", no_table)
+    monkeypatch.setattr(rates, "_composition_rows", no_walk)
+    tol = autocorrelation_rounding(A) + direct_rounding(v)
+    for species, rate in want.items():
+        got = rates.engine_rates(A, r, species, "direct")
+        assert abs(float(got.rates) - rate) <= tol, (species, got.rates, rate)
+
+
 def test_delay_matrix_check_agrees_with_allclose():
     # on finite overlaps in [-1, 1] the check is np.allclose(r, r.T,
     # rtol=0, atol=1e-12) and np.allclose(diag r, 1, rtol=0, atol=1e-12),
@@ -474,6 +500,27 @@ def test_rate_matrix_input_validation():
         rate_matrix(np.eye(8), "boson")
     with pytest.raises(DomainError):  # an overlap of 3 is refused up front
         rate_matrix([[1.0, 3.0], [3.0, 1.0]], "boson")
+
+
+@pytest.mark.parametrize("species", ["boson", "fermion"])
+def test_rate_direct_judges_its_raw_value_by_its_own_bound(species):
+    # rate_direct passes _finalize_rate 2 gamma_2N max|f| ||v||_1^2, with
+    # max|f| recorded on R; R's matrix is patched so that the raw value is
+    # exactly -t for v = e_0 (||v||_1 = 1).  The absolute 1e-10 clamp
+    # tolerance it replaces would have clamped both values.
+    R = rate_matrix(delay_matrix_from_times((0.1, 0.4, 0.9), 1.5), species)
+    N = len(R.matrix)
+    assert R.magnitude == np.abs(R.matrix).max() == 1.0  # f(e) = 1 and |r_ij| <= 1
+    bound = 2 * gamma(2 * N) * R.magnitude
+    v = np.zeros(N, dtype=complex)
+    v[0] = 1.0
+    patched = np.zeros((N, N))
+    patched[0, 0] = -bound * (1 + 1e-6)
+    with pytest.raises(NumericalError, match="is negative beyond its bound"):
+        rate_direct(v, dataclasses.replace(R, matrix=patched))
+    patched[0, 0] = -bound * (1 - 1e-6)
+    with pytest.warns(ClampWarning):
+        assert rate_direct(v, dataclasses.replace(R, matrix=patched)) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -814,9 +861,12 @@ def test_stacked_streaming_matches_stacked_dense_within_bounds(n, seed, species,
         dense = rates.engine_rates(A, r, species, "direct")
     assert len(calls) == -(-len(A) // width) >= 2
     assert stream.bounds.shape == stream.rates.shape == dense.rates.shape == (len(A),)
-    assert dense.bounds is None
     values = monomial_vector(A)
     dense_rounding = 2 * gamma(2 * values.shape[1]) * np.abs(values).sum(axis=1) ** 2
+    # the dense stack route reports the bound it judged each raw rate by,
+    # 2 gamma_2N max|f| ||v||_1^2, and max|f| = f(e) = 1
+    assert dense.bounds.shape == (len(A),)
+    assert np.allclose(dense.bounds, dense_rounding, rtol=1e-12, atol=0)
     assert (np.abs(stream.rates - dense.rates) <= stream.bounds + dense_rounding).all()
 
 

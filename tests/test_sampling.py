@@ -8,7 +8,7 @@ from scipy import stats
 
 import partdist.sampling
 from partdist.delays import ArrivalSpec, delay_matrix, discretize, snapped_delay_matrix, snapped_times
-from partdist.errors import DomainError, SizeLimitError
+from partdist.errors import DomainError, NumericalError, SizeLimitError
 from partdist.interferometer import (
     enumerate_outputs,
     haar_unitary,
@@ -18,6 +18,7 @@ from partdist.interferometer import (
 )
 from partdist.matfun import determinant, permanent
 from partdist.rates import (
+    EngineRates,
     _fft_rounding,
     _parseval_tolerance,
     attach_vector,
@@ -84,7 +85,7 @@ def test_truncated_on_continuous_times_equals_blocked(itf, species):
     truncated = build_distribution(itf, SPEC, species, "truncated")
     assert truncated.rates.tobytes() == blocked.rates.tobytes()
     assert truncated.probabilities.tobytes() == blocked.probabilities.tobytes()
-    assert truncated.parseval_residual == blocked.parseval_residual
+    assert truncated.result.parseval_residual == blocked.result.parseval_residual
 
 
 def test_point_mass_when_channels_equal_particles():
@@ -264,7 +265,7 @@ def test_batched_block_engines_match_per_string_projection(species, monkeypatch)
             norm2 = float(np.vdot(v, v).real)
             norms.append(norm2)
             assert abs(got - want) <= 4 * N * delta * (1 + delta) * norm2, (s, got, want)
-        assert 0.0 <= dist.parseval_residual <= _parseval_tolerance(6) * max(norms)
+        assert 0.0 <= dist.result.parseval_residual <= _parseval_tolerance(6) * max(norms)
 
 
 def _record_streaming(monkeypatch):
@@ -297,7 +298,7 @@ def test_streaming_distribution_n7_is_light_and_matches_dense(monkeypatch):
     assert peak < 32 * 2**20
     assert [k for k, _ in calls] == [120]
     bounds = calls[0][1].bounds
-    assert dist.cancellation == calls[0][1].cancellation >= 1.0
+    assert dist.result.cancellation == calls[0][1].cancellation >= 1.0
 
     # the dense engine is v^dag R v with its R; every string's form is taken
     # here with real products, and rate_direct itself on two strings
@@ -334,8 +335,8 @@ def test_streaming_distribution_runs_past_n7(monkeypatch):
 
 @pytest.mark.parametrize("m, n", [(6, 3), (14, 12)])
 def test_batched_references_equal_per_string_values(m, n, monkeypatch):
-    # floor(2^17 / 2^n) strings per call: all 20 strings at n = 3, and the
-    # 91 strings at n = 12 in batches of 32, 32 and 27
+    # one call over all strings: the 20 strings at n = 3 and the 91 at
+    # n = 12, which permanent evaluates GLYNN_PRODUCTS / 2^11 = 32 per step
     itf_m = haar_unitary(m, seed=m)
     calls = []
 
@@ -347,9 +348,8 @@ def test_batched_references_equal_per_string_values(m, n, monkeypatch):
 
     monkeypatch.setattr(partdist.sampling, "permanent", counted(permanent))
     monkeypatch.setattr(partdist.sampling, "determinant", counted(determinant))
-    width = max(1, 2**17 >> n)
     strings = enumerate_outputs(m, n)
-    widths = [min(width, len(strings) - start) for start in range(0, len(strings), width)]
+    widths = [len(strings)]
     As = [submatrix(itf_m, s) for s in strings]
     # Glynn and LAPACK treat each matrix of a stack on its own: the same bits
     for species, fn in (("boson", permanent), ("fermion", determinant)):
@@ -371,7 +371,44 @@ def test_distribution_holds_read_only_arrays(itf):
         assert not values.flags.writeable
     assert dist.probabilities.tolist() == (dist.rates / dist.total_rate).tolist()
     assert not dist.strings.flags.writeable
+    for name in ("rates", "probabilities", "total_rate", "result", "n"):
+        with pytest.raises(AttributeError):
+            setattr(dist, name, None)
     with pytest.raises(DomainError):
         partdist.sampling.OutputDistribution(
-            6, 3, "boson", "direct", dist.strings, dist.rates[:-1], dist.probabilities[:-1], 1.0
+            6, "boson", "direct", dist.strings, EngineRates(dist.rates[:-1])
         )
+
+
+@pytest.mark.parametrize("engine", ["direct", "streaming", "blocked", "truncated"])
+def test_distribution_holds_the_engine_result_it_came_from(itf, engine, monkeypatch):
+    # no copy of the rates or of their health figures: the distribution
+    # keeps the very EngineRates of its one engine_rates call
+    results = []
+    engine_rates = partdist.sampling.engine_rates
+
+    def spy(*args):
+        results.append(engine_rates(*args))
+        return results[-1]
+
+    monkeypatch.setattr(partdist.sampling, "engine_rates", spy)
+    dist = build_distribution(itf, at_bin_centres(SPEC), "fermion", engine)
+    (result,) = results
+    assert dist.result is result
+    assert dist.n == 3 and dist.rates.tolist() == result.rates.tolist()
+    assert dist.total_rate == float(result.rates.sum())
+    # the dense stack route reports its bounds as the streaming route does
+    assert (result.bounds is None) == (engine in ("blocked", "truncated"))
+
+
+def test_distribution_refuses_rates_it_cannot_normalize():
+    strings = enumerate_outputs(6, 3)
+    K = len(strings)
+    OutputDistribution = partdist.sampling.OutputDistribution
+    with pytest.raises(NumericalError, match="vanished"):
+        OutputDistribution(6, "boson", "direct", strings, EngineRates(np.zeros(K)))
+    with pytest.raises(NumericalError, match="vanished"):
+        OutputDistribution(6, "boson", "direct", strings, EngineRates(-np.ones(K)))
+    with pytest.raises(DomainError, match="non-negative"):
+        OutputDistribution(6, "boson", "direct", strings,
+                           EngineRates(np.r_[-1e-3, np.ones(K - 1)]))
