@@ -21,12 +21,12 @@ when they run, so ``rate`` and ``landscape`` load neither.
 
 Determinism under BLAS threading: the batch widths of the rate engines are
 fixed in :func:`partdist.rates.engine_rates`, and strings go in their
-enumeration order and grid points in grid order; the references take all
-strings in one permanent or determinant call, which evaluates each matrix
-on its own.  Reruns are byte-identical on the same NumPy and BLAS build
-with the same thread count (OPENBLAS_NUM_THREADS, OMP_NUM_THREADS); across
-builds or thread counts the strings, their order and the config hash stay
-the same, and rates agree to rounding.
+enumeration order and grid points in grid order; the references take
+floor(2^17 / 2^n) strings per permanent or determinant call.  Reruns are
+byte-identical on the same NumPy and BLAS build with the same thread count
+(OPENBLAS_NUM_THREADS, OMP_NUM_THREADS); across builds or thread counts the
+strings, their order and the config hash stay the same, and rates agree to
+rounding.
 
 On stderr the block engines report, next to ``wall_time_s``, the largest
 Parseval residual |‖T v‖² - ‖v‖²| of the run (``parseval_residual``), and

@@ -21,7 +21,7 @@ involution (I_n of them), O(n! 2^(n-2) n), once per string, then one dot
 product per delay matrix, with no monomial vector and no n! x n! object.
 One delay matrix and many strings (``distribution``) keep R
 (:func:`rate_matrix`) and take v^dag R v per string (:func:`rate_direct`),
-rounding by 2 γ_2N max|f| ‖v‖_1² (N = n!); R is filled 64 rows at a time
+rounding by 2 γ_2N ‖v‖_1² (N = n!); R is filled 64 rows at a time
 by looking f up through the rows of the composition table
 (:func:`_composition_rows`), each block of rows one exact float64 product
 of base-n codes, so the table is never held whole.
@@ -192,14 +192,11 @@ def _composition_rows(n: int):
 
 @dataclass(frozen=True, eq=False)
 class RateMatrix:
-    """Dense n! x n! rate matrix over the rows of :func:`all_permutations` (n),
-    with ``magnitude`` the largest |f| of its n! weighted monomials, which is
-    the largest |entry| of ``matrix``."""
+    """Dense n! x n! rate matrix over the rows of :func:`all_permutations` (n)."""
 
     species: str
     n: int
     matrix: np.ndarray
-    magnitude: float
 
 
 def _check_species(species: str) -> str:
@@ -243,7 +240,7 @@ def rate_matrix(r, species: str) -> RateMatrix:
     for indices, rows in _composition_rows(n):
         R[indices] = f[rows]
     R.setflags(write=False)
-    return RateMatrix(species, n, R, float(np.abs(f).max()))
+    return RateMatrix(species, n, R)
 
 
 def autocorrelation(A) -> np.ndarray:
@@ -362,12 +359,12 @@ def _finalize_rate(value, bounds=None):
     return float(rates) if rates.ndim == 0 else rates
 
 
-def _direct_bounds(V, R: RateMatrix) -> np.ndarray:
+def _direct_bounds(V) -> np.ndarray:
     """The bound of :func:`rate_direct` for v, or for each row of a stack V."""
-    return 2 * _gamma(2 * len(R.matrix)) * R.magnitude * np.abs(V).sum(axis=-1) ** 2
+    return 2 * _gamma(2 * np.shape(V)[-1]) * np.abs(V).sum(axis=-1) ** 2
 
 
-def rate_direct(v, R: RateMatrix) -> float:
+def rate_direct(v, R: RateMatrix, bound=None) -> float:
     """Coincidence rate v^dag R v (real, non-negative).
 
     The value is the probability that the n particles leave on the given
@@ -376,15 +373,17 @@ def rate_direct(v, R: RateMatrix) -> float:
     particles.  Only :mod:`partdist.sampling` renormalises, over the
     collision-free set.
 
-    :func:`_finalize_rate` judges the raw value by 2 γ_2N max|f| ‖v‖_1² (N =
-    n!, max|f| = ``R.magnitude``): conj(v) R and its product with v are sums
-    of N terms, each at most max|f| |v_i| |v_j|, and the exact form of an R
-    not symmetric bit for bit has an imaginary part below γ_n max|f| ‖v‖_1².
+    :func:`_finalize_rate` judges the raw value by ``bound``, by default
+    2 γ_2N ‖v‖_1² (N = n!): both sums of the form have N terms of at most
+    max|f| |v_i| |v_j|, and an R not symmetric bit for bit adds an imaginary
+    part below γ_n max|f| ‖v‖_1².  The delay-matrix check of :func:`rate_matrix`
+    keeps max|f| = f(e) = 1 within (1 + 1e-12)^n, which the factor 2 covers.
     """
     values = np.asarray(v)
     if values.shape != (len(R.matrix),):
         raise DomainError("monomial vector length does not match rate matrix")
-    return _finalize_rate(complex(values.conj() @ R.matrix @ values), _direct_bounds(values, R))
+    return _finalize_rate(complex(values.conj() @ R.matrix @ values),
+                          _direct_bounds(values) if bound is None else bound)
 
 
 def _streaming_cost(n: int, species: str) -> int:
@@ -1063,8 +1062,8 @@ def engine_rates(A, r, species: str, engine: str) -> EngineRates:
         rates, bounds = [], []
         for a in _batches(A, width):
             V = monomial_vector(a)
-            rates.extend(rate_direct(v, R) for v in V)
-            bounds.append(_direct_bounds(V, R))
+            bounds.append(_direct_bounds(V))
+            rates.extend(rate_direct(v, R, b) for v, b in zip(V, bounds[-1]))
         return EngineRates(np.array(rates), bounds=np.concatenate(bounds))
 
     T = build_transform(n)

@@ -28,7 +28,7 @@ from .interferometer import (
     submatrix,
 )
 from .matfun import determinant, permanent
-from .rates import EngineRates, engine_rates
+from .rates import EngineRates, _batches, engine_rates
 
 __all__ = [
     "OutputDistribution",
@@ -58,7 +58,7 @@ class OutputDistribution:
     ``total_rate`` and ``probabilities`` = rates / total_rate are derived
     from ``result`` once, as read-only float arrays in the order of
     ``strings``.  There must be one rate per string, none negative
-    (:class:`DomainError`), and their total must be positive
+    (:class:`DomainError`), and their total must be finite and positive
     (:class:`NumericalError`).
     """
 
@@ -71,8 +71,8 @@ class OutputDistribution:
     def __post_init__(self):
         if self.rates.shape != (len(self.strings),):
             raise DomainError("rates must hold one value per output string")
-        if not self.total_rate > 0.0:
-            raise NumericalError("every collision-free rate vanished; cannot normalize")
+        if not (np.isfinite(self.total_rate) and self.total_rate > 0.0):
+            raise NumericalError(f"collision-free rates total {self.total_rate}; cannot normalize")
         if self.rates.min() < 0:
             raise DomainError("rates must be non-negative")
 
@@ -158,18 +158,19 @@ def sample(dist: OutputDistribution, count: int, seed: int) -> np.ndarray:
 # Classical reference distributions
 
 
-def _closed_form_distribution(interferometer, n, input_ports, per_stack,
+def _closed_form_distribution(interferometer, n, input_ports, per_batch,
                               species) -> OutputDistribution:
-    """Distribution whose rates ``per_stack`` takes from the submatrices of
-    all strings, gathered once: one permanent call, which steps by
-    ``GLYNN_PRODUCTS`` itself, or one determinant call, which factorises
-    each matrix alone, so every rate has the bits of its string's own
-    call."""
+    """Distribution whose rates ``per_batch`` takes from a stack of
+    submatrices, in batches of floor(2^17 / 2^n) strings: 2^16 of Glynn's
+    products per permanent call, and 0.8 MB of submatrices at n = 7."""
     m = interferometer.m
     if input_ports is None:
         input_ports = tuple(range(1, n + 1))
     strings = enumerate_outputs(m, n)
-    rates = per_stack(submatrix(interferometer, strings, input_ports))
+    rates = np.concatenate([
+        per_batch(submatrix(interferometer, batch, input_ports))
+        for batch in _batches(strings, max(1, 2**17 >> n))
+    ])
     return OutputDistribution(m, species, "reference", strings, EngineRates(rates))
 
 
@@ -180,8 +181,8 @@ def reference_indistinguishable(
     input_ports: tuple[int, ...] | None = None,
 ) -> OutputDistribution:
     """All arrival times equal: probabilities proportional to |per A(s)|^2
-    for bosons and |det A(s)|^2 for fermions, from one batched permanent or
-    determinant call over all strings."""
+    for bosons and |det A(s)|^2 for fermions, one batched permanent or
+    determinant call per batch of strings."""
     if species == "boson":
         fn = lambda As: np.abs(permanent(As)) ** 2
     elif species == "fermion":
@@ -198,8 +199,8 @@ def reference_distinguishable(
     input_ports: tuple[int, ...] | None = None,
 ) -> OutputDistribution:
     """Fully distinguishable particles: probabilities proportional to
-    per(|A_ij(s)|^2) for either species, from one batched permanent call
-    over all strings."""
+    per(|A_ij(s)|^2) for either species, one batched permanent call per
+    batch of strings."""
     fn = lambda As: permanent(np.abs(As) ** 2).real
     return _closed_form_distribution(interferometer, n, input_ports, fn, species)
 

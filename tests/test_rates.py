@@ -504,14 +504,15 @@ def test_rate_matrix_input_validation():
 
 @pytest.mark.parametrize("species", ["boson", "fermion"])
 def test_rate_direct_judges_its_raw_value_by_its_own_bound(species):
-    # rate_direct passes _finalize_rate 2 gamma_2N max|f| ||v||_1^2, with
-    # max|f| recorded on R; R's matrix is patched so that the raw value is
-    # exactly -t for v = e_0 (||v||_1 = 1).  The absolute 1e-10 clamp
-    # tolerance it replaces would have clamped both values.
+    # rate_direct passes _finalize_rate 2 gamma_2N ||v||_1^2, since the
+    # delay-matrix check keeps max|f| = f(e) = 1; R's matrix is patched so
+    # that the raw value is exactly -t for v = e_0 (||v||_1 = 1).  The
+    # absolute 1e-10 clamp tolerance it replaces would have clamped both
+    # values.  A bound passed in is the one the value is judged by.
     R = rate_matrix(delay_matrix_from_times((0.1, 0.4, 0.9), 1.5), species)
     N = len(R.matrix)
-    assert R.magnitude == np.abs(R.matrix).max() == 1.0  # f(e) = 1 and |r_ij| <= 1
-    bound = 2 * gamma(2 * N) * R.magnitude
+    assert np.abs(R.matrix).max() == 1.0  # f(e) = 1 and |r_ij| <= 1
+    bound = 2 * gamma(2 * N)
     v = np.zeros(N, dtype=complex)
     v[0] = 1.0
     patched = np.zeros((N, N))
@@ -521,6 +522,23 @@ def test_rate_direct_judges_its_raw_value_by_its_own_bound(species):
     patched[0, 0] = -bound * (1 - 1e-6)
     with pytest.warns(ClampWarning):
         assert rate_direct(v, dataclasses.replace(R, matrix=patched)) == 0.0
+    with pytest.raises(NumericalError, match="is negative beyond its bound"):
+        rate_direct(v, dataclasses.replace(R, matrix=patched), bound * (1 - 2e-6))
+
+
+def test_dense_stack_route_returns_the_bounds_it_judged_by(monkeypatch):
+    # every raw rate of the route is judged by its entry of the returned
+    # bounds, bit for bit, not by a second evaluation of the bound
+    A = submatrix(haar_unitary(7, seed=31), enumerate_outputs(7, 3))
+    r = delay_matrix_from_times((0.1, 0.4, 0.9), 1.5)
+    judged = []
+    finalize = rates._finalize_rate
+    monkeypatch.setattr(rates, "_finalize_rate",
+                        lambda value, bounds=None: judged.append(bounds) or finalize(value, bounds))
+    monkeypatch.setattr(rates, "BATCH_ENTRIES", 12 * 6)  # 12 strings per batch: 3 batches
+    result = rates.engine_rates(A, r, "fermion", "direct")
+    assert len(judged) == len(A) == 35
+    assert np.array(judged).tobytes() == result.bounds.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -864,7 +882,7 @@ def test_stacked_streaming_matches_stacked_dense_within_bounds(n, seed, species,
     values = monomial_vector(A)
     dense_rounding = 2 * gamma(2 * values.shape[1]) * np.abs(values).sum(axis=1) ** 2
     # the dense stack route reports the bound it judged each raw rate by,
-    # 2 gamma_2N max|f| ||v||_1^2, and max|f| = f(e) = 1
+    # 2 gamma_2N ||v||_1^2
     assert dense.bounds.shape == (len(A),)
     assert np.allclose(dense.bounds, dense_rounding, rtol=1e-12, atol=0)
     assert (np.abs(stream.rates - dense.rates) <= stream.bounds + dense_rounding).all()

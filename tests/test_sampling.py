@@ -335,8 +335,8 @@ def test_streaming_distribution_runs_past_n7(monkeypatch):
 
 @pytest.mark.parametrize("m, n", [(6, 3), (14, 12)])
 def test_batched_references_equal_per_string_values(m, n, monkeypatch):
-    # one call over all strings: the 20 strings at n = 3 and the 91 at
-    # n = 12, which permanent evaluates GLYNN_PRODUCTS / 2^11 = 32 per step
+    # floor(2^17 / 2^n) strings per call: all 20 strings at n = 3, and the
+    # 91 strings at n = 12 in batches of 32, 32 and 27
     itf_m = haar_unitary(m, seed=m)
     calls = []
 
@@ -348,8 +348,9 @@ def test_batched_references_equal_per_string_values(m, n, monkeypatch):
 
     monkeypatch.setattr(partdist.sampling, "permanent", counted(permanent))
     monkeypatch.setattr(partdist.sampling, "determinant", counted(determinant))
+    width = max(1, 2**17 >> n)
     strings = enumerate_outputs(m, n)
-    widths = [len(strings)]
+    widths = [min(width, len(strings) - start) for start in range(0, len(strings), width)]
     As = [submatrix(itf_m, s) for s in strings]
     # Glynn and LAPACK treat each matrix of a stack on its own: the same bits
     for species, fn in (("boson", permanent), ("fermion", determinant)):
@@ -405,10 +406,15 @@ def test_distribution_refuses_rates_it_cannot_normalize():
     strings = enumerate_outputs(6, 3)
     K = len(strings)
     OutputDistribution = partdist.sampling.OutputDistribution
-    with pytest.raises(NumericalError, match="vanished"):
+    with pytest.raises(NumericalError, match="cannot normalize"):
         OutputDistribution(6, "boson", "direct", strings, EngineRates(np.zeros(K)))
-    with pytest.raises(NumericalError, match="vanished"):
+    with pytest.raises(NumericalError, match="cannot normalize"):
         OutputDistribution(6, "boson", "direct", strings, EngineRates(-np.ones(K)))
+    # an infinite rate would make the probabilities [nan, 0, ...], so that
+    # every draw returned string 0
+    with pytest.raises(NumericalError, match="cannot normalize"):
+        OutputDistribution(6, "boson", "direct", strings,
+                           EngineRates(np.r_[np.inf, np.ones(K - 1)]))
     with pytest.raises(DomainError, match="non-negative"):
         OutputDistribution(6, "boson", "direct", strings,
                            EngineRates(np.r_[-1e-3, np.ones(K - 1)]))
